@@ -194,8 +194,7 @@ func BenchmarkE6VectorSize(b *testing.B) {
 						Child: vector.NewScan(src, size),
 						Preds: []vector.Pred{{ColIdx: 0, Op: vector.PredLt, IntVal: 500}},
 					},
-					KeyCol: -1,
-					Aggs:   []vector.AggSpec{{Kind: vector.AggSumInt, Col: 0}},
+					Aggs: []vector.AggSpec{{Kind: vector.AggSumInt, Col: 0}},
 				}
 				if _, err := vector.Drain(plan); err != nil {
 					b.Fatal(err)
@@ -209,7 +208,7 @@ func BenchmarkE6VectorSize(b *testing.B) {
 
 // BenchmarkJoinTable isolates the build+probe cost the hash-join rides
 // on: the old map[int64][]int32 (one slice header + backing array per
-// distinct key, pointer chase per bucket) against vector.HashTable
+// distinct key, pointer chase per bucket) against radix.Table
 // (three flat arrays, linear probing, no per-key allocations).
 func BenchmarkJoinTable(b *testing.B) {
 	n := 1 << 20
@@ -225,14 +224,14 @@ func BenchmarkJoinTable(b *testing.B) {
 	})
 	b.Run("openaddr/build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			vector.BuildHashTable(keys)
+			radix.BuildTable(keys)
 		}
 	})
 	m := make(map[int64][]int32)
 	for r, k := range keys {
 		m[k] = append(m[k], int32(r))
 	}
-	ht := vector.BuildHashTable(keys)
+	ht := radix.BuildTable(keys)
 	b.Run("gomap/probe", func(b *testing.B) {
 		var sink int64
 		for i := 0; i < b.N; i++ {
@@ -487,7 +486,7 @@ func BenchmarkE13DataCell(b *testing.B) {
 // BenchmarkE15ParallelScaling measures the morsel-driven Exchange: TPC-H
 // Q6 and a shared-build join probe at 1/2/4/8 workers. rows/sec is the
 // headline metric; on a single-core host the >1 worker runs only pay
-// the exchange overhead (see BENCH_pr1.json for recorded numbers).
+// the exchange overhead.
 func BenchmarkE15ParallelScaling(b *testing.B) {
 	n := 1 << 20
 	li := workload.GenLineItem(n, 20)

@@ -26,7 +26,7 @@
 // cache-conscious and multi-core:
 //
 //   - Every equi-join path — batalg.Join's hash/semi/anti joins, the
-//     radix partitioned join, vector.HashTable/JoinBuild, and the MAL
+//     radix partitioned join, vector.JoinBuild, and the MAL
 //     `join` op behind compiled SQL — builds into ONE open-addressing
 //     table, radix.Table: Fibonacci hashing on the high hash bits,
 //     power-of-two 16-byte key+head slots, duplicate chains in one flat
@@ -39,7 +39,7 @@
 //   - Whether a MAL join radix-clusters BOTH sides (Figure 2) or stays
 //     flat is decided by the §4.4 cost model (radix.ShouldCluster on a
 //     calibrated hierarchy with an LLC level), not a fixed threshold;
-//     BENCH_pr3.json records the A/B sweep the calibration reproduces.
+//     BenchmarkBandJoin sweeps the A/B the calibration reproduces.
 //
 //   - Pipelines parallelize morsel-driven: vector.Exchange splits a
 //     Source into fixed-size morsels handed out by an atomic cursor,
@@ -49,17 +49,33 @@
 //     Exchange cancels at morsel boundaries. Experiment E15 and
 //     BenchmarkE15ParallelScaling measure the scaling.
 //
-//   - Grouping shares the same hash-table discipline: radix.GroupTable
-//     (and PairGroupTable for composite keys) assigns dense group ids
-//     with Fibonacci-hashed flat slots and no per-key allocations; it
-//     backs batalg.Group/GroupStr/SubGroup, the MAL group ops, and the
-//     vectorized Agg. Parallel GROUP BY runs per-worker partial tables
-//     merged by key (vector.ParallelGroupAgg) or — when the cost model
+//   - Grouping is ONE table too: radix.GroupTable maps K-wide int64
+//     key tuples to dense first-seen group ids, for every K. A slot is
+//     (tuple hash, gid+1) in 16 bytes whatever K is — same Fibonacci
+//     slotting, flat power-of-two array, load <= ½, no per-key
+//     allocation as the join table — and the keys live column-major in
+//     K dense arrays indexed by gid, which is the shape grouped output
+//     is emitted in (vector.Agg hands Key(c) off as its key columns
+//     without a copy). One layout is enough because the hash recipe is
+//     a chain of bijections: radix.Hash multiplies by an odd constant,
+//     and each radix.HashFold step (xor the next key word in, multiply
+//     again) is a bijection of the running hash for a fixed word. Two
+//     tuples with equal 64-bit hashes that agree on words 1..K-1
+//     therefore agree on word 0. At K=1 the stored hash IS the key: a
+//     found probe is hash, one slot load, one compare, one store, and
+//     never touches the key arrays; wider keys read key columns
+//     1..K-1 only on a full hash match. NULL (bat.NilInt) is a legal
+//     key word in any position — GROUP BY is "is not distinct from".
+//     The table backs batalg.Group/SubGroup/Unique (SubGroup is K=2
+//     over (previous gid, value)), the MAL group ops, vector.Agg at
+//     every key width, and — through the same exported hash recipe —
+//     the grace-hash partitioner's row routing. Parallel GROUP BY runs
+//     per-worker partial tables merged by key
+//     (vector.ParallelGroupAgg) or — when the cost model
 //     radix.ShouldPartitionGroup predicts the grouping table outgrows
 //     the LLC — a shared-nothing plan over the parallel Radix-Cluster
 //     (vector.PartitionedGroupAgg), where each worker owns disjoint key
-//     ranges and the merge is concatenation. BENCH_pr4.json records the
-//     cardinality sweep.
+//     ranges and the merge is concatenation.
 //
 // # Physical plans
 //
@@ -96,10 +112,10 @@
 // WHERE clause that guts one dimension reorders the whole tree around
 // it. The join graph must be a tree (it is by construction — every ON
 // clause references one new table); Options.NaiveJoinOrder pins the
-// textual order for A/B measurement, and BENCH_pr10.json records the
-// sweep: on a skew-filtered 5-table star the greedy order carries
-// 229x fewer intermediate rows than the textual order for a 32x
-// wall-clock win. ORDER BY over a join emits a canonical order on
+// textual order for A/B measurement (engine/njoin_bench_test.go: on
+// a skew-filtered 5-table star the greedy order carries 229x fewer
+// intermediate rows than the textual order for a 32x wall-clock
+// win). ORDER BY over a join emits a canonical order on
 // both engines — sort key first, every output column left to right as
 // tiebreaks, DESC a full reversal — so vector and MAL results stay
 // bit-identical even where SQL leaves tie order unspecified.
@@ -120,6 +136,25 @@
 //	\plan SELECT a, b, sum(v) FROM t GROUP BY a, b
 //	vectorized pipeline (physical plan, morsel-parallel exchange):
 //	    scan t -> group-by[col0,col1] partial-agg -> exchange -> merge by key
+//
+// # Result contract
+//
+// What a SELECT promises about row order is stated once and held by
+// the tests, the benchmark's oracle (bench/oracle.go) and the wire
+// alike:
+//
+//   - Without ORDER BY a result is a MULTISET of rows. The order rows
+//     arrive in is whatever the executing path produces — morsel
+//     scheduling on the vector path, group first-seen order, the key
+//     hash on the partitioned plan — and may differ between runs,
+//     worker counts and engines (vector vs MAL). Tests compare such
+//     results order-insensitively.
+//   - ORDER BY fixes the sequence of SORT-KEY values, with LIMIT
+//     cutting that sequence; which of several rows with equal sort
+//     keys comes first is not promised by the contract. (Over join and
+//     grouped output both engines additionally break ties by every
+//     output column left to right — see the join-ordering chapter —
+//     which tests of those shapes may rely on.)
 //
 // # Durability
 //
@@ -163,9 +198,14 @@
 // in-memory runs by vector.MergeRuns, holding one vector-sized chunk
 // per spilled run. Grouping and joins re-plan mid-query to grace hash
 // (internal/physical/grace.go): inputs radix-partition into spill
-// files by key hash, and each partition's table is built and drained
-// one at a time. Spilled plans are bit-exact against the in-memory
-// plans (engine/spill_test.go compares both to an unbudgeted oracle
+// files by radix.PartitionOf — the top bits of the key hash multiplied
+// once more: the tables built over a partition slot on the top bits of
+// the hash itself, so routing on those would crowd each partition's
+// keys into one corner of its table, and a fixed lower window would
+// send keys that differ only in their high bits to one partition — and
+// each partition's table is built and drained one at a time. Spilled
+// plans are bit-exact against the in-memory plans
+// (engine/spill_test.go compares both to an unbudgeted oracle
 // across worker counts, race detector on). Spill files live in
 // internal/spill — CRC-checked chunked runs under a per-query scope
 // that dies with the query's cursor, swept at Open if a crash orphaned

@@ -443,21 +443,6 @@ func (d *DB) WALStats() WALStats {
 	return WALStats{Fsyncs: s.Fsyncs, Txs: s.Txs, Records: s.Records, Flushes: s.Flushes}
 }
 
-// Save persists the database to dir without closing it. With WithDir
-// and an empty dir argument, the configured directory is used.
-func (d *DB) Save(dir string) error {
-	if dir == "" {
-		dir = d.opts.Dir
-	}
-	if dir == "" {
-		return fmt.Errorf("engine: Save needs a directory (none configured)")
-	}
-	if err := d.checkOpen(); err != nil {
-		return err
-	}
-	return d.sdb.Save(dir)
-}
-
 func (d *DB) checkOpen() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -221,15 +223,16 @@ func TestVectorPathAndFallbackAgree(t *testing.T) {
 	if len(vec) != 100 || len(mal) != 99 {
 		t.Fatalf("vec %d rows, mal %d rows", len(vec), len(mal))
 	}
-	j := 0
+	// Un-ORDERed SELECT: a multiset (doc.go § Result contract); the
+	// parallel scan's row order is the workers' business.
+	var kept [][]any
 	for _, r := range vec {
-		if r[0].(int64) == 150 {
-			continue
+		if r[0].(int64) != 150 {
+			kept = append(kept, r)
 		}
-		if !reflect.DeepEqual(r, mal[j]) {
-			t.Fatalf("row mismatch at %d: %v vs %v", j, r, mal[j])
-		}
-		j++
+	}
+	if err := sameMultiset(kept, mal); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -408,6 +411,37 @@ func TestPersistence(t *testing.T) {
 	want := [][]any{{int64(1), 0.5, "a"}, {nil, 2.5, "c"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reloaded = %v, want %v", got, want)
+	}
+}
+
+// A directory holding the pre-WAL flat layout (catalog.json, no
+// CURRENT) is refused — not opened as empty, which would overwrite it
+// at the Close-time checkpoint. An empty directory is a fresh database.
+func TestOpenRejectsFlatLayoutDir(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(WithDir(dir))
+	if err != nil {
+		t.Fatalf("empty directory: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dir = t.TempDir()
+	flat := []byte(`{"tables": [{"name": "t", "cols": ["a"], "types": ["INT"], "rows": 1}]}`)
+	catalog := filepath.Join(dir, "catalog.json")
+	if err := os.WriteFile(catalog, flat, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := Open(WithDir(dir)); err == nil {
+		db.Close()
+		t.Fatal("Open accepted a flat-layout directory")
+	}
+	if got, err := os.ReadFile(catalog); err != nil || !bytes.Equal(got, flat) {
+		t.Fatalf("catalog.json after refused Open = %q, %v", got, err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("refused Open left %d entries in the directory, want 1", len(entries))
 	}
 }
 

@@ -591,10 +591,11 @@ func TestCheckpointWindowSweep(t *testing.T) {
 	}
 }
 
-// TestSaveMidRunThenCrash: an explicit Save (no WAL truncation at all)
-// moves the snapshot forward while the log keeps every record. A crash
-// after it must not replay the saved transactions onto the saved state.
-func TestSaveMidRunThenCrash(t *testing.T) {
+// TestCheckpointMidRunThenCrash: an explicit Checkpoint moves the
+// snapshot forward and truncates the log while the handle stays open
+// and keeps writing. A crash after it must recover the checkpointed
+// state plus the later transactions, replaying nothing twice.
+func TestCheckpointMidRunThenCrash(t *testing.T) {
 	mfs := wal.NewMemFS()
 	dir := t.TempDir()
 	db, err := Open(durableOpts(dir, mfs)...)
@@ -604,7 +605,7 @@ func TestSaveMidRunThenCrash(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE t (a INT)")
 	mustExec(t, db, "INSERT INTO t VALUES (1), (2)")
 	mustExec(t, db, "DELETE FROM t WHERE a = 1")
-	if err := db.Save(""); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, db, "INSERT INTO t VALUES (3)")
@@ -612,12 +613,12 @@ func TestSaveMidRunThenCrash(t *testing.T) {
 	mfs.Crash()
 	rec, err := Open(durableOpts(dir, mfs)...)
 	if err != nil {
-		t.Fatalf("recovery after mid-run save: %v", err)
+		t.Fatalf("recovery after mid-run checkpoint: %v", err)
 	}
 	defer rec.Close()
 	want := [][]any{{int64(2)}, {int64(3)}}
 	if got := tableRows(t, rec, "t"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("rows = %v, want %v (saved txs must not replay twice)", got, want)
+		t.Fatalf("rows = %v, want %v (checkpointed txs must not replay twice)", got, want)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sqlfe"
 	"repro/internal/wal"
 )
 
@@ -159,6 +160,59 @@ func TestGraceJoinEngineOracle(t *testing.T) {
 		for _, q := range queries {
 			label := fmt.Sprintf("%s (workers=%d)", q, workers)
 			before := db.SpillStats().Spills
+			got := collect(t)(db.Query(bg, q))
+			want := collect(t)(oracle.Query(bg, q))
+			diffRows(t, label, got, want, false)
+			if db.SpillStats().Spills == before {
+				t.Fatalf("%s: budget never forced a spill", label)
+			}
+			checkNoLeak(t, db, label)
+		}
+		db.Close()
+		oracle.Close()
+	}
+}
+
+// loadShifted loads n rows (k INT, v INT) whose keys are (i % card)
+// shifted left: distinct keys that differ ONLY in their high bits, the
+// shape a partitioner reading too few hash bits routes to one partition.
+func loadShifted(t *testing.T, db *DB, name string, n, card int, shift uint) {
+	t.Helper()
+	if _, err := db.Exec(bg, fmt.Sprintf("CREATE TABLE %s (k INT, v INT)", name)); err != nil {
+		t.Fatal(err)
+	}
+	ins := &sqlfe.Insert{Table: name}
+	for i := 0; i < n; i++ {
+		ins.Rows = append(ins.Rows, []sqlfe.Lit{
+			{Kind: sqlfe.TInt, I: int64(i%card) << shift},
+			{Kind: sqlfe.TInt, I: int64(i % 97)},
+		})
+	}
+	if _, err := db.sdb.ExecStmt(ins); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The grace partitioner must spread keys whatever bits they vary in: a
+// fan-out that collapses onto one partition leaves that partition's
+// table over the budget and fails a query the budget can serve.
+func TestGraceRoutingSpreadsHighBitKeys(t *testing.T) {
+	queries := []string{
+		"SELECT k, sum(v), count(*) FROM g GROUP BY k",
+		"SELECT k, v, count(*) FROM g GROUP BY k, v",
+		"SELECT g.k, g.v, h.v FROM g JOIN h ON g.k = h.k",
+	}
+	for _, shift := range []uint{36, 40, 50} {
+		oracle := newOracleDB(t, 2)
+		db, _ := newGovDB(t, 256<<10, 2)
+		for _, d := range []*DB{oracle, db} {
+			loadShifted(t, d, "g", 30000, 8000, shift)
+			loadShifted(t, d, "h", 12000, 12000, shift)
+		}
+		for _, q := range queries {
+			label := fmt.Sprintf("%s (keys << %d)", q, shift)
+			before := db.SpillStats().Spills
+			t.Log(label)
 			got := collect(t)(db.Query(bg, q))
 			want := collect(t)(oracle.Query(bg, q))
 			diffRows(t, label, got, want, false)

@@ -51,8 +51,7 @@ func main() {
 					R:  vector.Bin{Op: vector.ESubConstFloat, FltConst: 1, L: vector.ColRef{Idx: 2}},
 				}},
 			},
-			KeyCol: -1,
-			Aggs:   []vector.AggSpec{{Kind: vector.AggSumFloat, Col: 0}},
+			Aggs: []vector.AggSpec{{Kind: vector.AggSumFloat, Col: 0}},
 		}
 		start := time.Now()
 		rows, err := vector.Drain(plan)
@@ -84,8 +83,8 @@ func main() {
 		log.Fatal(err)
 	}
 	plan := &vector.Agg{
-		Child:  vector.NewScan(src2, 1024),
-		KeyCol: 0,
+		Child: vector.NewScan(src2, 1024),
+		Keys:  []int{0},
 		Aggs: []vector.AggSpec{
 			{Kind: vector.AggSumInt, Col: 1},
 			{Kind: vector.AggCount},

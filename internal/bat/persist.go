@@ -25,8 +25,8 @@ const persistMagic = uint32(0xBA7BA700)
 //	props u8 | name len+bytes | tail blob | (str only) heap len+bytes |
 //	crc32 u32
 //
-// The trailing CRC-32 (IEEE, over every preceding byte) is version 2;
-// version-1 files, which end at the tail/heap, are still readable.
+// This is version 2, the only one read: the trailing CRC-32 (IEEE) is
+// over every preceding byte.
 func (b *BAT) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	cw := &countWriter{w: bw, h: crc32.NewIEEE()}
@@ -121,9 +121,9 @@ func (b *BAT) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadFrom deserializes a BAT previously written with WriteTo. For
-// version-2 files the trailing CRC-32 is verified; a mismatch (silent
-// corruption the length fields cannot catch) is an error.
+// ReadFrom deserializes a BAT previously written with WriteTo. The
+// trailing CRC-32 is verified; a mismatch (silent corruption the length
+// fields cannot catch) is an error.
 func ReadFrom(r io.Reader) (*BAT, error) {
 	hr := &hashReader{r: bufio.NewReader(r), h: crc32.NewIEEE()}
 	br := io.Reader(hr)
@@ -135,9 +135,8 @@ func ReadFrom(r io.Reader) (*BAT, error) {
 	if le.Uint32(hdr[:4]) != persistMagic {
 		return nil, fmt.Errorf("bat: bad magic %#x", le.Uint32(hdr[:4]))
 	}
-	version := hdr[4]
-	if version != 1 && version != 2 {
-		return nil, fmt.Errorf("bat: unsupported version %d", version)
+	if hdr[4] != 2 {
+		return nil, fmt.Errorf("bat: unsupported version %d", hdr[4])
 	}
 	b := &BAT{ttyp: Type(hdr[5])}
 	var nums [3]uint64
@@ -211,14 +210,12 @@ func ReadFrom(r io.Reader) (*BAT, error) {
 	default:
 		return nil, fmt.Errorf("bat: unknown tail type %d", hdr[5])
 	}
-	if version >= 2 {
-		want := hr.h.Sum32()
-		if _, err := io.ReadFull(hr.r, hdr[:4]); err != nil {
-			return nil, fmt.Errorf("bat: read checksum: %w", err)
-		}
-		if got := le.Uint32(hdr[:4]); got != want {
-			return nil, fmt.Errorf("bat: checksum mismatch (file %#08x, computed %#08x)", got, want)
-		}
+	want := hr.h.Sum32()
+	if _, err := io.ReadFull(hr.r, hdr[:4]); err != nil {
+		return nil, fmt.Errorf("bat: read checksum: %w", err)
+	}
+	if got := le.Uint32(hdr[:4]); got != want {
+		return nil, fmt.Errorf("bat: checksum mismatch (file %#08x, computed %#08x)", got, want)
 	}
 	return b, nil
 }

@@ -14,7 +14,7 @@ import (
 // (§6.1) can cache.
 //
 // The group-id assignment rides the shared open-addressing core
-// (radix.GroupTable / radix.PairGroupTable): Fibonacci hashing, flat
+// (radix.GroupTable, at key width 1 or 2): Fibonacci hashing, flat
 // power-of-two slots, no per-key allocations — the same hash-table
 // discipline the joins took for the build side, applied to grouping. A
 // nil key (bat.NilInt) is a legal group key: SQL GROUP BY collects all
@@ -46,19 +46,21 @@ func groupHint(n int) int {
 
 // Group computes dense group ids over an int tail: one bulk pass over
 // the open-addressing table assigns the ids, a second sequential pass
-// derives extents and counts (first occurrence of gid g is its extent —
-// ids are handed out in first-seen order).
+// derives extents and counts.
 func Group(b *bat.BAT) GroupResult {
-	tail := b.Ints()
-	n := len(tail)
+	return groupInts(b.HSeq(), b.Ints())
+}
+
+// groupInts groups rows by the tuple of the given equal-length int
+// columns. The first occurrence of gid g is its extent — ids are handed
+// out in first-seen order.
+func groupInts(hseq bat.OID, cols ...[]int64) GroupResult {
+	n := len(cols[0])
 	gids := make([]int32, n)
-	gt := radix.NewGroupTable(groupHint(n))
-	gt.AssignBulk(tail, gids)
-	ng := gt.Len()
+	ng := int(radix.NewGroupTable(len(cols), groupHint(n)).Assign(cols, nil, gids))
 	ids := make([]bat.OID, n)
 	extents := make([]bat.OID, ng)
 	counts := make([]int64, ng)
-	hseq := b.HSeq()
 	for i, g := range gids {
 		if counts[g] == 0 {
 			extents[g] = hseq + bat.OID(i)
@@ -168,32 +170,16 @@ func GroupStr(b *bat.BAT) GroupResult {
 
 // SubGroup refines an existing grouping by an additional int column: tuples
 // stay in the same refined group only if they agree on both the old group
-// and the new column. This is how multi-column GROUP BY chains; the
-// composite (previous gid, value) key goes through the open-addressing
-// pair table instead of a map with a struct key per tuple.
+// and the new column. This is how multi-column GROUP BY chains: the
+// composite (previous gid, value) key is a 2-wide tuple of the same
+// grouping table.
 func SubGroup(prev GroupResult, b *bat.BAT) GroupResult {
-	tail := b.Ints()
 	prevIDs := prev.IDs.OIDs()
-	ids := make([]bat.OID, len(tail))
-	var extents []bat.OID
-	var counts []int64
-	gt := radix.NewPairGroupTable(groupHint(len(tail)))
-	hseq := b.HSeq()
-	for i, v := range tail {
-		g := gt.GID(int64(prevIDs[i]), v)
-		if int(g) == len(extents) {
-			extents = append(extents, hseq+bat.OID(i))
-			counts = append(counts, 0)
-		}
-		ids[i] = bat.OID(g)
-		counts[g]++
+	prevCol := make([]int64, len(prevIDs))
+	for i, id := range prevIDs {
+		prevCol[i] = int64(id)
 	}
-	return GroupResult{
-		IDs:     bat.FromOIDs(ids),
-		Extents: bat.FromOIDs(extents),
-		Counts:  bat.FromInts(counts),
-		NGroups: len(extents),
-	}
+	return groupInts(b.HSeq(), prevCol, b.Ints())
 }
 
 // Sum folds an int tail to its total. Nil values are skipped.
@@ -516,10 +502,11 @@ func CountNonNilPerGroup(vals *bat.BAT, g GroupResult) *bat.BAT {
 // distinct int tail value, in head order.
 func Unique(b *bat.BAT) *bat.BAT {
 	tail := b.Ints()
-	gt := radix.NewGroupTable(groupHint(len(tail)))
+	gids := make([]int32, len(tail))
+	radix.NewGroupTable(1, groupHint(len(tail))).Assign([][]int64{tail}, nil, gids)
 	out := make([]bat.OID, 0)
-	for i, v := range tail {
-		if int(gt.GID(v)) == len(out) { // first sight of this key
+	for i, g := range gids {
+		if int(g) == len(out) { // first sight of this key
 			out = append(out, b.HSeq()+bat.OID(i))
 		}
 	}

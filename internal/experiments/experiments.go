@@ -360,8 +360,7 @@ func E6() Table {
 				Child: vector.NewScan(src, size),
 				Preds: []vector.Pred{{ColIdx: 0, Op: vector.PredLt, IntVal: 500}},
 			},
-			KeyCol: -1,
-			Aggs:   []vector.AggSpec{{Kind: vector.AggSumInt, Col: 0}},
+			Aggs: []vector.AggSpec{{Kind: vector.AggSumInt, Col: 0}},
 		}
 		if _, err := vector.Drain(plan); err != nil {
 			panic(err)

@@ -941,13 +941,13 @@ func (p *Plan) execGlobalAgg(ctx context.Context, snap *sqlfe.Snapshot, args []a
 	if pl.mkSerial != nil {
 		// One serial pass IS the final aggregation: a single Agg instance's
 		// accumulators over the whole stream equal the merged partials.
-		row, err = drainOne(&vector.Agg{Child: wrap(pl.mkSerial()), KeyCol: -1, Aggs: specs})
+		row, err = drainOne(&vector.Agg{Child: wrap(pl.mkSerial()), Aggs: specs})
 		if err != nil {
 			return nil, nil, err
 		}
 	} else {
 		plan := func(scan vector.Operator) vector.Operator {
-			return &vector.Agg{Child: wrap(pl.par(scan)), KeyCol: -1, Aggs: specs}
+			return &vector.Agg{Child: wrap(pl.par(scan)), Aggs: specs}
 		}
 		ex := &vector.Exchange{
 			Source:     pl.src,
@@ -963,7 +963,7 @@ func (p *Plan) execGlobalAgg(ctx context.Context, snap *sqlfe.Snapshot, args []a
 		for i, a := range g.Accs {
 			finals[i] = vector.AggSpec{Kind: vector.MergeKind(a.Kind), Col: i}
 		}
-		row, err = drainOne(&vector.Agg{Child: ex, KeyCol: -1, Aggs: finals})
+		row, err = drainOne(&vector.Agg{Child: ex, Aggs: finals})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -1037,7 +1037,7 @@ func (p *Plan) execGrouped(ctx context.Context, snap *sqlfe.Snapshot, args []any
 	}
 
 	if pl.mkSerial != nil {
-		agg := &vector.Agg{Child: wrap(pl.mkSerial()), KeyCol: -1, Keys: keyIdx, Aggs: specs, Res: opts.Gov}
+		agg := &vector.Agg{Child: wrap(pl.mkSerial()), Keys: keyIdx, Aggs: specs, Res: opts.Gov}
 		merged, err := drainOne(agg)
 		if err != nil {
 			if errors.Is(err, memgov.ErrExceeded) && opts.canSpill() {

@@ -124,15 +124,15 @@ func graceBits(totalBytes, limit int64) int {
 	return bits
 }
 
-// hashRow hashes row i's key column(s) for partition routing, folding
-// every extra key word through the Fibonacci multiplier (the
-// radix.MultiGroupTable recipe). The same function runs over both join
-// sides, so equal keys always land in the partition pair with the same
-// index.
+// hashRow hashes row i's key column(s) for partition routing with the
+// grouping table's own tuple-hash recipe (radix.Hash, then one
+// radix.HashFold per extra key word). The same function runs over both
+// join sides, so equal keys always land in the partition pair with the
+// same index.
 func hashRow(b *vector.Batch, keyCols []int, i int32) uint64 {
 	h := radix.Hash(b.Cols[keyCols[0]].Ints[i])
 	for _, kc := range keyCols[1:] {
-		h = (h ^ uint64(b.Cols[kc].Ints[i])) * 0x9E3779B97F4A7C15
+		h = radix.HashFold(h, b.Cols[kc].Ints[i])
 	}
 	return h
 }
@@ -227,7 +227,7 @@ func partitionOp(ctx context.Context, opts Options, op vector.Operator, ncols in
 			if innerErr != nil {
 				return
 			}
-			pi := int(hashRow(b, keyCols, i) >> (64 - uint(bits)))
+			pi := radix.PartitionOf(hashRow(b, keyCols, i), bits)
 			if bufs[pi] == nil {
 				cols := make([]vector.Col, ncols)
 				for c := range cols {
@@ -378,7 +378,7 @@ func (o *graceGroupOp) Next() (*vector.Batch, error) {
 		if f == nil {
 			continue
 		}
-		agg := &vector.Agg{Child: &spillScanOp{f: f}, KeyCol: -1, Keys: o.keys, Aggs: o.specs, Res: o.res}
+		agg := &vector.Agg{Child: &spillScanOp{f: f}, Keys: o.keys, Aggs: o.specs, Res: o.res}
 		if err := agg.Open(); err != nil {
 			return nil, err
 		}

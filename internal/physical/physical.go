@@ -274,8 +274,8 @@ type AggOut struct {
 }
 
 // GroupAggNode aggregates its child per group of any number of INT key
-// columns (empty = global). Single-key groups ride radix.GroupTable,
-// two-key the PairGroupTable, wider tuples the MultiGroupTable.
+// columns (empty = global); every key width rides the one
+// radix.GroupTable.
 // Grouped instantiation picks between the merge-based and the
 // shared-nothing radix-partitioned parallel plans by cost model
 // (single-key, unfiltered, expression-free input only — every other

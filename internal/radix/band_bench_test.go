@@ -3,8 +3,7 @@ package radix_test
 // The 32K..1M "flat-join band" sweep behind the cost-model join
 // planner (plan.go): flat batalg.Join vs both-sides radix-clustered
 // JoinBATs, A/B at each size. ShouldCluster is calibrated so the MAL
-// join picks whichever side of this sweep wins (BENCH_pr3.json records
-// a run).
+// join picks whichever side of this sweep wins.
 
 import (
 	"fmt"

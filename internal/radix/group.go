@@ -1,36 +1,65 @@
 package radix
 
-// GroupTable is the open-addressing grouping core: it maps int64 keys to
-// DENSE group ids (0,1,2,... in first-seen order) with the same
-// cache-conscious layout discipline as the join Table — Fibonacci
-// hashing on the high (well-mixed) bits of the multiplicative hash,
-// power-of-two flat slots, linear probing, load factor <= ½, no per-key
-// allocations. It is the hash table behind batalg.Group, the vectorized
-// engine's grouped Agg, and the per-worker partial tables of parallel
-// grouped aggregation.
+import "unsafe"
+
+// GroupTable is the one grouping table of the engine: it maps K-wide
+// int64 key tuples to DENSE group ids (0,1,2,... in first-seen order)
+// with the same cache-conscious layout discipline as the join Table —
+// Fibonacci hashing on the high (well-mixed) bits of the multiplicative
+// hash, power-of-two flat slots, linear probing, load factor <= ½, no
+// per-key allocations. It is the hash table behind batalg.Group /
+// SubGroup / Unique, the vectorized engine's grouped Agg at every key
+// width, and the per-worker partial tables of parallel grouped
+// aggregation.
 //
-// Unlike the join Table, a nil key (bat.NilInt) is a LEGAL group key:
-// SQL GROUP BY collects all NULLs into one group (grouping is "is not
-// distinct from", not "="), so NilInt hashes and matches like any other
-// value here. The dense ids double as indexes into the Keys() array and
-// into whatever per-group accumulators the caller folds, which is what
-// makes the one-pass bulk grouping allocation-free: no map buckets, no
-// boxed keys, just the slot array and one append per NEW group.
+// A slot holds (tuple hash, gid+1) in 16 bytes whatever K is; the key
+// tuples live COLUMN-major in K dense arrays indexed by gid — the shape
+// grouped output is emitted in, so Key(c) is handed off without a copy.
+// One layout serves every width because the hash recipe is a chain of
+// bijections: Hash multiplies by an odd constant, and every HashFold
+// step (xor one key word in, multiply again) is a bijection of the
+// running hash for a fixed word. Two tuples with the same 64-bit hash
+// that agree on words 1..K-1 therefore agree on word 0 as well. At K=1
+// the stored hash IS the key — a found probe is hash, one slot load,
+// one compare, one store, and never touches the key arrays; at K>=2
+// the key columns are read only on a full 64-bit hash match, and only
+// columns 1..K-1.
+//
+// Unlike the join Table, a nil key (bat.NilInt) is a LEGAL key value in
+// every position: SQL GROUP BY collects all NULLs into one group
+// (grouping is "is not distinct from", not "="). The dense ids double
+// as indexes into whatever per-group accumulators the caller folds.
 type GroupTable struct {
 	slots []gslot
-	shift uint    // 64 - log2(len(slots)); slot = Hash(key) >> shift
-	keys  []int64 // dense gid -> key, in first-seen order
+	shift uint      // 64 - log2(len(slots)); slot = hash >> shift
+	keys  [][]int64 // keys[c][gid]: key column c, first-seen order
 }
 
 type gslot struct {
-	key int64
-	gid int32 // group id + 1; 0 = empty slot
+	hash uint64
+	gid  int32 // group id + 1; 0 = empty slot
 }
 
-// NewGroupTable returns a table pre-sized for `hint` distinct groups at
-// load factor <= ½. The table grows by rehashing past the hint, so the
-// hint is a performance knob, not a cap.
-func NewGroupTable(hint int) *GroupTable {
+// HashFold folds one more key word into a running tuple hash, keeping
+// the high (slot) bits sensitive to every bit of every word. A K-wide
+// tuple hashes as HashFold(...HashFold(Hash(k0), k1)..., kK-1); the
+// grace-hash partitioner routes rows with the same recipe.
+func HashFold(h uint64, k int64) uint64 { return Hash(int64(h) ^ k) }
+
+// PartitionOf routes a key or tuple hash to one of 1<<bits partitions.
+// GroupTable and the join Table built over a partition slot on the TOP
+// bits of that same hash, so routing on those would pile each
+// partition's keys into 1/2^bits of its table; a fixed lower window
+// would miss keys that differ only above it (a multiplicative hash
+// carries key bits upward, never down). One more multiplication and
+// THEN the top bits reads every bit of h, and within a partition the
+// slot bits of h stay spread over the whole table.
+func PartitionOf(h uint64, bits int) int { return int(Hash(int64(h)) >> (64 - uint(bits))) }
+
+// NewGroupTable returns a table over k-wide tuples pre-sized for `hint`
+// distinct groups at load factor <= ½. The table grows by rehashing
+// past the hint, so the hint is a performance knob, not a cap.
+func NewGroupTable(k, hint int) *GroupTable {
 	if hint < 4 {
 		hint = 4
 	}
@@ -42,112 +71,167 @@ func NewGroupTable(hint int) *GroupTable {
 	for s := nslots; s > 1; s >>= 1 {
 		shift--
 	}
-	return &GroupTable{
-		slots: make([]gslot, nslots),
-		shift: shift,
-		keys:  make([]int64, 0, hint),
+	keys := make([][]int64, k)
+	for c := range keys {
+		keys[c] = make([]int64, 0, hint)
 	}
+	return &GroupTable{slots: make([]gslot, nslots), shift: shift, keys: keys}
 }
 
 // Len returns the number of distinct groups seen.
-func (t *GroupTable) Len() int { return len(t.keys) }
+func (t *GroupTable) Len() int { return len(t.keys[0]) }
 
-// Keys returns the group keys indexed by dense gid, in first-seen
-// order. The slice aliases the table's storage: read-only, valid until
-// the next GID call.
-func (t *GroupTable) Keys() []int64 { return t.keys }
+// Key returns key column c indexed by dense gid, in first-seen order.
+// The slice aliases the table's storage: read-only, valid until the
+// next insert.
+func (t *GroupTable) Key(c int) []int64 { return t.keys[c] }
 
-// GID returns the dense group id of key, assigning the next free id on
-// first sight. This is the one hot entry point; the found path is a
-// slot probe resolving within one or two cache lines.
-func (t *GroupTable) GID(key int64) int32 {
-	for {
-		mask := uint64(len(t.slots) - 1)
-		s := Hash(key) >> t.shift
-		for {
-			g := t.slots[s].gid
-			if g == 0 {
-				break
-			}
-			if t.slots[s].key == key {
-				return g - 1
-			}
-			s = (s + 1) & mask
-		}
-		if 2*(len(t.keys)+1) > len(t.slots) {
-			// Keep load <= ½; the doubled table moves every slot, so
-			// re-probe from the top.
-			t.grow()
-			continue
-		}
-		gid := int32(len(t.keys))
-		t.slots[s] = gslot{key: key, gid: gid + 1}
-		t.keys = append(t.keys, key)
-		return gid
+// MemBytes returns the table's live heap footprint — the slot array
+// plus every dense key column — for the query memory governor's ledger.
+func (t *GroupTable) MemBytes() int64 {
+	n := int64(len(t.slots)) * int64(unsafe.Sizeof(gslot{}))
+	for _, ks := range t.keys {
+		n += int64(cap(ks)) * 8
 	}
+	return n
 }
 
-// AssignBulk maps keys[i] to gids[i] for the whole slice in one tight
-// loop — the bulk fast path of the grouping core. The slot mask, shift,
-// and slot slice are hoisted out of the loop (re-read only after a
-// grow), so the found path — the overwhelmingly common one at any
-// realistic cardinality — is hash, one slot load, one compare, one
-// store. gids must have len(keys) entries.
-func (t *GroupTable) AssignBulk(keys []int64, gids []int32) {
+// Assign maps each qualifying row of the key columns to its dense group
+// id, assigning the next free id on first sight; ids are written into
+// gids (full-length, indexed by row) and the total group count so far
+// is returned. cols holds the table's K key columns, all of the batch's
+// length. The slot slice, mask and shift are hoisted out of the loop
+// (re-read only after an insert), so the found path — the
+// overwhelmingly common one at any realistic cardinality — stays in
+// registers; `shift & 63` at the use lets the compiler emit a bare
+// shift instead of guarding against counts >= 64.
+func (t *GroupTable) Assign(cols [][]int64, sel []int32, gids []int32) int32 {
+	if len(cols) == 1 {
+		t.assign1(cols[0], sel, gids)
+		return int32(t.Len())
+	}
+	k0, rest := cols[0], cols[1:]
+	n := len(k0)
+	if sel != nil {
+		n = len(sel)
+	}
 	slots := t.slots
 	mask := uint64(len(slots) - 1)
 	shift := t.shift
+	restKeys := t.keys[1:]
+	for j := 0; j < n; j++ {
+		i := j
+		if sel != nil {
+			i = int(sel[j])
+		}
+		h := Hash(k0[i])
+		for _, col := range rest {
+			h = HashFold(h, col[i])
+		}
+		s := h >> (shift & 63)
+	probe:
+		for {
+			sl := &slots[s]
+			g := sl.gid
+			if g == 0 {
+				gids[i] = t.insert(h)
+				for c, col := range cols {
+					t.keys[c] = append(t.keys[c], col[i])
+				}
+				slots, mask, shift = t.slots, uint64(len(t.slots)-1), t.shift
+				break
+			}
+			if sl.hash == h {
+				for c, col := range rest {
+					if restKeys[c][g-1] != col[i] {
+						s = (s + 1) & mask
+						continue probe
+					}
+				}
+				gids[i] = g - 1
+				break
+			}
+			s = (s + 1) & mask
+		}
+	}
+	return int32(t.Len())
+}
+
+// assign1 is Assign at K=1 — the loops every single-key GROUP BY and
+// every partial-aggregate merge spend their time in. The stored hash is
+// the key, so the found path is hash, one slot load, one compare, one
+// store. The loop without a selection vector is the hottest in the
+// engine and spells its probe out: sharing find1 with the loop below
+// costs it a second test of the gid per row (5-9 % measured).
+func (t *GroupTable) assign1(keys []int64, sel []int32, gids []int32) {
+	slots := t.slots
+	mask := uint64(len(slots) - 1)
+	shift := t.shift
+	if sel != nil {
+		for _, i := range sel {
+			h := Hash(keys[i])
+			g := find1(slots, mask, h>>(shift&63), h)
+			if g == 0 {
+				g = t.insert(h) + 1
+				t.keys[0] = append(t.keys[0], keys[i])
+				slots, mask, shift = t.slots, uint64(len(t.slots)-1), t.shift
+			}
+			gids[i] = g - 1
+		}
+		return
+	}
 	for i, k := range keys {
-		s := Hash(k) >> shift
+		h := Hash(k)
+		s := h >> (shift & 63)
 		for {
 			sl := &slots[s]
 			g := sl.gid
 			if g != 0 {
-				if sl.key == k {
+				if sl.hash == h {
 					gids[i] = g - 1
 					break
 				}
 				s = (s + 1) & mask
 				continue
 			}
-			// First sight: insert (the rare path).
-			if 2*(len(t.keys)+1) > len(slots) {
-				t.grow()
-				slots = t.slots
-				mask = uint64(len(slots) - 1)
-				shift = t.shift
-				s = Hash(k) >> shift
-				continue
-			}
-			gid := int32(len(t.keys))
-			*sl = gslot{key: k, gid: gid + 1}
-			t.keys = append(t.keys, k)
-			gids[i] = gid
+			gids[i] = t.insert(h)
+			t.keys[0] = append(t.keys[0], k)
+			slots, mask, shift = t.slots, uint64(len(t.slots)-1), t.shift
 			break
 		}
 	}
 }
 
-// MemBytes returns the table's live heap footprint — the slot array
-// plus the dense key array — for the query memory governor's ledger.
-func (t *GroupTable) MemBytes() int64 {
-	return int64(len(t.slots))*16 + int64(cap(t.keys))*8
-}
-
-// Lookup returns the gid of key, or -1 when the key has no group yet.
-func (t *GroupTable) Lookup(key int64) int32 {
-	mask := uint64(len(t.slots) - 1)
-	s := Hash(key) >> t.shift
+// find1 walks hash h's probe sequence from slot s and returns the gid+1
+// stored with it, or 0 at the empty slot that ends the sequence.
+func find1(slots []gslot, mask, s, h uint64) int32 {
 	for {
-		g := t.slots[s].gid
-		if g == 0 {
-			return -1
-		}
-		if t.slots[s].key == key {
-			return g - 1
+		sl := &slots[s]
+		if g := sl.gid; g == 0 || sl.hash == h {
+			return g
 		}
 		s = (s + 1) & mask
 	}
+}
+
+// insert claims the slot for the absent tuple hash h, doubling the
+// table first when the load would pass ½, and returns the new gid. It
+// probes afresh rather than take the caller's empty slot: a slot index
+// kept live across this call would be spilled on every row of the bulk
+// loops' found path. The caller appends the key words next, and
+// re-reads slots and shift, which a grow replaces.
+func (t *GroupTable) insert(h uint64) int32 {
+	if 2*(t.Len()+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := uint64(len(t.slots) - 1)
+	s := h >> t.shift
+	for t.slots[s].gid != 0 {
+		s = (s + 1) & mask
+	}
+	gid := int32(t.Len())
+	t.slots[s] = gslot{hash: h, gid: gid + 1}
+	return gid
 }
 
 func (t *GroupTable) grow() {
@@ -159,100 +243,7 @@ func (t *GroupTable) grow() {
 		if sl.gid == 0 {
 			continue
 		}
-		s := Hash(sl.key) >> t.shift
-		for t.slots[s].gid != 0 {
-			s = (s + 1) & mask
-		}
-		t.slots[s] = sl
-	}
-}
-
-// PairGroupTable is GroupTable over COMPOSITE (int64,int64) keys: the
-// core of batalg.SubGroup, where multi-column GROUP BY refines an
-// existing grouping — key1 is the previous group id, key2 the new
-// column's value. One 24-byte slot holds both key halves and the dense
-// id, so a probe still costs one cache line; equality compares both
-// halves, so hash collisions between distinct pairs are harmless.
-type PairGroupTable struct {
-	slots []pslot
-	shift uint
-	n     int
-}
-
-type pslot struct {
-	k1, k2 int64
-	gid    int32 // group id + 1; 0 = empty
-}
-
-// hashPair mixes both key halves through the Fibonacci multiplier. The
-// xor-then-multiply keeps the high bits (the slot bits) sensitive to
-// every bit of both halves.
-func hashPair(k1, k2 int64) uint64 {
-	return (Hash(k1) ^ uint64(k2)) * 0x9E3779B97F4A7C15
-}
-
-// NewPairGroupTable returns a table pre-sized for `hint` distinct pairs.
-func NewPairGroupTable(hint int) *PairGroupTable {
-	if hint < 4 {
-		hint = 4
-	}
-	nslots := 8
-	for nslots < 2*hint {
-		nslots <<= 1
-	}
-	shift := uint(64)
-	for s := nslots; s > 1; s >>= 1 {
-		shift--
-	}
-	return &PairGroupTable{slots: make([]pslot, nslots), shift: shift}
-}
-
-// Len returns the number of distinct pairs seen.
-func (t *PairGroupTable) Len() int { return t.n }
-
-// MemBytes returns the slot array's heap footprint for the query
-// memory governor's ledger.
-func (t *PairGroupTable) MemBytes() int64 {
-	return int64(len(t.slots)) * 24
-}
-
-// GID returns the dense group id of (k1,k2), assigning the next free id
-// on first sight.
-func (t *PairGroupTable) GID(k1, k2 int64) int32 {
-	for {
-		mask := uint64(len(t.slots) - 1)
-		s := hashPair(k1, k2) >> t.shift
-		for {
-			g := t.slots[s].gid
-			if g == 0 {
-				break
-			}
-			if t.slots[s].k1 == k1 && t.slots[s].k2 == k2 {
-				return g - 1
-			}
-			s = (s + 1) & mask
-		}
-		if 2*(t.n+1) > len(t.slots) {
-			t.grow()
-			continue
-		}
-		gid := int32(t.n)
-		t.slots[s] = pslot{k1: k1, k2: k2, gid: gid + 1}
-		t.n++
-		return gid
-	}
-}
-
-func (t *PairGroupTable) grow() {
-	old := t.slots
-	t.slots = make([]pslot, 2*len(old))
-	t.shift--
-	mask := uint64(len(t.slots) - 1)
-	for _, sl := range old {
-		if sl.gid == 0 {
-			continue
-		}
-		s := hashPair(sl.k1, sl.k2) >> t.shift
+		s := sl.hash >> t.shift
 		for t.slots[s].gid != 0 {
 			s = (s + 1) & mask
 		}

@@ -3,7 +3,7 @@ package radix
 import "testing"
 
 // The cost-model decision must reproduce the measured crossover on the
-// calibration host (BENCH_pr3.json): the flat open-addressing join wins
+// calibration host (BenchmarkBandJoin): the flat open-addressing join wins
 // while its table is LLC-resident (through ~256K build rows), the
 // both-sides radix-clustered join wins once the table outgrows the LLC.
 func TestShouldClusterCrossover(t *testing.T) {

@@ -169,3 +169,47 @@ func TestJoinTablePartitionSwitch(t *testing.T) {
 		}
 	}
 }
+
+// Insert past the pre-sized capacity rehashes; chains survive the move.
+func TestTableInsertGrows(t *testing.T) {
+	tab := NewTable(2)
+	n := 1000
+	for i := 0; i < n; i++ {
+		tab.Insert(int64(i%100), int32(i))
+	}
+	if tab.Len() != n {
+		t.Fatalf("Len = %d", tab.Len())
+	}
+	for k := 0; k < 100; k++ {
+		if got := len(tableRows(tab, int64(k))); got != 10 {
+			t.Fatalf("key %d: %d rows, want 10", k, got)
+		}
+	}
+}
+
+// Property: the radix-partitioned table yields the same match sets as the
+// flat table for arbitrary keys and partition bit counts.
+func TestQuickPartitionedTableMatchesFlat(t *testing.T) {
+	f := func(raw []int64, bits8 uint8) bool {
+		keys := make([]int64, len(raw))
+		for i, v := range raw {
+			keys[i] = v % 64
+		}
+		pt := BuildPartitionedTable(keys, int(bits8%6)+1)
+		flat := BuildTable(keys)
+		for _, k := range keys {
+			var got []int32
+			pt.ForEach(k, func(r int32) { got = append(got, r) })
+			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+			if !reflect.DeepEqual(got, tableRows(flat, k)) {
+				return false
+			}
+		}
+		var miss []int32
+		pt.ForEach(1<<40, func(r int32) { miss = append(miss, r) })
+		return len(miss) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}

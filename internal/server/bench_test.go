@@ -16,8 +16,7 @@ import (
 // BenchmarkServe measures end-to-end wire round trips — dial once,
 // prepare once, then Execute a vectorized aggregate repeatedly — at
 // 1, 4 and 8 concurrent connections. Per-query latencies are recorded
-// so p50/p99 land next to throughput in the benchmark output
-// (BENCH_pr8.json snapshots a full run).
+// so p50/p99 land next to throughput in the benchmark output.
 func BenchmarkServe(b *testing.B) {
 	for _, conns := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {

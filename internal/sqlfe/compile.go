@@ -649,8 +649,8 @@ func (c *compiler) buildGlobalAggs(items []SelItem, names []string) error {
 func (c *compiler) buildGrouped(items []SelItem, names []string) error {
 	// Multi-key GROUP BY refines the grouping one key at a time: group on
 	// the first key, then subgroup on each further key column (the MAL
-	// subgroup op pairs the previous group ids with the new values in the
-	// shared PairGroupTable). The final ids/ext/cnt describe the composite
+	// subgroup op pairs the previous group ids with the new values as a
+	// 2-wide key of the shared radix.GroupTable). The final ids/ext/cnt describe the composite
 	// groups; every key column's representative values are fetched
 	// through the final extents.
 	type groupKey struct {

@@ -22,8 +22,10 @@ import (
 // (the new one or the previous one), never a half-written mix. Old
 // snapshot directories are garbage-collected after the commit.
 //
-// Load also accepts the pre-WAL legacy layout (catalog.json directly
-// in dir, no CURRENT).
+// A directory without CURRENT holds no database; one that has a
+// catalog.json directly in it all the same (the pre-WAL flat layout,
+// which nothing writes or reads any more) is refused, never opened as
+// empty and overwritten.
 //
 // Saving vacuums: deltas are merged and deleted positions dropped, so
 // the persisted form is a clean set of main columns — the same state
@@ -104,8 +106,8 @@ func (db *DB) saveLocked(dir string) error {
 	if err := syncDir(dir); err != nil {
 		return err
 	}
-	// GC superseded snapshots and the legacy flat catalog (best-effort:
-	// failing to clean up must not fail a committed save).
+	// GC superseded snapshots (best-effort: failing to clean up must not
+	// fail a committed save).
 	if entries, err := os.ReadDir(dir); err == nil {
 		for _, e := range entries {
 			if e.IsDir() && strings.HasPrefix(e.Name(), "snap-") && e.Name() != snap {
@@ -114,8 +116,6 @@ func (db *DB) saveLocked(dir string) error {
 			}
 		}
 	}
-	//lint:ignore walcheck best-effort removal of the legacy flat catalog; recovery ignores it once CURRENT exists
-	os.Remove(filepath.Join(dir, "catalog.json"))
 	return nil
 }
 
@@ -134,13 +134,10 @@ func currentGen(dir string) int {
 }
 
 // DataDir resolves the directory the active snapshot lives in: the one
-// CURRENT names, or dir itself for the legacy flat layout.
+// CURRENT names.
 func DataDir(dir string) (string, error) {
 	b, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return dir, nil
-		}
 		return "", err
 	}
 	name := strings.TrimSpace(string(b))
@@ -150,18 +147,20 @@ func DataDir(dir string) (string, error) {
 	return filepath.Join(dir, name), nil
 }
 
-// DirHasDB reports whether dir holds a saved database (CURRENT pointer
-// or legacy flat catalog.json). Stat failures other than "not exist"
-// are returned: treating an unreadable database as absent would let a
-// later save overwrite it.
+// DirHasDB reports whether dir holds a saved database (a CURRENT
+// pointer). Stat failures other than "not exist" are returned, and so
+// is a flat catalog.json without CURRENT: treating an unreadable
+// database as absent would let a later save overwrite it.
 func DirHasDB(dir string) (bool, error) {
-	for _, f := range []string{"CURRENT", "catalog.json"} {
-		switch _, err := os.Stat(filepath.Join(dir, f)); {
-		case err == nil:
-			return true, nil
-		case !os.IsNotExist(err):
-			return false, err
-		}
+	if _, err := os.Stat(filepath.Join(dir, "CURRENT")); err == nil {
+		return true, nil
+	} else if !os.IsNotExist(err) {
+		return false, err
+	}
+	if _, err := os.Stat(filepath.Join(dir, "catalog.json")); err == nil {
+		return false, fmt.Errorf("sql: %s holds a flat-layout database (catalog.json, no CURRENT), a format no longer supported", dir)
+	} else if !os.IsNotExist(err) {
+		return false, err
 	}
 	return false, nil
 }

@@ -89,11 +89,34 @@ func TestSaveLoadEmptyDB(t *testing.T) {
 
 func TestLoadCorruptCatalog(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), []byte("{nope"), 0o644); err != nil {
+	if err := NewDB().Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(colPath(t, dir, "catalog.json"), []byte("{nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(dir); err == nil {
 		t.Fatal("expected corrupt-catalog error")
+	}
+}
+
+// The pre-WAL flat layout (catalog.json directly in dir, no CURRENT) is
+// refused by both entry points rather than misread or taken for "no
+// database here"; an empty directory is simply absent.
+func TestFlatLayoutRejected(t *testing.T) {
+	dir := t.TempDir()
+	if has, err := DirHasDB(dir); has || err != nil {
+		t.Fatalf("empty dir: DirHasDB = %v, %v", has, err)
+	}
+	flat := []byte(`{"tables": []}`)
+	if err := os.WriteFile(filepath.Join(dir, "catalog.json"), flat, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if has, err := DirHasDB(dir); has || err == nil {
+		t.Fatalf("flat dir: DirHasDB = %v, %v; want an error", has, err)
+	}
+	if _, err := Load(dir); err == nil {
+		t.Fatal("Load read a flat-layout directory")
 	}
 }
 

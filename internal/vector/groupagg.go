@@ -58,10 +58,9 @@ func MergeKind(k AggKind) AggKind {
 
 // ParallelGroupAgg is the merge-based plan: per-worker grouped partial
 // aggregation over morsels, merged by key into one batch with columns
-// [keys..., aggs...]. keyCols may name one or two int key columns
-// (multi-column GROUP BY rides the composite-key PairGroupTable). preds
-// (optional) filter before grouping; ctx (optional) cancels at morsel
-// boundaries.
+// [keys..., aggs...]. keyCols names any number of int key columns.
+// preds (optional) filter before grouping; ctx (optional) cancels at
+// morsel boundaries.
 func ParallelGroupAgg(ctx context.Context, src *Source, keyCols []int, specs []AggSpec, preds []Pred, workers, morselSize, vectorSize int) (*Batch, error) {
 	return ParallelGroupAggGov(ctx, src, keyCols, specs, preds, workers, morselSize, vectorSize, nil)
 }
@@ -92,7 +91,7 @@ func ParallelGroupAggGov(ctx context.Context, src *Source, keyCols []int, specs 
 // result.
 func GroupAggOverPlan(ctx context.Context, src *Source, wrap func(Operator) Operator, keyCols []int, specs []AggSpec, workers, morselSize, vectorSize int, res *memgov.Reservation) (*Batch, error) {
 	plan := func(scan Operator) Operator {
-		return &Agg{Child: wrap(scan), KeyCol: -1, Keys: keyCols, Aggs: specs, Res: res}
+		return &Agg{Child: wrap(scan), Keys: keyCols, Aggs: specs, Res: res}
 	}
 	ex := &Exchange{
 		Source:     src,
@@ -113,7 +112,7 @@ func GroupAggOverPlan(ctx context.Context, src *Source, wrap func(Operator) Oper
 	for i, s := range specs {
 		merge[i] = AggSpec{Kind: MergeKind(s.Kind), Col: i + nk}
 	}
-	final := &Agg{Child: ex, KeyCol: -1, Keys: mergeKeys, Aggs: merge, Res: res}
+	final := &Agg{Child: ex, Keys: mergeKeys, Aggs: merge, Res: res}
 	if err := final.Open(); err != nil {
 		return nil, err
 	}
@@ -175,8 +174,9 @@ func PartitionedGroupAggGov(ctx context.Context, src *Source, keyCol int, specs 
 	}
 	for w := 0; w < workers; w++ {
 		go func() {
+			scratch := clusterScratch{cols: make([]Col, len(src.Cols))}
 			for ci := range next {
-				parts[ci], errs[ci] = groupOneCluster(src, c.ClusterSlice(ci), specs)
+				parts[ci], errs[ci] = scratch.group(src, c.ClusterSlice(ci), specs)
 			}
 			done <- struct{}{}
 		}()
@@ -237,90 +237,46 @@ feed:
 	return &Batch{N: total, Cols: cols}, nil
 }
 
-// groupOneCluster aggregates one cluster's tuples: local group ids from
-// the open-addressing table, value gathers through the shuffled
-// positions. Returns a batch [key, aggs...] or nil for an empty cluster.
-func groupOneCluster(src *Source, cl []radix.Tuple, specs []AggSpec) (*Batch, error) {
-	if len(cl) == 0 {
+// clusterScratch is one worker's gather space, reused from cluster to
+// cluster: the cluster-local key column, its group ids, and one value
+// column per aggregated source column (indexed like Source.Cols).
+type clusterScratch struct {
+	keys []int64
+	gids []int32
+	cols []Col
+}
+
+// group aggregates one cluster's tuples: the keys and every aggregated
+// column are gathered through the shuffled positions into cluster-local
+// columns (cache-resident by construction), which then take the same
+// Assign + per-group folds as one Agg batch. Returns a batch
+// [key, aggs...] or nil for an empty cluster.
+func (sc *clusterScratch) group(src *Source, cl []radix.Tuple, specs []AggSpec) (*Batch, error) {
+	n := len(cl)
+	if n == 0 {
 		return nil, nil
 	}
-	gt := radix.NewGroupTable(256)
-	gids := make([]int32, len(cl))
-	for i := range cl {
-		gids[i] = gt.GID(cl[i].Val)
+	if cap(sc.keys) < n {
+		sc.keys, sc.gids = make([]int64, n), make([]int32, n)
 	}
-	ng := int32(gt.Len())
+	keys, gids := sc.keys[:n], sc.gids[:n]
+	for i := range cl {
+		keys[i] = cl[i].Val
+	}
+	gt := radix.NewGroupTable(1, 256)
+	ng := gt.Assign([][]int64{keys}, nil, gids)
+	for c := range sc.cols {
+		sc.cols[c].Ints, sc.cols[c].Floats = sc.cols[c].Ints[:0], sc.cols[c].Floats[:0]
+	}
 	cols := make([]Col, len(specs)+1)
-	cols[0] = Col{Kind: KindInt, Ints: gt.Keys()}
+	cols[0] = Col{Kind: KindInt, Ints: gt.Key(0)}
 	for ai, spec := range specs {
-		var ints []int64
-		var flts []float64
-		switch spec.Kind {
-		case AggCount:
-			ints = growInts(nil, ng, 0)
-			for _, g := range gids {
-				ints[g]++
-			}
-		case AggSumInt, AggSumIntNil, AggCountNNInt, AggMinInt, AggMaxInt:
-			col := src.Cols[spec.Col].Ints
-			ints = growInts(nil, ng, spec.Kind.initInt())
-			for i := range cl {
-				v := col[cl[i].OID]
-				g := gids[i]
-				switch spec.Kind {
-				case AggSumInt:
-					ints[g] += v
-				case AggSumIntNil:
-					if v != bat.NilInt {
-						ints[g] += v
-					}
-				case AggCountNNInt:
-					if v != bat.NilInt {
-						ints[g]++
-					}
-				case AggMinInt:
-					if v != bat.NilInt && (ints[g] == bat.NilInt || v < ints[g]) {
-						ints[g] = v
-					}
-				case AggMaxInt:
-					if v != bat.NilInt && (ints[g] == bat.NilInt || v > ints[g]) {
-						ints[g] = v
-					}
-				}
-			}
-		case AggSumFloat, AggSumFloatNil, AggCountNNFloat, AggMinFloat, AggMaxFloat:
-			col := src.Cols[spec.Col].Floats
-			if spec.Kind == AggCountNNFloat {
-				ints = growInts(nil, ng, 0)
-			} else {
-				flts = growFloats(nil, ng, spec.Kind.initFloat())
-			}
-			for i := range cl {
-				v := col[cl[i].OID]
-				g := gids[i]
-				switch spec.Kind {
-				case AggSumFloat:
-					flts[g] += v
-				case AggSumFloatNil:
-					if !bat.IsNilFloat(v) {
-						flts[g] += v
-					}
-				case AggCountNNFloat:
-					if !bat.IsNilFloat(v) {
-						ints[g]++
-					}
-				case AggMinFloat:
-					if !bat.IsNilFloat(v) && (bat.IsNilFloat(flts[g]) || v < flts[g]) {
-						flts[g] = v
-					}
-				case AggMaxFloat:
-					if !bat.IsNilFloat(v) && (bat.IsNilFloat(flts[g]) || v > flts[g]) {
-						flts[g] = v
-					}
-				}
-			}
-		default:
-			return nil, fmt.Errorf("vector: bad aggregate kind %d", spec.Kind)
+		if spec.Kind != AggCount { // count(*) reads no column: Col is -1
+			sc.gather(src, cl, spec.Col)
+		}
+		ints, flts, err := spec.fold(sc.cols, nil, n, gids, nil, nil, ng)
+		if err != nil {
+			return nil, err
 		}
 		if flts != nil {
 			cols[ai+1] = Col{Kind: KindFloat, Floats: flts}
@@ -328,7 +284,35 @@ func groupOneCluster(src *Source, cl []radix.Tuple, specs []AggSpec) (*Batch, er
 			cols[ai+1] = Col{Kind: KindInt, Ints: ints}
 		}
 	}
-	return &Batch{N: gt.Len(), Cols: cols}, nil
+	return &Batch{N: int(ng), Cols: cols}, nil
+}
+
+// gather fills scratch column c with source column c's values at the
+// cluster's shuffled positions, once per cluster however many
+// aggregates read the column.
+func (sc *clusterScratch) gather(src *Source, cl []radix.Tuple, c int) {
+	g, n := &sc.cols[c], len(cl)
+	if len(g.Ints)+len(g.Floats) > 0 {
+		return
+	}
+	switch from := src.Cols[c]; from.Kind {
+	case KindInt:
+		if cap(g.Ints) < n {
+			g.Ints = make([]int64, n)
+		}
+		g.Ints = g.Ints[:n]
+		for i := range cl {
+			g.Ints[i] = from.Ints[cl[i].OID]
+		}
+	case KindFloat:
+		if cap(g.Floats) < n {
+			g.Floats = make([]float64, n)
+		}
+		g.Floats = g.Floats[:n]
+		for i := range cl {
+			g.Floats[i] = from.Floats[cl[i].OID]
+		}
+	}
 }
 
 // EstimateGroups guesses the distinct-key count of keys from a sample
@@ -351,14 +335,14 @@ func EstimateGroups(keys []int64) int {
 	if s > 4096 {
 		s = 4096
 	}
-	gt := radix.NewGroupTable(s)
 	// Sample positions i*n/s so coverage spans the WHOLE column even
 	// when n is not a multiple of s — an integer stride would degrade
 	// to a prefix scan and misjudge data clustered by key.
-	for i := 0; i < s; i++ {
-		gt.GID(keys[i*n/s])
+	sample := make([]int64, s)
+	for i := range sample {
+		sample[i] = keys[i*n/s]
 	}
-	d := gt.Len()
+	d := int(radix.NewGroupTable(1, s).Assign([][]int64{sample}, nil, make([]int32, s)))
 	if d >= s {
 		return n
 	}

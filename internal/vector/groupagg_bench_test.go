@@ -10,8 +10,8 @@ import (
 	"repro/internal/radix"
 )
 
-// BenchmarkGroupedAgg is the grouped-aggregation sweep recorded in
-// BENCH_pr4.json: SELECT k, sum(v) GROUP BY k over 1M rows at group
+// BenchmarkGroupedAgg is the grouped-aggregation sweep: SELECT k,
+// sum(v) GROUP BY k over 1M rows at group
 // cardinalities 10 → 1M, across four engines:
 //
 //   - serial-map:    the PR-3-era per-batch map grouping
@@ -52,7 +52,7 @@ func BenchmarkGroupedAgg(b *testing.B) {
 		b.Run(fmt.Sprintf("serial-table-card%d", card), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				a := &Agg{Child: NewScan(src, DefaultSize), KeyCol: 0, Aggs: specs}
+				a := &Agg{Child: NewScan(src, DefaultSize), Keys: []int{0}, Aggs: specs}
 				if err := a.Open(); err != nil {
 					b.Fatal(err)
 				}

@@ -64,10 +64,11 @@ func serialGroupOracle(keys, ivals []int64, fvals []float64) []oracleRow {
 }
 
 // fullSpecs covers every nil-aware aggregate over int column 1 and float
-// column 2 of a (key, ival, fval) source.
+// column 2 of a (key, ival, fval) source. count(*) names no column, the
+// way the planner spells it.
 var fullSpecs = []AggSpec{
 	{Kind: AggSumIntNil, Col: 1},
-	{Kind: AggCount},
+	{Kind: AggCount, Col: -1},
 	{Kind: AggCountNNInt, Col: 1},
 	{Kind: AggMinInt, Col: 1},
 	{Kind: AggMaxInt, Col: 1},
@@ -284,7 +285,7 @@ func TestEstimateGroups(t *testing.T) {
 }
 
 // Composite-key grouping: ParallelGroupAgg over TWO int key columns
-// (the PairGroupTable path) agrees with a map oracle keyed on the pair,
+// (the K=2 GroupTable path) agrees with a map oracle keyed on the pair,
 // across worker counts, on nil-laden keys and values.
 func TestParallelGroupAggPairKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

@@ -13,7 +13,7 @@ import (
 // key table plus the payload columns, safe to share across concurrent
 // probe pipelines (it is never mutated after BuildJoinTable returns).
 // The key table is the shared open-addressing core (radix.JoinTable):
-// flat for small builds, radix-partitioned past partitionRows rows so
+// flat for small builds, radix-partitioned past radix.PartitionRows rows so
 // each probe stays inside one cache-sized cluster (§4.2), and nil keys
 // (bat.NilInt) never matching.
 type JoinBuild struct {

@@ -6,6 +6,9 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bat"
+	"repro/internal/radix"
 )
 
 func joinPlan(t *testing.T, ok, pk []int64, pay []float64, size int, row bool) [][]any {
@@ -205,5 +208,131 @@ func BenchmarkJoinLayout(b *testing.B) {
 				j.Close()
 			}
 		})
+	}
+}
+
+// refRows is the map-based build-side oracle.
+func refRows(keys []int64) map[int64][]int32 {
+	m := make(map[int64][]int32)
+	for i, k := range keys {
+		m[k] = append(m[k], int32(i))
+	}
+	return m
+}
+
+// joinPairs runs HashJoinOp over the given keys (payload = build row id)
+// and returns (build row, probe row) pairs.
+func joinPairs(t *testing.T, bk, pk []int64, size int) []radix.OIDPair {
+	t.Helper()
+	rowIDs := make([]int64, len(bk))
+	for i := range rowIDs {
+		rowIDs[i] = int64(i)
+	}
+	build, err := NewSource([]string{"k", "row"}, []Col{
+		{Kind: KindInt, Ints: bk}, {Kind: KindInt, Ints: rowIDs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probeIDs := make([]int64, len(pk))
+	for i := range probeIDs {
+		probeIDs[i] = int64(i)
+	}
+	probe, err := NewSource([]string{"k", "row"}, []Col{
+		{Kind: KindInt, Ints: pk}, {Kind: KindInt, Ints: probeIDs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &HashJoinOp{
+		Build: NewScan(build, size), Probe: NewScan(probe, size),
+		BuildKey: 0, ProbeKey: 0, BuildPayload: []int{1},
+	}
+	rows, err := Drain(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([]radix.OIDPair, len(rows))
+	for i, r := range rows {
+		pairs[i] = radix.OIDPair{L: bat.OID(r[2].(int64)), R: bat.OID(r[1].(int64))}
+	}
+	return pairs
+}
+
+func sortPairs(p []radix.OIDPair) {
+	sort.Slice(p, func(i, j int) bool {
+		if p[i].L != p[j].L {
+			return p[i].L < p[j].L
+		}
+		return p[i].R < p[j].R
+	})
+}
+
+// Property: the table-backed HashJoinOp agrees with radix.SimpleHashJoin
+// on random keys, including duplicate-heavy and skewed distributions.
+func TestQuickJoinMatchesSimpleHashJoin(t *testing.T) {
+	f := func(bk8, pk8 []uint8, mode uint8) bool {
+		if len(bk8) > 60 {
+			bk8 = bk8[:60]
+		}
+		if len(pk8) > 60 {
+			pk8 = pk8[:60]
+		}
+		conv := func(raw []uint8) ([]int64, []radix.Tuple) {
+			keys := make([]int64, len(raw))
+			tuples := make([]radix.Tuple, len(raw))
+			for i, v := range raw {
+				k := int64(v % 16)
+				if mode%3 == 1 && i%2 == 0 {
+					k = 3 // heavy skew: half the rows share one key
+				}
+				keys[i] = k
+				tuples[i] = radix.Tuple{OID: bat.OID(i), Val: k}
+			}
+			return keys, tuples
+		}
+		bk, bt := conv(bk8)
+		pk, pt := conv(pk8)
+		got := joinPairs(t, bk, pk, int(mode%7)+1)
+		want := radix.SimpleHashJoin(bt, pt)
+		sortPairs(got)
+		sortPairs(want)
+		if len(got) == 0 && len(want) == 0 {
+			return true
+		}
+		return reflect.DeepEqual(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The partitioned build path only triggers past radix.PartitionRows rows; cover
+// it once with a deterministic large-ish join checked against the oracle.
+func TestJoinPartitionedBuildPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large build in -short mode")
+	}
+	n := radix.PartitionRows + 1000
+	r := rand.New(rand.NewSource(99))
+	bk := make([]int64, n)
+	for i := range bk {
+		bk[i] = r.Int63n(int64(n))
+	}
+	pk := make([]int64, 2000)
+	for i := range pk {
+		pk[i] = r.Int63n(int64(n))
+	}
+	got := joinPairs(t, bk, pk, 1024)
+
+	ref := refRows(bk)
+	var want []radix.OIDPair
+	for j, k := range pk {
+		for _, i := range ref[k] {
+			want = append(want, radix.OIDPair{L: bat.OID(i), R: bat.OID(j)})
+		}
+	}
+	sortPairs(got)
+	sortPairs(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("partitioned join: %d pairs, want %d", len(got), len(want))
 	}
 }

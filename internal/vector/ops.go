@@ -1,7 +1,6 @@
 package vector
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -436,24 +435,54 @@ type AggSpec struct {
 	Col  int
 }
 
-// Agg drains its child, aggregating per group of the int key column(s).
-// Keys lists the key columns — any number of them; the legacy KeyCol
-// field is honored when Keys is nil (KeyCol < 0 means a single global
-// group). Single-key group ids are assigned by the shared
-// open-addressing radix.GroupTable, composite two-key ids by the
-// radix.PairGroupTable (24-byte slots holding both halves), and wider
-// tuples by the radix.MultiGroupTable (hash-first slots over a flat
-// row-major tuple array) — Fibonacci hashing, flat power-of-two slots,
-// no per-key allocations — in first-seen order, the same order the
-// final batch emits. It emits one final batch with columns: the
-// key(s), then one column per aggregate. A keyed aggregation over
-// empty input emits an empty batch (zero groups); the global form
-// emits its identity row.
+// fold accumulates the qualifying rows of one batch (its columns cols,
+// n rows, selection sel) into the aggregate's per-group accumulator —
+// ints or flts, whichever the kind uses — growing it to ngroups first.
+// gids maps each row to its group.
+func (spec AggSpec) fold(cols []Col, sel []int32, n int, gids []int32, ints []int64, flts []float64, ngroups int32) ([]int64, []float64, error) {
+	switch spec.Kind {
+	case AggSumInt:
+		ints = SumIntPerGroup(cols[spec.Col].Ints, sel, gids, ints, ngroups)
+	case AggSumFloat:
+		flts = SumFloatPerGroup(cols[spec.Col].Floats, sel, gids, flts, ngroups)
+	case AggCount:
+		ints = CountPerGroup(sel, n, gids, ints, ngroups)
+	case AggSumIntNil:
+		ints = SumIntNilPerGroup(cols[spec.Col].Ints, sel, gids, ints, ngroups)
+	case AggSumFloatNil:
+		flts = SumFloatNilPerGroup(cols[spec.Col].Floats, sel, gids, flts, ngroups)
+	case AggCountNNInt:
+		ints = CountNNIntPerGroup(cols[spec.Col].Ints, sel, gids, ints, ngroups)
+	case AggCountNNFloat:
+		ints = CountNNFloatPerGroup(cols[spec.Col].Floats, sel, gids, ints, ngroups)
+	case AggMinInt:
+		ints = MinIntNilPerGroup(cols[spec.Col].Ints, sel, gids, ints, ngroups)
+	case AggMaxInt:
+		ints = MaxIntNilPerGroup(cols[spec.Col].Ints, sel, gids, ints, ngroups)
+	case AggMinFloat:
+		flts = MinFloatNilPerGroup(cols[spec.Col].Floats, sel, gids, flts, ngroups)
+	case AggMaxFloat:
+		flts = MaxFloatNilPerGroup(cols[spec.Col].Floats, sel, gids, flts, ngroups)
+	default:
+		return nil, nil, fmt.Errorf("vector: bad aggregate kind %d", spec.Kind)
+	}
+	return ints, flts, nil
+}
+
+// Agg drains its child, aggregating per group of the int key columns
+// Keys — any number of them; none means a single global group. Group
+// ids at every key width are assigned by the one open-addressing
+// radix.GroupTable (Fibonacci hashing, flat power-of-two slots, no
+// per-key allocations) in first-seen order, the same order the final
+// batch emits. It emits one final batch with columns: the key(s) —
+// the table's own column-major key arrays, handed off without a copy —
+// then one column per aggregate. A keyed aggregation over empty input
+// emits an empty batch (zero groups); the global form emits its
+// identity row.
 type Agg struct {
-	Child  Operator
-	KeyCol int
-	Keys   []int // overrides KeyCol when non-nil
-	Aggs   []AggSpec
+	Child Operator
+	Keys  []int
+	Aggs  []AggSpec
 
 	// Res, when set, is charged for the grouping state (table slots,
 	// key arrays, accumulator columns) as it grows; a denied charge
@@ -463,17 +492,6 @@ type Agg struct {
 
 	done    bool
 	charged int64
-}
-
-// keyCols resolves the effective key columns.
-func (a *Agg) keyCols() []int {
-	if a.Keys != nil {
-		return a.Keys
-	}
-	if a.KeyCol >= 0 {
-		return []int{a.KeyCol}
-	}
-	return nil
 }
 
 // Open implements Operator.
@@ -486,23 +504,12 @@ func (a *Agg) Next() (*Batch, error) {
 	}
 	a.done = true
 
-	keys := a.keyCols()
 	var gt *radix.GroupTable
-	var pg *PairGrouper
-	var mg *MultiGrouper
-	switch {
-	case len(keys) == 1:
-		gt = radix.NewGroupTable(1024)
-	case len(keys) == 2:
-		pg = NewPairGrouper(1024)
-	case len(keys) > 2:
-		mg = NewMultiGrouper(len(keys), 1024)
+	if len(a.Keys) > 0 {
+		gt = radix.NewGroupTable(len(a.Keys), 1024)
 	}
 	var gids []int32
-	var keyBufs [][]int64
-	if mg != nil {
-		keyBufs = make([][]int64, len(keys))
-	}
+	keyCols := make([][]int64, len(a.Keys))
 	intAccs := make([][]int64, len(a.Aggs))
 	fltAccs := make([][]float64, len(a.Aggs))
 	ngroups := int32(1)
@@ -519,51 +526,19 @@ func (a *Agg) Next() (*Batch, error) {
 			gids = make([]int32, b.N)
 		}
 		gids = gids[:b.N]
-		switch {
-		case gt != nil:
-			ngroups = AssignGroups(b.Cols[keys[0]].Ints, b.Sel, gt, gids)
-		case pg != nil:
-			ngroups = pg.Assign(b.Cols[keys[0]].Ints, b.Cols[keys[1]].Ints, b.Sel, gids)
-		case mg != nil:
-			for ki, k := range keys {
-				keyBufs[ki] = b.Cols[k].Ints
+		if gt != nil { // else the one global group: gids stay all zero
+			for ki, k := range a.Keys {
+				keyCols[ki] = b.Cols[k].Ints
 			}
-			ngroups = mg.Assign(keyBufs, b.Sel, gids)
-		default:
-			for i := range gids {
-				gids[i] = 0
-			}
+			ngroups = gt.Assign(keyCols, b.Sel, gids)
 		}
 		for ai, spec := range a.Aggs {
-			switch spec.Kind {
-			case AggSumInt:
-				intAccs[ai] = SumIntPerGroup(b.Cols[spec.Col].Ints, b.Sel, gids, intAccs[ai], ngroups)
-			case AggSumFloat:
-				fltAccs[ai] = SumFloatPerGroup(b.Cols[spec.Col].Floats, b.Sel, gids, fltAccs[ai], ngroups)
-			case AggCount:
-				intAccs[ai] = CountPerGroup(b.Sel, b.N, gids, intAccs[ai], ngroups)
-			case AggSumIntNil:
-				intAccs[ai] = SumIntNilPerGroup(b.Cols[spec.Col].Ints, b.Sel, gids, intAccs[ai], ngroups)
-			case AggSumFloatNil:
-				fltAccs[ai] = SumFloatNilPerGroup(b.Cols[spec.Col].Floats, b.Sel, gids, fltAccs[ai], ngroups)
-			case AggCountNNInt:
-				intAccs[ai] = CountNNIntPerGroup(b.Cols[spec.Col].Ints, b.Sel, gids, intAccs[ai], ngroups)
-			case AggCountNNFloat:
-				intAccs[ai] = CountNNFloatPerGroup(b.Cols[spec.Col].Floats, b.Sel, gids, intAccs[ai], ngroups)
-			case AggMinInt:
-				intAccs[ai] = MinIntNilPerGroup(b.Cols[spec.Col].Ints, b.Sel, gids, intAccs[ai], ngroups)
-			case AggMaxInt:
-				intAccs[ai] = MaxIntNilPerGroup(b.Cols[spec.Col].Ints, b.Sel, gids, intAccs[ai], ngroups)
-			case AggMinFloat:
-				fltAccs[ai] = MinFloatNilPerGroup(b.Cols[spec.Col].Floats, b.Sel, gids, fltAccs[ai], ngroups)
-			case AggMaxFloat:
-				fltAccs[ai] = MaxFloatNilPerGroup(b.Cols[spec.Col].Floats, b.Sel, gids, fltAccs[ai], ngroups)
-			default:
-				return nil, errors.New("vector: bad aggregate kind")
+			if intAccs[ai], fltAccs[ai], err = spec.fold(b.Cols, b.Sel, b.N, gids, intAccs[ai], fltAccs[ai], ngroups); err != nil {
+				return nil, err
 			}
 		}
 		if a.Res != nil {
-			foot := aggFootprint(gt, pg, mg, intAccs, fltAccs)
+			foot := aggFootprint(gt, intAccs, fltAccs)
 			if d := foot - a.charged; d > 0 {
 				if err := a.Res.Acquire(d); err != nil {
 					return nil, err
@@ -575,21 +550,12 @@ func (a *Agg) Next() (*Batch, error) {
 
 	n := 1
 	var cols []Col
-	switch {
-	case gt != nil:
+	if gt != nil {
 		n = gt.Len()
-		// Keys() aliases the table, which dies with this call — safe to
+		// Key(c) aliases the table, which dies with this call — safe to
 		// hand off directly.
-		cols = append(cols, Col{Kind: KindInt, Ints: gt.Keys()})
-	case pg != nil:
-		n = pg.T.Len()
-		cols = append(cols,
-			Col{Kind: KindInt, Ints: pg.K1},
-			Col{Kind: KindInt, Ints: pg.K2})
-	case mg != nil:
-		n = mg.T.Len()
-		for _, ks := range mg.Keys {
-			cols = append(cols, Col{Kind: KindInt, Ints: ks})
+		for c := range a.Keys {
+			cols = append(cols, Col{Kind: KindInt, Ints: gt.Key(c)})
 		}
 	}
 	for ai, spec := range a.Aggs {
@@ -615,16 +581,10 @@ func (a *Agg) Close() error {
 }
 
 // aggFootprint is the live heap held by one Agg's grouping state.
-func aggFootprint(gt *radix.GroupTable, pg *PairGrouper, mg *MultiGrouper, intAccs [][]int64, fltAccs [][]float64) int64 {
+func aggFootprint(gt *radix.GroupTable, intAccs [][]int64, fltAccs [][]float64) int64 {
 	var f int64
 	if gt != nil {
-		f += gt.MemBytes()
-	}
-	if pg != nil {
-		f += pg.T.MemBytes() + int64(cap(pg.K1))*8 + int64(cap(pg.K2))*8
-	}
-	if mg != nil {
-		f += mg.MemBytes()
+		f = gt.MemBytes()
 	}
 	for _, s := range intAccs {
 		f += int64(cap(s)) * 8

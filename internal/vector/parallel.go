@@ -284,7 +284,7 @@ func q6WorkerPlan(scan Operator) Operator {
 				{ColIdx: 2, Op: PredLeF, FltVal: 0.07}}},
 			Exprs: []Expr{Bin{Op: EMulFloat, L: ColRef{1}, R: Bin{Op: ESubConstFloat, FltConst: 1, L: ColRef{2}}}},
 		},
-		KeyCol: -1, Aggs: []AggSpec{{Kind: AggSumFloat, Col: 0}}}
+		Aggs: []AggSpec{{Kind: AggSumFloat, Col: 0}}}
 }
 
 // ParallelQ6 is the morsel-parallel TPC-H Q6 plan over a (qty, price,
@@ -294,8 +294,8 @@ func q6WorkerPlan(scan Operator) Operator {
 func ParallelQ6(src *Source, workers, morselSize int) (float64, error) {
 	final := &Agg{
 		//lint:ignore ctxmorsel canned benchmark/experiment plan over an in-memory source; bounded work with no cancellation surface
-		Child:  &Exchange{Source: src, Workers: workers, MorselSize: morselSize, Plan: q6WorkerPlan},
-		KeyCol: -1, Aggs: []AggSpec{{Kind: AggSumFloat, Col: 0}},
+		Child: &Exchange{Source: src, Workers: workers, MorselSize: morselSize, Plan: q6WorkerPlan},
+		Aggs:  []AggSpec{{Kind: AggSumFloat, Col: 0}},
 	}
 	rows, err := Drain(final)
 	if err != nil {
@@ -310,14 +310,14 @@ func ParallelQ6(src *Source, workers, morselSize int) (float64, error) {
 func ParallelJoinCount(jb *JoinBuild, probe *Source, probeKey, workers, morselSize int) (int64, error) {
 	plan := func(scan Operator) Operator {
 		return &Agg{
-			Child:  &HashJoinOp{Probe: scan, ProbeKey: probeKey, Shared: jb},
-			KeyCol: -1, Aggs: []AggSpec{{Kind: AggCount}},
+			Child: &HashJoinOp{Probe: scan, ProbeKey: probeKey, Shared: jb},
+			Aggs:  []AggSpec{{Kind: AggCount}},
 		}
 	}
 	final := &Agg{
 		//lint:ignore ctxmorsel canned benchmark/experiment plan over an in-memory source; bounded work with no cancellation surface
-		Child:  &Exchange{Source: probe, Workers: workers, MorselSize: morselSize, Plan: plan},
-		KeyCol: -1, Aggs: []AggSpec{{Kind: AggSumInt, Col: 0}},
+		Child: &Exchange{Source: probe, Workers: workers, MorselSize: morselSize, Plan: plan},
+		Aggs:  []AggSpec{{Kind: AggSumInt, Col: 0}},
 	}
 	rows, err := Drain(final)
 	if err != nil {

@@ -46,7 +46,7 @@ func TestParallelScanSumMatchesSerial(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 7} {
 		ex := NewParallelScan(src, workers)
 		ex.MorselSize = 4096
-		agg := &Agg{Child: ex, KeyCol: -1, Aggs: []AggSpec{{Kind: AggSumInt, Col: 0}, {Kind: AggCount}}}
+		agg := &Agg{Child: ex, Aggs: []AggSpec{{Kind: AggSumInt, Col: 0}, {Kind: AggCount}}}
 		rows, err := Drain(agg)
 		if err != nil {
 			t.Fatal(err)

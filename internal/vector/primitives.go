@@ -9,7 +9,6 @@ import (
 	"math"
 
 	"repro/internal/bat"
-	"repro/internal/radix"
 )
 
 // SelGeInt appends to out the indexes i (drawn from sel, or 0..n-1) with
@@ -484,60 +483,6 @@ func CountSel(n int, sel []int32) int64 {
 		return int64(n)
 	}
 	return int64(len(sel))
-}
-
-// AssignGroups maps each qualifying key to a dense group id through the
-// shared open-addressing GroupTable (no map, no per-key allocations),
-// writing ids into gids (full-length, indexed by row) and returning the
-// total group count so far. bat.NilInt is a legal key: the NULL group.
-func AssignGroups(keys []int64, sel []int32, gt *radix.GroupTable, gids []int32) int32 {
-	if sel == nil {
-		gt.AssignBulk(keys, gids)
-	} else {
-		for _, i := range sel {
-			gids[i] = gt.GID(keys[i])
-		}
-	}
-	return int32(gt.Len())
-}
-
-// PairGrouper assigns dense group ids over COMPOSITE (int64, int64)
-// keys through the shared radix.PairGroupTable, tracking the dense
-// key-half arrays the table itself does not store (its 24-byte slots
-// hold only key+gid). bat.NilInt is a legal key half: SQL multi-column
-// GROUP BY groups NULLs together per column ("is not distinct from").
-type PairGrouper struct {
-	T      *radix.PairGroupTable
-	K1, K2 []int64 // dense gid -> key halves, in first-seen order
-}
-
-// NewPairGrouper returns a grouper pre-sized for hint distinct pairs.
-func NewPairGrouper(hint int) *PairGrouper {
-	return &PairGrouper{T: radix.NewPairGroupTable(hint)}
-}
-
-// Assign maps each qualifying (k1[i], k2[i]) pair to a dense group id,
-// writing ids into gids (full-length, indexed by row) and returning the
-// total group count so far.
-func (g *PairGrouper) Assign(k1, k2 []int64, sel []int32, gids []int32) int32 {
-	one := func(i int32) {
-		gid := g.T.GID(k1[i], k2[i])
-		if int(gid) == len(g.K1) { // first sight of this pair
-			g.K1 = append(g.K1, k1[i])
-			g.K2 = append(g.K2, k2[i])
-		}
-		gids[i] = gid
-	}
-	if sel == nil {
-		for i := range k1 {
-			one(int32(i))
-		}
-	} else {
-		for _, i := range sel {
-			one(i)
-		}
-	}
-	return int32(g.T.Len())
 }
 
 // SumIntPerGroup folds col values into accs[gids[i]] for qualifying rows,

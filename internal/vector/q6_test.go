@@ -37,7 +37,7 @@ func TestQ6SizeInvariance(t *testing.T) {
 					{ColIdx: 2, Op: PredLeF, FltVal: 0.07}}},
 				Exprs: []Expr{Bin{Op: EMulFloat, L: ColRef{1}, R: Bin{Op: ESubConstFloat, FltConst: 1, L: ColRef{2}}}},
 			},
-			KeyCol: -1, Aggs: []AggSpec{{Kind: AggSumFloat, Col: 0}}}
+			Aggs: []AggSpec{{Kind: AggSumFloat, Col: 0}}}
 		rows, err := Drain(plan)
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +78,7 @@ func TestEmptySelectionStaysEmpty(t *testing.T) {
 			{ColIdx: 0, Op: PredLt, IntVal: 24},
 			{ColIdx: 1, Op: PredGeF, FltVal: 0.05},
 		}},
-		KeyCol: -1, Aggs: []AggSpec{{Kind: AggCount}},
+		Aggs: []AggSpec{{Kind: AggCount}},
 	}
 	rows, err := Drain(plan)
 	if err != nil {

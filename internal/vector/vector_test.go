@@ -161,7 +161,7 @@ func TestProjectFloatExpr(t *testing.T) {
 
 func TestAggGlobalSum(t *testing.T) {
 	src := intSource(t, "v", []int64{1, 2, 3, 4})
-	a := &Agg{Child: NewScan(src, 2), KeyCol: -1, Aggs: []AggSpec{
+	a := &Agg{Child: NewScan(src, 2), Aggs: []AggSpec{
 		{Kind: AggSumInt, Col: 0}, {Kind: AggCount},
 	}}
 	rows, err := Drain(a)
@@ -181,7 +181,7 @@ func TestAggGrouped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &Agg{Child: NewScan(src, 2), KeyCol: 0, Aggs: []AggSpec{
+	a := &Agg{Child: NewScan(src, 2), Keys: []int{0}, Aggs: []AggSpec{
 		{Kind: AggSumInt, Col: 1}, {Kind: AggCount},
 	}}
 	rows, err := Drain(a)
@@ -221,8 +221,7 @@ func TestFullPipelineFilterProjectAgg(t *testing.T) {
 				},
 				Exprs: []Expr{Bin{Op: EMulInt, L: ColRef{0}, R: ColRef{1}}},
 			},
-			KeyCol: -1,
-			Aggs:   []AggSpec{{Kind: AggSumInt, Col: 0}},
+			Aggs: []AggSpec{{Kind: AggSumInt, Col: 0}},
 		}
 		rows, err := Drain(plan)
 		if err != nil {
@@ -251,8 +250,7 @@ func TestQuickVectorSizeInvariance(t *testing.T) {
 				Child: NewScan(src, size),
 				Preds: []Pred{{ColIdx: 0, Op: PredLt, IntVal: 50}},
 			},
-			KeyCol: -1,
-			Aggs:   []AggSpec{{Kind: AggSumInt, Col: 0}},
+			Aggs: []AggSpec{{Kind: AggSumInt, Col: 0}},
 		}
 		rows, err := Drain(plan)
 		if err != nil {
@@ -308,8 +306,7 @@ func BenchmarkVectorSize(b *testing.B) {
 						Child: NewScan(src, size),
 						Preds: []Pred{{ColIdx: 0, Op: PredLt, IntVal: 500}},
 					},
-					KeyCol: -1,
-					Aggs:   []AggSpec{{Kind: AggSumInt, Col: 0}},
+					Aggs: []AggSpec{{Kind: AggSumInt, Col: 0}},
 				}
 				if _, err := Drain(plan); err != nil {
 					b.Fatal(err)
