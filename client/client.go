@@ -221,12 +221,57 @@ func (c *Client) watch(ctx context.Context) func() {
 	return func() { once.Do(func() { close(done) }) }
 }
 
+// wireArgs widens Go's other integer and float types to the wire's
+// int64 and float64, the way the embedded engine's binding does
+// (sqlfe.LitFromArg), so Query(ctx, 5) means the same on both surfaces.
+// Anything else passes through for the codec to accept or reject.
+func wireArgs(args []any) ([]any, error) {
+	out := make([]any, len(args))
+	for i, a := range args {
+		switch v := a.(type) {
+		case int:
+			out[i] = int64(v)
+		case int32:
+			out[i] = int64(v)
+		case int16:
+			out[i] = int64(v)
+		case int8:
+			out[i] = int64(v)
+		case uint8:
+			out[i] = int64(v)
+		case uint16:
+			out[i] = int64(v)
+		case uint32:
+			out[i] = int64(v)
+		case uint:
+			if uint64(v) > math.MaxInt64 {
+				return nil, fmt.Errorf("client: argument %d: uint %d overflows INT", i+1, v)
+			}
+			out[i] = int64(v)
+		case uint64:
+			if v > math.MaxInt64 {
+				return nil, fmt.Errorf("client: argument %d: uint64 %d overflows INT", i+1, v)
+			}
+			out[i] = int64(v)
+		case float32:
+			out[i] = float64(v)
+		default:
+			out[i] = a
+		}
+	}
+	return out, nil
+}
+
 // errFrom converts a terminator into a Go error.
 func errFrom(e wire.Err) error { return &ServerError{Code: e.Code, Msg: e.Msg} }
 
 // Exec runs a statement and returns its affected-row count. A SELECT
 // passed to Exec is executed and its rows discarded.
 func (c *Client) Exec(ctx context.Context, sql string, args ...any) (int64, error) {
+	args, err := wireArgs(args)
+	if err != nil {
+		return 0, err
+	}
 	if err := c.begin(); err != nil {
 		return 0, err
 	}
@@ -267,6 +312,10 @@ func (c *Client) drainToDone() (int64, error) {
 // (or fully drain) the Rows before issuing the next command on this
 // client. ctx cancels the query server-side.
 func (c *Client) Query(ctx context.Context, sql string, args ...any) (*Rows, error) {
+	args, err := wireArgs(args)
+	if err != nil {
+		return nil, err
+	}
 	if err := c.begin(); err != nil {
 		return nil, err
 	}
@@ -472,6 +521,10 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 	if s.closed {
 		return nil, fmt.Errorf("client: statement closed")
 	}
+	args, err := wireArgs(args)
+	if err != nil {
+		return nil, err
+	}
 	if err := s.c.begin(); err != nil {
 		return nil, err
 	}
@@ -489,6 +542,10 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 func (s *Stmt) Exec(ctx context.Context, args ...any) (int64, error) {
 	if s.closed {
 		return 0, fmt.Errorf("client: statement closed")
+	}
+	args, err := wireArgs(args)
+	if err != nil {
+		return 0, err
 	}
 	if err := s.c.begin(); err != nil {
 		return 0, err

@@ -152,8 +152,8 @@ func (c *Conn) Plan(sql string) (string, error) {
 			fb = dfb
 		} else {
 			out := phys.Describe()
-			if js := c.observedJoinOrder(sel, phys, prog.ResultNames, snap); js != "" {
-				out += "\n" + js
+			if obs := c.observe(sel, phys, prog.ResultNames, snap); obs != "" {
+				out += "\n" + obs
 			}
 			return out + "\nMAL fallback:\n" + prog.String(), nil
 		}
@@ -161,19 +161,18 @@ func (c *Conn) Plan(sql string) (string, error) {
 	return "MAL program (fallback " + fb.String() + "):\n" + prog.String(), nil
 }
 
-// observedJoinOrder runs ONE instrumented execution of a lowered join
-// query and renders the join order the sampled greedy orderer chose for
-// it — per step, the estimated intermediate cardinality against the
-// measured one. The order is a per-execution decision (the estimates
-// come from strided samples of the live snapshot), so \plan reports an
+// observe runs ONE instrumented execution of a lowered query and
+// renders what it saw: per scanned table, the zones and rows data
+// skipping left of it (decided at bind, from this snapshot's zone maps
+// and the statement's constants), and for a join the order the sampled
+// greedy orderer chose — per step, the estimated intermediate
+// cardinality against the measured one, which takes draining the
+// result. Both are per-execution decisions, so \plan reports an
 // observation, not a promise. Parameterized statements have no argument
 // values to execute with and report structure only.
-func (c *Conn) observedJoinOrder(sel *sqlfe.Select, phys *physical.Plan, names []string, snap *sqlfe.Snapshot) string {
-	if len(sel.Joins) == 0 {
-		return ""
-	}
+func (c *Conn) observe(sel *sqlfe.Select, phys *physical.Plan, names []string, snap *sqlfe.Snapshot) string {
 	if sqlfe.NumParams(sel) > 0 {
-		return "join order: sampled per execution (parameterized; run the statement to observe it)"
+		return "scans and join order: decided per execution (parameterized; run the statement to observe them)"
 	}
 	stats := &physical.ExecStats{}
 	popts := c.db.physOpts()
@@ -184,7 +183,7 @@ func (c *Conn) observedJoinOrder(sel *sqlfe.Select, phys *physical.Plan, names [
 	out := ""
 	if err == nil && fb == nil {
 		r := newVecRows(context.Background(), names, res.Op, res.Limit)
-		for r.Next() {
+		for len(sel.Joins) > 0 && r.Next() {
 		}
 		_ = r.Close()
 		out = stats.Describe()

@@ -68,15 +68,18 @@ func (p *Plan) Describe() string {
 	return sb.String()
 }
 
-// Describe renders the join order one instrumented execution observed:
-// which leaf the greedy orderer streamed, and per join step the build
-// side with its sampled estimate against the measured output
-// cardinality. Empty when the plan had no joins.
+// Describe renders what one instrumented execution observed: per leaf,
+// what data skipping left of its scan; then, for a join, which leaf the
+// greedy orderer streamed and per join step the build side with its
+// sampled estimate against the measured output cardinality.
 func (s *ExecStats) Describe() string {
-	if len(s.Joins) == 0 {
-		return ""
-	}
 	var sb strings.Builder
+	for _, sc := range s.Scans {
+		fmt.Fprintf(&sb, "scan %s: %d/%d zones, %d/%d rows\n", sc.Table, sc.ZonesKept, sc.Zones, sc.Rows, sc.TableRows)
+	}
+	if len(s.Joins) == 0 {
+		return strings.TrimRight(sb.String(), "\n")
+	}
 	sb.WriteString("join order (greedy, sampled at execution):\n")
 	fmt.Fprintf(&sb, "    stream: scan %s\n", s.Stream)
 	for i := range s.Joins {

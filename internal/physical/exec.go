@@ -102,11 +102,13 @@ func pipe(n Node) (*ScanNode, []Pred, error) {
 }
 
 // boundScan is a ScanNode bound to one snapshot: zero-copy column
-// slices plus the per-column NoNil property driving nil-aware
-// primitive selection.
+// slices plus, per pipeline column, the NoNil property driving nil-aware
+// primitive selection and the zone map of its main part.
 type boundScan struct {
-	src   *vector.Source
-	noNil []bool
+	src      *vector.Source
+	noNil    []bool
+	zones    []*sqlfe.ZoneMap
+	mainRows int // leading positions held by main columns: what the zone maps cover
 }
 
 // bind resolves the scan's columns against the snapshot.
@@ -118,9 +120,11 @@ func bind(s *ScanNode, snap *sqlfe.Snapshot) (*boundScan, error) {
 	names := make([]string, len(s.Cols))
 	cols := make([]vector.Col, len(s.Cols))
 	noNil := make([]bool, len(s.Cols))
+	zones := make([]*sqlfe.ZoneMap, len(s.Cols))
 	for i, ci := range s.Cols {
 		b := t.ColumnBAT(ci)
 		noNil[i] = b.Props().NoNil
+		zones[i] = t.ZoneMap(ci)
 		names[i] = t.ColNames[ci]
 		switch s.Types[i] {
 		case sqlfe.TInt:
@@ -137,7 +141,7 @@ func bind(s *ScanNode, snap *sqlfe.Snapshot) (*boundScan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &boundScan{src: src, noNil: noNil}, nil
+	return &boundScan{src: src, noNil: noNil, zones: zones, mainRows: t.MainRows()}, nil
 }
 
 // predOp maps a SQL comparison to the vectorized primitive, picking the
@@ -203,7 +207,14 @@ func predOp(op string, ct sqlfe.ColType, noNil bool) (vector.PredOp, bool) {
 // NOT NULL over a nil-free column is always true and drops out of the
 // predicate list; an IS NULL over one is always false, reported via
 // empty so the caller scans nothing at all.
-func bindPreds(preds []Pred, bs *boundScan, args []any) (out []vector.Pred, empty bool, err error) {
+//
+// Every bound predicate is also tested against the zone map of its
+// column: keep[z] ends up false for each zone of the table's main part
+// that some conjunct proves holds no qualifying row (nil when no
+// predicate had a zone map to consult). The predicates themselves all
+// stay in out — the Filter still evaluates them — so keep can only
+// remove work.
+func bindPreds(preds []Pred, bs *boundScan, args []any) (out []vector.Pred, keep []bool, empty bool, err error) {
 	out = make([]vector.Pred, 0, len(preds))
 	for _, p := range preds {
 		if p.Op == "isnotnull" && bs.noNil[p.Col] {
@@ -215,14 +226,14 @@ func bindPreds(preds []Pred, bs *boundScan, args []any) (out []vector.Pred, empt
 		}
 		op, ok := predOp(p.Op, p.Type, bs.noNil[p.Col])
 		if !ok {
-			return nil, false, fmt.Errorf("physical: unsupported operator %q", p.Op)
+			return nil, nil, false, fmt.Errorf("physical: unsupported operator %q", p.Op)
 		}
 		vp := vector.Pred{ColIdx: p.Col, Op: op}
 		if p.Op != "isnull" && p.Op != "isnotnull" {
 			lit := p.Lit
 			if p.Param > 0 {
 				if lit, err = sqlfe.CoerceArg(args[p.Param-1], p.Type, p.Param); err != nil {
-					return nil, false, err
+					return nil, nil, false, err
 				}
 			}
 			if p.Type == sqlfe.TInt {
@@ -235,8 +246,17 @@ func bindPreds(preds []Pred, bs *boundScan, args []any) (out []vector.Pred, empt
 			}
 		}
 		out = append(out, vp)
+		if zm := bs.zones[p.Col]; zm != nil {
+			if keep == nil {
+				keep = make([]bool, zm.Zones())
+				for z := range keep {
+					keep[z] = true
+				}
+			}
+			zm.Prune(keep, p.Op, vp.IntVal, vp.FltVal)
+		}
 	}
-	return out, empty, nil
+	return out, keep, empty, nil
 }
 
 // emptyLike returns a zero-row source with src's schema, for pipelines
@@ -262,20 +282,64 @@ func emptyLike(src *vector.Source) *vector.Source {
 	return out
 }
 
-// bindLeaf binds one scan+preds leaf. A predicate contradiction (IS
-// NULL over a provably nil-free column) swaps in a zero-row source, so
-// the pipeline emits its empty/identity result without scanning.
-func bindLeaf(scan *ScanNode, preds []Pred, snap *sqlfe.Snapshot, args []any) (*boundScan, []vector.Pred, error) {
+// zoneRanges coalesces the surviving zones of the zone-mapped prefix
+// [0,mapped) and the unmapped tail [mapped,total) — insert deltas, which
+// no zone speaks for and which therefore always survive — into sorted
+// disjoint row ranges. kept counts the surviving zones.
+func zoneRanges(keep []bool, mapped, total int) (out []vector.RowRange, kept int) {
+	add := func(lo, hi int) {
+		if n := len(out); n > 0 && out[n-1].Hi == lo {
+			out[n-1].Hi = hi
+		} else if lo < hi {
+			out = append(out, vector.RowRange{Lo: lo, Hi: hi})
+		}
+	}
+	for z, k := range keep {
+		if k {
+			kept++
+			add(z*sqlfe.ZoneRows, min((z+1)*sqlfe.ZoneRows, mapped))
+		}
+	}
+	add(mapped, total)
+	return out, kept
+}
+
+// bindLeaf binds one scan+preds leaf and narrows its source to the row
+// ranges the zone maps cannot rule out. A predicate contradiction (IS
+// NULL over a provably nil-free column) or an empty survivor set swaps
+// in a zero-row source, so the pipeline emits its empty/identity result
+// without scanning. Every leaf — single-table or join input — binds
+// here, so this is the only place that decides what a scan skips.
+func bindLeaf(scan *ScanNode, preds []Pred, snap *sqlfe.Snapshot, args []any, stats *ExecStats) (*boundScan, []vector.Pred, error) {
 	bs, err := bind(scan, snap)
 	if err != nil {
 		return nil, nil, err
 	}
-	vpreds, empty, err := bindPreds(preds, bs, args)
+	vpreds, keep, empty, err := bindPreds(preds, bs, args)
 	if err != nil {
 		return nil, nil, err
 	}
-	if empty {
+	total := bs.src.Len()
+	zones := (bs.mainRows + sqlfe.ZoneRows - 1) / sqlfe.ZoneRows
+	st := ScanStat{Table: scan.Table, ZonesKept: zones, Zones: zones, TableRows: total}
+	var ranges []vector.RowRange
+	if keep != nil {
+		ranges, st.ZonesKept = zoneRanges(keep, bs.mainRows, total)
+	}
+	switch {
+	case empty:
+		bs.src, st.ZonesKept = emptyLike(bs.src), 0
+	case st.ZonesKept == zones: // nothing pruned, or nothing to consult
+	case len(ranges) == 0:
 		bs.src = emptyLike(bs.src)
+	default:
+		if bs.src, err = bs.src.Restrict(ranges); err != nil {
+			return nil, nil, err
+		}
+	}
+	st.Rows = bs.src.ScanRows()
+	if stats != nil {
+		stats.Scans = append(stats.Scans, st)
 	}
 	return bs, vpreds, nil
 }
@@ -360,7 +424,7 @@ func (p *Plan) pipelineFor(ctx context.Context, snap *sqlfe.Snapshot, args []any
 	if err != nil {
 		return nil, err
 	}
-	bs, vpreds, err := bindLeaf(scan, preds, snap, args)
+	bs, vpreds, err := bindLeaf(scan, preds, snap, args, opts.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -441,7 +505,9 @@ func estimateLeaf(bs *boundScan, preds []vector.Pred, vectorSize int) float64 {
 	if q == sn {
 		sel = 1
 	}
-	return sel * float64(n)
+	// The zone maps already proved every row outside the scan ranges
+	// fails a predicate: a narrowed leaf is at most that small.
+	return math.Min(sel*float64(n), float64(bs.src.ScanRows()))
 }
 
 // joinStep is one ordered step of the left-deep chain: fold leaf
@@ -551,7 +617,7 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 	vpreds := make([][]vector.Pred, n)
 	anyEmpty := false
 	for i := range jt.Leaves {
-		bs, vp, err := bindLeaf(jt.Leaves[i].Scan, jt.Leaves[i].Preds, snap, args)
+		bs, vp, err := bindLeaf(jt.Leaves[i].Scan, jt.Leaves[i].Preds, snap, args, opts.Stats)
 		if err != nil {
 			return nil, err
 		}
@@ -680,7 +746,7 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 				}
 			}
 			ncolsB := len(bss[st.build].src.Cols)
-			stateBytes := int64(bss[st.build].src.Len()) * int64(8+8*ncolsB+48)
+			stateBytes := int64(bss[st.build].src.ScanRows()) * int64(8+8*ncolsB+48)
 			bits := graceBits(stateBytes, graceHeadroom(opts.Gov))
 			bParts, bRows, err := partitionOp(ctx, opts, mkLeafOp(st.build), ncolsB, []int{st.buildKeyPos}, bits, "jb")
 			if err != nil {
@@ -851,7 +917,7 @@ func (p *Plan) execSort(ctx context.Context, snap *sqlfe.Snapshot, args []any, o
 		rowID = pl.width
 	}
 	workers := opts.workers()
-	if !radix.ShouldParallelSort(pl.src.Len(), workers) {
+	if !radix.ShouldParallelSort(pl.src.ScanRows(), workers) {
 		// One run: the sort cost model says the merge machinery is pure
 		// overhead here (tiny or single-worker input).
 		workers = 1
@@ -1043,7 +1109,7 @@ func (p *Plan) execGrouped(ctx context.Context, snap *sqlfe.Snapshot, args []any
 			if errors.Is(err, memgov.ErrExceeded) && opts.canSpill() {
 				resetActuals(opts.Stats)
 				mk := func() vector.Operator { return wrap(pl.mkSerial()) }
-				return p.graceGrouped(ctx, opts, mk, chainCols, pl.src.Len(), keyIdx, g, specs)
+				return p.graceGrouped(ctx, opts, mk, chainCols, pl.src.ScanRows(), keyIdx, g, specs)
 			}
 			return nil, nil, err
 		}
@@ -1078,7 +1144,7 @@ func (p *Plan) execGrouped(ctx context.Context, snap *sqlfe.Snapshot, args []any
 			mk := func() vector.Operator {
 				return wrap(pl.par(vector.NewScan(pl.src, opts.VectorSize)))
 			}
-			return p.graceGrouped(ctx, opts, mk, chainCols, pl.src.Len(), keyIdx, g, specs)
+			return p.graceGrouped(ctx, opts, mk, chainCols, pl.src.ScanRows(), keyIdx, g, specs)
 		}
 	}
 	if err != nil {

@@ -110,8 +110,19 @@ type Options struct {
 
 // ExecStats is the per-execution observation collector \plan renders.
 type ExecStats struct {
+	Scans  []ScanStat // one per bound leaf, in FROM order, filled at bind
 	Stream string     // name of the streamed (probe) leaf table
 	Joins  []JoinStat // one per executed join step, in execution order
+}
+
+// ScanStat is what data skipping left of one leaf's scan: the zones of
+// the table's main columns the predicates could not rule out, and the
+// rows handed to the pipeline (surviving zones plus the insert delta,
+// which no zone map covers) out of the table's.
+type ScanStat struct {
+	Table            string
+	ZonesKept, Zones int
+	Rows, TableRows  int
 }
 
 // JoinStat is one executed join step of an N-way tree.

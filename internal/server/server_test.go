@@ -716,3 +716,58 @@ func TestHandshakeRejectsBadVersion(t *testing.T) {
 		t.Fatalf("reply frame type = %d, want Err(11)", buf[0])
 	}
 }
+
+// TestClientWidensGoNumericArgs: repro/client takes the Go numeric types
+// the embedded API takes — Stmt.Query(ctx, 5) is Query(ctx, int64(5)) —
+// and rejects an unsigned value INT cannot hold before sending it.
+func TestClientWidensGoNumericArgs(t *testing.T) {
+	ctx := context.Background()
+	addr, _, _, _ := startServer(t, "", nil)
+	c := dial(t, addr)
+	if _, err := c.Exec(ctx, `CREATE TABLE t (a INT, f FLOAT)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec(ctx, `INSERT INTO t VALUES (?, ?), (?, ?)`, 5, float32(0.5), uint32(6), 7); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Prepare(`SELECT a, f FROM t WHERE a = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(arg any) string {
+		t.Helper()
+		rows, err := st.Query(ctx, arg)
+		if err != nil {
+			t.Fatalf("Query(%T): %v", arg, err)
+		}
+		defer rows.Close()
+		out := ""
+		for rows.Next() {
+			var a int64
+			var f float64
+			if err := rows.Scan(&a, &f); err != nil {
+				t.Fatal(err)
+			}
+			out += fmt.Sprint(a, f, ";")
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := get(int64(5))
+	if want != "5 0.5;" {
+		t.Fatalf("Query(int64(5)) = %q", want)
+	}
+	for _, arg := range []any{5, int32(5), int8(5), uint8(5), uint16(5), uint64(5), uint(5)} {
+		if got := get(arg); got != want {
+			t.Errorf("Query(%T(5)) = %q, want %q", arg, got, want)
+		}
+	}
+	if _, err := st.Query(ctx, uint64(1)<<63); err == nil {
+		t.Error("uint64 beyond INT accepted")
+	}
+	if got := get(int64(5)); got != want { // the refused argument left the connection usable
+		t.Errorf("after refused argument: %q, want %q", got, want)
+	}
+}

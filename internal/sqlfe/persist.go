@@ -248,6 +248,7 @@ func Load(dir string) (*DB, error) {
 			}
 		}
 		t := newTable(dt.Name, dt.Cols, types)
+		main := make([]*bat.BAT, len(dt.Cols))
 		for i, cn := range dt.Cols {
 			col, err := readBATFile(filepath.Join(base, dt.Name+"."+cn+".bat"))
 			if err != nil {
@@ -260,8 +261,9 @@ func Load(dir string) (*DB, error) {
 			if col.TailType() != batType(types[i]) {
 				return nil, fmt.Errorf("sql: table %q column %q type mismatch", dt.Name, cn)
 			}
-			t.main[i] = col
+			main[i] = col
 		}
+		t.setMain(main)
 		t.version = 1
 		db.tables[dt.Name] = t
 	}

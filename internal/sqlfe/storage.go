@@ -19,9 +19,10 @@ type Table struct {
 	ColNames []string
 	ColTypes []ColType
 
-	main []*bat.BAT // immutable main columns
-	ins  []*bat.BAT // insert deltas, aligned across columns
-	del  []bat.OID  // deleted positions (into main++ins), sorted
+	main  []*bat.BAT // immutable main columns
+	zones []*ZoneMap // per main column (nil for TEXT); replaced with main, never edited
+	ins   []*bat.BAT // insert deltas, aligned across columns
+	del   []bat.OID  // deleted positions (into main++ins), sorted
 
 	version int64
 
@@ -32,11 +33,23 @@ type Table struct {
 
 func newTable(name string, cols []string, types []ColType) *Table {
 	t := &Table{Name: name, ColNames: cols, ColTypes: types}
-	for _, ct := range types {
-		t.main = append(t.main, bat.New(batType(ct)))
+	main := make([]*bat.BAT, len(types))
+	for i, ct := range types {
+		main[i] = bat.New(batType(ct))
 		t.ins = append(t.ins, bat.New(batType(ct)))
 	}
+	t.setMain(main)
 	return t
+}
+
+// setMain installs a new set of main columns with their zone maps —
+// the one place a main column is born, so the two never disagree.
+func (t *Table) setMain(main []*bat.BAT) {
+	t.main = main
+	t.zones = make([]*ZoneMap, len(main))
+	for i, b := range main {
+		t.zones[i] = buildZoneMap(b)
+	}
 }
 
 func batType(ct ColType) bat.Type {
@@ -71,7 +84,7 @@ func unqualify(name, table string) string {
 
 // TotalPositions is the number of physical positions (main + inserts),
 // including deleted ones.
-func (t *Table) TotalPositions() int { return t.main[0].Len() + t.ins[0].Len() }
+func (t *Table) TotalPositions() int { return t.MainRows() + t.ins[0].Len() }
 
 // NumRows is the number of live rows.
 func (t *Table) NumRows() int { return t.TotalPositions() - len(t.del) }
@@ -206,6 +219,15 @@ func (t *Table) effectiveCol(i int) *bat.BAT {
 // scans through.
 func (t *Table) ColumnBAT(i int) *bat.BAT { return t.effectiveCol(i) }
 
+// MainRows is the number of leading positions of every ColumnBAT that
+// sit in the main columns; the insert delta follows them.
+func (t *Table) MainRows() int { return t.main[0].Len() }
+
+// ZoneMap returns the zone map of column i, nil for a TEXT column. It
+// covers positions [0, MainRows()) of ColumnBAT(i); the insert delta
+// behind them is unmapped.
+func (t *Table) ZoneMap(i int) *ZoneMap { return t.zones[i] }
+
 // ApproxBytes reports the tail-storage bytes of every column,
 // main plus insert delta. It deliberately bypasses the lazy
 // effective-column merge (which is unsynchronized and would double the
@@ -239,6 +261,7 @@ func (t *Table) snapshot() *Table {
 		ColNames: t.ColNames,
 		ColTypes: t.ColTypes,
 		main:     t.main, // shared: immutable
+		zones:    t.zones,
 		del:      append([]bat.OID(nil), t.del...),
 		version:  t.version,
 	}

@@ -165,7 +165,8 @@ func (db *DB) vacuumTableLocked(t *Table) {
 		newMain[i] = batalg.LeftFetchJoin(live, t.effectiveCol(i))
 		newIns[i] = bat.New(batType(t.ColTypes[i]))
 	}
-	t.main, t.ins, t.del = newMain, newIns, nil
+	t.setMain(newMain)
+	t.ins, t.del = newIns, nil
 	t.version++
 	t.effCols = nil
 	db.invalidate(t.Name)

@@ -20,6 +20,7 @@ package vector
 import (
 	"context"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -53,30 +54,41 @@ func NewMorselCursor(src *Source, morselSize int) *MorselCursor {
 }
 
 // claim returns the next unclaimed morsel, or ok=false at end of input
-// or after cancellation.
+// or after cancellation. A morsel never leaves the source's scan ranges
+// (Source.Restrict): it is cut inside the first range that still has
+// unclaimed rows, and the rows between ranges are never handed out.
 func (m *MorselCursor) claim() (lo, hi int, ok bool) {
 	if m.ctx != nil && m.ctx.Err() != nil {
 		return 0, 0, false
 	}
+	rs := m.src.ranges
 	for {
-		cur := m.pos.Load()
-		if int(cur) >= m.src.n {
+		cur := int(m.pos.Load())
+		i := sort.Search(len(rs), func(i int) bool { return rs[i].Hi > cur })
+		if i == len(rs) {
 			return 0, 0, false
 		}
-		end := cur + int64(m.size)
-		if int(end) > m.src.n {
-			end = int64(m.src.n)
-		}
-		if m.pos.CompareAndSwap(cur, end) {
-			return int(cur), int(end), true
+		lo = max(cur, rs[i].Lo)
+		hi = min(lo+m.size, rs[i].Hi)
+		if m.pos.CompareAndSwap(int64(cur), int64(hi)) {
+			return lo, hi, true
 		}
 	}
 }
 
-// MorselScan is the per-worker scan: an Operator that claims morsels
-// from a shared cursor and emits zero-copy vectors of at most Size rows
-// from within each, exactly like Scan but over dynamically assigned
-// ranges. With RowIDs set, each batch carries one extra trailing
+// morsels is the number of claims a fresh cursor hands out.
+func (m *MorselCursor) morsels() int {
+	n := 0
+	for _, r := range m.src.ranges {
+		n += (r.Hi - r.Lo + m.size - 1) / m.size
+	}
+	return n
+}
+
+// MorselScan is the scan every pipeline reads through (one per worker
+// under an Exchange; Scan wraps one that has its cursor to itself): an
+// Operator that claims morsels from a cursor and emits zero-copy
+// vectors of at most Size rows from within each. With RowIDs set, each batch carries one extra trailing
 // KindInt column of GLOBAL source row positions — the stable tiebreak
 // the parallel Sort needs to reproduce a serial stable sort's order.
 type MorselScan struct {
@@ -147,9 +159,10 @@ func (s *MorselScan) Next() (*Batch, error) {
 // Close implements Operator.
 func (s *MorselScan) Close() error { return nil }
 
-// Exchange is the parallelizing operator: it runs Workers copies of the
-// pipeline fragment built by Plan — each on its own MorselScan over
-// Source — and funnels their output batches to the caller. Batches are
+// Exchange is the parallelizing operator: it runs up to Workers copies
+// of the pipeline fragment built by Plan (never more than there are
+// morsels to claim) — each on its own MorselScan over Source — and
+// funnels their output batches to the caller. Batches are
 // deep-copied before crossing the channel (workers recycle their
 // buffers batch-to-batch), so downstream operators own what Next
 // returns.
@@ -158,9 +171,9 @@ type Exchange struct {
 	Workers    int // <= 0 means runtime.GOMAXPROCS(0)
 	MorselSize int // <= 0 means DefaultMorselSize
 	VectorSize int // <= 0 means DefaultSize
-	// Plan builds one worker's pipeline fragment on top of its scan.
-	// It is called once per worker and must not share mutable state
-	// between the fragments it returns.
+	// Plan builds one worker's pipeline fragment on top of its scan. It
+	// is called once per started worker and must not share mutable
+	// state between the fragments it returns.
 	Plan func(scan Operator) Operator
 	// Ctx, when non-nil, cancels the exchange: workers observe it at
 	// morsel boundaries (see MorselCursor) and Next reports ctx.Err()
@@ -192,6 +205,10 @@ func (e *Exchange) Open() error {
 	}
 	cursor := NewMorselCursor(e.Source, e.MorselSize)
 	cursor.ctx = e.Ctx
+	// A worker without a morsel to claim would open a pipeline for
+	// nothing; one always runs, so an empty input still yields the
+	// fragment's end-of-stream output (an aggregate's identity row).
+	workers = max(1, min(workers, cursor.morsels()))
 	e.ch = make(chan *Batch, workers)
 	e.errs = make(chan error, workers)
 	e.stop = make(chan struct{})

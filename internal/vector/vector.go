@@ -96,7 +96,16 @@ type Source struct {
 	Names []string
 	Cols  []Col
 	n     int
+	// ranges are the row ranges a scan visits, sorted and disjoint: the
+	// whole table unless Restrict narrowed them. They are a scan hint,
+	// not a filter: whoever narrows them promises that every row outside
+	// fails a predicate the pipeline still evaluates, so a consumer that
+	// reads Cols directly and ignores them is slower, never wrong.
+	ranges []RowRange
 }
+
+// RowRange is the half-open row range [Lo,Hi) of a Source.
+type RowRange struct{ Lo, Hi int }
 
 // NewSource builds a source from named columns, validating equal lengths.
 func NewSource(names []string, cols []Col) (*Source, error) {
@@ -114,7 +123,7 @@ func NewSource(names []string, cols []Col) (*Source, error) {
 	if n == -1 {
 		n = 0
 	}
-	return &Source{Names: names, Cols: cols, n: n}, nil
+	return &Source{Names: names, Cols: cols, n: n, ranges: []RowRange{{0, n}}}, nil
 }
 
 // NewSourceWithLen builds a source of exactly n rows; cols may be empty
@@ -128,20 +137,47 @@ func NewSourceWithLen(names []string, cols []Col, n int) (*Source, error) {
 	if len(cols) > 0 && src.n != n {
 		return nil, fmt.Errorf("vector: source length %d != declared %d", src.n, n)
 	}
-	src.n = n
+	src.n, src.ranges = n, []RowRange{{0, n}}
 	return src, nil
 }
 
 // Len returns the number of rows in the source.
 func (s *Source) Len() int { return s.n }
 
+// Restrict returns a view of the same columns whose scans visit only
+// the given row ranges (sorted, disjoint, non-empty, inside [0,Len())).
+// Positions stay global: Len, Cols and the RowIDs a scan emits are
+// those of the whole table.
+func (s *Source) Restrict(ranges []RowRange) (*Source, error) {
+	end := 0
+	for _, r := range ranges {
+		if r.Lo < end || r.Hi <= r.Lo || r.Hi > s.n {
+			return nil, fmt.Errorf("vector: row range [%d,%d) out of order or outside [%d,%d)", r.Lo, r.Hi, end, s.n)
+		}
+		end = r.Hi
+	}
+	out := *s
+	out.ranges = ranges
+	return &out, nil
+}
+
+// ScanRows returns the number of rows a scan of the source visits: Len
+// unless Restrict narrowed it.
+func (s *Source) ScanRows() int {
+	n := 0
+	for _, r := range s.ranges {
+		n += r.Hi - r.Lo
+	}
+	return n
+}
+
 // Scan produces vectors of at most Size rows from a Source, zero-copy
-// (column vectors are sub-slices of the source arrays).
+// (column vectors are sub-slices of the source arrays): a MorselScan
+// that is its cursor's only claimant.
 type Scan struct {
 	Src  *Source
 	Size int
-	pos  int
-	b    Batch
+	ms   MorselScan
 }
 
 // NewScan returns a scan with the given vector size (DefaultSize if <= 0).
@@ -153,34 +189,13 @@ func NewScan(src *Source, size int) *Scan {
 }
 
 // Open implements Operator.
-func (s *Scan) Open() error { s.pos = 0; return nil }
+func (s *Scan) Open() error {
+	s.ms = MorselScan{Cur: NewMorselCursor(s.Src, 0), Size: s.Size}
+	return s.ms.Open()
+}
 
 // Next implements Operator.
-func (s *Scan) Next() (*Batch, error) {
-	if s.pos >= s.Src.n {
-		return nil, nil
-	}
-	hi := s.pos + s.Size
-	if hi > s.Src.n {
-		hi = s.Src.n
-	}
-	cols := make([]Col, len(s.Src.Cols))
-	for i := range s.Src.Cols {
-		c := &s.Src.Cols[i]
-		cols[i] = Col{Kind: c.Kind}
-		switch c.Kind {
-		case KindInt:
-			cols[i].Ints = c.Ints[s.pos:hi]
-		case KindFloat:
-			cols[i].Floats = c.Floats[s.pos:hi]
-		case KindBool:
-			cols[i].Bools = c.Bools[s.pos:hi]
-		}
-	}
-	s.b = Batch{N: hi - s.pos, Cols: cols}
-	s.pos = hi
-	return &s.b, nil
-}
+func (s *Scan) Next() (*Batch, error) { return s.ms.Next() }
 
 // Close implements Operator.
 func (s *Scan) Close() error { return nil }
