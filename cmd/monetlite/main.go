@@ -11,12 +11,14 @@
 //	monetlite -recycle        # enable the intermediate-result recycler
 //	monetlite -connect host:p # drive a remote monetlited instead of a local DB
 //
-// Shell extras: \q quits, \t lists tables, \plan SQL shows how a SELECT
-// would execute (vectorized pipeline or MAL program), \checkpoint
-// forces a checkpoint (atomic save + WAL truncate) of a -d database,
-// and \vacuum merges delete tombstones so tables re-qualify for the
-// vectorized path. With -connect, \t and \plan go over the wire;
-// \checkpoint and \vacuum are server-side concerns and report so.
+// Shell commands: \q quits the prompt, \t lists tables, \plan SQL shows
+// how a SELECT would execute (vectorized pipeline or MAL program),
+// \checkpoint forces a checkpoint (atomic save + WAL truncate) of a -d
+// database, and \vacuum merges delete tombstones so tables re-qualify
+// for the vectorized path. They work wherever a statement does: at the
+// prompt, as -e '\plan SELECT ...', and as a ;-terminated statement of a
+// -f script. With -connect, \t and \plan go over the wire; \checkpoint
+// and \vacuum are server-side concerns and report so.
 //
 // SIGTERM cancels the in-flight statement, waits briefly for the
 // session to unwind, then runs the deferred Close — so a -d database
@@ -35,6 +37,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	"repro/client"
 	"repro/engine"
@@ -295,44 +298,12 @@ func session(ctx context.Context, sh shellConn, exec, file string) int {
 	fmt.Print("sql> ")
 	for sc.Scan() {
 		line := sc.Text()
-		switch {
-		case strings.TrimSpace(line) == `\q`:
-			return 0
-		case strings.TrimSpace(line) == `\t`:
-			tables, err := sh.Tables()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
+		if cmd := strings.TrimSpace(line); strings.HasPrefix(cmd, `\`) {
+			if cmd == `\q` {
+				return 0
 			}
-			for _, t := range tables {
-				fmt.Println(" ", t)
-			}
-			fmt.Print("sql> ")
-			continue
-		case strings.TrimSpace(line) == `\checkpoint`:
-			msg, err := sh.Checkpoint()
-			if err != nil {
+			if err := run(ctx, sh, cmd); err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
-			} else {
-				fmt.Println(msg)
-			}
-			fmt.Print("sql> ")
-			continue
-		case strings.TrimSpace(line) == `\vacuum`:
-			msg, err := sh.Vacuum()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-			} else {
-				fmt.Println(msg)
-			}
-			fmt.Print("sql> ")
-			continue
-		case strings.HasPrefix(strings.TrimSpace(line), `\plan `):
-			sql := strings.TrimPrefix(strings.TrimSpace(line), `\plan `)
-			plan, err := sh.Plan(sql)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-			} else {
-				fmt.Println(plan)
 			}
 			fmt.Print("sql> ")
 			continue
@@ -373,12 +344,53 @@ func splitStatements(src string) []string {
 	return out
 }
 
-// run prepares and executes one statement; SELECT results stream
-// through the cursor row by row. Ctrl-C cancels the statement (checked
-// at morsel boundaries in the parallel pipeline; with -connect the
-// cancellation crosses the wire as a Cancel frame) without killing the
-// shell; SIGTERM cancels it through the parent context.
+// meta runs cmd if it is a shell command (\t, \plan SQL, \checkpoint,
+// \vacuum) and reports whether it was one. The commands are part of
+// the statement language of all three modes — prompt, -e and -f — so a
+// script can ask for a plan.
+func meta(sh shellConn, cmd string) (bool, error) {
+	if !strings.HasPrefix(cmd, `\`) {
+		return false, nil
+	}
+	var out string
+	var err error
+	name, arg := cmd, ""
+	if i := strings.IndexFunc(cmd, unicode.IsSpace); i >= 0 {
+		name, arg = cmd[:i], strings.TrimSpace(cmd[i:])
+	}
+	switch name {
+	case `\t`:
+		var tables []string
+		tables, err = sh.Tables()
+		for _, t := range tables {
+			out += "  " + t + "\n"
+		}
+		out = strings.TrimSuffix(out, "\n")
+	case `\plan`:
+		out, err = sh.Plan(arg)
+	case `\checkpoint`:
+		out, err = sh.Checkpoint()
+	case `\vacuum`:
+		out, err = sh.Vacuum()
+	default:
+		err = fmt.Errorf(`unknown command %s (\q, \t, \plan SQL, \checkpoint, \vacuum)`, name)
+	}
+	if err == nil && out != "" {
+		fmt.Println(out)
+	}
+	return true, err
+}
+
+// run executes one shell command, or prepares and executes one
+// statement; SELECT results stream through the cursor row by row.
+// Ctrl-C cancels the statement (checked at morsel boundaries in the
+// parallel pipeline; with -connect the cancellation crosses the wire as
+// a Cancel frame) without killing the shell; SIGTERM cancels it through
+// the parent context.
 func run(parent context.Context, sh shellConn, sql string) error {
+	if isMeta, err := meta(sh, strings.TrimSpace(sql)); isMeta {
+		return err
+	}
 	ctx, stop := signal.NotifyContext(parent, os.Interrupt)
 	defer stop()
 

@@ -120,7 +120,8 @@
 // aggregates, GROUP BY of any number of INT keys (composite hash),
 // aggregates over arithmetic expressions (a nil-propagating
 // pre-projection feeds the aggregate), ORDER BY (per-worker sorted
-// runs + k-way merge, LIMIT pushed into both stages), N-table INT
+// runs + k-way merge on one normalized-key kernel; under a LIMIT every
+// run is a bounded top-N selection behind a shared cutoff), N-table INT
 // equi-join trees, GROUP BY and ORDER BY over join output, and
 // IS [NOT] NULL filters via nil-sentinel primitives.
 //
@@ -154,8 +155,12 @@
 //
 //	\plan SELECT x FROM t WHERE y > 1 ORDER BY x DESC LIMIT 3
 //	vectorized pipeline (physical plan, morsel-parallel exchange):
-//	    scan t -> filter[col1 > lit] -> sort-runs[col0 desc limit 3] -> exchange -> merge-runs -> project
+//	    scan t -> filter[col1 > lit] -> top-n[col0 desc limit 3] -> exchange -> merge-runs -> project
 //	scan t: 3/10 zones, 2832/10000 rows
+//	sort t: 2832 rows in, 1038 past cutoff, 2 compactions, 3 kept, 0 spilled runs
+//
+// (without the LIMIT the stage reads sort-runs[col0 desc] and the sort
+// line "2832 rows in, 2832 kept, 0 spilled runs")
 //
 //	\plan SELECT t.x, u.w FROM t JOIN u ON t.k = u.k
 //	vectorized pipeline (physical plan, morsel-parallel exchange):
@@ -186,7 +191,11 @@
 //     results order-insensitively.
 //   - ORDER BY fixes the sequence of SORT-KEY values, with LIMIT
 //     cutting that sequence; which of several rows with equal sort
-//     keys comes first is not promised by the contract. (Over join and
+//     keys comes first is not promised by the contract. (The vector
+//     path does fix it — ties break on table row order, DESC the exact
+//     reverse — and a LIMIT, which selects its rows behind a running
+//     cutoff instead of sorting all of them, returns the same rows in
+//     the same tie order as the full sort cut short. Over join and
 //     grouped output both engines additionally break ties by every
 //     output column left to right — see the join-ordering chapter —
 //     which tests of those shapes may rely on.)
@@ -231,7 +240,9 @@
 // under the budget. ORDER BY becomes an external sort — over-grant
 // buffers spill as sorted runs (vector.SortRun), k-way merged with the
 // in-memory runs by vector.MergeRuns, holding one vector-sized chunk
-// per spilled run. Grouping and joins re-plan mid-query to grace hash
+// per spilled run; an ORDER BY with a LIMIT buffers at most 2·LIMIT
+// rows per worker and spills only when LIMIT rows alone outgrow the
+// budget. Grouping and joins re-plan mid-query to grace hash
 // (internal/physical/grace.go): inputs radix-partition into spill
 // files by radix.PartitionOf — the top bits of the key hash multiplied
 // once more: the tables built over a partition slot on the top bits of

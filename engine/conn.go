@@ -164,12 +164,14 @@ func (c *Conn) Plan(sql string) (string, error) {
 // observe runs ONE instrumented execution of a lowered query and
 // renders what it saw: per scanned table, the zones and rows data
 // skipping left of it (decided at bind, from this snapshot's zone maps
-// and the statement's constants), and for a join the order the sampled
-// greedy orderer chose — per step, the estimated intermediate
-// cardinality against the measured one, which takes draining the
-// result. Both are per-execution decisions, so \plan reports an
-// observation, not a promise. Parameterized statements have no argument
-// values to execute with and report structure only.
+// and the statement's constants); for an ORDER BY, how many rows
+// reached the sort and how many a LIMIT's cutoff let through; and for a
+// join the order the sampled greedy orderer chose — per step, the
+// estimated intermediate cardinality against the measured one. The
+// last two take draining the result. All are per-execution decisions,
+// so \plan reports an observation, not a promise. Parameterized
+// statements have no argument values to execute with and report
+// structure only.
 func (c *Conn) observe(sel *sqlfe.Select, phys *physical.Plan, names []string, snap *sqlfe.Snapshot) string {
 	if sqlfe.NumParams(sel) > 0 {
 		return "scans and join order: decided per execution (parameterized; run the statement to observe them)"
@@ -183,7 +185,7 @@ func (c *Conn) observe(sel *sqlfe.Select, phys *physical.Plan, names []string, s
 	out := ""
 	if err == nil && fb == nil {
 		r := newVecRows(context.Background(), names, res.Op, res.Limit)
-		for len(sel.Joins) > 0 && r.Next() {
+		for (len(sel.Joins) > 0 || stats.Sort != nil) && r.Next() {
 		}
 		_ = r.Close()
 		out = stats.Describe()

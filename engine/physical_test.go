@@ -108,7 +108,7 @@ func TestNewShapesRoute(t *testing.T) {
 	conn := db.Conn()
 
 	cases := []struct{ q, marker string }{
-		{"SELECT a, b FROM t ORDER BY b DESC LIMIT 3", "sort-runs[col1 desc limit 3]"},
+		{"SELECT a, b FROM t ORDER BY b DESC LIMIT 3", "top-n[col1 desc limit 3]"},
 		{"SELECT a, f FROM t ORDER BY f", "sort-runs["},
 		{"SELECT a FROM t ORDER BY b", "merge-runs"}, // unprojected sort key
 		{"SELECT t.b, u.w FROM t JOIN u ON t.a = u.a WHERE b > 0", "hash-join["},
@@ -163,7 +163,7 @@ func TestOrderByVectorVsMALOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(plan, "sort-runs[") {
+			if !strings.Contains(plan, "sort-runs[") && !strings.Contains(plan, "top-n[") {
 				t.Fatalf("%s: expected sorted vector routing, got:\n%s", q, plan)
 			}
 			got := collect(t)(conn.Query(bg, q))

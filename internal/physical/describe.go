@@ -21,14 +21,14 @@ func (p *Plan) Describe() string {
 		case *SortNode:
 			if jt, ok := child.Child.(*JoinTreeNode); ok {
 				describeJoinTree(&sb, jt)
-				fmt.Fprintf(&sb, " -> sort-runs[col%d%s%s, canonical value ties] -> exchange -> merge-runs -> project",
-					child.Key, descSuffix(child.Desc), limitSuffix(child.Limit))
+				fmt.Fprintf(&sb, " -> %s[col%d%s%s, canonical value ties] -> exchange -> merge-runs -> project",
+					sortName(child.Limit), child.Key, descSuffix(child.Desc), limitSuffix(child.Limit))
 				break
 			}
 			sb.WriteString("    ")
 			describePipe(&sb, child.Child)
-			fmt.Fprintf(&sb, " -> sort-runs[col%d%s%s] -> exchange -> merge-runs -> project",
-				child.Key, descSuffix(child.Desc), limitSuffix(child.Limit))
+			fmt.Fprintf(&sb, " -> %s[col%d%s%s] -> exchange -> merge-runs -> project",
+				sortName(child.Limit), child.Key, descSuffix(child.Desc), limitSuffix(child.Limit))
 		case *JoinTreeNode:
 			describeJoinTree(&sb, child)
 			sb.WriteString(" -> project -> exchange")
@@ -69,13 +69,22 @@ func (p *Plan) Describe() string {
 }
 
 // Describe renders what one instrumented execution observed: per leaf,
-// what data skipping left of its scan; then, for a join, which leaf the
-// greedy orderer streamed and per join step the build side with its
-// sampled estimate against the measured output cardinality.
+// what data skipping left of its scan; for an ORDER BY, how many rows
+// reached the sort, how many of them a LIMIT's cutoff let through, and
+// what came out; then, for a join, which leaf the greedy orderer
+// streamed and per join step the build side with its sampled estimate
+// against the measured output cardinality.
 func (s *ExecStats) Describe() string {
 	var sb strings.Builder
 	for _, sc := range s.Scans {
 		fmt.Fprintf(&sb, "scan %s: %d/%d zones, %d/%d rows\n", sc.Table, sc.ZonesKept, sc.Zones, sc.Rows, sc.TableRows)
+	}
+	if st := s.Sort; st != nil {
+		fmt.Fprintf(&sb, "sort %s: %d rows in, ", st.Input, st.RowsIn.Load())
+		if c := st.Compactions.Load(); c > 0 {
+			fmt.Fprintf(&sb, "%d past cutoff, %d compactions, ", st.PastCutoff.Load(), c)
+		}
+		fmt.Fprintf(&sb, "%d kept, %d spilled runs\n", st.Kept.Load(), st.SpilledRuns.Load())
 	}
 	if len(s.Joins) == 0 {
 		return strings.TrimRight(sb.String(), "\n")
@@ -164,6 +173,15 @@ func descSuffix(desc bool) string {
 		return " desc"
 	}
 	return ""
+}
+
+// sortName names the run stage: under a LIMIT the runs are bounded
+// top-N selections, not sorts of everything that qualifies.
+func sortName(limit int) string {
+	if limit >= 0 {
+		return "top-n"
+	}
+	return "sort-runs"
 }
 
 func limitSuffix(limit int) string {

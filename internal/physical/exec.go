@@ -898,6 +898,12 @@ func (p *Plan) execSort(ctx context.Context, snap *sqlfe.Snapshot, args []any, o
 	useRowIDs := len(ties) == 0
 	runs := &vector.RunSet{}
 	sink := opts.sink()
+	if opts.Stats != nil {
+		opts.Stats.Sort = &SortStat{Input: "join output", SortStats: &runs.Stats}
+		if scan, _, err := pipe(sn.Child); err == nil {
+			opts.Stats.Sort.Input = scan.Table
+		}
+	}
 
 	if pl.mkSerial != nil {
 		sr := &vector.SortRun{Child: pl.mkSerial(), Key: key, RowID: -1, Ties: ties, Desc: sn.Desc, Limit: sn.Limit,
@@ -917,7 +923,7 @@ func (p *Plan) execSort(ctx context.Context, snap *sqlfe.Snapshot, args []any, o
 		rowID = pl.width
 	}
 	workers := opts.workers()
-	if !radix.ShouldParallelSort(pl.src.ScanRows(), workers) {
+	if !radix.ShouldParallelSort(pl.src.ScanRows(), sn.Limit, workers) {
 		// One run: the sort cost model says the merge machinery is pure
 		// overhead here (tiny or single-worker input).
 		workers = 1
@@ -1113,7 +1119,7 @@ func (p *Plan) execGrouped(ctx context.Context, snap *sqlfe.Snapshot, args []any
 			}
 			return nil, nil, err
 		}
-		return p.finishGrouped(merged, g)
+		return p.finishGrouped(merged, g, opts.Stats)
 	}
 
 	// Plan choice: the shared-nothing radix-partitioned plan needs raw
@@ -1150,34 +1156,43 @@ func (p *Plan) execGrouped(ctx context.Context, snap *sqlfe.Snapshot, args []any
 	if err != nil {
 		return nil, nil, err
 	}
-	return p.finishGrouped(merged, g)
+	return p.finishGrouped(merged, g, opts.Stats)
 }
 
 // finishGrouped shapes a merged [keys..., accs...] batch into the
 // select-list columns and applies the grouped ORDER BY, emitting the
 // whole result as one batch.
-func (p *Plan) finishGrouped(merged *vector.Batch, g *GroupAggNode) (*Result, *Fallback, error) {
-	shaped := shapeGrouped(merged, g)
-	if g.OrderBy >= 0 && merged.N > 1 {
+func (p *Plan) finishGrouped(merged *vector.Batch, g *GroupAggNode, stats *ExecStats) (*Result, *Fallback, error) {
+	out := &vector.Batch{N: merged.N, Cols: shapeGrouped(merged, g)}
+	if g.OrderBy >= 0 && merged.N > 1 && p.Limit != 0 {
 		// Sort by the chosen output item; ties break on the full group-key
 		// tuple (group rows are unique on it, so the order is total) —
 		// the same canonical order the MAL program's stable-sort chain
-		// produces.
-		nk := len(g.Keys)
-		comb := make([]vector.Col, 0, len(shaped)+nk)
-		comb = append(comb, shaped...)
-		ties := make([]int, 0, nk)
-		for ki := 0; ki < nk; ki++ {
-			comb = append(comb, merged.Cols[ki])
-			ties = append(ties, len(shaped)+ki)
+		// produces. The groups run through the one sort operator, so a
+		// LIMIT selects its top groups instead of ordering all of them.
+		nk, ns := len(g.Keys), len(out.Cols)
+		comb := append(out.Cols[:ns:ns], merged.Cols[:nk]...)
+		ties := make([]int, nk)
+		for ki := range ties {
+			ties[ki] = ns + ki
 		}
-		perm, err := vector.SortedPerm(comb, merged.N, g.OrderBy, ties, g.OrderDesc)
+		src, err := vector.NewSourceWithLen(make([]string, len(comb)), comb, merged.N)
 		if err != nil {
 			return nil, nil, err
 		}
-		shaped = vector.ApplyPerm(shaped, perm)
+		runs := &vector.RunSet{}
+		if stats != nil {
+			stats.Sort = &SortStat{Input: "groups", SortStats: &runs.Stats}
+		}
+		sorted, err := drainOne(&vector.SortRun{Child: vector.NewScan(src, 0), Key: g.OrderBy, RowID: -1,
+			Ties: ties, Desc: g.OrderDesc, Limit: p.Limit, Runs: runs})
+		if err != nil {
+			return nil, nil, err
+		}
+		runs.Stats.Kept.Add(int64(sorted.N))
+		out = &vector.Batch{N: sorted.N, Cols: sorted.Cols[:ns]}
 	}
-	op := &batchOp{b: &vector.Batch{N: merged.N, Cols: shaped}}
+	op := &batchOp{b: out}
 	if err := op.Open(); err != nil {
 		return nil, nil, err
 	}

@@ -294,7 +294,7 @@ func (p *Plan) graceGrouped(ctx context.Context, opts Options, mk func() vector.
 	if err != nil {
 		return nil, nil, err
 	}
-	return p.finishGrouped(merged, g)
+	return p.finishGrouped(merged, g, opts.Stats)
 }
 
 // collectMerged drains a raw-mode graceGroupOp, concatenating the

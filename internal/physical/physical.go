@@ -113,6 +113,15 @@ type ExecStats struct {
 	Scans  []ScanStat // one per bound leaf, in FROM order, filled at bind
 	Stream string     // name of the streamed (probe) leaf table
 	Joins  []JoinStat // one per executed join step, in execution order
+	Sort   *SortStat  // what the ORDER BY did; nil when nothing was sorted
+}
+
+// SortStat is one executed ORDER BY: what it ordered and the live
+// counters its runs and merge fill in (complete once the result is
+// drained).
+type SortStat struct {
+	Input string // a table name, "join output" or "groups"
+	*vector.SortStats
 }
 
 // ScanStat is what data skipping left of one leaf's scan: the zones of
@@ -320,7 +329,8 @@ func (*GroupAggNode) node() {}
 
 // SortNode orders its child by one key column: per-worker sorted runs
 // (vector.SortRun over the morsels each worker claimed) k-way merged by
-// vector.MergeRuns, with LIMIT pushed into both stages.
+// vector.MergeRuns. A LIMIT makes every run a bounded top-N selection
+// behind a cutoff the workers share, and stops the merge.
 //
 // Over a single table, ties break on the global row id, so the order
 // is exactly the MAL interpreter's stable sort (descending = its exact

@@ -194,9 +194,19 @@ func SortCost(n, workers int) (serialNS, parallelNS float64) {
 // plan (the merge heap and the extra materialization pass are pure
 // overhead when the whole input is L2-resident); past that the
 // cache-resident runs win even before the CPU-parallel speedup.
-func ShouldParallelSort(n, workers int) bool {
+//
+// A limit in [0, n) makes the sort a top-N selection, which SortCost
+// does not describe: each run is one sequential traversal of its
+// morsels beside a cache-resident 2·limit-row buffer, and the merge
+// reads workers×limit rows. The two plans then differ in no memory cost
+// the model could trade — only the scan parallelizes — so every worker
+// the exchange has a morsel for gets a run.
+func ShouldParallelSort(n, limit, workers int) bool {
 	if workers <= 1 {
 		return false
+	}
+	if limit >= 0 && limit < n {
+		return true
 	}
 	serial, parallel := SortCost(n, workers)
 	return parallel < serial

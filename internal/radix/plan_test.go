@@ -37,3 +37,26 @@ func TestJoinCostSanity(t *testing.T) {
 		t.Fatalf("flat cost not increasing with size: %g then %g", f1, f2)
 	}
 }
+
+// A LIMIT below the input size makes the sort a top-N selection the
+// n·log n patterns do not describe: it always takes every worker it is
+// offered, whatever SortCost says of a full sort over the same rows. A
+// LIMIT the input cannot reach is a full sort and the model decides.
+func TestShouldParallelSortTopN(t *testing.T) {
+	for _, n := range []int{2, 4096, 1 << 16, 1 << 24} {
+		for _, limit := range []int{0, 1, n - 1} {
+			if ShouldParallelSort(n, limit, 1) {
+				t.Errorf("n=%d limit=%d: one worker cannot run a parallel plan", n, limit)
+			}
+			if !ShouldParallelSort(n, limit, 4) {
+				t.Errorf("n=%d limit=%d: a top-N run should take every worker", n, limit)
+			}
+		}
+		serial, parallel := SortCost(n, 4)
+		for _, limit := range []int{-1, n, n + 1} {
+			if got := ShouldParallelSort(n, limit, 4); got != (parallel < serial) {
+				t.Errorf("n=%d limit=%d: full sort must follow the cost model, got %v", n, limit, got)
+			}
+		}
+	}
+}

@@ -102,12 +102,15 @@ func TestExternalSortMatchesInMemory(t *testing.T) {
 	src := sortInput(20000)
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, desc := range []bool{false, true} {
-			for _, limit := range []int{-1, 137} {
+			for _, limit := range []int{-1, 137, 15000} {
 				want, err := externalSort(t, src, 0, workers, limit, desc, nil, nil)
 				if err != nil {
 					t.Fatalf("in-memory sort: %v", err)
 				}
-				// ~32KB budget across all workers: every worker must spill.
+				// ~32KB budget across all workers: every worker of a full sort,
+				// or of a top-N whose LIMIT rows outgrow it, must spill. A
+				// LIMIT 137 run is bounded at 2*137 rows plus a vector (~8KB):
+				// one or two of them fit and never spill.
 				res := memgov.New(32<<10, memgov.Spill)
 				var spills atomic.Int32 // sink runs on concurrent workers
 				sink := SpillSink(func(label string) (SpillWriter, error) {
@@ -118,8 +121,10 @@ func TestExternalSortMatchesInMemory(t *testing.T) {
 				if err != nil {
 					t.Fatalf("external sort (w=%d desc=%v limit=%d): %v", workers, desc, limit, err)
 				}
-				if spills.Load() == 0 {
+				if n := spills.Load(); limit != 137 && n == 0 {
 					t.Fatalf("w=%d desc=%v limit=%d: budget never forced a spill", workers, desc, limit)
+				} else if limit == 137 && workers <= 2 && n != 0 {
+					t.Fatalf("w=%d desc=%v limit=%d: a bounded top-N that fits the budget spilled %d runs", workers, desc, limit, n)
 				}
 				if len(got) != len(want) {
 					t.Fatalf("w=%d desc=%v limit=%d: %d rows, want %d", workers, desc, limit, len(got), len(want))

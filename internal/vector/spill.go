@@ -7,7 +7,11 @@ package vector
 // threads it — together with the query's memgov.Reservation — into the
 // operators that can exceed their grant (SortRun, Agg, join builds).
 
-import "sync"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
 // SpillWriter receives the chunks of ONE spilled run or partition.
 // Implementations must apply the batch's selection vector (writes are
@@ -36,13 +40,47 @@ type SpillReader interface {
 // fail instead.
 type SpillSink func(label string) (SpillWriter, error)
 
-// RunSet collects the spilled runs of one sort across its parallel
-// workers: each SortRun registers the runs it spilled, and MergeRuns
-// takes them all once the Exchange barrier guarantees every worker is
-// done. Safe for concurrent Add.
+// RunSet is what the parallel workers of ONE execution of one sort
+// share with each other and with its merge: the runs they spilled (each
+// SortRun registers its own, and MergeRuns takes them all once the
+// Exchange barrier guarantees every worker is done), the best top-N
+// cutoff any of them has proven, and the counters saying what the sort
+// did. The zero value is ready; all of it is safe for concurrent use.
 type RunSet struct {
-	mu   sync.Mutex
-	runs []SpillRun
+	Stats SortStats
+
+	// bound is the COMPLEMENT of the cutoff, so the zero value means "no
+	// cutoff yet" and tightening is a monotone max.
+	bound atomic.Uint64
+	mu    sync.Mutex
+	runs  []SpillRun
+}
+
+// SortStats counts what one sort did, summed over its workers.
+type SortStats struct {
+	RowsIn      atomic.Int64 // rows the runs received from their pipelines
+	PastCutoff  atomic.Int64 // of those, rows at or before the top-N cutoff, i.e. buffered (all of them without a LIMIT)
+	Compactions atomic.Int64 // times a top-N buffer was sorted and cut back to LIMIT rows
+	Kept        atomic.Int64 // rows the merge emitted
+	SpilledRuns atomic.Int64 // runs written to spill files
+}
+
+// noCutoff is the cutoff no row is behind.
+const noCutoff = math.MaxUint64
+
+// cutoff returns the smallest directed key at or before which some
+// worker holds a full LIMIT rows; a row with a larger key cannot be in
+// the answer.
+func (rs *RunSet) cutoff() uint64 { return ^rs.bound.Load() }
+
+// tighten publishes k as the cutoff unless a tighter one already stands.
+func (rs *RunSet) tighten(k uint64) {
+	for {
+		cur := rs.bound.Load()
+		if ^k <= cur || rs.bound.CompareAndSwap(cur, ^k) {
+			return
+		}
+	}
 }
 
 // Add registers one sealed run.
