@@ -108,15 +108,31 @@
 //
 // # Physical plans
 //
-// SELECTs route through internal/physical: a planner walks the parsed
-// AST and emits a tree of composable operators — Scan, Filter,
-// Project, HashJoin, GroupAgg, Sort — each instantiated on the
+// A SELECT is bound ONCE, by sqlfe.Snapshot.Bind: tables in FROM/JOIN
+// order, WHERE conjuncts as (table, column, type, op, typed literal or
+// placeholder), JOIN edges oriented (prior column, new column), the
+// select list * expanded and labelled with type-annotated expression
+// trees, the shape (plain / global aggregate / grouped) with its
+// legality rules, group keys, ORDER BY resolved to an output item or an
+// unprojected column, placeholder types. Every error a SELECT can fail
+// to compile with is a binder error. Both back-ends translate that one
+// sqlfe.Bound and cannot fail on user input: Bound.CompileMAL always
+// generates a program, and internal/physical's planner
+// (physical.LowerBound) emits a tree of composable operators — Scan,
+// Filter, Project, HashJoin, GroupAgg, Sort — each instantiated on the
 // morsel-parallel vector engine, or a typed fallback decision whose
 // machine-readable reason \plan surfaces (no statement runs on MAL
-// silently). Eligibility is per operator: a text column falls back
-// with reason=text-column, a TEXT join key with reason=join-key-not-int,
-// tombstoned rows with reason=deletes-present (data-dependent, per
-// snapshot). Lowered shapes include scan/filter/project, global
+// silently). A fallback only ROUTES: it says what the vector engine
+// does not do, never that the statement is wrong. There are eight
+// reasons. Seven are structural, per operator: text-column (a TEXT
+// column anywhere in the pipeline), expression-in-select (plain,
+// non-aggregated arithmetic items), aggregate-unsupported (an
+// aggregate with no vector accumulator; none today), group-key-not-int,
+// group-by-star, order-key-not-sortable (a TEXT sort key, or ORDER BY
+// over a global aggregate's one row), join-key-not-int (any edge). One
+// is data-dependent, per snapshot: deletes-present (tombstoned rows
+// need the deleted filter the positional scan lacks). Lowered shapes
+// include scan/filter/project, global
 // aggregates, GROUP BY of any number of INT keys (composite hash),
 // aggregates over arithmetic expressions (a nil-propagating
 // pre-projection feeds the aggregate), ORDER BY (per-worker sorted

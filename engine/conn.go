@@ -142,17 +142,18 @@ func (c *Conn) Plan(sql string) (string, error) {
 		return "", fmt.Errorf("engine: Plan takes a SELECT")
 	}
 	snap := c.snapshot()
-	prog, _, err := snap.CompileSelectBound(sel)
+	b, err := snap.Bind(sel)
 	if err != nil {
 		return "", err
 	}
-	phys, fb := physical.Lower(sel, snap)
+	prog := b.CompileMAL()
+	phys, fb := physical.LowerBound(b)
 	if phys != nil {
 		if dfb := phys.DataFallback(snap); dfb != nil {
 			fb = dfb
 		} else {
 			out := phys.Describe()
-			if obs := c.observe(sel, phys, prog.ResultNames, snap); obs != "" {
+			if obs := c.observe(sel, phys, snap); obs != "" {
 				out += "\n" + obs
 			}
 			return out + "\nMAL fallback:\n" + prog.String(), nil
@@ -172,7 +173,7 @@ func (c *Conn) Plan(sql string) (string, error) {
 // so \plan reports an observation, not a promise. Parameterized
 // statements have no argument values to execute with and report
 // structure only.
-func (c *Conn) observe(sel *sqlfe.Select, phys *physical.Plan, names []string, snap *sqlfe.Snapshot) string {
+func (c *Conn) observe(sel *sqlfe.Select, phys *physical.Plan, snap *sqlfe.Snapshot) string {
 	if sqlfe.NumParams(sel) > 0 {
 		return "scans and join order: decided per execution (parameterized; run the statement to observe them)"
 	}
@@ -184,7 +185,7 @@ func (c *Conn) observe(sel *sqlfe.Select, phys *physical.Plan, names []string, s
 	res, fb, err := phys.Execute(context.Background(), snap, nil, popts)
 	out := ""
 	if err == nil && fb == nil {
-		r := newVecRows(context.Background(), names, res.Op, res.Limit)
+		r := newVecRows(context.Background(), phys.Names, res.Op, res.Limit)
 		for (len(sel.Joins) > 0 || stats.Sort != nil) && r.Next() {
 		}
 		_ = r.Close()

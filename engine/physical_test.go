@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -446,5 +447,63 @@ func TestIsNullShortCircuitOnNoNilColumns(t *testing.T) {
 		if err := sameMultiset(got, oracle.Rows); err != nil {
 			t.Fatalf("%s vs oracle: %v", tc.q, err)
 		}
+	}
+}
+
+// LIMIT cuts a global aggregate's one row on both engines: the MAL
+// program applies it as the vector plan does. The TEXT predicate is what
+// routes the second statement of each pair to MAL in production.
+func TestGlobalAggregateLimit(t *testing.T) {
+	db, _ := Open()
+	defer db.Close()
+	mustExec(t, db, "CREATE TABLE t (a INT, s TEXT)")
+	mustExec(t, db, "INSERT INTO t VALUES (1, 'x'), (2, 'x'), (3, 'y')")
+	conn := db.Conn()
+	for _, tc := range []struct {
+		q      string
+		vector bool
+		want   [][]any
+	}{
+		{"SELECT count(*), sum(a) FROM t LIMIT 0", true, nil},
+		{"SELECT count(*), sum(a) FROM t WHERE s = 'x' LIMIT 0", false, nil},
+		{"SELECT count(*), sum(a) FROM t WHERE s = ? LIMIT 0", false, nil},
+		{"SELECT count(*), sum(a) FROM t LIMIT 1", true, [][]any{{int64(3), int64(6)}}},
+		{"SELECT count(*), sum(a) FROM t WHERE s = 'x' LIMIT 1", false, [][]any{{int64(2), int64(3)}}},
+		{"SELECT count(*), sum(a) FROM t WHERE s = 'x' LIMIT 5", false, [][]any{{int64(2), int64(3)}}},
+	} {
+		plan, err := conn.Plan(tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.q, err)
+		}
+		if got := strings.HasPrefix(plan, "vectorized"); got != tc.vector {
+			t.Fatalf("%s: vector-routed = %v, want %v:\n%s", tc.q, got, tc.vector, plan)
+		}
+		var args []any
+		if strings.Contains(tc.q, "?") {
+			args = []any{"x"}
+		}
+		if got := collect(t)(conn.Query(bg, tc.q, args...)); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: rows %v, want %v", tc.q, got, tc.want)
+		}
+	}
+}
+
+// The statements that used to reach the interpreter and panic it are
+// binder errors (aggregates over TEXT) or run (a lone FLOAT group key,
+// which the vector engine routes to MAL).
+func TestFormerInterpreterPanics(t *testing.T) {
+	db, _ := Open()
+	defer db.Close()
+	mustExec(t, db, "CREATE TABLE t (a INT, f FLOAT, s TEXT)")
+	mustExec(t, db, "INSERT INTO t VALUES (1, 1.5, 'x'), (2, 1.5, 'y'), (3, NULL, 'x')")
+	conn := db.Conn()
+	for _, q := range []string{"SELECT sum(s) FROM t", "SELECT a, max(s) FROM t GROUP BY a", "SELECT avg(s) FROM t"} {
+		if _, err := conn.Prepare(q); err == nil || !strings.Contains(err.Error(), "over a text column is not supported") {
+			t.Errorf("%s: %v", q, err)
+		}
+	}
+	got := collect(t)(conn.Query(bg, "SELECT f, count(*) AS n, count(s) FROM t GROUP BY f ORDER BY n"))
+	if want := [][]any{{nil, int64(1), int64(1)}, {1.5, int64(2), int64(2)}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("GROUP BY f: %v, want %v", got, want)
 	}
 }

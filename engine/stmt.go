@@ -92,15 +92,14 @@ func (s *Stmt) plan(snap *sqlfe.Snapshot) (*mal.Program, []sqlfe.ColType, *physi
 	ver := snap.SchemaVersion()
 	e, ok := s.conn.db.plans.get(s.sql, ver)
 	if !ok {
-		prog, ptypes, err := snap.CompileSelectBound(s.sel)
+		// Bind once: the binder's errors are the statement's errors, and
+		// both back-ends translate the same Bound.
+		b, err := snap.Bind(s.sel)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		phys, _ := physical.Lower(s.sel, snap)
-		if phys != nil {
-			phys.Names = prog.ResultNames
-		}
-		e = &planEntry{prog: prog, ptypes: ptypes, phys: phys}
+		phys, _ := physical.LowerBound(b)
+		e = &planEntry{prog: b.CompileMAL(), ptypes: b.ParamTypes, phys: phys}
 		s.conn.db.plans.put(s.sql, ver, e)
 	}
 	s.mu.Lock()

@@ -51,6 +51,23 @@ func Group(b *bat.BAT) GroupResult {
 	return groupInts(b.HSeq(), b.Ints())
 }
 
+// GroupFloat computes dense group ids over a float tail by grouping the
+// values' bit patterns: -0 groups with 0, and every NaN — the float nil
+// — is one key, so all NULLs form one group per SQL.
+func GroupFloat(b *bat.BAT) GroupResult {
+	fs := b.Floats()
+	keys := make([]int64, len(fs))
+	for i, f := range fs {
+		switch {
+		case bat.IsNilFloat(f):
+			keys[i] = bat.NilInt
+		case f != 0:
+			keys[i] = int64(math.Float64bits(f))
+		}
+	}
+	return groupInts(b.HSeq(), keys)
+}
+
 // groupInts groups rows by the tuple of the given equal-length int
 // columns. The first occurrence of gid g is its extent — ids are handed
 // out in first-seen order.

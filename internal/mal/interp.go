@@ -411,9 +411,12 @@ func (ip *Interp) exec(op string, args []Val) ([]Val, error) {
 			return nil, err
 		}
 		var g batalg.GroupResult
-		if b.TailType() == bat.TypeStr {
+		switch b.TailType() {
+		case bat.TypeStr:
 			g = batalg.GroupStr(b)
-		} else {
+		case bat.TypeFloat:
+			g = batalg.GroupFloat(b)
+		default:
 			g = batalg.Group(b)
 		}
 		return []Val{BATVal(g.IDs), BATVal(g.Extents), BATVal(g.Counts)}, nil

@@ -50,11 +50,9 @@ func (p *Plan) Execute(ctx context.Context, snap *sqlfe.Snapshot, args []any, op
 // surfaces execution-time routing without running the query.
 func (p *Plan) DataFallback(snap *sqlfe.Snapshot) *Fallback {
 	for _, s := range scanNodes(p.Root) {
-		t, err := snap.Table(s.Table)
-		if err != nil {
-			return fallback(ReasonUnknownTable, "%v", err)
-		}
-		if t.HasDeletes() {
+		// A plan only meets snapshots of the catalog version it was bound
+		// for; were the table gone, binding the scan reports it.
+		if t, err := snap.Table(s.Table); err == nil && t.HasDeletes() {
 			// Tombstoned positions would need the deleted filter; the
 			// positional scan has no notion of it.
 			return fallback(ReasonDeletesPresent, "table %s has tombstoned rows", s.Table)
@@ -239,10 +237,7 @@ func bindPreds(preds []Pred, bs *boundScan, args []any) (out []vector.Pred, keep
 			if p.Type == sqlfe.TInt {
 				vp.IntVal = lit.I
 			} else {
-				vp.FltVal = lit.F
-				if lit.Kind == sqlfe.TInt { // literal (unbound) int against float col
-					vp.FltVal = float64(lit.I)
-				}
+				vp.FltVal = lit.F // the binder widened an INT literal already
 			}
 		}
 		out = append(out, vp)

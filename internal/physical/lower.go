@@ -1,364 +1,174 @@
 package physical
 
 import (
-	"strconv"
-	"strings"
-
 	"repro/internal/sqlfe"
 	"repro/internal/vector"
 )
 
-// Lower walks a parsed SELECT and emits the physical-plan tree, or a
-// typed Fallback naming why the statement must run on the MAL
-// interpreter instead. Anything MAL cannot compile never reaches
-// execution (Prepare compiles the MAL program first and surfaces its
-// errors), so the checks here only decide ROUTING — per operator, not
-// per query shape.
+// Lower binds a parsed SELECT and lowers it. A statement that does not
+// bind has neither a plan nor a routing reason — (nil, nil): its error
+// is sqlfe.Snapshot.Bind's to report, which every caller that prepares
+// a statement has already asked for.
+func Lower(sel *sqlfe.Select, snap *sqlfe.Snapshot) (*Plan, *Fallback) {
+	b, err := snap.Bind(sel)
+	if err != nil {
+		return nil, nil
+	}
+	return LowerBound(b)
+}
+
+// LowerBound emits the physical-plan tree of a bound SELECT, or a typed
+// Fallback naming why the statement must run on the MAL interpreter
+// instead. The binder has already resolved every name and rejected
+// every illegal statement, so the checks here only decide ROUTING — per
+// operator, not per query shape — and a Fallback is never an error in
+// disguise.
 //
 // FROM/JOIN clauses of any length lower into one JoinTreeNode; GROUP
 // BY, global aggregates, ORDER BY and LIMIT all compose over it, so
 // N-way joins, grouped joins and ordered joins run vectorized. The
-// remaining structural fallbacks are per-column/per-operator: TEXT
-// anywhere in the pipeline, non-INT join or group keys, plain
-// (non-aggregated) arithmetic items, unsupported aggregate functions.
-func Lower(sel *sqlfe.Select, snap *sqlfe.Snapshot) (*Plan, *Fallback) {
-	p := &planner{sel: sel}
-	from, err := snap.Table(sel.From)
-	if err != nil {
-		return nil, fallback(ReasonUnknownTable, "%v", err)
-	}
-	p.tables = append(p.tables, from)
-	for _, j := range sel.Joins {
-		t, err := snap.Table(j.Table)
-		if err != nil {
-			return nil, fallback(ReasonUnknownTable, "%v", err)
-		}
-		for _, prev := range p.tables {
-			if prev.Name == t.Name {
-				// Self-joins are a MAL compile error; Prepare surfaces it.
-				return nil, fallback(ReasonUnknownTable, "table %q appears twice", t.Name)
-			}
-		}
-		p.tables = append(p.tables, t)
-	}
-	p.scans = make([]*ScanNode, len(p.tables))
-	for i, t := range p.tables {
+// structural fallbacks are per-column/per-operator: TEXT anywhere in
+// the pipeline, non-INT join or group keys, plain (non-aggregated)
+// arithmetic items.
+func LowerBound(b *sqlfe.Bound) (*Plan, *Fallback) {
+	p := &planner{b: b, scans: make([]*ScanNode, len(b.Tables)), preds: make([][]Pred, len(b.Tables))}
+	for i, t := range b.Tables {
 		p.scans[i] = &ScanNode{Table: t.Name}
 	}
-	p.preds = make([][]Pred, len(p.tables))
-	return p.lower()
+	// WHERE conjuncts route to the leaf owning their column.
+	for _, wp := range b.Where {
+		if fb := p.textFallback(wp.Col); fb != nil {
+			return nil, fb
+		}
+		p.preds[wp.Col.Table] = append(p.preds[wp.Col.Table],
+			Pred{Col: p.source(wp.Col), Op: wp.Op, Type: wp.Col.Type, Lit: wp.Val, Param: wp.Val.Param})
+	}
+	// JOIN edges, in textual order (Tables[k+1] joins the prefix).
+	for _, j := range b.Joins {
+		if j.New.Type != sqlfe.TInt {
+			// The shared open-addressing table keys int64; text joins stay
+			// on MAL's join_str.
+			return nil, fallback(ReasonJoinKeyType, "ON compares %s keys", j.New.Type)
+		}
+		p.edges = append(p.edges, JoinEdge{A: j.Prior.Table, B: j.New.Table, AKey: p.source(j.Prior), BKey: p.source(j.New)})
+	}
+	var root Node
+	var fb *Fallback
+	switch b.Shape {
+	case sqlfe.ShapeGrouped:
+		root, fb = p.lowerGrouped()
+	case sqlfe.ShapeGlobalAgg:
+		root, fb = p.lowerGlobalAggs()
+	default:
+		root, fb = p.lowerPlain()
+	}
+	if fb != nil {
+		return nil, fb
+	}
+	return &Plan{Root: root, Limit: b.Limit, Names: b.Names}, nil
 }
 
-// ref names one registered pipeline column as (leaf index, position
-// within that leaf's scan). Virtual positions — offsets into the
-// FROM-order concatenation of all leaves' columns — are only assigned
-// once lowering has registered EVERY column (late registrations grow
-// earlier leaves' layouts), so the planner carries refs and the final
-// node assembly converts them through virt().
-type ref struct{ ti, pos int }
-
-// planner carries one Lower invocation's state: the per-table scans
-// being populated with referenced columns, the predicate lists routed
-// to each, and the join edges in textual order.
+// planner carries one LowerBound invocation's state: the per-table
+// scans being populated with referenced columns, the predicate lists
+// routed to each, and the join edges in textual order.
 type planner struct {
-	sel    *sqlfe.Select
-	tables []*sqlfe.Table
-	scans  []*ScanNode
-	preds  [][]Pred
-	edges  []JoinEdge
+	b     *sqlfe.Bound
+	scans []*ScanNode
+	preds [][]Pred
+	edges []JoinEdge
 }
 
-// resolve finds which table owns a (possibly qualified) column name —
-// unqualified names take the FIRST match in FROM/JOIN order, the same
-// rule the MAL compiler applies, so both executors read the same
-// column.
-func (p *planner) resolve(name string) (ti, col int, ok bool) {
-	if i := strings.IndexByte(name, '.'); i >= 0 {
-		tbl, c := name[:i], name[i+1:]
-		for ti, t := range p.tables {
-			if t.Name == tbl {
-				c := colIndex(t, c)
-				return ti, c, c >= 0
-			}
-		}
-		return 0, -1, false
+// textFallback routes a TEXT column to MAL: the pipeline moves int and
+// float vectors only.
+func (p *planner) textFallback(c sqlfe.ColID) *Fallback {
+	if c.Type != sqlfe.TText {
+		return nil
 	}
-	for ti, t := range p.tables {
-		if c := colIndex(t, name); c >= 0 {
-			return ti, c, true
-		}
-	}
-	return 0, -1, false
+	t := p.b.Tables[c.Table]
+	return fallback(ReasonTextColumn, "column %s.%s is TEXT", t.Name, t.ColNames[c.Col])
 }
 
-// resolveJoinCol resolves one ON column for the join step bringing in
-// tables[k], mirroring the MAL compiler: only tables[0..k] are in
-// scope; unqualified names prefer the new table when preferNew is set,
-// prior tables in FROM order otherwise.
-func (p *planner) resolveJoinCol(name string, k int, preferNew bool) (ti, col int, ok bool) {
-	if i := strings.IndexByte(name, '.'); i >= 0 {
-		tbl, c := name[:i], name[i+1:]
-		for idx := 0; idx <= k; idx++ {
-			if p.tables[idx].Name == tbl {
-				ci := colIndex(p.tables[idx], c)
-				return idx, ci, ci >= 0
-			}
-		}
-		return 0, -1, false
-	}
-	if preferNew {
-		if ci := colIndex(p.tables[k], name); ci >= 0 {
-			return k, ci, true
-		}
-	}
-	for idx := 0; idx < k; idx++ {
-		if ci := colIndex(p.tables[idx], name); ci >= 0 {
-			return idx, ci, true
-		}
-	}
-	if ci := colIndex(p.tables[k], name); ci >= 0 {
-		return k, ci, true
-	}
-	return 0, -1, false
+// source registers a (non-TEXT) column in its leaf's scan on first use
+// and returns its position within that scan.
+func (p *planner) source(c sqlfe.ColID) int {
+	return p.scans[c.Table].col(c.Col, c.Type, p.b.Tables[c.Table].ColNames[c.Col])
 }
 
-func colIndex(t *sqlfe.Table, name string) int {
-	for i, c := range t.ColNames {
-		if c == name {
-			return i
-		}
+// sourceExpr registers every column an expression reads.
+func (p *planner) sourceExpr(e *sqlfe.BoundExpr) {
+	if e.Op == sqlfe.ExprCol {
+		p.source(e.Col)
+		return
 	}
-	return -1
+	p.sourceExpr(e.L)
+	if e.R != nil {
+		p.sourceExpr(e.R)
+	}
 }
 
-// source registers a table column in its leaf's scan, returning the
-// leaf-relative ref; a text column cannot cross into the vector engine.
-func (p *planner) source(ti, tableCol int) (ref, *Fallback) {
-	t := p.tables[ti]
-	pos, ok := p.scans[ti].col(tableCol, t.ColTypes[tableCol], t.ColNames[tableCol])
-	if !ok {
-		return ref{}, fallback(ReasonTextColumn, "column %s.%s is TEXT", t.Name, t.ColNames[tableCol])
-	}
-	return ref{ti: ti, pos: pos}, nil
-}
-
-// sourceRef resolves one column reference and registers it.
-func (p *planner) sourceRef(name string) (ref, *Fallback) {
-	ti, col, ok := p.resolve(name)
-	if !ok {
-		return ref{}, fallback(ReasonUnknownColumn, "cannot resolve column %q", name)
-	}
-	return p.source(ti, col)
-}
-
-// refType is the SQL type of a registered ref.
-func (p *planner) refType(r ref) sqlfe.ColType { return p.scans[r.ti].Types[r.pos] }
-
-// virt converts a ref to its virtual position — the FROM-order
-// concatenation of the leaves' (final) pipeline columns. For a
-// single-table plan virtual == pipeline position.
-func (p *planner) virt(r ref) int {
+// virt is a column's virtual position — its offset in the FROM-order
+// concatenation of the leaves' pipeline columns (for a single-table
+// plan, the pipeline position). Positions are final only once lowering
+// has registered EVERY column (late registrations grow earlier leaves'
+// layouts), so node assembly calls virt last.
+func (p *planner) virt(c sqlfe.ColID) int {
 	off := 0
-	for ti := 0; ti < r.ti; ti++ {
+	for ti := 0; ti < c.Table; ti++ {
 		off += len(p.scans[ti].Cols)
 	}
-	return off + r.pos
+	return off + p.source(c)
 }
 
 // child assembles the plan subtree producing the (virtual) pipeline:
 // a Filter-over-Scan for one table, a JoinTreeNode for many.
 func (p *planner) child() Node {
-	if len(p.tables) == 1 {
+	if len(p.scans) == 1 {
 		var n Node = p.scans[0]
 		if len(p.preds[0]) > 0 {
 			n = &FilterNode{Child: n, Preds: p.preds[0]}
 		}
 		return n
 	}
-	leaves := make([]JoinLeaf, len(p.tables))
-	for i := range p.tables {
+	leaves := make([]JoinLeaf, len(p.scans))
+	for i := range p.scans {
 		leaves[i] = JoinLeaf{Scan: p.scans[i], Preds: p.preds[i]}
 	}
 	return &JoinTreeNode{Leaves: leaves, Edges: p.edges}
 }
 
-func (p *planner) lower() (*Plan, *Fallback) {
-	sel := p.sel
-
-	// WHERE conjuncts route to the leaf owning their column.
-	for _, wp := range sel.Where {
-		if fb := p.lowerPred(wp); fb != nil {
-			return nil, fb
-		}
-	}
-	// JOIN edges, in textual order (tables[k+1] joins the prefix).
-	for k, j := range sel.Joins {
-		if fb := p.lowerEdge(j, k+1); fb != nil {
-			return nil, fb
-		}
-	}
-
-	if sel.Grouped() {
-		return p.lowerGrouped()
-	}
-
-	items, fb := p.expandStar()
-	if fb != nil {
-		return nil, fb
-	}
-	hasAgg, hasPlain := false, false
-	for _, it := range items {
-		if it.Agg != "" {
-			hasAgg = true
-		} else {
-			hasPlain = true
-		}
-	}
-	if hasAgg && hasPlain {
-		return nil, fallback(ReasonMixedAggPlain, "")
-	}
-	if hasAgg {
-		return p.lowerGlobalAggs(items)
-	}
-	return p.lowerPlain(items)
-}
-
-// lowerPred compiles one WHERE conjunct into a Pred on its owning leaf.
-func (p *planner) lowerPred(wp sqlfe.Pred) *Fallback {
-	r, fb := p.sourceRef(wp.Col)
-	if fb != nil {
-		return fb
-	}
-	ct := p.refType(r)
-	pred := Pred{Col: r.pos, Op: wp.Op, Type: ct, Lit: wp.Val, Param: wp.Val.Param}
-	if !wp.IsNilTest() {
-		if wp.Val.Null {
-			// col = NULL: the MAL compile rejects it with the proper
-			// error; routing there surfaces it.
-			return fallback(ReasonNullComparison, "%s %s NULL", wp.Col, wp.Op)
-		}
-		if wp.Val.Param == 0 {
-			// Literal type check mirrors the MAL compiler's rules; on
-			// mismatch fall back so the error surfaces there.
-			if ct == sqlfe.TInt && wp.Val.Kind != sqlfe.TInt {
-				return fallback(ReasonFilterLitType, "int column %s", wp.Col)
-			}
-			if ct == sqlfe.TFloat && wp.Val.Kind == sqlfe.TText {
-				return fallback(ReasonFilterLitType, "float column %s", wp.Col)
-			}
-		}
-	}
-	p.preds[r.ti] = append(p.preds[r.ti], pred)
-	return nil
-}
-
-// lowerEdge compiles the JOIN clause folding tables[k] into the prefix,
-// with the MAL compiler's resolution and normalization rules.
-func (p *planner) lowerEdge(j *sqlfe.JoinClause, k int) *Fallback {
-	lIdx, li, okL := p.resolveJoinCol(j.LCol, k, false)
-	rIdx, ri, okR := p.resolveJoinCol(j.RCol, k, true)
-	if !okL || !okR {
-		return fallback(ReasonUnknownColumn, "cannot resolve join keys")
-	}
-	if rIdx != k {
-		lIdx, li, rIdx, ri = rIdx, ri, lIdx, li
-	}
-	if rIdx != k || lIdx >= k {
-		return fallback(ReasonUnknownColumn, "join ON must pair %q with a prior table", p.tables[k].Name)
-	}
-	lt, rt := p.tables[lIdx], p.tables[rIdx]
-	if lt.ColTypes[li] != sqlfe.TInt || rt.ColTypes[ri] != sqlfe.TInt {
-		// The shared open-addressing table keys int64; text joins stay
-		// on MAL's join_str (float and mixed-type joins are compile
-		// errors there).
-		return fallback(ReasonJoinKeyType, "ON compares %s with %s", lt.ColTypes[li], rt.ColTypes[ri])
-	}
-	lr, fb := p.source(lIdx, li)
-	if fb != nil {
-		return fb
-	}
-	rr, fb := p.source(rIdx, ri)
-	if fb != nil {
-		return fb
-	}
-	p.edges = append(p.edges, JoinEdge{A: lIdx, B: k, AKey: lr.pos, BKey: rr.pos})
-	return nil
-}
-
-// itemName mirrors the MAL compiler's output labels, so ORDER BY
-// resolution against aliases picks the same item on both paths.
-func itemName(it sqlfe.SelItem, idx int) string {
-	if it.Alias != "" {
-		return it.Alias
-	}
-	if cr, ok := it.Expr.(sqlfe.ColRef); ok {
-		if it.Agg != "" {
-			return it.Agg + "(" + cr.Name + ")"
-		}
-		return cr.Name
-	}
-	if it.Agg == "count" && it.Expr == nil {
-		return "count(*)"
-	}
-	return "col" + strconv.Itoa(idx)
-}
-
-// expandStar replaces * items with explicit column refs, in the MAL
-// compiler's order: FROM-table columns, then JOIN-table columns.
-func (p *planner) expandStar() ([]sqlfe.SelItem, *Fallback) {
-	var out []sqlfe.SelItem
-	for _, it := range p.sel.Items {
-		if !it.Star {
-			out = append(out, it)
-			continue
-		}
-		if p.sel.Grouped() {
-			return nil, fallback(ReasonGroupStar, "")
-		}
-		for _, t := range p.tables {
-			for _, cn := range t.ColNames {
-				out = append(out, sqlfe.SelItem{Expr: sqlfe.ColRef{Name: t.Name + "." + cn}, Alias: cn})
-			}
-		}
-	}
-	return out, nil
-}
-
 // --- plain projection, optionally sorted ---
 
-func (p *planner) lowerPlain(items []sqlfe.SelItem) (*Plan, *Fallback) {
-	sel := p.sel
-	outs := make([]ref, len(items))
-	for i, it := range items {
-		cr, ok := it.Expr.(sqlfe.ColRef)
-		if !ok {
+func (p *planner) lowerPlain() (Node, *Fallback) {
+	b := p.b
+	for i, it := range b.Items {
+		if it.Expr.Op != sqlfe.ExprCol {
 			return nil, fallback(ReasonExprInSelect, "item %d", i+1)
 		}
-		r, fb := p.sourceRef(cr.Name)
-		if fb != nil {
+		if fb := p.textFallback(it.Expr.Col); fb != nil {
 			return nil, fb
 		}
-		outs[i] = r
+		p.source(it.Expr.Col)
 	}
-	var key ref
-	ordered := sel.OrderBy != ""
-	if ordered {
-		k, fb := p.orderKey(items, outs)
-		if fb != nil {
-			return nil, fb
+	key := b.OrderCol
+	if b.OrderItem >= 0 {
+		key = b.Items[b.OrderItem].Expr.Col
+	}
+	if b.Ordered {
+		if key.Type == sqlfe.TText {
+			return nil, fallback(ReasonOrderKeyType, "key %q is TEXT", b.Tables[key.Table].ColNames[key.Col])
 		}
-		key = k
+		p.source(key)
 	}
 
 	// Every column is registered now; materialize virtual positions.
-	vouts := make([]int, len(outs))
-	for i, r := range outs {
-		vouts[i] = p.virt(r)
+	vouts := make([]int, len(b.Items))
+	for i, it := range b.Items {
+		vouts[i] = p.virt(it.Expr.Col)
 	}
 	root := p.child()
-	if ordered {
-		sn := &SortNode{Child: root, Key: p.virt(key), Desc: sel.Desc, Limit: sel.Limit}
-		if len(p.tables) > 1 {
+	if b.Ordered {
+		sn := &SortNode{Child: root, Key: p.virt(key), Desc: b.Desc, Limit: b.Limit}
+		if len(b.Tables) > 1 {
 			// Canonical join-output order: ties on the key break by every
 			// output column left to right (both engines sort this way — a
 			// join has no meaningful row-id order to be stable against).
@@ -366,340 +176,125 @@ func (p *planner) lowerPlain(items []sqlfe.SelItem) (*Plan, *Fallback) {
 		}
 		root = sn
 	}
-	return &Plan{Root: &ProjectNode{Child: root, Outs: vouts}, Limit: sel.Limit}, nil
-}
-
-// orderKey resolves the ORDER BY key, mirroring the MAL compiler's
-// resolution order: output labels first, then bare column refs among
-// the items, then a fresh (unprojected) column — FIRST match each pass.
-func (p *planner) orderKey(items []sqlfe.SelItem, outs []ref) (ref, *Fallback) {
-	name := p.sel.OrderBy
-	for i, it := range items {
-		if itemName(it, i) == name {
-			if _, ok := it.Expr.(sqlfe.ColRef); !ok {
-				return ref{}, fallback(ReasonOrderKeyType, "item %q is not a plain column", name)
-			}
-			return outs[i], nil
-		}
-	}
-	for i, it := range items {
-		if cr, ok := it.Expr.(sqlfe.ColRef); ok && cr.Name == name {
-			return outs[i], nil
-		}
-	}
-	r, fb := p.sourceRef(name)
-	if fb != nil {
-		if fb.Code == ReasonTextColumn {
-			return ref{}, fallback(ReasonOrderKeyType, "key %q is TEXT", name)
-		}
-		return ref{}, fb
-	}
-	return r, nil
+	return &ProjectNode{Child: root, Outs: vouts}, nil
 }
 
 // --- aggregate plans (global and grouped) ---
 
-func (p *planner) lowerGlobalAggs(items []sqlfe.SelItem) (*Plan, *Fallback) {
-	sel := p.sel
-	if sel.OrderBy != "" {
-		// A one-row result has nothing to order; MAL handles the
-		// (pathological) labeled-order case.
+func (p *planner) lowerGlobalAggs() (Node, *Fallback) {
+	if p.b.Ordered {
+		// A one-row result has nothing to order; MAL ignores the clause.
 		return nil, fallback(ReasonOrderKeyType, "ORDER BY over a global aggregate")
 	}
-	agg := newAggBuilder(p)
-	for _, it := range items {
+	agg := &aggBuilder{p: p}
+	for _, it := range p.b.Items {
 		if fb := agg.item(it); fb != nil {
 			return nil, fb
 		}
 	}
-	accs, pre, fb := agg.materialize(nil)
-	if fb != nil {
-		return nil, fb
-	}
-	root := &GroupAggNode{Child: p.child(), Accs: accs, Outs: agg.outs, Pre: pre, OrderBy: -1}
-	return &Plan{Root: root, Limit: sel.Limit}, nil
+	accs, pre := agg.materialize(nil)
+	return &GroupAggNode{Child: p.child(), Accs: accs, Outs: agg.outs, Pre: pre, OrderBy: -1}, nil
 }
 
-func (p *planner) lowerGrouped() (*Plan, *Fallback) {
-	sel := p.sel
-	items, fb := p.expandStar()
-	if fb != nil {
-		return nil, fb
+func (p *planner) lowerGrouped() (Node, *Fallback) {
+	b := p.b
+	if b.Star {
+		return nil, fallback(ReasonGroupStar, "")
 	}
-
-	// The grouping cores assign dense ids over int64 keys (composite
-	// tuples of any width ride the pair/multi tables). Text keys fall
-	// back to MAL's string grouping. NULL keys are fine: the tables
-	// treat bat.NilInt as an ordinary key, so all NULLs form one group
-	// per SQL.
-	keys := make([]ref, len(sel.GroupBy))
-	keyCols := make([][2]int, len(sel.GroupBy)) // (table idx, table col)
-	for ki, name := range sel.GroupBy {
-		ti, col, ok := p.resolve(name)
-		if !ok {
-			return nil, fallback(ReasonUnknownColumn, "cannot resolve group key %q", name)
+	// The grouping table assigns dense ids over int64 key tuples of any
+	// width. Text and float keys fall back to MAL's grouping. NULL keys
+	// are fine: the table treats bat.NilInt as an ordinary key, so all
+	// NULLs form one group per SQL.
+	for _, k := range b.GroupBy {
+		if k.Type != sqlfe.TInt {
+			return nil, fallback(ReasonGroupKeyType, "key %q is %s", b.Tables[k.Table].ColNames[k.Col], k.Type)
 		}
-		if p.tables[ti].ColTypes[col] != sqlfe.TInt {
-			return nil, fallback(ReasonGroupKeyType, "key %q is %s", name, p.tables[ti].ColTypes[col])
-		}
-		r, fb := p.source(ti, col)
-		if fb != nil {
+		p.source(k)
+	}
+	agg := &aggBuilder{p: p}
+	for _, it := range b.Items {
+		if it.Agg == "" {
+			agg.outs = append(agg.outs, AggOut{Key: true, KeyIdx: it.GroupKey, Acc: -1, CntAcc: -1})
+		} else if fb := agg.item(it); fb != nil {
 			return nil, fb
 		}
-		keys[ki] = r
-		keyCols[ki] = [2]int{ti, col}
 	}
-
-	agg := newAggBuilder(p)
-	for _, it := range items {
-		if it.Agg != "" {
-			if fb := agg.item(it); fb != nil {
-				return nil, fb
-			}
-			continue
-		}
-		// A plain item must be one of the group keys (MAL enforces it).
-		cr, ok := it.Expr.(sqlfe.ColRef)
-		if !ok {
-			return nil, fallback(ReasonExprInSelect, "non-aggregate expression in GROUP BY query")
-		}
-		ti, col, okR := p.resolve(cr.Name)
-		ki := -1
-		if okR {
-			for k, kc := range keyCols {
-				if kc == [2]int{ti, col} {
-					ki = k
-					break
-				}
-			}
-		}
-		if ki < 0 {
-			return nil, fallback(ReasonAggUnsupported, "plain item %q is not a group key", cr.Name)
-		}
-		agg.outs = append(agg.outs, AggOut{Key: true, KeyIdx: ki, Acc: -1, CntAcc: -1})
-	}
-
-	// Grouped ORDER BY names an output item (MAL enforces it); ties
-	// break on the full group-key tuple, which group rows are unique
-	// on, so the order is total on both engines.
-	orderBy := -1
-	if sel.OrderBy != "" {
-		for i := range items {
-			if itemName(items[i], i) == sel.OrderBy {
-				orderBy = i
-				break
-			}
-		}
-		if orderBy < 0 {
-			for _, g := range sel.GroupBy {
-				if sel.OrderBy != g {
-					continue
-				}
-				for i, it := range items {
-					if cr, ok := it.Expr.(sqlfe.ColRef); ok && it.Agg == "" && cr.Name == g {
-						orderBy = i
-						break
-					}
-				}
-				break
-			}
-		}
-		if orderBy < 0 {
-			// MAL rejects this at compile; unreachable through the engine.
-			return nil, fallback(ReasonOrderKeyType, "ORDER BY %q is not an output column", sel.OrderBy)
-		}
-	}
-
-	accs, pre, fb := agg.materialize(keys)
-	if fb != nil {
-		return nil, fb
-	}
-	vkeys := make([]int, len(keys))
-	for i, r := range keys {
+	accs, pre := agg.materialize(b.GroupBy)
+	vkeys := make([]int, len(b.GroupBy))
+	for i, k := range b.GroupBy {
 		if pre != nil {
 			vkeys[i] = i // keys lead the Pre projection
 		} else {
-			vkeys[i] = p.virt(r)
+			vkeys[i] = p.virt(k)
 		}
 	}
-	root := &GroupAggNode{
+	// Grouped ORDER BY names an output item; ties break on the full
+	// group-key tuple, which group rows are unique on, so the order is
+	// total on both engines.
+	return &GroupAggNode{
 		Child: p.child(), Keys: vkeys, Accs: accs, Outs: agg.outs,
-		Pre: pre, OrderBy: orderBy, OrderDesc: sel.Desc,
-	}
-	return &Plan{Root: root, Limit: sel.Limit}, nil
+		Pre: pre, OrderBy: b.OrderItem, OrderDesc: b.Desc,
+	}, nil
 }
 
 // --- aggregate sources (plain columns and arithmetic expressions) ---
 
-// lexpr is the planner's expression IR: either a leaf column ref or an
-// operator over children. It materializes to vector.Expr only after
-// every column is registered (virtual positions are final then).
-type lexpr struct {
-	isCol bool
-	col   ref
-	op    vector.ExprOp
-	l, r  *lexpr
-	icst  int64
-	fcst  float64
+// vecOps names the vector kernel of each arithmetic BoundExpr node, by
+// node type: {INT, FLOAT}. The nil-propagating kernels produce
+// bit-identical columns to MAL's primitives (including int wraparound
+// and the exact nil/NaN promotions).
+var vecOps = [...][2]vector.ExprOp{
+	sqlfe.ExprAdd:      {vector.EAddIntNil, vector.EAddFloat},
+	sqlfe.ExprSub:      {vector.ESubIntNil, vector.ESubFloat},
+	sqlfe.ExprMul:      {vector.EMulIntNil, vector.EMulFloat},
+	sqlfe.ExprAddConst: {vector.EAddIntConstNil, vector.EAddFloatConst},
+	sqlfe.ExprMulConst: {vector.EMulIntConstNil, vector.EMulFloatConst},
+	sqlfe.ExprConstSub: {0, vector.ESubConstFloat},
 }
 
-func (p *planner) materializeExpr(e *lexpr) vector.Expr {
-	if e.isCol {
-		return vector.ColRef{Idx: p.virt(e.col)}
+// vexpr materializes a bound expression over the final column layout.
+func (p *planner) vexpr(e *sqlfe.BoundExpr) vector.Expr {
+	if e.Op == sqlfe.ExprCol {
+		return vector.ColRef{Idx: p.virt(e.Col)}
 	}
-	b := vector.Bin{Op: e.op, IntConst: e.icst, FltConst: e.fcst}
-	if e.l != nil {
-		b.L = p.materializeExpr(e.l)
-	}
-	if e.r != nil {
-		b.R = p.materializeExpr(e.r)
-	}
-	return b
-}
-
-// lowerExpr compiles a scalar expression to the IR, mirroring the MAL
-// compiler's evalExpr: the SAME operator tree, so the nil-propagating
-// kernels produce bit-identical columns (including int wraparound and
-// the exact nil/NaN promotions).
-func (p *planner) lowerExpr(e sqlfe.Expr) (*lexpr, sqlfe.ColType, *Fallback) {
-	switch x := e.(type) {
-	case sqlfe.ColRef:
-		r, fb := p.sourceRef(x.Name)
-		if fb != nil {
-			return nil, 0, fb
+	operand := func(o *sqlfe.BoundExpr) vector.Expr {
+		if e.Type == sqlfe.TFloat && o.Type == sqlfe.TInt {
+			return vector.Bin{Op: vector.EIntToFloat, L: p.vexpr(o)}
 		}
-		return &lexpr{isCol: true, col: r}, p.refType(r), nil
-	case sqlfe.Lit:
-		// Bare literals and placeholders in the select list are MAL
-		// compile errors; Prepare surfaces them first.
-		return nil, 0, fallback(ReasonExprInSelect, "bare literal select item")
-	case sqlfe.BinExpr:
-		if lit, ok := x.R.(sqlfe.Lit); ok {
-			if _, also := x.L.(sqlfe.Lit); !also {
-				return p.lowerScalarArith(x.L, x.Op, lit, false)
-			}
-		}
-		if lit, ok := x.L.(sqlfe.Lit); ok {
-			return p.lowerScalarArith(x.R, x.Op, lit, true)
-		}
-		lv, lt, fb := p.lowerExpr(x.L)
-		if fb != nil {
-			return nil, 0, fb
-		}
-		rv, rt, fb := p.lowerExpr(x.R)
-		if fb != nil {
-			return nil, 0, fb
-		}
-		if lt == sqlfe.TFloat || rt == sqlfe.TFloat {
-			if lt == sqlfe.TInt {
-				lv = &lexpr{op: vector.EIntToFloat, l: lv}
-			}
-			if rt == sqlfe.TInt {
-				rv = &lexpr{op: vector.EIntToFloat, l: rv}
-			}
-			op := map[byte]vector.ExprOp{'+': vector.EAddFloat, '-': vector.ESubFloat, '*': vector.EMulFloat}[x.Op]
-			return &lexpr{op: op, l: lv, r: rv}, sqlfe.TFloat, nil
-		}
-		op := map[byte]vector.ExprOp{'+': vector.EAddIntNil, '-': vector.ESubIntNil, '*': vector.EMulIntNil}[x.Op]
-		return &lexpr{op: op, l: lv, r: rv}, sqlfe.TInt, nil
+		return p.vexpr(o)
 	}
-	return nil, 0, fallback(ReasonExprInSelect, "unsupported expression")
-}
-
-// lowerScalarArith compiles col-vs-literal arithmetic, mirroring the
-// MAL compiler's evalScalarArith op for op.
-func (p *planner) lowerScalarArith(other sqlfe.Expr, op byte, lit sqlfe.Lit, litOnLeft bool) (*lexpr, sqlfe.ColType, *Fallback) {
-	if lit.Param > 0 || lit.Null || lit.Kind == sqlfe.TText {
-		// Placeholder / NULL / text literals in arithmetic are MAL
-		// compile errors; Prepare surfaces them first.
-		return nil, 0, fallback(ReasonExprInSelect, "unsupported literal in arithmetic")
+	out := vector.Bin{Op: vecOps[e.Op][e.Type], L: operand(e.L), IntConst: e.I, FltConst: e.F}
+	if e.R != nil {
+		out.R = operand(e.R)
 	}
-	ov, ot, fb := p.lowerExpr(other)
-	if fb != nil {
-		return nil, 0, fb
-	}
-	if ot == sqlfe.TInt && lit.Kind == sqlfe.TInt {
-		switch op {
-		case '+':
-			return &lexpr{op: vector.EAddIntConstNil, l: ov, icst: lit.I}, sqlfe.TInt, nil
-		case '*':
-			return &lexpr{op: vector.EMulIntConstNil, l: ov, icst: lit.I}, sqlfe.TInt, nil
-		case '-':
-			if !litOnLeft {
-				return &lexpr{op: vector.EAddIntConstNil, l: ov, icst: -lit.I}, sqlfe.TInt, nil
-			}
-			neg := &lexpr{op: vector.EMulIntConstNil, l: ov, icst: -1}
-			return &lexpr{op: vector.EAddIntConstNil, l: neg, icst: lit.I}, sqlfe.TInt, nil
-		}
-		return nil, 0, fallback(ReasonExprInSelect, "bad operator %q", op)
-	}
-	// Float path: promote the column, fold the literal to float64 —
-	// exactly the MAL int_to_flt + *_flt scalar chain.
-	f := lit.F
-	if lit.Kind == sqlfe.TInt {
-		f = float64(lit.I)
-	}
-	if ot == sqlfe.TInt {
-		ov = &lexpr{op: vector.EIntToFloat, l: ov}
-	}
-	switch op {
-	case '+':
-		return &lexpr{op: vector.EAddFloatConst, l: ov, fcst: f}, sqlfe.TFloat, nil
-	case '*':
-		return &lexpr{op: vector.EMulFloatConst, l: ov, fcst: f}, sqlfe.TFloat, nil
-	case '-':
-		if litOnLeft {
-			return &lexpr{op: vector.ESubConstFloat, l: ov, fcst: f}, sqlfe.TFloat, nil
-		}
-		return &lexpr{op: vector.EAddFloatConst, l: ov, fcst: -f}, sqlfe.TFloat, nil
-	}
-	return nil, 0, fallback(ReasonExprInSelect, "bad operator %q", op)
-}
-
-// aggSrc is one aggregate argument: a plain column ref or a computed
-// expression.
-type aggSrc struct {
-	col  *ref // plain column; nil for expressions
-	expr *lexpr
-	flt  bool
+	return out
 }
 
 // aggBuilder accumulates the accumulator columns and per-item mappings
 // shared by the global and grouped forms. Accumulator sources are
-// symbolic (aggSrc indexes) until materialize resolves them against
-// the final layout — directly to virtual positions when every source
-// is a plain column, through a Pre expression projection otherwise.
+// symbolic (srcs indexes) until materialize resolves them against the
+// final layout — directly to virtual positions when every source is a
+// plain column, through a Pre expression projection otherwise.
 type aggBuilder struct {
 	p    *planner
-	srcs []aggSrc
-	accs []AccSpec // Col = index into srcs; -1 for count(*)
+	srcs []*sqlfe.BoundExpr // aggregate arguments
+	accs []AccSpec          // Col = index into srcs; -1 for count(*)
 	outs []AggOut
 }
 
-func newAggBuilder(p *planner) *aggBuilder { return &aggBuilder{p: p} }
-
 // src registers an aggregate argument, deduplicating plain columns (so
 // sum(x)+avg(x) share one source, keeping accumulator layouts stable).
-func (a *aggBuilder) src(it sqlfe.SelItem) (int, *Fallback) {
-	if cr, ok := it.Expr.(sqlfe.ColRef); ok {
-		r, fb := a.p.sourceRef(cr.Name)
-		if fb != nil {
-			return -1, fb
-		}
+func (a *aggBuilder) src(e *sqlfe.BoundExpr) int {
+	a.p.sourceExpr(e)
+	if e.Op == sqlfe.ExprCol {
 		for i, s := range a.srcs {
-			if s.col != nil && *s.col == r {
-				return i, nil
+			if s.Op == sqlfe.ExprCol && s.Col == e.Col {
+				return i
 			}
 		}
-		a.srcs = append(a.srcs, aggSrc{col: &r, flt: a.p.refType(r) == sqlfe.TFloat})
-		return len(a.srcs) - 1, nil
 	}
-	e, t, fb := a.p.lowerExpr(it.Expr)
-	if fb != nil {
-		return -1, fb
-	}
-	a.srcs = append(a.srcs, aggSrc{expr: e, flt: t == sqlfe.TFloat})
-	return len(a.srcs) - 1, nil
+	a.srcs = append(a.srcs, e)
+	return len(a.srcs) - 1
 }
 
 // need registers an accumulator column once per (kind, source).
@@ -714,16 +309,16 @@ func (a *aggBuilder) need(kind vector.AggKind, src int) int {
 }
 
 // item lowers one aggregate select item.
-func (a *aggBuilder) item(it sqlfe.SelItem) *Fallback {
-	if it.Agg == "count" && it.Expr == nil { // count(*)
+func (a *aggBuilder) item(it sqlfe.BoundItem) *Fallback {
+	if it.Expr == nil { // count(*)
 		a.outs = append(a.outs, AggOut{Fn: "count", Acc: a.need(vector.AggCount, -1), CntAcc: -1})
 		return nil
 	}
-	si, fb := a.src(it)
-	if fb != nil {
-		return fb
+	if it.Expr.Type == sqlfe.TText { // count(s): only a bare column can be TEXT
+		return a.p.textFallback(it.Expr.Col)
 	}
-	isFlt := a.srcs[si].flt
+	si := a.src(it.Expr)
+	isFlt := it.Expr.Type == sqlfe.TFloat
 	cntKind := vector.AggCountNNInt
 	if isFlt {
 		cntKind = vector.AggCountNNFloat
@@ -736,11 +331,7 @@ func (a *aggBuilder) item(it sqlfe.SelItem) *Fallback {
 		if isFlt {
 			sumKind = vector.AggSumFloatNil
 		}
-		o := AggOut{Fn: it.Agg, Acc: a.need(sumKind, si), CntAcc: a.need(cntKind, si), Flt: isFlt}
-		if it.Agg == "avg" {
-			o.Flt = true
-		}
-		a.outs = append(a.outs, o)
+		a.outs = append(a.outs, AggOut{Fn: it.Agg, Acc: a.need(sumKind, si), CntAcc: a.need(cntKind, si), Flt: isFlt || it.Agg == "avg"})
 	case "min", "max":
 		var kind vector.AggKind
 		switch {
@@ -762,43 +353,34 @@ func (a *aggBuilder) item(it sqlfe.SelItem) *Fallback {
 
 // materialize resolves accumulator sources against the final column
 // layout. When every source is a plain column the accumulators index
-// the child pipeline directly (virtual positions) and Pre is nil —
-// the layout every pre-existing plan shape uses. With any expression
-// source, a Pre projection [keys..., sources...] is emitted and the
-// accumulators index its outputs.
-func (a *aggBuilder) materialize(keys []ref) ([]AccSpec, []vector.Expr, *Fallback) {
+// the child pipeline directly (virtual positions) and Pre is nil. With
+// any expression source, a Pre projection [keys..., sources...] is
+// emitted and the accumulators index its outputs.
+func (a *aggBuilder) materialize(keys []sqlfe.ColID) ([]AccSpec, []vector.Expr) {
 	hasExpr := false
 	for _, s := range a.srcs {
-		if s.expr != nil {
-			hasExpr = true
-			break
-		}
+		hasExpr = hasExpr || s.Op != sqlfe.ExprCol
 	}
-	accs := make([]AccSpec, len(a.accs))
-	copy(accs, a.accs)
+	accs := append([]AccSpec(nil), a.accs...)
 	if !hasExpr {
 		for i := range accs {
 			if accs[i].Col >= 0 {
-				accs[i].Col = a.p.virt(*a.srcs[accs[i].Col].col)
+				accs[i].Col = a.p.virt(a.srcs[accs[i].Col].Col)
 			}
 		}
-		return accs, nil, nil
+		return accs, nil
 	}
 	pre := make([]vector.Expr, 0, len(keys)+len(a.srcs))
 	for _, k := range keys {
 		pre = append(pre, vector.ColRef{Idx: a.p.virt(k)})
 	}
 	for _, s := range a.srcs {
-		if s.expr != nil {
-			pre = append(pre, a.p.materializeExpr(s.expr))
-		} else {
-			pre = append(pre, vector.ColRef{Idx: a.p.virt(*s.col)})
-		}
+		pre = append(pre, a.p.vexpr(s))
 	}
 	for i := range accs {
 		if accs[i].Col >= 0 {
 			accs[i].Col += len(keys)
 		}
 	}
-	return accs, pre, nil
+	return accs, pre
 }

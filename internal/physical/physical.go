@@ -10,10 +10,12 @@
 // Lowering has two stages with different lifetimes, mirroring the
 // prepared-statement model:
 //
-//   - Lower runs at Prepare time and is purely structural: it walks the
-//     sqlfe.Select AST and either emits a plan tree (unresolved ? slots
-//     left in the predicate specs) or a typed Fallback carrying a
-//     machine-readable reason code — there is no silent "return nil".
+//   - LowerBound runs at Prepare time and is purely structural: it walks
+//     the sqlfe.Bound the binder resolved and either emits a plan tree
+//     (unresolved ? slots left in the predicate specs) or a typed
+//     Fallback carrying a machine-readable reason code — there is no
+//     silent "return nil", and no error: what is illegal the binder has
+//     already rejected.
 //
 //   - Plan.Execute runs per Query and is data-dependent: it checks the
 //     snapshot qualifies (no tombstoned positions — the positional scan
@@ -46,22 +48,19 @@ type Fallback struct {
 	Detail string
 }
 
-// Fallback reason codes. Structural codes come out of Lower; the
-// data-dependent codes out of Execute/DataFallback.
+// Fallback reason codes: the seven structural ones come out of
+// LowerBound, the data-dependent one out of Execute/DataFallback. Each
+// says what the vector engine does not do; none stands for an error —
+// an illegal statement never gets past sqlfe.Snapshot.Bind.
 const (
-	ReasonUnknownTable   = "unknown-table"        // snapshot has no such table (MAL reports the error)
-	ReasonUnknownColumn  = "unknown-column"       // a column reference does not resolve (MAL reports the error)
-	ReasonTextColumn     = "text-column"          // a referenced column is TEXT; the pipeline moves int/float vectors
-	ReasonExprInSelect   = "expression-in-select" // PLAIN (non-aggregated) arithmetic select items are not lowered; expressions inside aggregates are
-	ReasonMixedAggPlain  = "mixed-agg-and-plain"  // aggregates beside plain columns without GROUP BY (MAL rejects)
-	ReasonAggUnsupported = "aggregate-unsupported"
-	ReasonGroupKeyType   = "group-key-not-int"
-	ReasonGroupStar      = "group-by-star"
-	ReasonOrderKeyType   = "order-key-not-sortable" // ORDER BY key is not a plain int/float column
+	ReasonTextColumn     = "text-column"            // a referenced column is TEXT; the pipeline moves int/float vectors
+	ReasonExprInSelect   = "expression-in-select"   // PLAIN (non-aggregated) arithmetic select items are not lowered; expressions inside aggregates are
+	ReasonAggUnsupported = "aggregate-unsupported"  // an aggregate function with no vector accumulator
+	ReasonGroupKeyType   = "group-key-not-int"      // the grouping table keys int64 tuples
+	ReasonGroupStar      = "group-by-star"          // SELECT * under GROUP BY
+	ReasonOrderKeyType   = "order-key-not-sortable" // ORDER BY key is TEXT, or orders a global aggregate's one row
 	ReasonJoinKeyType    = "join-key-not-int"       // the shared open-addressing table keys int64
-	ReasonNullComparison = "null-comparison"        // col = NULL (MAL rejects; IS NULL lowers)
-	ReasonFilterLitType  = "filter-literal-type-mismatch"
-	ReasonDeletesPresent = "deletes-present" // data-dependent: tombstoned positions need the deleted filter
+	ReasonDeletesPresent = "deletes-present"        // data-dependent: tombstoned positions need the deleted filter
 )
 
 func (f *Fallback) String() string {
@@ -175,20 +174,18 @@ type ScanNode struct {
 func (*ScanNode) node() {}
 
 // col registers a table column in the scan on first use, returning its
-// pipeline position; text columns cannot cross into the vector engine.
-func (s *ScanNode) col(tableCol int, t sqlfe.ColType, name string) (int, bool) {
-	if t != sqlfe.TInt && t != sqlfe.TFloat {
-		return -1, false
-	}
+// pipeline position. The planner routes TEXT columns to MAL before they
+// get here: the pipeline moves int and float vectors only.
+func (s *ScanNode) col(tableCol int, t sqlfe.ColType, name string) int {
 	for i, c := range s.Cols {
 		if c == tableCol {
-			return i, true
+			return i
 		}
 	}
 	s.Cols = append(s.Cols, tableCol)
 	s.Types = append(s.Types, t)
 	s.Names = append(s.Names, name)
-	return len(s.Cols) - 1, true
+	return len(s.Cols) - 1
 }
 
 // Pred is one WHERE conjunct over a pipeline column; the comparison
@@ -350,8 +347,8 @@ type SortNode struct {
 func (*SortNode) node() {}
 
 // Plan is a lowered SELECT: the operator tree plus the row budget and
-// the output labels (the caller sets Names from the compiled MAL
-// program, so both executors label identically).
+// the output labels (the binder's, so both executors label
+// identically).
 type Plan struct {
 	Root  Node
 	Limit int // -1 = none

@@ -356,17 +356,20 @@ func (db *DB) execInsert(s *Insert) (*Result, []wal.Op, error) {
 }
 
 // matchPositions evaluates WHERE conjuncts on the current table state and
-// returns matching live physical positions.
+// returns matching live physical positions. The conjuncts bind as the
+// WHERE of a SELECT over the table, so DML and queries share one set of
+// name and literal checks.
 func (db *DB) matchPositions(t *Table, where []Pred) ([]bat.OID, error) {
 	snap := &Snapshot{tables: map[string]*Table{t.Name: t}}
-	sel := &Select{Items: []SelItem{{Star: true}}, From: t.Name, Where: where, Limit: -1}
-	c := &compiler{b: mal.NewBuilder(), snap: snap, sel: sel, tables: []*Table{t}}
-	if err := c.buildCandidates(); err != nil {
+	b, err := snap.Bind(&Select{Items: []SelItem{{Star: true}}, From: t.Name, Where: where, Limit: -1})
+	if err != nil {
 		return nil, err
 	}
-	c.b.Return([]string{"cand"}, c.cands[0])
+	g := &gen{Bound: b, b: mal.NewBuilder()}
+	g.candidates()
+	g.b.Return([]string{"cand"}, g.cands[0])
 	ip := &mal.Interp{Cat: snap}
-	out, err := ip.Run(c.b.Program())
+	out, err := ip.Run(g.b.Program())
 	if err != nil {
 		return nil, err
 	}
