@@ -14,8 +14,7 @@
 // Shell commands: \q quits the prompt, \t lists tables, \plan SQL shows
 // how a SELECT would execute (vectorized pipeline or MAL program),
 // \checkpoint forces a checkpoint (atomic save + WAL truncate) of a -d
-// database, and \vacuum merges delete tombstones so tables re-qualify
-// for the vectorized path. They work wherever a statement does: at the
+// database, and \vacuum drops delete tombstones from every table. They work wherever a statement does: at the
 // prompt, as -e '\plan SELECT ...', and as a ;-terminated statement of a
 // -f script. With -connect, \t and \plan go over the wire; \checkpoint
 // and \vacuum are server-side concerns and report so.

@@ -50,29 +50,33 @@
 //     BenchmarkE15ParallelScaling measure the scaling. An Exchange
 //     never starts more workers than there are morsels to claim.
 //
-//   - Scans skip what zone maps rule out. Every INT/FLOAT main column
-//     has a sqlfe.ZoneMap — per 1024-row zone the min and max over the
+//   - Scans skip what zone maps rule out. Every INT/FLOAT column has a
+//     sqlfe.ZoneMap — per 1024-row zone the min and max over the
 //     non-nil values plus has-nil / all-nil — built in one pass where
-//     the column is born (sqlfe.Load, every vacuum), owned by its
-//     Table, shared by snapshots like the column itself, never
-//     persisted. physical.bindLeaf, which every single-table scan and
-//     every join input passes through and where ? arguments are known,
-//     tests each bound conjunct against the zones of its column (=,
-//     the four inequalities, <> against a constant zone, IS NULL
-//     against nil-free and IS NOT NULL against all-nil zones; the nil
-//     sentinels never enter min/max and never prune as constants),
-//     intersects the survivors, coalesces them into [lo,hi) row ranges
-//     and narrows the vector.Source to them (Source.Restrict). The
-//     MorselCursor cuts morsels inside the ranges and hands out
-//     nothing between them; row ids stay global; positions past the
-//     zone-mapped prefix — insert deltas — always survive until a
-//     checkpoint + reopen or a vacuum folds them into main columns.
-//     The Filter still evaluates every predicate, so the ranges are a
-//     hint that can only remove work: the cursor is the one consumer
-//     that reads them (the serial vector.Scan is a MorselScan that is
-//     its cursor's only claimant), there is no option to turn them
-//     off, and an empty survivor set is the same zero-row source an
-//     IS NULL contradiction binds. This is the paper's run-time
+//     the column is built (sqlfe.Load, every vacuum), immutable, owned
+//     by its Table, shared by snapshots by reference, never persisted.
+//     physical.bindLeaf, which every single-table scan and every join
+//     input passes through and where ? arguments are known, tests each
+//     bound conjunct against the zones of its column (=, the four
+//     inequalities, <> against a constant zone, IS NULL against
+//     nil-free and IS NOT NULL against all-nil zones; the nil sentinels
+//     never enter min/max and never prune as constants), intersects
+//     the survivors, coalesces them into [lo,hi) row ranges and narrows
+//     the vector.Source to them (Source.Restrict). The MorselCursor
+//     cuts morsels inside the ranges and hands out nothing between
+//     them; row ids stay global; positions past the zone-mapped prefix
+//     — rows appended since the column was built — always survive
+//     until a checkpoint + reopen or a vacuum rebuilds the column and
+//     its maps. The Filter still evaluates every predicate, so the
+//     ranges are a hint that can only remove work: the cursor is the
+//     one consumer that reads them (the serial vector.Scan is a
+//     MorselScan that is its cursor's only claimant), there is no
+//     option to turn them off, and an empty survivor set is the same
+//     zero-row source an IS NULL contradiction binds. A snapshot's
+//     tombstones, by contrast, are a filter (Source.WithDeleted): the
+//     MorselScan leaves them out of each batch's selection vector, and
+//     no plan that reads raw positions — the partitioned GROUP BY —
+//     runs over a leaf that has any. This is the paper's run-time
 //     choice of algorithm from column properties (a sorted tail is
 //     binary-searched by batalg.Select) carried to the vector path,
 //     and the min/max baseline of provenance-based data skipping
@@ -123,16 +127,15 @@
 // morsel-parallel vector engine, or a typed fallback decision whose
 // machine-readable reason \plan surfaces (no statement runs on MAL
 // silently). A fallback only ROUTES: it says what the vector engine
-// does not do, never that the statement is wrong. There are eight
-// reasons. Seven are structural, per operator: text-column (a TEXT
-// column anywhere in the pipeline), expression-in-select (plain,
-// non-aggregated arithmetic items), aggregate-unsupported (an
-// aggregate with no vector accumulator; none today), group-key-not-int,
-// group-by-star, order-key-not-sortable (a TEXT sort key, or ORDER BY
-// over a global aggregate's one row), join-key-not-int (any edge). One
-// is data-dependent, per snapshot: deletes-present (tombstoned rows
-// need the deleted filter the positional scan lacks). Lowered shapes
-// include scan/filter/project, global
+// does not do, never that the statement is wrong. There are five
+// reasons, all structural, per operator, none data-dependent:
+// text-column (a TEXT column anywhere in the pipeline),
+// expression-in-select (plain, non-aggregated arithmetic items),
+// group-key-not-int, order-key-not-sortable (a TEXT sort key, or ORDER
+// BY over a global aggregate's one row), join-key-not-int (any edge).
+// The route is therefore fixed when a statement is prepared, and the
+// engine generates a MAL program only for a statement that runs on
+// MAL. Lowered shapes include scan/filter/project, global
 // aggregates, GROUP BY of any number of INT keys (composite hash),
 // aggregates over arithmetic expressions (a nil-propagating
 // pre-projection feeds the aggregate), ORDER BY (per-worker sorted
@@ -237,10 +240,12 @@
 // checkpoint is refused, keeping the on-disk state at the last point
 // known durable; if the failure caught a statement already applied in
 // memory, the database is tainted and refuses reads too (DB.Err).
-// Delete tombstones are merged back
-// into clean main columns by a WAL-logged vacuum (background, or
-// DB.Vacuum), which re-qualifies the table for the vectorized scan
-// path. The log writes through a small filesystem interface whose
+// Columns are append-only and a DELETE only tombstones positions, in a
+// sorted list every scan filters; a WAL-logged vacuum drops them — at
+// a checkpoint, from DB.Vacuum, or inside the transaction of a DELETE
+// or UPDATE that leaves more than half of a table's positions
+// tombstoned, which bounds dead space by the data with no timer or
+// option. The log writes through a small filesystem interface whose
 // in-memory test double injects torn writes, short writes, fsync
 // failures, and kill-at-any-byte crashes; engine/recovery_test.go
 // sweeps every record boundary against an in-memory oracle.

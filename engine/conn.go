@@ -13,8 +13,8 @@ import (
 // against a fresh snapshot taken at execution time (writers never block
 // readers); Freeze pins the current snapshot so subsequent queries on
 // this session observe one consistent state — the paper's cheap
-// snapshot isolation (§3.2: main columns shared, only delta BATs
-// copied) surfaced as a session mode.
+// snapshot isolation (§3.2: append-only columns shared, no row copied)
+// surfaced as a session mode.
 //
 // A Conn is safe for concurrent use; Close only invalidates the
 // session, it does not affect the database.
@@ -41,9 +41,6 @@ func (c *Conn) Close() error {
 // are not visible to the frozen view until Thaw).
 func (c *Conn) Freeze() {
 	snap := c.db.sdb.Snapshot()
-	// The snapshot will be shared by every query on this session, so the
-	// lazy column merges must happen once, now, not racily later.
-	snap.Materialize()
 	c.mu.Lock()
 	c.frozen = snap
 	c.mu.Unlock()
@@ -96,7 +93,7 @@ func (c *Conn) Prepare(sql string) (*Stmt, error) {
 		s.sel = sel
 		// Compile eagerly: surfaces unknown tables/columns and illegal
 		// placeholder positions at Prepare time, not first execution.
-		if _, _, _, err := s.plan(c.snapshot()); err != nil {
+		if _, err := s.compile(c.snapshot()); err != nil {
 			return nil, err
 		}
 	}
@@ -127,8 +124,7 @@ func (c *Conn) Exec(ctx context.Context, sql string, args ...any) (Result, error
 // execute on this session: the vectorized physical plan if the planner
 // can lower it, otherwise the optimized MAL program WITH the
 // machine-readable fallback reason — no statement routes to MAL
-// silently. Data-dependent disqualifications (e.g. tombstoned rows in
-// this session's snapshot) surface the same way.
+// silently, and the route depends on the statement alone.
 func (c *Conn) Plan(sql string) (string, error) {
 	if err := c.checkUsable(); err != nil {
 		return "", err
@@ -146,20 +142,15 @@ func (c *Conn) Plan(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	prog := b.CompileMAL()
 	phys, fb := physical.LowerBound(b)
-	if phys != nil {
-		if dfb := phys.DataFallback(snap); dfb != nil {
-			fb = dfb
-		} else {
-			out := phys.Describe()
-			if obs := c.observe(sel, phys, snap); obs != "" {
-				out += "\n" + obs
-			}
-			return out + "\nMAL fallback:\n" + prog.String(), nil
-		}
+	if phys == nil {
+		return "MAL program (fallback " + fb.String() + "):\n" + b.CompileMAL().String(), nil
 	}
-	return "MAL program (fallback " + fb.String() + "):\n" + prog.String(), nil
+	out := phys.Describe()
+	if obs := c.observe(sel, phys, snap); obs != "" {
+		out += "\n" + obs
+	}
+	return out, nil
 }
 
 // observe runs ONE instrumented execution of a lowered query and
@@ -182,9 +173,9 @@ func (c *Conn) observe(sel *sqlfe.Select, phys *physical.Plan, snap *sqlfe.Snaps
 	gov, scope := c.db.queryGov()
 	popts.Gov, popts.Spill = gov, scope
 	popts.Stats = stats
-	res, fb, err := phys.Execute(context.Background(), snap, nil, popts)
+	res, _, err := phys.Execute(context.Background(), snap, nil, popts)
 	out := ""
-	if err == nil && fb == nil {
+	if err == nil {
 		r := newVecRows(context.Background(), phys.Names, res.Op, res.Limit)
 		for (len(sel.Joins) > 0 || stats.Sort != nil) && r.Next() {
 		}

@@ -22,11 +22,13 @@
 //
 // Three properties distinguish it from a convenience wrapper:
 //
-//   - Prepare compiles once. A SELECT is parsed and compiled to an
-//     optimized MAL program a single time; ? placeholders become typed
-//     bind slots in the plan, re-bound per execution. The bound values
-//     also key the intermediate-result recycler, so repeated executions
-//     with equal arguments hit recycled intermediates.
+//   - Prepare compiles once. A SELECT is parsed, bound and lowered to a
+//     vectorized plan — or, when the planner cannot lower it, compiled
+//     to an optimized MAL program — a single time; ? placeholders become
+//     typed bind slots in the plan, re-bound per execution. On MAL the
+//     bound values also key the intermediate-result recycler, so
+//     repeated executions with equal arguments hit recycled
+//     intermediates.
 //
 //   - Query streams. Rows is a cursor pulling vector-sized batches, not
 //     a materialized [][]any: the physical-plan layer lowers
@@ -100,12 +102,6 @@ type Options struct {
 	// GroupCommitBatch flushes without waiting for the window once this
 	// many transactions are pending (<= 0 means the default of 128).
 	GroupCommitBatch int
-	// VacuumEvery is the period of the background delta vacuum, which
-	// merges insert deltas and delete tombstones back into clean main
-	// columns so tables with deletes re-qualify for the vectorized scan
-	// path (0 means the 1s default; < 0 disables background vacuuming —
-	// DB.Vacuum still works).
-	VacuumEvery time.Duration
 	// WALFS substitutes the filesystem the WAL writes through; nil means
 	// the OS filesystem. Tests inject fault-simulating filesystems here.
 	WALFS wal.FS
@@ -160,12 +156,6 @@ func WithGroupCommit(every time.Duration, maxBatch int) Option {
 	return func(o *Options) { o.GroupCommitEvery = every; o.GroupCommitBatch = maxBatch }
 }
 
-// WithVacuumEvery sets the background delta-vacuum period; a negative
-// period disables the background vacuum.
-func WithVacuumEvery(every time.Duration) Option {
-	return func(o *Options) { o.VacuumEvery = every }
-}
-
 // WithWALFS substitutes the WAL's filesystem (fault injection in tests).
 func WithWALFS(fs wal.FS) Option { return func(o *Options) { o.WALFS = fs } }
 
@@ -200,9 +190,6 @@ type DB struct {
 	plans *planCache // shared prepared-plan cache; nil when disabled
 
 	spillMgr *spill.Manager // nil unless WithSpill
-
-	vacQuit chan struct{} // closed to stop the background vacuum
-	vacDone sync.WaitGroup
 
 	defConn *Conn // lazily created backing for the DB-level helpers
 }
@@ -308,17 +295,7 @@ func Open(opts ...Option) (*DB, error) {
 		}
 		mgr = spill.NewManager(fs, o.SpillDir)
 	}
-	d := &DB{opts: o, sdb: sdb, wal: lg, plans: newPlanCache(planEntries, planBytes), spillMgr: mgr}
-	if o.VacuumEvery >= 0 {
-		every := o.VacuumEvery
-		if every == 0 {
-			every = time.Second
-		}
-		d.vacQuit = make(chan struct{})
-		d.vacDone.Add(1)
-		go d.vacuumLoop(every)
-	}
-	return d, nil
+	return &DB{opts: o, sdb: sdb, wal: lg, plans: newPlanCache(planEntries, planBytes), spillMgr: mgr}, nil
 }
 
 // failOpen closes a just-opened WAL when Open fails after it, keeping
@@ -333,27 +310,6 @@ func failOpen(err error, lg *wal.Log) error {
 	return err
 }
 
-// vacuumLoop periodically merges deltas and tombstones back into main
-// columns. Errors are ignored here on purpose: a poisoned WAL already
-// fails every write loudly, and vacuuming is an optimization. A tick
-// with no tombstones anywhere costs one atomic load (Vacuum's fast
-// path) — no lock, no table scan — so running the loop for ephemeral
-// in-memory databases is effectively free.
-func (d *DB) vacuumLoop(every time.Duration) {
-	defer d.vacDone.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.vacQuit:
-			return
-		case <-t.C:
-			//lint:ignore walcheck vacuuming is an optimization: a failed tick leaves tombstones for the next one, and a poisoned WAL already fails every write loudly
-			d.sdb.Vacuum()
-		}
-	}
-}
-
 // Close releases the handle; with WithDir it first checkpoints (vacuum,
 // atomic save, WAL truncate) and closes the log. Close is idempotent.
 // After a WAL poisoning (failed fsync), Close does NOT checkpoint —
@@ -366,10 +322,6 @@ func (d *DB) Close() error {
 		return nil
 	}
 	d.closed = true
-	if d.vacQuit != nil {
-		close(d.vacQuit)
-		d.vacDone.Wait()
-	}
 	var first error
 	if d.opts.Dir != "" {
 		if err := d.sdb.Checkpoint(d.opts.Dir); err != nil {
@@ -384,7 +336,7 @@ func (d *DB) Close() error {
 	return first
 }
 
-// Checkpoint vacuums every table, atomically saves the database to the
+// Checkpoint vacuums every table with tombstones, atomically saves the database to the
 // configured directory, and truncates the WAL. It bounds recovery time
 // without closing the database.
 func (d *DB) Checkpoint() error {
@@ -397,9 +349,12 @@ func (d *DB) Checkpoint() error {
 	return d.sdb.Checkpoint(d.opts.Dir)
 }
 
-// Vacuum merges insert deltas and delete tombstones into clean main
-// columns now, returning how many tables were rewritten. Vacuumed
-// tables re-qualify for the vectorized scan path.
+// Vacuum drops every table's tombstoned positions now, rebuilding its
+// columns (and their zone maps, which then cover every row), and
+// returns how many tables were rewritten. No vacuum is needed for
+// correctness or routing: scans filter tombstones, and a DELETE or
+// UPDATE that leaves more than half of a table's positions tombstoned
+// vacuums that table itself.
 func (d *DB) Vacuum() (int, error) {
 	if err := d.checkOpen(); err != nil {
 		return 0, err

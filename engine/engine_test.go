@@ -216,12 +216,25 @@ func TestVectorPathAndFallbackAgree(t *testing.T) {
 	}
 	vec := collect(t)(conn.Query(bg, "SELECT x, f FROM t WHERE x >= 100 AND x < 200"))
 
-	// Deleting any row disqualifies the positional scan: same query now
-	// runs through MAL. Results must agree minus the deleted row.
+	// A deleted row is a tombstone the vector scan filters: the query
+	// stays vectorized and agrees with MAL, minus the deleted row.
 	mustExec(t, db, "DELETE FROM t WHERE x = 150")
-	mal := collect(t)(conn.Query(bg, "SELECT x, f FROM t WHERE x >= 100 AND x < 200"))
-	if len(vec) != 100 || len(mal) != 99 {
-		t.Fatalf("vec %d rows, mal %d rows", len(vec), len(mal))
+	if plan, err := conn.Plan("SELECT x, f FROM t WHERE x >= 100 AND x < 200"); err != nil {
+		t.Fatal(err)
+	} else if !strings.HasPrefix(plan, "vectorized pipeline") {
+		t.Fatalf("expected vector plan after DELETE, got:\n%s", plan)
+	}
+	after := collect(t)(conn.Query(bg, "SELECT x, f FROM t WHERE x >= 100 AND x < 200"))
+	oracle, err := db.sdb.Query("SELECT x, f FROM t WHERE x >= 100 AND x < 200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mal := oracle.Rows
+	if len(vec) != 100 || len(after) != 99 {
+		t.Fatalf("vec %d rows, after delete %d rows", len(vec), len(after))
+	}
+	if err := sameMultiset(after, mal); err != nil {
+		t.Fatal(err)
 	}
 	// Un-ORDERed SELECT: a multiset (doc.go § Result contract); the
 	// parallel scan's row order is the workers' business.

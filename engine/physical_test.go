@@ -42,11 +42,11 @@ func loadJoinPair(t *testing.T, db *DB, nl, nr int, seed int64) {
 }
 
 // Every fallback carries a machine-readable reason in \plan — no
-// statement routes to MAL silently.
+// statement routes to MAL silently — and the route depends on the
+// statement alone: neither SELECT * under GROUP BY nor tombstones send
+// a statement to MAL.
 func TestFallbackReasonsSurfaced(t *testing.T) {
-	// Background vacuum off: the deletes-present case below asserts the
-	// fallback BEFORE any vacuum clears it.
-	db, _ := Open(WithVacuumEvery(-1))
+	db, _ := Open()
 	defer db.Close()
 	mustExec(t, db, "CREATE TABLE t (a INT, b INT, c INT, f FLOAT, s TEXT)")
 	mustExec(t, db, "INSERT INTO t VALUES (1, 2, 3, 1.5, 'x')")
@@ -63,7 +63,6 @@ func TestFallbackReasonsSurfaced(t *testing.T) {
 		{"SELECT a + 1 FROM t", "expression-in-select"},
 		{"SELECT s, sum(a) FROM t GROUP BY s", "group-key-not-int"},
 		{"SELECT f, count(*) FROM t GROUP BY f", "group-key-not-int"},
-		{"SELECT * FROM w1 GROUP BY a", "group-by-star"},
 		{"SELECT a FROM t ORDER BY s", "order-key-not-sortable"},
 		{"SELECT sum(a) AS total FROM t ORDER BY total", "order-key-not-sortable"},
 		{"SELECT t.a FROM t JOIN u ON t.s = u.s", "join-key-not-int"},
@@ -85,14 +84,28 @@ func TestFallbackReasonsSurfaced(t *testing.T) {
 		}
 	}
 
-	// Data-dependent: deletes disqualify this snapshot, and \plan says so.
+	// Vectorized, with MAL's rows: SELECT * under GROUP BY (the binder
+	// already made every expanded item a group key), and a table with
+	// tombstones and rows appended after them.
+	mustExec(t, db, "INSERT INTO w1 VALUES (2), (1)")
+	mustExec(t, db, "INSERT INTO t VALUES (4, 5, 6, 2.5, 'y'), (7, 8, 9, 3.5, 'z')")
 	mustExec(t, db, "DELETE FROM t WHERE a = 1")
-	plan, err := conn.Plan("SELECT a, b FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "reason=deletes-present") {
-		t.Fatalf("expected deletes-present fallback, got:\n%s", plan)
+	mustExec(t, db, "INSERT INTO t VALUES (1, 1, 1, 0.5, 'w')")
+	for _, q := range []string{"SELECT * FROM w1 GROUP BY a", "SELECT a, b FROM t", "SELECT sum(b), count(*) FROM t", "SELECT count(*) FROM t"} {
+		plan, err := conn.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(plan, "vectorized pipeline") {
+			t.Fatalf("%s: expected the vectorized pipeline, got:\n%s", q, plan)
+		}
+		oracle, err := db.sdb.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameMultiset(collect(t)(conn.Query(bg, q)), oracle.Rows); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
 	}
 }
 
@@ -280,9 +293,9 @@ func TestGroupByPairVsMALOracle(t *testing.T) {
 	}
 }
 
-// IS NULL / IS NOT NULL work end to end on BOTH executors: the vector
-// path compiles them to nil-sentinel selections, and after a DELETE
-// disqualifies the snapshot the same query runs on MAL's select ops.
+// IS NULL / IS NOT NULL work end to end: the vector path compiles them
+// to nil-sentinel selections and agrees with MAL's select ops, before
+// and after a DELETE leaves tombstones among the nils.
 func TestIsNullEndToEnd(t *testing.T) {
 	db, _ := Open(WithWorkers(2), WithMorselSize(64), WithVectorSize(32))
 	defer db.Close()
@@ -296,15 +309,15 @@ func TestIsNullEndToEnd(t *testing.T) {
 		"SELECT k, f FROM g WHERE f IS NOT NULL AND k IS NULL",
 		"SELECT count(v), sum(v) FROM g WHERE v IS NOT NULL",
 	}
-	run := func(wantVector bool) {
+	run := func() {
 		t.Helper()
 		for _, q := range queries {
 			plan, err := conn.Plan(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if vec := strings.Contains(plan, "vectorized pipeline"); vec != wantVector {
-				t.Fatalf("%s: vectorized=%v, want %v:\n%s", q, vec, wantVector, plan)
+			if !strings.Contains(plan, "vectorized pipeline") {
+				t.Fatalf("%s: not vectorized:\n%s", q, plan)
 			}
 			got := collect(t)(conn.Query(bg, q))
 			oracle, err := db.sdb.Query(q)
@@ -316,14 +329,14 @@ func TestIsNullEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	run(true)
+	run()
 
 	// Nil tests drive DML through the compiler's candidate machinery too.
 	res := mustExec(t, db, "DELETE FROM g WHERE v IS NULL AND f IS NULL")
 	if res.RowsAffected == 0 {
 		t.Fatal("expected some all-NULL rows to delete")
 	}
-	run(false) // deletes force the MAL path; reasons stay visible, results identical
+	run()
 
 	// And = NULL stays loudly rejected, pointing at IS NULL.
 	if _, err := conn.Query(bg, "SELECT k FROM g WHERE v = NULL"); err == nil ||

@@ -18,15 +18,18 @@ type planKey struct {
 	schemaVer int64
 }
 
-// planEntry holds the shareable compilation artifacts of a SELECT. All
-// three are immutable after compilation (execution instantiates
-// per-query state), so one entry can serve concurrent executions on
-// different sessions — this is the amortization point for X100-style
-// plan construction cost across connections.
+// planEntry holds the shareable compilation artifacts of a SELECT: the
+// physical plan when the planner lowered it, otherwise the MAL program
+// with its placeholder types — routing is fixed at compilation, so only
+// the executor that will run is compiled. Both are immutable after
+// compilation (execution instantiates per-query state), so one entry
+// can serve concurrent executions on different sessions — this is the
+// amortization point for X100-style plan construction cost across
+// connections.
 type planEntry struct {
-	prog   *mal.Program
-	ptypes []sqlfe.ColType
 	phys   *physical.Plan // nil when the planner fell back to MAL
+	prog   *mal.Program   // prog and ptypes are set only when phys is nil
+	ptypes []sqlfe.ColType
 }
 
 // planCache is the DB-wide shared prepared-plan cache. Sessions

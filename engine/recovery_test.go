@@ -15,14 +15,14 @@ import (
 
 // These tests exercise the durability chain end to end: group-committed
 // WAL writes, kill-at-any-byte crash recovery against an in-memory
-// oracle, fsync-failure poisoning, checkpointing, and the delta vacuum
-// that re-qualifies deleted-from tables for the vector path.
+// oracle, fsync-failure poisoning, checkpointing, and the vacuum that
+// drops tombstoned positions — explicit, or by the half-tombstoned rule
+// inside a DELETE's own transaction.
 
 // durableOpts opens a crash-simulated persistent engine: checkpoints go
 // to dir on the real filesystem, the WAL goes through mfs.
 func durableOpts(dir string, mfs *wal.MemFS) []Option {
-	return []Option{WithDir(dir), WithWALFS(mfs), WithVacuumEvery(-1),
-		WithGroupCommit(time.Millisecond, 0)}
+	return []Option{WithDir(dir), WithWALFS(mfs), WithGroupCommit(time.Millisecond, 0)}
 }
 
 func tableRows(t *testing.T, db *DB, table string) [][]any {
@@ -125,7 +125,7 @@ func TestCrashPointSweep(t *testing.T) {
 			defer rec.Close()
 			replayed := rec.WALStats().Txs
 
-			oracle, err := Open(WithVacuumEvery(-1))
+			oracle, err := Open()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,16 +166,7 @@ func TestCrashPointSweep(t *testing.T) {
 // middle is a logged vacuum: deletes after it address the compacted
 // layout, so replay must vacuum at the same point to land them right.
 func TestCrashSweepWithVacuum(t *testing.T) {
-	mfs := wal.NewMemFS()
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "wal.log")
-	db, err := Open(durableOpts(dir, mfs)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Actions, not SQL strings: one step is a vacuum. Each action logs
-	// at most one transaction (one table carries deletes).
-	actions := []func(t *testing.T, db *DB){
+	crashSweepActions(t, []func(t *testing.T, db *DB){
 		func(t *testing.T, db *DB) { mustExec(t, db, "CREATE TABLE t (a INT, s TEXT)") },
 		func(t *testing.T, db *DB) {
 			mustExec(t, db, "INSERT INTO t VALUES (1,'a'), (2,'b'), (3,'c'), (4,'d'), (5,'e')")
@@ -189,6 +180,64 @@ func TestCrashSweepWithVacuum(t *testing.T) {
 		func(t *testing.T, db *DB) { mustExec(t, db, "DELETE FROM t WHERE a = 4") },
 		func(t *testing.T, db *DB) { mustExec(t, db, "UPDATE t SET s = 'z' WHERE a = 5") },
 		func(t *testing.T, db *DB) { mustExec(t, db, "INSERT INTO t VALUES (6, 'f')") },
+	})
+}
+
+// TestCrashSweepHalfTombstoned: a DELETE or UPDATE that leaves more than
+// half of a table's positions tombstoned vacuums the table inside its
+// own WAL transaction, so replay lands every later delete on the
+// compacted layout — at every kill point — and no tombstones remain.
+func TestCrashSweepHalfTombstoned(t *testing.T) {
+	tombstones := func(t *testing.T, db *DB, want int) {
+		t.Helper()
+		tbl, err := db.sdb.Table("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(tbl.Deleted()); got != want {
+			t.Fatalf("%d tombstones, want %d", got, want)
+		}
+	}
+	crashSweepActions(t, []func(t *testing.T, db *DB){
+		func(t *testing.T, db *DB) { mustExec(t, db, "CREATE TABLE t (a INT, s TEXT)") },
+		func(t *testing.T, db *DB) {
+			mustExec(t, db, "INSERT INTO t VALUES (1,'a'), (2,'b'), (3,'c'), (4,'d'), (5,'e'), (6,'f')")
+		},
+		func(t *testing.T, db *DB) {
+			mustExec(t, db, "DELETE FROM t WHERE a <= 3") // exactly half: kept
+			tombstones(t, db, 3)
+		},
+		func(t *testing.T, db *DB) {
+			mustExec(t, db, "DELETE FROM t WHERE a = 5") // 4 of 6: vacuumed
+			tombstones(t, db, 0)
+		},
+		func(t *testing.T, db *DB) { mustExec(t, db, "INSERT INTO t VALUES (7,'g')") },
+		func(t *testing.T, db *DB) {
+			mustExec(t, db, "UPDATE t SET s = 'y' WHERE a >= 6") // 2 of 5 tombstoned
+			tombstones(t, db, 2)
+		},
+		func(t *testing.T, db *DB) {
+			mustExec(t, db, "UPDATE t SET s = 'x' WHERE a = 4") // 3 of 6: kept
+			tombstones(t, db, 3)
+		},
+		func(t *testing.T, db *DB) {
+			mustExec(t, db, "DELETE FROM t WHERE a = 7") // 4 of 6: vacuumed
+			tombstones(t, db, 0)
+		},
+	})
+}
+
+// crashSweepActions runs actions (each logging at most one transaction)
+// on a crash-simulated database, then kills it at every record boundary
+// of the resulting WAL, recovers, and compares table t with an in-memory
+// oracle that ran the action prefix the surviving transactions cover.
+func crashSweepActions(t *testing.T, actions []func(t *testing.T, db *DB)) {
+	mfs := wal.NewMemFS()
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, "wal.log")
+	db, err := Open(durableOpts(dir, mfs)...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	txsAfter := make([]uint64, len(actions))
 	for i, act := range actions {
@@ -208,7 +257,7 @@ func TestCrashSweepWithVacuum(t *testing.T) {
 			}
 			defer rec.Close()
 			replayed := rec.WALStats().Txs
-			oracle, err := Open(WithVacuumEvery(-1))
+			oracle, err := Open()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,12 +354,11 @@ func TestFsyncFailurePoisonsEngine(t *testing.T) {
 	}
 }
 
-// TestVacuumRequalifiesVectorPath: a table with tombstones falls back
-// to MAL with reason=deletes-present; vacuuming clears the tombstones
-// and the same query routes back through the vectorized path with
-// identical results.
-func TestVacuumRequalifiesVectorPath(t *testing.T) {
-	db, err := Open(WithVacuumEvery(-1))
+// TestTombstonedTablePlansVectorized: a table with tombstones runs on
+// the vectorized pipeline — the scan filters them — before and after
+// DB.Vacuum drops them, with identical rows, and \plan counts them.
+func TestTombstonedTablePlansVectorized(t *testing.T) {
+	db, err := Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,61 +372,27 @@ func TestVacuumRequalifiesVectorPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "reason=deletes-present") {
-		t.Fatalf("expected deletes-present fallback, got:\n%s", plan)
+	if !strings.HasPrefix(plan, "vectorized pipeline") || !strings.Contains(plan, "5000 rows, 100 tombstoned") {
+		t.Fatalf("expected a vectorized plan scanning 100 tombstones, got:\n%s", plan)
 	}
 	before := collect(t)(db.Query(bg, q))
-
-	n, err := db.Vacuum()
-	if err != nil {
-		t.Fatal(err)
+	if len(before) != 900 {
+		t.Fatalf("%d rows before vacuum, want 900", len(before))
 	}
-	if n != 1 {
-		t.Fatalf("vacuumed %d tables, want 1", n)
+
+	if n, err := db.Vacuum(); err != nil || n != 1 {
+		t.Fatalf("vacuumed %d tables, %v; want 1", n, err)
 	}
 	plan, err = conn.Plan(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(plan, "deletes-present") || !strings.Contains(plan, "vectorized") {
-		t.Fatalf("expected vectorized plan after vacuum, got:\n%s", plan)
+	if !strings.HasPrefix(plan, "vectorized pipeline") || strings.Contains(plan, "tombstoned") {
+		t.Fatalf("expected a vectorized plan without tombstones after vacuum, got:\n%s", plan)
 	}
 	after := collect(t)(db.Query(bg, q))
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("vacuum changed results:\n before %v\n after  %v", before, after)
-	}
-}
-
-// TestBackgroundVacuum: with a short period, the deletes-present
-// fallback disappears on its own.
-func TestBackgroundVacuum(t *testing.T) {
-	db, err := Open(WithVacuumEvery(5 * time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	mustExec(t, db, "CREATE TABLE t (a INT, b INT)")
-	mustExec(t, db, "INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
-	mustExec(t, db, "DELETE FROM t WHERE a = 2")
-	conn := db.Conn()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		plan, err := conn.Plan("SELECT a, b FROM t")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(plan, "deletes-present") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background vacuum never cleared the fallback:\n%s", plan)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	got := collect(t)(db.Query(bg, "SELECT a, b FROM t"))
-	want := [][]any{{int64(1), int64(10)}, {int64(3), int64(30)}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("rows = %v", got)
+	if err := sameMultiset(before, after); err != nil {
+		t.Fatalf("vacuum changed results: %v", err)
 	}
 }
 
@@ -389,7 +403,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 	for _, writers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
 			dir := b.TempDir()
-			db, err := Open(WithDir(dir), WithVacuumEvery(-1))
+			db, err := Open(WithDir(dir))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -473,7 +487,7 @@ func TestCheckpointCrashBeforeTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery after checkpoint crash window: %v", err)
 	}
-	oracle, err := Open(WithVacuumEvery(-1))
+	oracle, err := Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +558,7 @@ func TestCheckpointWindowSweep(t *testing.T) {
 	db.Close()
 
 	want := func() [][]any {
-		oracle, err := Open(WithVacuumEvery(-1))
+		oracle, err := Open()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,10 +17,10 @@ type Result struct {
 	RowsAffected int64
 }
 
-// Stmt is a prepared statement. For SELECTs the MAL plan is compiled
-// once (per schema version) with typed bind slots for the ?
-// placeholders; Query re-binds and re-executes it without re-parsing.
-// A Stmt is safe for concurrent use.
+// Stmt is a prepared statement. For SELECTs the plan is compiled once
+// (per schema version) with typed bind slots for the ? placeholders;
+// Query re-binds and re-executes it without re-parsing. A Stmt is safe
+// for concurrent use.
 type Stmt struct {
 	conn    *Conn
 	sql     string
@@ -29,9 +29,7 @@ type Stmt struct {
 	nparams int
 
 	mu        sync.Mutex
-	prog      *mal.Program
-	ptypes    []sqlfe.ColType
-	phys      *physical.Plan // nil when the planner fell back to MAL
+	plan      *planEntry // nil until compiled
 	schemaVer int64
 	closed    bool
 }
@@ -67,12 +65,13 @@ func (s *Stmt) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
-	s.prog, s.phys = nil, nil
+	s.plan = nil
 	return nil
 }
 
-// plan (re)compiles the SELECT against snap, re-lowers the physical
-// plan, caches both, and returns them. The plan is stamped with
+// compile (re)binds the SELECT against snap, lowers it — or, when the
+// planner falls back, compiles it to MAL — caches the result, and
+// returns it. The plan is stamped with
 // the SNAPSHOT's schema version — not the live one, which may have
 // moved on (or, on a frozen session, be ahead of the pinned catalog
 // the plan was actually compiled for). It RETURNS the compiled
@@ -88,43 +87,43 @@ func (s *Stmt) Close() error {
 // per-connection plan construction cost of the paper's X100 comparison
 // is amortized. The cached artifacts are immutable after compilation,
 // so sharing them across sessions is race-free.
-func (s *Stmt) plan(snap *sqlfe.Snapshot) (*mal.Program, []sqlfe.ColType, *physical.Plan, error) {
+func (s *Stmt) compile(snap *sqlfe.Snapshot) (*planEntry, error) {
 	ver := snap.SchemaVersion()
 	e, ok := s.conn.db.plans.get(s.sql, ver)
 	if !ok {
 		// Bind once: the binder's errors are the statement's errors, and
-		// both back-ends translate the same Bound.
+		// whichever back-end runs the statement translates the Bound.
 		b, err := snap.Bind(s.sel)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		phys, _ := physical.LowerBound(b)
-		e = &planEntry{prog: b.CompileMAL(), ptypes: b.ParamTypes, phys: phys}
+		e = &planEntry{}
+		if e.phys, _ = physical.LowerBound(b); e.phys == nil {
+			e.prog, e.ptypes = b.CompileMAL(), b.ParamTypes
+		}
 		s.conn.db.plans.put(s.sql, ver, e)
 	}
 	s.mu.Lock()
-	s.prog, s.ptypes = e.prog, e.ptypes
-	s.phys = e.phys
-	s.schemaVer = ver
+	s.plan, s.schemaVer = e, ver
 	s.mu.Unlock()
-	return e.prog, e.ptypes, e.phys, nil
+	return e, nil
 }
 
 // currentPlan returns a plan valid for the executing snapshot's
 // catalog version: the cached one when it matches, a fresh compile
 // otherwise.
-func (s *Stmt) currentPlan(snap *sqlfe.Snapshot) (*mal.Program, []sqlfe.ColType, *physical.Plan, error) {
+func (s *Stmt) currentPlan(snap *sqlfe.Snapshot) (*planEntry, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, nil, nil, fmt.Errorf("engine: statement is closed")
+		return nil, fmt.Errorf("engine: statement is closed")
 	}
-	if s.prog != nil && s.schemaVer == snap.SchemaVersion() {
+	if s.plan != nil && s.schemaVer == snap.SchemaVersion() {
 		defer s.mu.Unlock()
-		return s.prog, s.ptypes, s.phys, nil
+		return s.plan, nil
 	}
 	s.mu.Unlock()
-	return s.plan(snap)
+	return s.compile(snap)
 }
 
 // Query executes a prepared SELECT with the given placeholder
@@ -147,19 +146,18 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 		return nil, err
 	}
 	snap := s.conn.snapshot()
-	prog, ptypes, phys, err := s.currentPlan(snap)
+	e, err := s.currentPlan(snap)
 	if err != nil {
 		return nil, err
 	}
 
 	// Vectorized path: stream batches straight off the morsel-parallel
-	// pipeline when the planner lowered the query and this snapshot's
-	// data qualifies (a data-dependent Fallback routes to MAL below).
-	if phys != nil {
+	// pipeline when the planner lowered the query.
+	if phys := e.phys; phys != nil {
 		popts := s.conn.db.physOpts()
 		gov, scope := s.conn.db.queryGov()
 		popts.Gov, popts.Spill = gov, scope
-		res, fb, err := phys.Execute(ctx, snap, args, popts)
+		res, _, err := phys.Execute(ctx, snap, args, popts)
 		if err != nil {
 			// Over-budget and spill-I/O failures are per-query: release
 			// this query's spill files and surface the typed error — the
@@ -171,38 +169,28 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 			}
 			return nil, err
 		}
-		if fb == nil {
-			r := newVecRows(ctx, phys.Names, res.Op, res.Limit)
-			if scope != nil {
-				// The pipeline streams spilled runs/partitions back while
-				// the cursor iterates; the files die with the cursor.
-				r.cleanup = scope.Cleanup
-			}
-			return r, nil
-		}
+		r := newVecRows(ctx, phys.Names, res.Op, res.Limit)
 		if scope != nil {
-			// MAL fallback: the vectorized pipeline never ran, but the
-			// scope exists — scrub it in case Execute partitioned before
-			// falling back.
-			if err := scope.Cleanup(); err != nil {
-				return nil, err
-			}
+			// The pipeline streams spilled runs/partitions back while
+			// the cursor iterates; the files die with the cursor.
+			r.cleanup = scope.Cleanup
 		}
+		return r, nil
 	}
 
 	// MAL fallback: bind the slots and run the compiled program. The
 	// result columns are materialized by the interpreter, but the cursor
 	// still hands them out row-at-a-time.
-	params, err := bindMALParams(args, ptypes)
+	params, err := bindMALParams(args, e.ptypes)
 	if err != nil {
 		return nil, err
 	}
 	ip := &mal.Interp{Cat: snap, Recycler: s.conn.db.sdb.Recycle, Params: params}
-	vals, err := ip.Run(prog)
+	vals, err := ip.Run(e.prog)
 	if err != nil {
 		return nil, err
 	}
-	return newMALRows(ctx, prog.ResultNames, vals), nil
+	return newMALRows(ctx, e.prog.ResultNames, vals), nil
 }
 
 // Exec executes a prepared DDL/DML statement (or drains a SELECT for

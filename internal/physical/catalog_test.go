@@ -11,9 +11,8 @@ import (
 // fixedCatalog builds the three-table database the golden corpus and
 // FuzzBindSelect bind against: INT, FLOAT and TEXT columns with nils in
 // each, duplicate and negative keys, -0.0 beside 0.0; the first batch
-// of rows lives in main columns (saved and reloaded), the second in the
-// insert deltas; nothing is deleted, so every table qualifies for the
-// positional scan.
+// of rows was saved and reloaded (zone-mapped), the rest appended since;
+// t carries tombstones among both, and rows appended after them.
 func fixedCatalog(tb testing.TB) *sqlfe.DB {
 	tb.Helper()
 	exec := func(db *sqlfe.DB, stmts ...string) {
@@ -44,6 +43,8 @@ func fixedCatalog(tb testing.TB) *sqlfe.DB {
 		"INSERT INTO t VALUES (4, 40, 9, 4.5, 'z'), (1, NULL, 5, NULL, 'x'), (-2, 20, -5, 1.5, NULL)",
 		"INSERT INTO u VALUES (1, 100, 0.5, 'x'), (3, 500, -1.5, 'y')",
 		"INSERT INTO z VALUES (4, 40, 4.0), (1, 10, NULL)",
+		"DELETE FROM t WHERE b = 20",
+		"INSERT INTO t VALUES (2, 20, 1, 3.5, 'w'), (NULL, 50, 5, NULL, 'x')",
 	)
 	return db
 }

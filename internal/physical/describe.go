@@ -77,7 +77,11 @@ func (p *Plan) Describe() string {
 func (s *ExecStats) Describe() string {
 	var sb strings.Builder
 	for _, sc := range s.Scans {
-		fmt.Fprintf(&sb, "scan %s: %d/%d zones, %d/%d rows\n", sc.Table, sc.ZonesKept, sc.Zones, sc.Rows, sc.TableRows)
+		fmt.Fprintf(&sb, "scan %s: %d/%d zones, %d/%d rows", sc.Table, sc.ZonesKept, sc.Zones, sc.Rows, sc.TableRows)
+		if sc.Deleted > 0 {
+			fmt.Fprintf(&sb, ", %d tombstoned", sc.Deleted)
+		}
+		sb.WriteString("\n")
 	}
 	if st := s.Sort; st != nil {
 		fmt.Fprintf(&sb, "sort %s: %d rows in, ", st.Input, st.RowsIn.Load())

@@ -22,14 +22,12 @@ type Result struct {
 	Limit int
 }
 
-// Execute instantiates the plan over a snapshot. A nil *Fallback means
-// Result is live; a non-nil one means the DATA disqualified the vector
-// path (run the MAL program instead); a non-nil error is a real
-// binding/execution error that would fail either way.
+// Execute instantiates the plan over a snapshot. A non-nil error is a
+// real binding/execution error that would fail on either engine. The
+// *Fallback result is always nil — no snapshot disqualifies a lowered
+// plan since scans filter tombstones — and stays in the signature for
+// callers outside this module (bench/probes.go).
 func (p *Plan) Execute(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options) (*Result, *Fallback, error) {
-	if fb := p.DataFallback(snap); fb != nil {
-		return nil, fb, nil
-	}
 	switch root := p.Root.(type) {
 	case *ProjectNode:
 		if sn, ok := root.Child.(*SortNode); ok {
@@ -45,44 +43,9 @@ func (p *Plan) Execute(ctx context.Context, snap *sqlfe.Snapshot, args []any, op
 	return nil, nil, fmt.Errorf("physical: unexecutable plan root %T", p.Root)
 }
 
-// DataFallback reports the data-dependent disqualification this
-// snapshot would cause at Execute time, or nil. It is how \plan
-// surfaces execution-time routing without running the query.
-func (p *Plan) DataFallback(snap *sqlfe.Snapshot) *Fallback {
-	for _, s := range scanNodes(p.Root) {
-		// A plan only meets snapshots of the catalog version it was bound
-		// for; were the table gone, binding the scan reports it.
-		if t, err := snap.Table(s.Table); err == nil && t.HasDeletes() {
-			// Tombstoned positions would need the deleted filter; the
-			// positional scan has no notion of it.
-			return fallback(ReasonDeletesPresent, "table %s has tombstoned rows", s.Table)
-		}
-	}
-	return nil
-}
-
-// scanNodes collects the scans of a plan tree.
-func scanNodes(n Node) []*ScanNode {
-	switch x := n.(type) {
-	case *ScanNode:
-		return []*ScanNode{x}
-	case *FilterNode:
-		return scanNodes(x.Child)
-	case *ProjectNode:
-		return scanNodes(x.Child)
-	case *SortNode:
-		return scanNodes(x.Child)
-	case *GroupAggNode:
-		return scanNodes(x.Child)
-	case *JoinTreeNode:
-		out := make([]*ScanNode, 0, len(x.Leaves))
-		for i := range x.Leaves {
-			out = append(out, x.Leaves[i].Scan)
-		}
-		return out
-	}
-	return nil
-}
+// DataFallback always returns nil: routing no longer depends on the
+// snapshot. It stays for callers outside this module (bench/probes.go).
+func (p *Plan) DataFallback(*sqlfe.Snapshot) *Fallback { return nil }
 
 // pipe splits a leaf pipeline (Scan or Filter-over-Scan) into its parts.
 func pipe(n Node) (*ScanNode, []Pred, error) {
@@ -100,13 +63,14 @@ func pipe(n Node) (*ScanNode, []Pred, error) {
 }
 
 // boundScan is a ScanNode bound to one snapshot: zero-copy column
-// slices plus, per pipeline column, the NoNil property driving nil-aware
-// primitive selection and the zone map of its main part.
+// slices that filter the snapshot's tombstones plus, per pipeline
+// column, the NoNil property driving nil-aware primitive selection and
+// the zone map of its leading rows.
 type boundScan struct {
-	src      *vector.Source
-	noNil    []bool
-	zones    []*sqlfe.ZoneMap
-	mainRows int // leading positions held by main columns: what the zone maps cover
+	src   *vector.Source
+	noNil []bool
+	zones []*sqlfe.ZoneMap
+	zoned int // leading positions the zone maps cover
 }
 
 // bind resolves the scan's columns against the snapshot.
@@ -133,13 +97,14 @@ func bind(s *ScanNode, snap *sqlfe.Snapshot) (*boundScan, error) {
 			return nil, fmt.Errorf("physical: column %s.%s is not numeric", s.Table, names[i])
 		}
 	}
-	// NumRows == total positions here (no deletes — DataFallback ran),
-	// so a column-free count(*) still scans the right number of rows.
-	src, err := vector.NewSourceWithLen(names, cols, t.NumRows())
+	// Every position, tombstoned ones included: the scan's selection
+	// vectors drop those, so a column-free count(*) counts live rows.
+	src, err := vector.NewSourceWithLen(names, cols, t.TotalPositions())
 	if err != nil {
 		return nil, err
 	}
-	return &boundScan{src: src, noNil: noNil, zones: zones, mainRows: t.MainRows()}, nil
+	src = src.WithDeleted(t.Deleted())
+	return &boundScan{src: src, noNil: noNil, zones: zones, zoned: t.ZonedRows()}, nil
 }
 
 // predOp maps a SQL comparison to the vectorized primitive, picking the
@@ -278,9 +243,10 @@ func emptyLike(src *vector.Source) *vector.Source {
 }
 
 // zoneRanges coalesces the surviving zones of the zone-mapped prefix
-// [0,mapped) and the unmapped tail [mapped,total) — insert deltas, which
-// no zone speaks for and which therefore always survive — into sorted
-// disjoint row ranges. kept counts the surviving zones.
+// [0,mapped) and the unmapped tail [mapped,total) — rows appended since
+// the zone maps were built, which no zone speaks for and which
+// therefore always survive — into sorted disjoint row ranges. kept
+// counts the surviving zones.
 func zoneRanges(keep []bool, mapped, total int) (out []vector.RowRange, kept int) {
 	add := func(lo, hi int) {
 		if n := len(out); n > 0 && out[n-1].Hi == lo {
@@ -315,11 +281,11 @@ func bindLeaf(scan *ScanNode, preds []Pred, snap *sqlfe.Snapshot, args []any, st
 		return nil, nil, err
 	}
 	total := bs.src.Len()
-	zones := (bs.mainRows + sqlfe.ZoneRows - 1) / sqlfe.ZoneRows
-	st := ScanStat{Table: scan.Table, ZonesKept: zones, Zones: zones, TableRows: total}
+	zones := (bs.zoned + sqlfe.ZoneRows - 1) / sqlfe.ZoneRows
+	st := ScanStat{Table: scan.Table, ZonesKept: zones, Zones: zones, TableRows: total, Deleted: bs.src.Deleted()}
 	var ranges []vector.RowRange
 	if keep != nil {
-		ranges, st.ZonesKept = zoneRanges(keep, bs.mainRows, total)
+		ranges, st.ZonesKept = zoneRanges(keep, bs.zoned, total)
 	}
 	switch {
 	case empty:
@@ -1046,9 +1012,9 @@ func (p *Plan) execGlobalAgg(ctx context.Context, snap *sqlfe.Snapshot, args []a
 			cnt = row.Cols[o.CntAcc].Ints[0]
 		}
 		switch o.Fn {
-		case "count":
+		case sqlfe.AggCount:
 			cols[i] = vector.Col{Kind: vector.KindInt, Ints: []int64{row.Cols[o.Acc].Ints[0]}}
-		case "sum":
+		case sqlfe.AggSum:
 			if o.Flt {
 				v := row.Cols[o.Acc].Floats[0]
 				if cnt == 0 {
@@ -1062,7 +1028,7 @@ func (p *Plan) execGlobalAgg(ctx context.Context, snap *sqlfe.Snapshot, args []a
 				}
 				cols[i] = vector.Col{Kind: vector.KindInt, Ints: []int64{v}}
 			}
-		case "avg":
+		case sqlfe.AggAvg:
 			v := math.NaN()
 			if cnt != 0 {
 				s := 0.0
@@ -1117,11 +1083,12 @@ func (p *Plan) execGrouped(ctx context.Context, snap *sqlfe.Snapshot, args []any
 		return p.finishGrouped(merged, g, opts.Stats)
 	}
 
-	// Plan choice: the shared-nothing radix-partitioned plan needs raw
-	// positions (no filter, no joins, no expressions) and a single int64
-	// key; every other shape takes the merge-based plan.
+	// Plan choice: the shared-nothing radix-partitioned plan shuffles raw
+	// positions, so it needs every position to qualify (no filter, no
+	// tombstones, no joins, no expressions) and a single int64 key; every
+	// other shape takes the merge-based plan.
 	var merged *vector.Batch
-	if pl.leaf != nil && len(keyIdx) == 1 && len(pl.leafPreds) == 0 && g.Pre == nil {
+	if pl.leaf != nil && len(keyIdx) == 1 && len(pl.leafPreds) == 0 && pl.src.Deleted() == 0 && g.Pre == nil {
 		keys := pl.src.Cols[keyIdx[0]].Ints
 		est := vector.EstimateGroups(keys)
 		if radix.ShouldPartitionGroup(len(keys), est, workers) {
@@ -1206,9 +1173,9 @@ func shapeGrouped(merged *vector.Batch, g *GroupAggNode) []vector.Col {
 		switch {
 		case o.Key:
 			out[i] = merged.Cols[o.KeyIdx]
-		case o.Fn == "count":
+		case o.Fn == sqlfe.AggCount:
 			out[i] = *accCol(o.Acc)
-		case o.Fn == "sum" && !o.Flt:
+		case o.Fn == sqlfe.AggSum && !o.Flt:
 			sums := accCol(o.Acc).Ints
 			cnts := accCol(o.CntAcc).Ints
 			vals := make([]int64, n)
@@ -1220,7 +1187,7 @@ func shapeGrouped(merged *vector.Batch, g *GroupAggNode) []vector.Col {
 				}
 			}
 			out[i] = vector.Col{Kind: vector.KindInt, Ints: vals}
-		case o.Fn == "sum":
+		case o.Fn == sqlfe.AggSum:
 			sums := accCol(o.Acc).Floats
 			cnts := accCol(o.CntAcc).Ints
 			vals := make([]float64, n)
@@ -1232,7 +1199,7 @@ func shapeGrouped(merged *vector.Batch, g *GroupAggNode) []vector.Col {
 				}
 			}
 			out[i] = vector.Col{Kind: vector.KindFloat, Floats: vals}
-		case o.Fn == "avg":
+		case o.Fn == sqlfe.AggAvg:
 			cnts := accCol(o.CntAcc).Ints
 			vals := make([]float64, n)
 			sc := accCol(o.Acc)

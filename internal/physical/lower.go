@@ -198,9 +198,6 @@ func (p *planner) lowerGlobalAggs() (Node, *Fallback) {
 
 func (p *planner) lowerGrouped() (Node, *Fallback) {
 	b := p.b
-	if b.Star {
-		return nil, fallback(ReasonGroupStar, "")
-	}
 	// The grouping table assigns dense ids over int64 key tuples of any
 	// width. Text and float keys fall back to MAL's grouping. NULL keys
 	// are fine: the table treats bat.NilInt as an ordinary key, so all
@@ -213,7 +210,7 @@ func (p *planner) lowerGrouped() (Node, *Fallback) {
 	}
 	agg := &aggBuilder{p: p}
 	for _, it := range b.Items {
-		if it.Agg == "" {
+		if it.Agg == sqlfe.AggNone {
 			agg.outs = append(agg.outs, AggOut{Key: true, KeyIdx: it.GroupKey, Acc: -1, CntAcc: -1})
 		} else if fb := agg.item(it); fb != nil {
 			return nil, fb
@@ -311,7 +308,7 @@ func (a *aggBuilder) need(kind vector.AggKind, src int) int {
 // item lowers one aggregate select item.
 func (a *aggBuilder) item(it sqlfe.BoundItem) *Fallback {
 	if it.Expr == nil { // count(*)
-		a.outs = append(a.outs, AggOut{Fn: "count", Acc: a.need(vector.AggCount, -1), CntAcc: -1})
+		a.outs = append(a.outs, AggOut{Fn: sqlfe.AggCount, Acc: a.need(vector.AggCount, -1), CntAcc: -1})
 		return nil
 	}
 	if it.Expr.Type == sqlfe.TText { // count(s): only a bare column can be TEXT
@@ -324,20 +321,20 @@ func (a *aggBuilder) item(it sqlfe.BoundItem) *Fallback {
 		cntKind = vector.AggCountNNFloat
 	}
 	switch it.Agg {
-	case "count": // count(col/expr): non-nil count
-		a.outs = append(a.outs, AggOut{Fn: "count", Acc: a.need(cntKind, si), CntAcc: -1})
-	case "sum", "avg":
+	case sqlfe.AggCount: // count(col/expr): non-nil count
+		a.outs = append(a.outs, AggOut{Fn: sqlfe.AggCount, Acc: a.need(cntKind, si), CntAcc: -1})
+	case sqlfe.AggSum, sqlfe.AggAvg:
 		sumKind := vector.AggSumIntNil
 		if isFlt {
 			sumKind = vector.AggSumFloatNil
 		}
-		a.outs = append(a.outs, AggOut{Fn: it.Agg, Acc: a.need(sumKind, si), CntAcc: a.need(cntKind, si), Flt: isFlt || it.Agg == "avg"})
-	case "min", "max":
+		a.outs = append(a.outs, AggOut{Fn: it.Agg, Acc: a.need(sumKind, si), CntAcc: a.need(cntKind, si), Flt: isFlt || it.Agg == sqlfe.AggAvg})
+	case sqlfe.AggMin, sqlfe.AggMax:
 		var kind vector.AggKind
 		switch {
-		case it.Agg == "min" && isFlt:
+		case it.Agg == sqlfe.AggMin && isFlt:
 			kind = vector.AggMinFloat
-		case it.Agg == "min":
+		case it.Agg == sqlfe.AggMin:
 			kind = vector.AggMinInt
 		case isFlt:
 			kind = vector.AggMaxFloat
@@ -345,8 +342,6 @@ func (a *aggBuilder) item(it sqlfe.BoundItem) *Fallback {
 			kind = vector.AggMaxInt
 		}
 		a.outs = append(a.outs, AggOut{Fn: it.Agg, Acc: a.need(kind, si), CntAcc: -1, Flt: isFlt})
-	default:
-		return fallback(ReasonAggUnsupported, "%s", it.Agg)
 	}
 	return nil
 }

@@ -17,17 +17,14 @@
 //     silent "return nil", and no error: what is illegal the binder has
 //     already rejected.
 //
-//   - Plan.Execute runs per Query and is data-dependent: it checks the
-//     snapshot qualifies (no tombstoned positions — the positional scan
-//     has no deleted filter), binds the ? slots through the same
+//   - Plan.Execute runs per Query: it binds the ? slots through the same
 //     sqlfe.CoerceArg rules as the MAL interpreter, picks nil-aware
-//     filter primitives per the columns' NoNil property, consults the
-//     radix cost models (join build side, merge-vs-partitioned
-//     grouping, serial-vs-run sort), and instantiates Exchange
-//     pipelines over zero-copy snapshot column slices. A data
-//     disqualification is again a typed Fallback, and the caller runs
-//     the compiled MAL program instead — same results, different
-//     engine.
+//     filter primitives per the columns' NoNil property, prunes zones,
+//     consults the radix cost models (join build side,
+//     merge-vs-partitioned grouping, serial-vs-run sort), and
+//     instantiates Exchange pipelines over zero-copy snapshot column
+//     slices whose scans filter the snapshot's tombstones. No snapshot
+//     disqualifies a lowered plan: routing is fixed at LowerBound.
 package physical
 
 import (
@@ -48,19 +45,16 @@ type Fallback struct {
 	Detail string
 }
 
-// Fallback reason codes: the seven structural ones come out of
-// LowerBound, the data-dependent one out of Execute/DataFallback. Each
-// says what the vector engine does not do; none stands for an error —
-// an illegal statement never gets past sqlfe.Snapshot.Bind.
+// Fallback reason codes, all structural: they come out of LowerBound
+// and depend on the statement alone, never on the data. Each says what
+// the vector engine does not do; none stands for an error — an illegal
+// statement never gets past sqlfe.Snapshot.Bind.
 const (
-	ReasonTextColumn     = "text-column"            // a referenced column is TEXT; the pipeline moves int/float vectors
-	ReasonExprInSelect   = "expression-in-select"   // PLAIN (non-aggregated) arithmetic select items are not lowered; expressions inside aggregates are
-	ReasonAggUnsupported = "aggregate-unsupported"  // an aggregate function with no vector accumulator
-	ReasonGroupKeyType   = "group-key-not-int"      // the grouping table keys int64 tuples
-	ReasonGroupStar      = "group-by-star"          // SELECT * under GROUP BY
-	ReasonOrderKeyType   = "order-key-not-sortable" // ORDER BY key is TEXT, or orders a global aggregate's one row
-	ReasonJoinKeyType    = "join-key-not-int"       // the shared open-addressing table keys int64
-	ReasonDeletesPresent = "deletes-present"        // data-dependent: tombstoned positions need the deleted filter
+	ReasonTextColumn   = "text-column"            // a referenced column is TEXT; the pipeline moves int/float vectors
+	ReasonExprInSelect = "expression-in-select"   // PLAIN (non-aggregated) arithmetic select items are not lowered; expressions inside aggregates are
+	ReasonGroupKeyType = "group-key-not-int"      // the grouping table keys int64 tuples
+	ReasonOrderKeyType = "order-key-not-sortable" // ORDER BY key is TEXT, or orders a global aggregate's one row
+	ReasonJoinKeyType  = "join-key-not-int"       // the shared open-addressing table keys int64
 )
 
 func (f *Fallback) String() string {
@@ -123,14 +117,16 @@ type SortStat struct {
 	*vector.SortStats
 }
 
-// ScanStat is what data skipping left of one leaf's scan: the zones of
-// the table's main columns the predicates could not rule out, and the
-// rows handed to the pipeline (surviving zones plus the insert delta,
-// which no zone map covers) out of the table's.
+// ScanStat is what data skipping left of one leaf's scan: the zones
+// the predicates could not rule out, and the positions handed to the
+// pipeline (surviving zones plus the rows appended since the zone maps
+// were built, which no zone covers) out of the table's, with how many
+// of the table's positions are tombstoned (the scan filters them).
 type ScanStat struct {
 	Table            string
 	ZonesKept, Zones int
 	Rows, TableRows  int
+	Deleted          int
 }
 
 // JoinStat is one executed join step of an N-way tree.
@@ -282,12 +278,12 @@ type AccSpec struct {
 
 // AggOut maps one select-list item onto accumulators.
 type AggOut struct {
-	Key    bool   // grouped mode: this item IS group key KeyIdx
-	KeyIdx int    // which group key (0-based) when Key
-	Fn     string // "sum", "count", "avg", "min", "max"
-	Acc    int    // main accumulator; -1 for key items
-	CntAcc int    // non-nil count shaping sum/avg NULL; -1 when unused
-	Flt    bool   // float-typed result
+	Key    bool // grouped mode: this item IS group key KeyIdx
+	KeyIdx int  // which group key (0-based) when Key
+	Fn     sqlfe.AggFn
+	Acc    int  // main accumulator; -1 for key items
+	CntAcc int  // non-nil count shaping sum/avg NULL; -1 when unused
+	Flt    bool // float-typed result
 }
 
 // GroupAggNode aggregates its child per group of any number of INT key

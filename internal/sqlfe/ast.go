@@ -96,10 +96,28 @@ type JoinClause struct {
 // aggregate, optionally aliased. Star is the * item.
 type SelItem struct {
 	Star  bool
-	Agg   string // "", "sum", "count", "min", "max", "avg"
-	Expr  Expr   // nil for count(*)
+	Agg   AggFn
+	Expr  Expr // nil for count(*)
 	Alias string
 }
+
+// AggFn is an aggregate function, from the closed set the parser knows;
+// the zero value marks a plain (non-aggregated) item.
+type AggFn uint8
+
+const (
+	AggNone AggFn = iota
+	AggSum
+	AggCount
+	AggMin
+	AggMax
+	AggAvg
+)
+
+var aggNames = [...]string{AggNone: "", AggSum: "sum", AggCount: "count", AggMin: "min", AggMax: "max", AggAvg: "avg"}
+
+// String is the function's lower-case SQL name, "" for AggNone.
+func (a AggFn) String() string { return aggNames[a] }
 
 // Expr is a scalar expression over columns and literals.
 type Expr interface{ expr() }

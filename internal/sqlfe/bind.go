@@ -22,7 +22,6 @@ type Bound struct {
 	Joins  []BoundJoin // Joins[k] folds Tables[k+1] into Tables[0..k]
 
 	Shape   Shape
-	Star    bool        // the select list had a * item
 	Items   []BoundItem // the select list, * expanded
 	Names   []string    // output labels, one per item
 	GroupBy []ColID     // group keys (ShapeGrouped); all INT when there are several
@@ -72,9 +71,9 @@ type BoundPred struct {
 type BoundJoin struct{ Prior, New ColID }
 
 // BoundItem is one output column. Expr is nil for count(*). In a
-// grouped statement a plain (Agg == "") item is group key GroupKey.
+// grouped statement a plain (AggNone) item is group key GroupKey.
 type BoundItem struct {
-	Agg      string // "", "sum", "count", "min", "max", "avg"
+	Agg      AggFn
 	Expr     *BoundExpr
 	GroupKey int
 }
@@ -384,12 +383,12 @@ func itemName(it SelItem, idx int) string {
 		return it.Alias
 	}
 	if cr, ok := it.Expr.(ColRef); ok {
-		if it.Agg != "" {
-			return it.Agg + "(" + cr.Name + ")"
+		if it.Agg != AggNone {
+			return it.Agg.String() + "(" + cr.Name + ")"
 		}
 		return cr.Name
 	}
-	if it.Agg == "count" && it.Expr == nil {
+	if it.Agg == AggCount && it.Expr == nil {
 		return "count(*)"
 	}
 	return fmt.Sprintf("col%d", idx)
@@ -403,10 +402,9 @@ func (b *binder) bindOutput(sel *Select) error {
 	for _, it := range sel.Items {
 		if !it.Star {
 			items = append(items, it)
-			hasAgg = hasAgg || it.Agg != ""
+			hasAgg = hasAgg || it.Agg != AggNone
 			continue
 		}
-		b.Star = true
 		for _, t := range b.Tables {
 			for _, cn := range t.ColNames {
 				items = append(items, SelItem{Expr: ColRef{Name: t.Name + "." + cn}, Alias: cn})
@@ -440,7 +438,7 @@ func (b *binder) bindOutput(sel *Select) error {
 
 	for i, it := range items {
 		switch {
-		case it.Agg != "":
+		case it.Agg != AggNone:
 			if it.Expr == nil { // count(*)
 				b.Items[i] = BoundItem{Agg: it.Agg}
 				continue
@@ -449,7 +447,7 @@ func (b *binder) bindOutput(sel *Select) error {
 			if err != nil {
 				return err
 			}
-			if e.Type == TText && it.Agg != "count" {
+			if e.Type == TText && it.Agg != AggCount {
 				return fmt.Errorf("sql: %s over a text column is not supported", it.Agg)
 			}
 			b.Items[i] = BoundItem{Agg: it.Agg, Expr: e}
@@ -496,7 +494,7 @@ func (b *binder) bindOutput(sel *Select) error {
 		// identity: ORDER BY a finds the item spelled t.a.
 		if col, err := b.resolve(sel.OrderBy); err == nil {
 			for i, it := range b.Items {
-				if it.Agg == "" && it.Expr.Col == col {
+				if it.Agg == AggNone && it.Expr.Col == col {
 					b.OrderItem = i
 					return nil
 				}

@@ -137,8 +137,8 @@ func TestBindResolves(t *testing.T) {
 	if want := []string{"a", "b", "f", "s", "a", "w", "g", "s", "ww", "t.a"}; !reflect.DeepEqual(b.Names, want) {
 		t.Fatalf("names %v, want %v", b.Names, want)
 	}
-	if !b.Star || b.Shape != ShapePlain || len(b.Tables) != 2 {
-		t.Fatalf("star %v shape %v tables %d", b.Star, b.Shape, len(b.Tables))
+	if len(b.Items) != 10 || b.Shape != ShapePlain || len(b.Tables) != 2 {
+		t.Fatalf("items %d shape %v tables %d", len(b.Items), b.Shape, len(b.Tables))
 	}
 	if want := (BoundJoin{Prior: ColID{0, 0, TInt}, New: ColID{1, 0, TInt}}); b.Joins[0] != want {
 		t.Fatalf("join %+v, want %+v", b.Joins[0], want)

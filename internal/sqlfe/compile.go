@@ -277,17 +277,17 @@ func (g *gen) globalAggs() {
 		}
 		v := g.expr(it.Expr)
 		switch it.Agg {
-		case "count":
+		case AggCount:
 			// count(col) skips nils.
 			vars[i] = g.b.Emit("count_nn", mal.V(v))
-		case "avg":
+		case AggAvg:
 			// avg = sum / non-nil count; div_scalar yields NULL when the
 			// count is zero (empty or all-nil input), per SQL.
 			s := g.b.Emit("sum", mal.V(v))
 			n := g.b.Emit("count_nn", mal.V(v))
 			vars[i] = g.b.Emit("div_scalar", mal.V(s), mal.V(n))
-		default:
-			vars[i] = g.b.Emit(it.Agg, mal.V(v))
+		default: // sum, min, max: the MAL primitive of the same name
+			vars[i] = g.b.Emit(it.Agg.String(), mal.V(v))
 		}
 	}
 	g.b.Return(g.Names, vars...)
@@ -314,13 +314,13 @@ func (g *gen) grouped() {
 	vars := make([]int, len(g.Items))
 	for i, it := range g.Items {
 		switch {
-		case it.Agg == "":
+		case it.Agg == AggNone:
 			// A group key's per-group value is the representative row's.
 			vars[i] = g.b.Emit("fetch", mal.V(ext), mal.V(keyVals[it.GroupKey]))
 		case it.Expr == nil:
 			// count(*) is the group size.
 			vars[i] = cnt
-		case it.Agg == "avg":
+		case it.Agg == AggAvg:
 			// Per-group avg divides by the group's NON-nil count, not its
 			// cardinality; an all-nil group has a zero count and
 			// div_flt_nil yields the float nil (NaN, rendered as NULL).
@@ -334,8 +334,8 @@ func (g *gen) grouped() {
 			vars[i] = g.b.Emit("div_flt_nil", mal.V(s), mal.V(nf))
 		default:
 			// count(col) skips nils, like sum/min/max.
-			op := it.Agg + "_per_group"
-			if it.Agg == "count" {
+			op := it.Agg.String() + "_per_group"
+			if it.Agg == AggCount {
 				op = "count_nn_per_group"
 			}
 			vars[i] = g.b.Emit(op, mal.V(g.expr(it.Expr)), mal.V(ids), mal.V(ext))

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bat"
 	"repro/internal/mal"
@@ -15,8 +14,8 @@ import (
 )
 
 // DB is a tiny MonetDB-shaped SQL database: tables decomposed into BATs,
-// queries compiled to MAL and run by the bulk interpreter, updates routed
-// through delta BATs, reads through snapshots.
+// queries compiled to MAL and run by the bulk interpreter, updates
+// appended to the columns and tombstoned, reads through snapshots.
 type DB struct {
 	mu      sync.Mutex
 	tables  map[string]*Table
@@ -43,11 +42,6 @@ type DB struct {
 	// subsequent statement (reads included) errors until the process
 	// reopens and recovers from the durable prefix.
 	fatal error
-
-	// hasDeletes is a lock-free hint that some table carries delete
-	// tombstones, so the periodic background Vacuum can return without
-	// taking db.mu when there is nothing to merge.
-	hasDeletes atomic.Bool
 }
 
 // NewDB returns an empty database.
@@ -170,9 +164,9 @@ func (db *DB) execStmt(st Stmt) (*Result, uint64, error) {
 	case *Insert:
 		res, ops, err = db.execInsert(s)
 	case *Delete:
-		res, ops, err = db.execDelete(s)
+		res, ops, err = db.execDeleteLocked(s)
 	case *Update:
-		res, ops, err = db.execUpdate(s)
+		res, ops, err = db.execUpdateLocked(s)
 	case *Select:
 		res, err = db.runSelect(s, db.snapshotLocked())
 		return res, 0, err
@@ -268,8 +262,8 @@ func (db *DB) Query(sql string) (*Result, error) {
 	return db.runSelect(sel, snap)
 }
 
-// Snapshot returns an isolated consistent view of all tables: main columns
-// shared, delta BATs copied.
+// Snapshot returns an isolated consistent view of all tables; it copies
+// no row data (Table.snapshot).
 func (db *DB) Snapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -376,7 +370,7 @@ func (db *DB) matchPositions(t *Table, where []Pred) ([]bat.OID, error) {
 	return out[0].B.OIDs(), nil
 }
 
-func (db *DB) execDelete(s *Delete) (*Result, []wal.Op, error) {
+func (db *DB) execDeleteLocked(s *Delete) (*Result, []wal.Op, error) {
 	t, ok := db.tables[s.Table]
 	if !ok {
 		return nil, nil, fmt.Errorf("sql: unknown table %q", s.Table)
@@ -392,9 +386,21 @@ func (db *DB) execDelete(s *Delete) (*Result, []wal.Op, error) {
 		return nil, nil, err
 	}
 	t.deletePositions(pos)
-	db.hasDeletes.Store(true)
 	db.invalidate(s.Table)
-	return &Result{Affected: len(pos)}, []wal.Op{&wal.OpDelete{Table: s.Table, Pos: oidsToU64(pos)}}, nil
+	ops := []wal.Op{&wal.OpDelete{Table: s.Table, Pos: oidsToU64(pos)}}
+	return &Result{Affected: len(pos)}, db.vacuumIfHalfDeadLocked(t, ops), nil
+}
+
+// vacuumIfHalfDeadLocked vacuums t when more than half of its positions
+// are tombstoned, appending the vacuum to the statement's ops so it
+// commits (and replays) in the same WAL transaction. Dead space is
+// bounded by the data itself, with no timer and no knob.
+func (db *DB) vacuumIfHalfDeadLocked(t *Table, ops []wal.Op) []wal.Op {
+	if 2*len(t.del) <= t.TotalPositions() {
+		return ops
+	}
+	db.vacuumTableLocked(t)
+	return append(ops, &wal.OpVacuum{Table: t.Name})
 }
 
 func oidsToU64(pos []bat.OID) []uint64 {
@@ -405,7 +411,7 @@ func oidsToU64(pos []bat.OID) []uint64 {
 	return out
 }
 
-func (db *DB) execUpdate(s *Update) (*Result, []wal.Op, error) {
+func (db *DB) execUpdateLocked(s *Update) (*Result, []wal.Op, error) {
 	t, ok := db.tables[s.Table]
 	if !ok {
 		return nil, nil, fmt.Errorf("sql: unknown table %q", s.Table)
@@ -418,9 +424,9 @@ func (db *DB) execUpdate(s *Update) (*Result, []wal.Op, error) {
 		return &Result{}, nil, nil
 	}
 	// Updates are delete + re-insert with modified values: read the old
-	// rows first (through the effective columns) and coerce every
-	// replacement row BEFORE tombstoning the originals —
-	// update-as-delete+insert must not lose rows to a bad SET literal.
+	// rows first and coerce every replacement row BEFORE tombstoning the
+	// originals — update-as-delete+insert must not lose rows to a bad SET
+	// literal.
 	newRows := make([][]any, 0, len(pos))
 	for _, p := range pos {
 		row := make([]Lit, len(t.ColNames))
@@ -429,7 +435,7 @@ func (db *DB) execUpdate(s *Update) (*Result, []wal.Op, error) {
 				row[ci] = lit
 				continue
 			}
-			col := t.effectiveCol(ci)
+			col := t.cols[ci]
 			switch t.ColTypes[ci] {
 			case TInt:
 				row[ci] = Lit{Kind: TInt, I: col.IntAt(int(p))}
@@ -449,18 +455,17 @@ func (db *DB) execUpdate(s *Update) (*Result, []wal.Op, error) {
 		return nil, nil, err
 	}
 	t.deletePositions(pos)
-	db.hasDeletes.Store(true)
 	for _, vals := range newRows {
 		t.appendVals(vals)
 	}
 	db.invalidate(s.Table)
-	// UPDATE is delete + re-insert through the deltas; its WAL image is
-	// the same two physical ops inside ONE transaction.
+	// UPDATE is delete + append; its WAL image is the same two physical
+	// ops inside ONE transaction.
 	ops := []wal.Op{
 		&wal.OpDelete{Table: s.Table, Pos: oidsToU64(pos)},
 		&wal.OpInsert{Table: s.Table, Types: walColTypes(t.ColTypes), Rows: newRows},
 	}
-	return &Result{Affected: len(pos)}, ops, nil
+	return &Result{Affected: len(pos)}, db.vacuumIfHalfDeadLocked(t, ops), nil
 }
 
 // invalidate drops recycled intermediates depending on a table.

@@ -1,7 +1,7 @@
 // Package sqlfe is the SQL front-end (paper §3.2): it parses a SQL subset,
 // stores relational tables decomposed into BATs with a dense (non-stored)
-// TID head, maintains delta BATs that delay updates to the main columns
-// (enabling cheap snapshot isolation: only the deltas are copied), and
+// TID head, keeps every column append-only with deletes as a tombstone
+// list (enabling cheap snapshot isolation: a snapshot copies no rows), and
 // compiles queries into MAL programs executed by the shared columnar
 // back-end.
 package sqlfe

@@ -306,20 +306,22 @@ func (p *parser) parseSelect() (Stmt, error) {
 	return s, nil
 }
 
+// aggKeywords maps the aggregate keywords to their functions.
+var aggKeywords = map[string]AggFn{"SUM": AggSum, "COUNT": AggCount, "MIN": AggMin, "MAX": AggMax, "AVG": AggAvg}
+
 func (p *parser) parseSelItem() (SelItem, error) {
 	if p.accept(tokSymbol, "*") {
 		return SelItem{Star: true}, nil
 	}
 	var item SelItem
 	if p.cur().kind == tokKeyword {
-		switch p.cur().text {
-		case "SUM", "COUNT", "MIN", "MAX", "AVG":
-			item.Agg = map[string]string{"SUM": "sum", "COUNT": "count", "MIN": "min", "MAX": "max", "AVG": "avg"}[p.cur().text]
+		if fn, ok := aggKeywords[p.cur().text]; ok {
+			item.Agg = fn
 			p.pos++
 			if _, err := p.expect(tokSymbol, "("); err != nil {
 				return item, err
 			}
-			if item.Agg == "count" && p.accept(tokSymbol, "*") {
+			if item.Agg == AggCount && p.accept(tokSymbol, "*") {
 				item.Expr = nil
 			} else {
 				e, err := p.parseExpr()

@@ -27,9 +27,9 @@ import (
 // which nothing writes or reads any more) is refused, never opened as
 // empty and overwritten.
 //
-// Saving vacuums: deltas are merged and deleted positions dropped, so
-// the persisted form is a clean set of main columns — the same state
-// MonetDB reaches after delta propagation.
+// Saving drops tombstoned positions, so the persisted form is a clean
+// set of columns — the same state MonetDB reaches after delta
+// propagation.
 
 type diskCatalog struct {
 	Tables []diskTable `json:"tables"`
@@ -74,11 +74,17 @@ func (db *DB) saveLocked(dir string) error {
 	for _, name := range db.tablesSortedLocked() {
 		t := db.tables[name]
 		dt := diskTable{Name: t.Name, Rows: t.NumRows()}
-		live := liveCand(t)
+		var live *bat.BAT
+		if len(t.del) > 0 {
+			live = liveCand(t)
+		}
 		for i, cn := range t.ColNames {
 			dt.Cols = append(dt.Cols, cn)
 			dt.Types = append(dt.Types, t.ColTypes[i].String())
-			col := batalg.LeftFetchJoin(live, t.effectiveCol(i))
+			col := t.cols[i]
+			if live != nil {
+				col = batalg.LeftFetchJoin(live, col)
+			}
 			if err := writeBATFile(filepath.Join(tmp, t.Name+"."+cn+".bat"), col); err != nil {
 				return err
 			}
@@ -248,7 +254,7 @@ func Load(dir string) (*DB, error) {
 			}
 		}
 		t := newTable(dt.Name, dt.Cols, types)
-		main := make([]*bat.BAT, len(dt.Cols))
+		cols := make([]*bat.BAT, len(dt.Cols))
 		for i, cn := range dt.Cols {
 			col, err := readBATFile(filepath.Join(base, dt.Name+"."+cn+".bat"))
 			if err != nil {
@@ -261,9 +267,9 @@ func Load(dir string) (*DB, error) {
 			if col.TailType() != batType(types[i]) {
 				return nil, fmt.Errorf("sql: table %q column %q type mismatch", dt.Name, cn)
 			}
-			main[i] = col
+			cols[i] = col
 		}
-		t.setMain(main)
+		t.setCols(cols)
 		t.version = 1
 		db.tables[dt.Name] = t
 	}

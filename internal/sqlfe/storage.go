@@ -2,54 +2,52 @@ package sqlfe
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/bat"
-	"repro/internal/batalg"
 )
 
 // Table stores one relation decomposed by column into BATs with dense
-// (non-stored) TID heads, plus the update machinery of §3.2: per-column
-// insert delta BATs and a BAT of deleted positions. Updates only touch the
-// deltas; the main columns stay immutable until a (not yet needed)
-// vacuum/merge, which is what makes snapshots cheap.
+// (non-stored) TID heads, plus the update machinery of §3.2. Each column
+// is ONE append-only BAT: INSERT (and the re-insert half of UPDATE)
+// appends to it and nothing ever rewrites a stored position, so a
+// snapshot shares every column by taking a Slice(0, n) header — no row
+// is copied. DELETE tombstones positions in a sorted list that is
+// replaced, never edited, so snapshots share it by reference too. Only
+// a vacuum rebuilds the columns, into new BATs.
 type Table struct {
 	Name     string
 	ColNames []string
 	ColTypes []ColType
 
-	main  []*bat.BAT // immutable main columns
-	zones []*ZoneMap // per main column (nil for TEXT); replaced with main, never edited
-	ins   []*bat.BAT // insert deltas, aligned across columns
-	del   []bat.OID  // deleted positions (into main++ins), sorted
+	cols  []*bat.BAT // append-only columns, aligned
+	zones []*ZoneMap // per column (nil for TEXT); built with the column, never edited
+	zoned int        // leading positions the zone maps cover; rows appended since lie past them
+	del   []bat.OID  // tombstoned positions, sorted; replaced on every DELETE, never edited
 
 	version int64
-
-	// effective-column cache, invalidated by version
-	effCols []*bat.BAT
-	effVer  int64
 }
 
 func newTable(name string, cols []string, types []ColType) *Table {
 	t := &Table{Name: name, ColNames: cols, ColTypes: types}
-	main := make([]*bat.BAT, len(types))
+	fresh := make([]*bat.BAT, len(types))
 	for i, ct := range types {
-		main[i] = bat.New(batType(ct))
-		t.ins = append(t.ins, bat.New(batType(ct)))
+		fresh[i] = bat.New(batType(ct))
 	}
-	t.setMain(main)
+	t.setCols(fresh)
 	return t
 }
 
-// setMain installs a new set of main columns with their zone maps —
-// the one place a main column is born, so the two never disagree.
-func (t *Table) setMain(main []*bat.BAT) {
-	t.main = main
-	t.zones = make([]*ZoneMap, len(main))
-	for i, b := range main {
+// setCols installs a rebuilt set of columns with their zone maps — the
+// one place a column is born, so the two never disagree.
+func (t *Table) setCols(cols []*bat.BAT) {
+	t.cols = cols
+	t.zones = make([]*ZoneMap, len(cols))
+	for i, b := range cols {
 		t.zones[i] = buildZoneMap(b)
 	}
+	t.zoned = cols[0].Len()
 }
 
 func batType(ct ColType) bat.Type {
@@ -82,31 +80,19 @@ func unqualify(name, table string) string {
 	return name
 }
 
-// TotalPositions is the number of physical positions (main + inserts),
-// including deleted ones.
-func (t *Table) TotalPositions() int { return t.MainRows() + t.ins[0].Len() }
+// TotalPositions is the number of physical positions, including
+// tombstoned ones.
+func (t *Table) TotalPositions() int { return t.cols[0].Len() }
 
 // NumRows is the number of live rows.
 func (t *Table) NumRows() int { return t.TotalPositions() - len(t.del) }
 
-// appendRow adds one row to the insert deltas. The whole row is coerced
-// before anything is appended, so a bad literal cannot leave the
-// aligned column deltas at different lengths.
-func (t *Table) appendRow(row []Lit) error {
-	vals, err := t.coerceRow(row)
-	if err != nil {
-		return err
-	}
-	t.appendVals(vals)
-	return nil
-}
-
 // appendVals appends one row of pre-coerced values (from coerceRow).
 func (t *Table) appendVals(vals []any) {
 	for i, v := range vals {
-		if err := t.ins[i].Append(v); err != nil {
+		if err := t.cols[i].Append(v); err != nil {
 			// coerceRow already matched every value to its column type;
-			// a failure here would desync the deltas, so it is a bug.
+			// a failure here would desync the columns, so it is a bug.
 			panic(err)
 		}
 	}
@@ -174,101 +160,63 @@ func coerce(lit Lit, ct ColType) (any, error) {
 	return nil, fmt.Errorf("cannot store %v literal in %s column", lit.Kind, ct)
 }
 
-// deletePositions tombstones the given physical positions.
+// deletePositions tombstones the given physical positions. The merged
+// list is a new slice: snapshots still hold the old one.
 func (t *Table) deletePositions(pos []bat.OID) {
 	if len(pos) == 0 {
 		return
 	}
-	seen := make(map[bat.OID]bool, len(t.del))
-	for _, d := range t.del {
-		seen[d] = true
-	}
-	for _, p := range pos {
-		if !seen[p] {
-			t.del = append(t.del, p)
-			seen[p] = true
-		}
-	}
-	sort.Slice(t.del, func(i, j int) bool { return t.del[i] < t.del[j] })
+	merged := append(slices.Clone(t.del), pos...)
+	slices.Sort(merged)
+	t.del = slices.Compact(merged)
 	t.version++
 }
 
-// effectiveCol returns column i as one BAT: main ++ insert delta. Deleted
-// positions remain present (they are filtered via the deleted candidate
-// list) so that physical positions are stable.
-func (t *Table) effectiveCol(i int) *bat.BAT {
-	if t.effVer != t.version || t.effCols == nil {
-		t.effCols = make([]*bat.BAT, len(t.main))
-		t.effVer = t.version
-	}
-	if t.effCols[i] == nil {
-		if t.ins[i].Len() == 0 {
-			t.effCols[i] = t.main[i]
-		} else {
-			merged := t.main[i].Copy()
-			batalg.AppendBAT(merged, t.ins[i])
-			t.effCols[i] = merged
-		}
-	}
-	return t.effCols[i]
-}
+// ColumnBAT returns column i, tombstoned positions still present.
+// Read-only: callers must not mutate the returned BAT. This is the
+// bridge the vectorized engine scans through.
+func (t *Table) ColumnBAT(i int) *bat.BAT { return t.cols[i] }
 
-// ColumnBAT returns column i as one effective BAT (main ++ insert
-// delta, deleted positions still present). Read-only: callers must not
-// mutate the returned BAT. This is the bridge the vectorized engine
-// scans through.
-func (t *Table) ColumnBAT(i int) *bat.BAT { return t.effectiveCol(i) }
-
-// MainRows is the number of leading positions of every ColumnBAT that
-// sit in the main columns; the insert delta follows them.
-func (t *Table) MainRows() int { return t.main[0].Len() }
+// ZonedRows is the number of leading positions of every ColumnBAT the
+// zone maps cover; rows appended since the columns were built follow.
+func (t *Table) ZonedRows() int { return t.zoned }
 
 // ZoneMap returns the zone map of column i, nil for a TEXT column. It
-// covers positions [0, MainRows()) of ColumnBAT(i); the insert delta
-// behind them is unmapped.
+// covers positions [0, ZonedRows()) of ColumnBAT(i).
 func (t *Table) ZoneMap(i int) *ZoneMap { return t.zones[i] }
 
-// ApproxBytes reports the tail-storage bytes of every column,
-// main plus insert delta. It deliberately bypasses the lazy
-// effective-column merge (which is unsynchronized and would double the
-// memory it is trying to predict), so it is safe to call on a shared
-// snapshot and cheap enough for per-query admission control.
+// ApproxBytes reports the tail-storage bytes of every column, cheap
+// enough for per-query admission control.
 func (t *Table) ApproxBytes() int64 {
 	var n int64
-	for i := range t.main {
-		n += int64(t.main[i].HeapBytes())
-		n += int64(t.ins[i].HeapBytes())
+	for _, c := range t.cols {
+		n += int64(c.HeapBytes())
 	}
 	return n
 }
 
-// HasDeletes reports whether any position is tombstoned. A table with
-// deletes cannot be scanned positionally without the deleted filter.
-func (t *Table) HasDeletes() bool { return len(t.del) > 0 }
+// Deleted returns the sorted tombstoned positions. Read-only: the slice
+// is shared with every snapshot that holds it.
+func (t *Table) Deleted() []bat.OID { return t.del }
 
 // deletedBAT returns the sorted deleted-position candidate list.
 func (t *Table) deletedBAT() *bat.BAT {
-	b := bat.FromOIDs(append([]bat.OID(nil), t.del...))
+	b := bat.FromOIDs(t.del[:len(t.del):len(t.del)])
 	b.SetProps(bat.Props{Sorted: true, Key: true, NoNil: true, RevSorted: len(t.del) <= 1})
 	return b
 }
 
-// snapshot returns an isolated copy: main columns shared, deltas copied —
-// the paper's "relatively cheap snapshot isolation mechanism".
+// snapshot returns an isolated view: a Slice(0, n) header per column
+// and the tombstone list and zone maps by reference — the paper's
+// "relatively cheap snapshot isolation mechanism", at a cost that does
+// not depend on the table's size.
 func (t *Table) snapshot() *Table {
-	s := &Table{
-		Name:     t.Name,
-		ColNames: t.ColNames,
-		ColTypes: t.ColTypes,
-		main:     t.main, // shared: immutable
-		zones:    t.zones,
-		del:      append([]bat.OID(nil), t.del...),
-		version:  t.version,
+	s := *t
+	s.cols = make([]*bat.BAT, len(t.cols))
+	for i, c := range t.cols {
+		s.cols[i] = c.Slice(0, c.Len())
 	}
-	for _, d := range t.ins {
-		s.ins = append(s.ins, d.Copy())
-	}
-	return s
+	return &s
 }
 
 // Snapshot is a consistent view of a set of tables; it implements
@@ -301,7 +249,7 @@ func (s *Snapshot) BindBAT(name string) (*bat.BAT, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.effectiveCol(i), nil
+	return t.cols[i], nil
 }
 
 // Version implements mal.Catalog.
@@ -314,17 +262,6 @@ func (s *Snapshot) Version(name string) int64 {
 		return t.version
 	}
 	return 0
-}
-
-// Materialize warms every effective-column cache. A snapshot that will
-// be shared by concurrent readers must be materialized first: the lazy
-// main++delta merge in ColumnBAT/BindBAT is not synchronized.
-func (s *Snapshot) Materialize() {
-	for _, t := range s.tables {
-		for i := range t.ColNames {
-			t.effectiveCol(i)
-		}
-	}
 }
 
 // Table returns the snapshot's view of a table.

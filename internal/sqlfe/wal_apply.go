@@ -10,9 +10,9 @@ import (
 
 // This file is the bridge between the WAL and the storage layer:
 // ApplyTx replays a committed transaction's physical ops during
-// recovery, Vacuum merges deltas + tombstones back into clean main
-// columns (logged as its own op, since it shifts physical positions),
-// and Checkpoint turns an atomic Save into the WAL truncation point.
+// recovery, Vacuum drops tombstoned positions from the columns (logged
+// as its own op, since it shifts physical positions), and Checkpoint
+// turns an atomic Save into the WAL truncation point.
 
 // ApplyTx replays one committed WAL transaction. Replay is physical —
 // the ops carry coerced values and physical positions, so the recovered
@@ -82,7 +82,6 @@ func (db *DB) applyOpLocked(op wal.Op) error {
 			pos[i] = bat.OID(p)
 		}
 		t.deletePositions(pos)
-		db.hasDeletes.Store(true)
 		db.invalidate(o.Table)
 	case *wal.OpVacuum:
 		t, ok := db.tables[o.Table]
@@ -113,38 +112,25 @@ func colTypesFromWAL(types []byte) ([]ColType, error) {
 	return out, nil
 }
 
-// Vacuum merges every tombstone-bearing table's deltas back into clean
-// main columns, so those tables re-qualify for the positional
-// vectorized scan (the deletes-present fallback). Each table's vacuum
-// is WAL-logged as its own transaction: vacuuming shifts physical
-// positions, and later delete records address the post-vacuum layout.
-// It returns the number of tables vacuumed.
-//
-// The hasDeletes fast path makes the no-work case (the common one for
-// the periodic background vacuum) a single atomic load — no db.mu, no
-// table scan — so an idle database pays nothing for the ticker.
+// Vacuum drops the tombstoned positions of every table that has any,
+// rebuilding its columns. Each table's vacuum is WAL-logged as its own
+// transaction: vacuuming shifts physical positions, and later delete
+// records address the post-vacuum layout. It returns the number of
+// tables vacuumed.
 func (db *DB) Vacuum() (int, error) {
-	if !db.hasDeletes.Load() {
-		return 0, nil
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// Clear before scanning: deletes cannot arrive while db.mu is held,
-	// and any that arrive after the unlock re-set the flag themselves.
-	db.hasDeletes.Store(false)
 	n := 0
 	for _, name := range db.tablesSortedLocked() {
 		t := db.tables[name]
-		if !t.HasDeletes() {
+		if len(t.del) == 0 {
 			continue
 		}
 		if err := db.walUsable(); err != nil {
-			db.hasDeletes.Store(true) // tombstones remain unmerged
 			return n, err
 		}
 		db.vacuumTableLocked(t)
 		if _, err := db.logTxLocked([]wal.Op{&wal.OpVacuum{Table: name}}); err != nil {
-			db.hasDeletes.Store(true)
 			return n, err
 		}
 		n++
@@ -152,23 +138,19 @@ func (db *DB) Vacuum() (int, error) {
 	return n, nil
 }
 
-// vacuumTableLocked rebuilds t's main columns as main ++ inserts with
-// deleted positions dropped — the state Save persists, now reached in
-// memory. The old column slice is left untouched for live snapshots
-// (they share it); the table just points at the new one, under the
-// same snapshot machinery every write uses.
+// vacuumTableLocked rebuilds t's columns with the tombstoned positions
+// dropped — the state Save persists, now reached in memory — and their
+// zone maps over every row. The old columns are left untouched for live
+// snapshots (they share them); the table just points at the new ones.
 func (db *DB) vacuumTableLocked(t *Table) {
 	live := liveCand(t)
-	newMain := make([]*bat.BAT, len(t.main))
-	newIns := make([]*bat.BAT, len(t.ins))
-	for i := range t.main {
-		newMain[i] = batalg.LeftFetchJoin(live, t.effectiveCol(i))
-		newIns[i] = bat.New(batType(t.ColTypes[i]))
+	cols := make([]*bat.BAT, len(t.cols))
+	for i, c := range t.cols {
+		cols[i] = batalg.LeftFetchJoin(live, c)
 	}
-	t.setMain(newMain)
-	t.ins, t.del = newIns, nil
+	t.setCols(cols)
+	t.del = nil
 	t.version++
-	t.effCols = nil
 	db.invalidate(t.Name)
 }
 
@@ -193,7 +175,7 @@ func (db *DB) Checkpoint(dir string) error {
 	}
 	for _, name := range db.tablesSortedLocked() {
 		t := db.tables[name]
-		if !t.HasDeletes() {
+		if len(t.del) == 0 {
 			continue
 		}
 		db.vacuumTableLocked(t)
@@ -204,7 +186,6 @@ func (db *DB) Checkpoint(dir string) error {
 			return err
 		}
 	}
-	db.hasDeletes.Store(false) // every table was just merged clean
 	if err := db.saveLocked(dir); err != nil {
 		return err
 	}

@@ -44,7 +44,7 @@ func TestVacuumMatchesDeltaOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tbl.HasDeletes() {
+	if len(tbl.Deleted()) == 0 {
 		t.Fatal("workload should leave tombstones")
 	}
 	n, err := db.Vacuum()
@@ -54,14 +54,14 @@ func TestVacuumMatchesDeltaOracle(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("vacuumed %d tables, want 1", n)
 	}
-	if tbl.HasDeletes() || tbl.ins[0].Len() != 0 {
-		t.Fatal("vacuum left deltas behind")
+	if len(tbl.Deleted()) != 0 || tbl.ZonedRows() != tbl.TotalPositions() {
+		t.Fatal("vacuum left tombstones or unmapped rows behind")
 	}
 	if tbl.TotalPositions() != tbl.NumRows() {
 		t.Fatalf("positions=%d rows=%d after vacuum", tbl.TotalPositions(), tbl.NumRows())
 	}
-	// The unvacuumed twin answers through the delta-merge path — the
-	// oracle the merged columns must agree with, NULLs included.
+	// The unvacuumed twin answers through the tombstone filter — the
+	// oracle the rebuilt columns must agree with, NULLs included.
 	sameResults(t, oracle, db, []string{
 		"SELECT * FROM m",
 		"SELECT k, v, s FROM m WHERE k IS NULL",
@@ -181,7 +181,7 @@ func TestCheckpointTruncatesWALAndRecovers(t *testing.T) {
 	if err := db.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	if tbl, _ := db.Table("m"); tbl.HasDeletes() {
+	if tbl, _ := db.Table("m"); len(tbl.Deleted()) != 0 {
 		t.Fatal("checkpoint did not vacuum in memory")
 	}
 	// Post-checkpoint writes land in the fresh log and replay onto the

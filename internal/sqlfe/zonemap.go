@@ -2,7 +2,7 @@ package sqlfe
 
 import "repro/internal/bat"
 
-// ZoneRows is the zone length: a zone map summarizes a main column in
+// ZoneRows is the zone length: a zone map summarizes a column in
 // fixed runs of this many rows (the last one may be shorter).
 const ZoneRows = 1024
 
@@ -11,20 +11,19 @@ const (
 	zoneAllNil                   // nothing but nils: min/max are meaningless
 )
 
-// ZoneMap is the data-skipping summary of one INT or FLOAT main column:
-// per zone, the minimum and maximum over the non-nil values and whether
-// the zone holds some / only nils. It is built in one pass where the
-// main column is born (Load, vacuum), is immutable and shared by
-// snapshots exactly like the column it describes, lives and dies with
-// its Table, and is never persisted. Rows appended later sit in the
-// insert delta, past Table.MainRows, where no zone speaks for them.
+// ZoneMap is the data-skipping summary of one INT or FLOAT column: per
+// zone, the minimum and maximum over the non-nil values and whether the
+// zone holds some / only nils. It is built in one pass where the column
+// is born (Load, vacuum), is immutable and shared by snapshots, lives
+// and dies with its Table, and is never persisted. Rows appended later
+// lie past Table.ZonedRows, where no zone speaks for them.
 type ZoneMap struct {
 	imin, imax []int64   // INT column
 	fmin, fmax []float64 // FLOAT column
 	flags      []uint8
 }
 
-// buildZoneMap summarizes a main column; nil for TEXT.
+// buildZoneMap summarizes a column; nil for TEXT.
 func buildZoneMap(b *bat.BAT) *ZoneMap {
 	z := &ZoneMap{}
 	switch b.TailType() {

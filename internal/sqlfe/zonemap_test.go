@@ -133,9 +133,9 @@ func TestZoneMapFloatNaN(t *testing.T) {
 	}
 }
 
-// TestZoneMapsFollowMain: a zone map is born with its main column —
-// none of the rows while they sit in the insert delta, all of them after
-// a vacuum folds the delta in — and a snapshot shares it.
+// TestZoneMapsFollowMain: a zone map is born with its column — none of
+// the rows appended since, all of them after a vacuum rebuilds the
+// column — and a snapshot shares it.
 func TestZoneMapsFollowMain(t *testing.T) {
 	db := NewDB()
 	if _, err := db.Exec("CREATE TABLE t (a INT, s TEXT, f FLOAT)"); err != nil {
@@ -147,8 +147,8 @@ func TestZoneMapsFollowMain(t *testing.T) {
 		}
 	}
 	tbl, _ := db.Table("t")
-	if tbl.MainRows() != 0 || tbl.ZoneMap(0).Zones() != 0 {
-		t.Fatalf("delta rows are zone-mapped: main %d, zones %d", tbl.MainRows(), tbl.ZoneMap(0).Zones())
+	if tbl.ZonedRows() != 0 || tbl.ZoneMap(0).Zones() != 0 {
+		t.Fatalf("appended rows are zone-mapped: zoned %d, zones %d", tbl.ZonedRows(), tbl.ZoneMap(0).Zones())
 	}
 	if _, err := db.Exec("DELETE FROM t WHERE a = 1"); err != nil {
 		t.Fatal(err)
@@ -156,8 +156,8 @@ func TestZoneMapsFollowMain(t *testing.T) {
 	if n, err := db.Vacuum(); err != nil || n != 1 {
 		t.Fatalf("vacuum: %d, %v", n, err)
 	}
-	if tbl.MainRows() != 3 || tbl.ZoneMap(0).Zones() != 1 || tbl.ZoneMap(1) != nil || tbl.ZoneMap(2).Zones() != 1 {
-		t.Fatalf("after vacuum: main %d, maps %v %v %v", tbl.MainRows(), tbl.ZoneMap(0), tbl.ZoneMap(1), tbl.ZoneMap(2))
+	if tbl.ZonedRows() != 3 || tbl.ZoneMap(0).Zones() != 1 || tbl.ZoneMap(1) != nil || tbl.ZoneMap(2).Zones() != 1 {
+		t.Fatalf("after vacuum: zoned %d, maps %v %v %v", tbl.ZonedRows(), tbl.ZoneMap(0), tbl.ZoneMap(1), tbl.ZoneMap(2))
 	}
 	if got := prune(tbl.ZoneMap(0), "=", 1, 0); len(got) != 0 {
 		t.Errorf("a = 1 after its rows were vacuumed away: zones %v", got)

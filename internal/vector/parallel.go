@@ -20,9 +20,12 @@ package vector
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/bat"
 )
 
 // DefaultMorselSize is the default morsel length in rows: big enough
@@ -88,9 +91,12 @@ func (m *MorselCursor) morsels() int {
 // MorselScan is the scan every pipeline reads through (one per worker
 // under an Exchange; Scan wraps one that has its cursor to itself): an
 // Operator that claims morsels from a cursor and emits zero-copy
-// vectors of at most Size rows from within each. With RowIDs set, each batch carries one extra trailing
-// KindInt column of GLOBAL source row positions — the stable tiebreak
-// the parallel Sort needs to reproduce a serial stable sort's order.
+// vectors of at most Size rows from within each. A source's tombstoned
+// positions are left out of the batch's selection vector (nil when the
+// batch holds none), and a batch they fill entirely is skipped. With
+// RowIDs set, each batch carries one extra trailing KindInt column of
+// GLOBAL source row positions — the stable tiebreak the parallel Sort
+// needs to reproduce a serial stable sort's order.
 type MorselScan struct {
 	Cur    *MorselCursor
 	Size   int // vector size (DefaultSize if <= 0)
@@ -99,6 +105,7 @@ type MorselScan struct {
 	pos, hi int
 	b       Batch
 	rowids  []int64
+	sel     []int32
 }
 
 // Open implements Operator.
@@ -112,18 +119,23 @@ func (s *MorselScan) Open() error {
 
 // Next implements Operator.
 func (s *MorselScan) Next() (*Batch, error) {
-	if s.pos >= s.hi {
-		lo, hi, ok := s.Cur.claim()
-		if !ok {
-			return nil, nil
-		}
-		s.pos, s.hi = lo, hi
-	}
-	end := s.pos + s.Size
-	if end > s.hi {
-		end = s.hi
-	}
 	src := s.Cur.src
+	var end int
+	var sel []int32
+	for {
+		if s.pos >= s.hi {
+			lo, hi, ok := s.Cur.claim()
+			if !ok {
+				return nil, nil
+			}
+			s.pos, s.hi = lo, hi
+		}
+		end = min(s.pos+s.Size, s.hi)
+		if sel = s.live(src.deleted, end); sel == nil || len(sel) > 0 {
+			break
+		}
+		s.pos = end // every row of this vector is tombstoned
+	}
 	n := len(src.Cols)
 	if s.RowIDs {
 		n++
@@ -151,9 +163,31 @@ func (s *MorselScan) Next() (*Batch, error) {
 		}
 		cols[n-1] = Col{Kind: KindInt, Ints: ids}
 	}
-	s.b = Batch{N: end - s.pos, Cols: cols}
+	s.b = Batch{N: end - s.pos, Sel: sel, Cols: cols}
 	s.pos = end
 	return &s.b, nil
+}
+
+// live returns the selection vector of the rows [s.pos,end) that are
+// not tombstoned, or nil when none is.
+func (s *MorselScan) live(deleted []bat.OID, end int) []int32 {
+	d, _ := slices.BinarySearch(deleted, bat.OID(s.pos))
+	if d == len(deleted) || deleted[d] >= bat.OID(end) {
+		return nil
+	}
+	if s.sel == nil {
+		s.sel = make([]int32, 0, s.Size) // non-nil: empty means every row is tombstoned
+	}
+	sel := s.sel[:0]
+	for r := s.pos; r < end; r++ {
+		if d < len(deleted) && deleted[d] == bat.OID(r) {
+			d++
+			continue
+		}
+		sel = append(sel, int32(r-s.pos))
+	}
+	s.sel = sel
+	return sel
 }
 
 // Close implements Operator.

@@ -1,9 +1,12 @@
 package vector
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/bat"
 )
 
 // rangeSource is a 10000-row source with v[i] = i, narrowed to three
@@ -38,6 +41,52 @@ func rangeSource(t *testing.T) (*Source, []int64) {
 // to the pipeline, once each, and RowIDs stay global positions.
 func TestPrunedRangesScanOnlySurvivors(t *testing.T) {
 	src, want := rangeSource(t)
+	checkScans(t, src, want)
+}
+
+// TestTombstonedRangesScanOnlyLiveRows: tombstones inside a range,
+// between ranges and filling whole vectors are left out of every scan's
+// selection vectors — RowIDs still global positions — and a column-free
+// count(*) counts the live rows.
+func TestTombstonedRangesScanOnlyLiveRows(t *testing.T) {
+	src, ranged := rangeSource(t)
+	dead := map[int64]bool{500: true, 9999: true}
+	for p := int64(150); p < 180; p++ {
+		dead[p] = true
+	}
+	for p := int64(2000); p < 2200; p++ { // two whole 100-row vectors
+		dead[p] = true
+	}
+	var del []bat.OID
+	for p := range dead {
+		del = append(del, bat.OID(p))
+	}
+	slices.Sort(del)
+	var want []int64
+	for _, v := range ranged {
+		if !dead[v] {
+			want = append(want, v)
+		}
+	}
+	checkScans(t, src.WithDeleted(del), want)
+
+	rows, err := NewSourceWithLen(nil, nil, 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Drain(&Agg{Child: NewScan(rows.WithDeleted(del), 100), Aggs: []AggSpec{{Kind: AggCount}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out[0][0].(int64); got != int64(10000-len(del)) {
+		t.Fatalf("count(*) = %d, want %d", got, 10000-len(del))
+	}
+}
+
+// checkScans drains src through the serial Scan and through Exchanges
+// at several worker counts and compares the sorted values with want.
+func checkScans(t *testing.T, src *Source, want []int64) {
+	t.Helper()
 	check := func(name string, op Operator) {
 		t.Helper()
 		rows, err := Drain(op)

@@ -13,6 +13,8 @@ package vector
 
 import (
 	"fmt"
+
+	"repro/internal/bat"
 )
 
 // DefaultSize is the default vector length: in the paper's sweet spot
@@ -102,6 +104,11 @@ type Source struct {
 	// fails a predicate the pipeline still evaluates, so a consumer that
 	// reads Cols directly and ignores them is slower, never wrong.
 	ranges []RowRange
+	// deleted are tombstoned row positions, sorted. Unlike ranges they
+	// ARE a filter: a scan leaves them out of its selection vectors, and
+	// a consumer that reads Cols directly for more than an estimate must
+	// not run over a source that has any (Deleted).
+	deleted []bat.OID
 }
 
 // RowRange is the half-open row range [Lo,Hi) of a Source.
@@ -161,8 +168,20 @@ func (s *Source) Restrict(ranges []RowRange) (*Source, error) {
 	return &out, nil
 }
 
-// ScanRows returns the number of rows a scan of the source visits: Len
-// unless Restrict narrowed it.
+// WithDeleted returns a view of the same columns whose scans skip the
+// given tombstoned positions (sorted, inside [0,Len())). Len, Cols and
+// row positions stay those of the whole table.
+func (s *Source) WithDeleted(deleted []bat.OID) *Source {
+	out := *s
+	out.deleted = deleted
+	return &out
+}
+
+// Deleted returns the number of tombstoned positions.
+func (s *Source) Deleted() int { return len(s.deleted) }
+
+// ScanRows returns the number of positions a scan of the source visits:
+// Len unless Restrict narrowed it, tombstones included.
 func (s *Source) ScanRows() int {
 	n := 0
 	for _, r := range s.ranges {

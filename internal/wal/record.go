@@ -58,7 +58,7 @@ type OpDrop struct{ Table string }
 
 func (*OpDrop) op() {}
 
-// OpInsert appends rows to a table's insert deltas. Values are the
+// OpInsert appends rows to a table's columns. Values are the
 // already-coerced stored representation: int64, float64, or string per
 // the Types byte of their column (the nil sentinels are in-domain
 // values and round-trip as-is).
@@ -70,7 +70,7 @@ type OpInsert struct {
 
 func (*OpInsert) op() {}
 
-// OpDelete tombstones physical positions (into main ++ insert deltas).
+// OpDelete tombstones physical positions (indexes into the columns).
 type OpDelete struct {
 	Table string
 	Pos   []uint64
@@ -78,8 +78,8 @@ type OpDelete struct {
 
 func (*OpDelete) op() {}
 
-// OpVacuum merges a table's deltas and tombstones into clean main
-// columns. It is logically a no-op but shifts physical positions, so it
+// OpVacuum drops a table's tombstoned positions from its columns. It is
+// logically a no-op but shifts physical positions, so it
 // must replay at the same point in the op order for later OpDeletes to
 // address the right rows.
 type OpVacuum struct{ Table string }
