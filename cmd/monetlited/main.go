@@ -10,8 +10,7 @@
 //	monetlited -workers N           # concurrently executing queries (default GOMAXPROCS)
 //	monetlited -queue N             # admission queue depth beyond the workers (default 4×workers)
 //	monetlited -budget BYTES        # per-query memory budget; 0 = unlimited
-//	monetlited -mem-policy POLICY   # what over-budget queries get: reject (default) or spill
-//	monetlited -spill-dir DIR       # spill-file directory (default: <-d>/spill, or a temp dir)
+//	monetlited -spill-dir DIR       # over-budget queries spill here instead of failing
 //	monetlited -stmt-timeout DUR    # cancel statements that run longer than DUR; 0 = no limit
 //	monetlited -tls-cert/-tls-key   # serve TLS (both or neither)
 //
@@ -19,7 +18,10 @@
 // the shared engine, so prepared plans are shared across connections
 // (the plan cache) and total query concurrency is bounded (admission
 // control rejects excess with typed errors instead of queueing without
-// bound).
+// bound). -budget and -spill-dir are the engine's options
+// (engine.WithMemBudget, engine.WithSpill), so a statement is governed
+// exactly as it would be embedded: without -spill-dir an over-budget
+// query fails with a budget error, with it the query degrades to disk.
 //
 // SIGTERM and SIGINT drain: the listener closes, sessions finish their
 // in-flight command, and the database closes — which CHECKPOINTS a -d
@@ -38,7 +40,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -56,8 +57,7 @@ func realMain() (code int) {
 	workers := flag.Int("workers", 0, "max concurrently executing queries (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth beyond the workers (0 = 4x workers)")
 	budget := flag.Int64("budget", 0, "per-query memory budget in bytes (0 = unlimited)")
-	memPolicy := flag.String("mem-policy", "reject", "over-budget queries are rejected or spill to disk (reject|spill)")
-	spillDir := flag.String("spill-dir", "", "spill-file directory for -mem-policy spill (default <-d>/spill, or a temp dir)")
+	spillDir := flag.String("spill-dir", "", "over-budget queries spill to files in this directory instead of failing (with -budget)")
 	stmtTimeout := flag.Duration("stmt-timeout", 0, "per-statement execution timeout (0 = no limit)")
 	recycle := flag.Bool("recycle", false, "enable the intermediate-result recycler")
 	tlsCert := flag.String("tls-cert", "", "TLS certificate file (with -tls-key)")
@@ -72,11 +72,6 @@ func realMain() (code int) {
 		return 1
 	}
 
-	if *memPolicy != "reject" && *memPolicy != "spill" {
-		logger.Printf("-mem-policy %q: want reject or spill", *memPolicy)
-		return 1
-	}
-
 	var opts []engine.Option
 	if *dir != "" {
 		opts = append(opts, engine.WithDir(*dir))
@@ -85,31 +80,10 @@ func realMain() (code int) {
 		opts = append(opts, engine.WithRecycler(256<<20))
 	}
 	if *budget > 0 {
-		// The engine's runtime ledger enforces the budget per query;
-		// under -mem-policy spill, over-grants degrade to disk instead
-		// of failing.
 		opts = append(opts, engine.WithMemBudget(*budget))
-		if *memPolicy == "spill" {
-			sd := *spillDir
-			switch {
-			case sd != "":
-			case *dir != "":
-				sd = filepath.Join(*dir, "spill")
-			default:
-				tmp, err := os.MkdirTemp("", "monetlited-spill-*")
-				if err != nil {
-					logger.Printf("spill dir: %v", err)
-					return 1
-				}
-				defer func() {
-					if err := os.RemoveAll(tmp); err != nil {
-						logger.Printf("removing spill dir: %v", err)
-					}
-				}()
-				sd = tmp
-			}
-			opts = append(opts, engine.WithSpill(sd))
-		}
+	}
+	if *spillDir != "" {
+		opts = append(opts, engine.WithSpill(*spillDir))
 	}
 	db, err := engine.Open(opts...)
 	if err != nil {
@@ -132,8 +106,6 @@ func realMain() (code int) {
 		DB:          db,
 		Workers:     *workers,
 		QueueDepth:  *queue,
-		MemBudget:   *budget,
-		MemPolicy:   *memPolicy,
 		StmtTimeout: *stmtTimeout,
 		Banner:      "monetlited",
 		Logf:        logger.Printf,

@@ -107,7 +107,7 @@
 //     (vector.ParallelGroupAgg) or — when the cost model
 //     radix.ShouldPartitionGroup predicts the grouping table outgrows
 //     the LLC — a shared-nothing plan over the parallel Radix-Cluster
-//     (vector.PartitionedGroupAgg), where each worker owns disjoint key
+//     (vector.PartitionedGroupAggGov), where each worker owns disjoint key
 //     ranges and the merge is concatenation.
 //
 // # Physical plans
@@ -255,10 +255,16 @@
 // engine.WithMemBudget places every query's working memory — sort
 // buffers, grouping tables, join builds — under a per-query ledger
 // (internal/memgov.Reservation) threaded through the physical
-// operators. Denial is a policy: without a spill directory the query
-// fails with the typed engine.ErrOverBudget (per-query, database
-// untouched); with engine.WithSpill it degrades to disk and completes
-// under the budget. ORDER BY becomes an external sort — over-grant
+// operators. The engine is the budget's one owner — a statement is
+// governed the same embedded and served — and it judges a statement by
+// what it materializes, not by what its tables store: a point read or
+// a DELETE over a table many times the budget runs. Denial is a
+// policy: without a spill directory the query fails with the typed
+// engine.ErrOverBudget (per-query, database untouched); with
+// engine.WithSpill it degrades to disk and completes under the budget.
+// A MAL-routed SELECT is outside the ledger and cannot spill, so
+// without a spill directory it is refused with ErrOverBudget before it
+// runs when the tables it reads store more than the budget. ORDER BY becomes an external sort — over-grant
 // buffers spill as sorted runs (vector.SortRun), k-way merged with the
 // in-memory runs by vector.MergeRuns, holding one vector-sized chunk
 // per spilled run; an ORDER BY with a LIMIT buffers at most 2·LIMIT
@@ -303,10 +309,11 @@
 // is bounded by one admission controller. Admission is two-level: at
 // most Workers queries execute, at most QueueDepth more wait, and the
 // excess is rejected immediately with a typed queue-full error rather
-// than queueing without bound; a per-query memory budget rejects
-// statements whose referenced tables exceed it before they run — or,
-// under -mem-policy spill, admits them and lets the engine's runtime
-// ledger degrade them to disk. A statement timeout (-stmt-timeout, or
+// than queueing without bound. Memory is not admission's business:
+// monetlited's -budget and -spill-dir are the engine's WithMemBudget
+// and WithSpill, and the session answers the engine's ErrOverBudget
+// with a typed budget error, counted in the Stats frame's RejectedMem.
+// A statement timeout (-stmt-timeout, or
 // the session's SetTimeout override) cancels overlong statements at
 // the next morsel boundary with a typed timeout error.
 // repro/client is the Go client (Dial/Query/Prepare/Exec, streaming

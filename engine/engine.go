@@ -63,8 +63,10 @@ import (
 
 // ErrOverBudget is the typed error a governed query fails with when its
 // working memory would exceed the per-query budget and spilling is
-// unavailable (no spill directory, or a partition still too big). Test
-// with errors.Is; the failure is per-query — the database stays healthy.
+// unavailable (no spill directory, or a partition still too big), and
+// the error a MAL-routed SELECT is refused with when the tables it
+// reads store more than the budget (see Options.MemBudget). Test with
+// errors.Is; the failure is per-query — the database stays healthy.
 var ErrOverBudget = memgov.ErrExceeded
 
 // ErrSpillFailed is the typed error a spilling query fails with when
@@ -94,33 +96,17 @@ type Options struct {
 	// VectorSize is the batch length of the vectorized pipeline
 	// (<= 0 means the engine default of 1024).
 	VectorSize int
-	// GroupCommitEvery is the WAL group-commit window: the first commit
-	// to arrive waits this long for company before one fsync covers the
-	// whole batch (0 means the 2ms default; < 0 fsyncs each batch
-	// immediately, i.e. no window).
-	GroupCommitEvery time.Duration
-	// GroupCommitBatch flushes without waiting for the window once this
-	// many transactions are pending (<= 0 means the default of 128).
-	GroupCommitBatch int
 	// WALFS substitutes the filesystem the WAL writes through; nil means
 	// the OS filesystem. Tests inject fault-simulating filesystems here.
 	WALFS wal.FS
-	// PlanCacheEntries bounds the shared prepared-plan cache: compiled
-	// SELECT plans keyed by (SQL, schema version), shared across all
-	// sessions so a statement prepared on one connection is a
-	// compile-free hit on every other (0 means the default of 256
-	// entries; < 0 disables the cache).
-	PlanCacheEntries int
-	// PlanCacheBytes additionally bounds the plan cache by the summed
-	// estimated footprint of its entries, so many large compiled plans
-	// cannot pin unbounded memory even under the entry cap (0 means the
-	// default of 8 MiB; < 0 means no byte bound).
-	PlanCacheBytes int64
-	// MemBudget is the per-query working-memory budget in bytes for the
-	// vectorized path's materializing operators (sort runs, grouping
-	// tables, join builds). 0 means unlimited. An over-budget query
-	// fails with ErrOverBudget — unless SpillDir makes it degrade to
-	// disk instead.
+	// MemBudget is the per-query working-memory budget in bytes. 0 means
+	// unlimited. The vectorized path's materializing operators (sort
+	// runs, grouping tables, join builds) charge a per-query ledger
+	// against it; a MAL-routed SELECT, which the ledger does not see, is
+	// refused up front when the tables it reads store more than the
+	// budget. Either way an over-budget query fails with ErrOverBudget —
+	// unless SpillDir makes the vectorized one degrade to disk instead.
+	// DML is never refused for the size of its table.
 	MemBudget int64
 	// SpillDir, when non-empty alongside MemBudget, switches the budget
 	// policy from reject to spill: over-budget sorts write sorted runs
@@ -130,6 +116,19 @@ type Options struct {
 	// at Open.
 	SpillDir string
 }
+
+// Engine constants no deployment tunes. The group-commit window is how
+// long the first commit to arrive waits for company before one fsync
+// covers the whole batch (the wal package flushes a full batch of 128
+// records without waiting). The shared plan cache keeps at most
+// planCacheEntries compiled SELECTs and planCacheBytes of their
+// estimated footprint, so many large plans cannot pin unbounded memory
+// under the entry cap.
+const (
+	groupCommitWindow = 2 * time.Millisecond
+	planCacheEntries  = 256
+	planCacheBytes    = 8 << 20
+)
 
 // Option mutates Options.
 type Option func(*Options)
@@ -150,23 +149,8 @@ func WithMorselSize(rows int) Option { return func(o *Options) { o.MorselSize = 
 // WithVectorSize sets the vectorized batch length.
 func WithVectorSize(rows int) Option { return func(o *Options) { o.VectorSize = rows } }
 
-// WithGroupCommit sets the WAL group-commit window and batch limit
-// (see Options.GroupCommitEvery and Options.GroupCommitBatch).
-func WithGroupCommit(every time.Duration, maxBatch int) Option {
-	return func(o *Options) { o.GroupCommitEvery = every; o.GroupCommitBatch = maxBatch }
-}
-
 // WithWALFS substitutes the WAL's filesystem (fault injection in tests).
 func WithWALFS(fs wal.FS) Option { return func(o *Options) { o.WALFS = fs } }
-
-// WithPlanCache bounds the shared prepared-plan cache to n entries; a
-// negative n disables it (see Options.PlanCacheEntries).
-func WithPlanCache(n int) Option { return func(o *Options) { o.PlanCacheEntries = n } }
-
-// WithPlanCacheBytes bounds the shared prepared-plan cache by summed
-// entry footprint; a negative n removes the byte bound (see
-// Options.PlanCacheBytes).
-func WithPlanCacheBytes(n int64) Option { return func(o *Options) { o.PlanCacheBytes = n } }
 
 // WithMemBudget sets the per-query working-memory budget in bytes
 // (see Options.MemBudget).
@@ -187,7 +171,7 @@ type DB struct {
 	wal    *wal.Log // nil for in-memory databases
 	closed bool
 
-	plans *planCache // shared prepared-plan cache; nil when disabled
+	plans *planCache // shared prepared-plan cache
 
 	spillMgr *spill.Manager // nil unless WithSpill
 
@@ -231,12 +215,6 @@ func Open(opts ...Option) (*DB, error) {
 		if fs == nil {
 			fs = wal.OSFS{}
 		}
-		flushEvery := o.GroupCommitEvery
-		if flushEvery == 0 {
-			flushEvery = 2 * time.Millisecond
-		} else if flushEvery < 0 {
-			flushEvery = 0
-		}
 		// The snapshot's watermark guards the checkpoint's non-atomic
 		// save-then-truncate: a crash (or poisoned truncate) between the
 		// two leaves the new snapshot AND the full old WAL, so replay
@@ -246,7 +224,7 @@ func Open(opts ...Option) (*DB, error) {
 		watermark := sdb.AppliedLSN()
 		var txs []wal.Tx
 		lg, txs, err = wal.Open(fs, filepath.Join(o.Dir, "wal.log"),
-			wal.Params{FlushEvery: flushEvery, MaxBatch: o.GroupCommitBatch, BaseLSN: watermark})
+			wal.Params{FlushEvery: groupCommitWindow, BaseLSN: watermark})
 		if err != nil {
 			return nil, fmt.Errorf("engine: open wal: %w", err)
 		}
@@ -269,16 +247,6 @@ func Open(opts ...Option) (*DB, error) {
 	if o.RecyclerBytes > 0 {
 		sdb.Recycle = recycler.New(o.RecyclerBytes, recycler.PolicyBenefit)
 	}
-	planEntries := o.PlanCacheEntries
-	if planEntries == 0 {
-		planEntries = 256
-	}
-	planBytes := o.PlanCacheBytes
-	if planBytes == 0 {
-		planBytes = 8 << 20
-	} else if planBytes < 0 {
-		planBytes = 0 // no byte bound
-	}
 	var mgr *spill.Manager
 	if o.SpillDir != "" {
 		fs := o.WALFS
@@ -295,7 +263,7 @@ func Open(opts ...Option) (*DB, error) {
 		}
 		mgr = spill.NewManager(fs, o.SpillDir)
 	}
-	return &DB{opts: o, sdb: sdb, wal: lg, plans: newPlanCache(planEntries, planBytes), spillMgr: mgr}, nil
+	return &DB{opts: o, sdb: sdb, wal: lg, plans: newPlanCache(planCacheEntries, planCacheBytes), spillMgr: mgr}, nil
 }
 
 // failOpen closes a just-opened WAL when Open fails after it, keeping

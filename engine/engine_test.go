@@ -280,8 +280,13 @@ func TestNullsOnBothPaths(t *testing.T) {
 		t.Fatalf("projection = %v", got)
 	}
 	// Filters over nil-bearing INT columns and aggregates over any
-	// nil-bearing column take the MAL path and skip NULLs.
-	got = collect(t)(db.Query(bg, "SELECT count(x), sum(f) FROM n WHERE x >= 0"))
+	// nil-bearing column run vectorized, on nil-aware primitives, and
+	// skip NULLs.
+	const aggs = "SELECT count(x), sum(f) FROM n WHERE x >= 0"
+	if plan, err := db.conn().Plan(aggs); err != nil || !strings.HasPrefix(plan, "vectorized pipeline") {
+		t.Fatalf("plan = %q (err %v), want the vectorized pipeline", plan, err)
+	}
+	got = collect(t)(db.Query(bg, aggs))
 	if !reflect.DeepEqual(got, [][]any{{int64(2), 4.0}}) {
 		t.Fatalf("nil-aware aggs = %v", got)
 	}
@@ -549,19 +554,32 @@ func TestFrozenConnDoesNotPoisonPlanCache(t *testing.T) {
 	}
 }
 
+// The recycler lives on the MAL path and keys intermediates by the bound
+// arguments: re-binding an argument hits what its first execution
+// recycled, and different arguments never alias.
 func TestRecyclerWithPreparedParams(t *testing.T) {
 	db, _ := Open(WithRecycler(8 << 20))
 	defer db.Close()
-	loadInts(t, db, "t", 2000)
-	mustExec(t, db, "DELETE FROM t WHERE x = 1999") // force the MAL path (recycler lives there)
-	stmt, err := db.Prepare("SELECT sum(y) FROM t WHERE x < ?")
+	mustExec(t, db, "CREATE TABLE r (s TEXT, y INT)")
+	for i := 0; i < 200; i++ {
+		mustExec(t, db, "INSERT INTO r VALUES (?, ?)", fmt.Sprintf("k%d", i%10), i)
+	}
+	const q = "SELECT sum(y) FROM r WHERE s = ?" // a TEXT predicate routes to MAL
+	if plan, err := db.conn().Plan(q); err != nil || !strings.HasPrefix(plan, "MAL program") {
+		t.Fatalf("plan = %q (err %v), want a MAL program", plan, err)
+	}
+	stmt, err := db.Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := collect(t)(stmt.Query(bg, "k1"))
+	b := collect(t)(stmt.Query(bg, "k2"))
+	hits := db.sdb.Recycle.Stats().Hits
+	a2 := collect(t)(stmt.Query(bg, "k1"))
+	if got := db.sdb.Recycle.Stats().Hits; got <= hits {
+		t.Fatalf("re-binding k1 hit no recycled intermediate (hits %d -> %d)", hits, got)
+	}
 	// Same plan, different bindings: results must not alias.
-	a := collect(t)(stmt.Query(bg, 10))
-	b := collect(t)(stmt.Query(bg, 20))
-	a2 := collect(t)(stmt.Query(bg, 10))
 	if reflect.DeepEqual(a, b) {
 		t.Fatalf("different bindings gave identical sums: %v", a)
 	}

@@ -40,7 +40,7 @@ type planEntry struct {
 type planCache struct {
 	mu       sync.Mutex
 	cap      int
-	capBytes int64 // 0 = no byte bound
+	capBytes int64
 	entries  map[planKey]*list.Element
 	order    *list.List // front = most recently used; values are *planNode
 	bytes    int64      // summed estimated footprint of resident entries
@@ -55,9 +55,6 @@ type planNode struct {
 }
 
 func newPlanCache(capacity int, capBytes int64) *planCache {
-	if capacity <= 0 {
-		return nil
-	}
 	return &planCache{
 		cap:      capacity,
 		capBytes: capBytes,
@@ -83,11 +80,8 @@ func planEntryBytes(sql string, e *planEntry) int64 {
 }
 
 // get returns the cached artifacts for (sql, ver), counting a hit or a
-// miss. Safe on a nil cache (always a miss, uncounted).
+// miss.
 func (c *planCache) get(sql string, ver int64) (*planEntry, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[planKey{sql, ver}]
@@ -101,11 +95,8 @@ func (c *planCache) get(sql string, ver int64) (*planEntry, bool) {
 }
 
 // put stores freshly compiled artifacts, evicting the least recently
-// used entry past capacity. Safe on a nil cache (no-op).
+// used entry past capacity.
 func (c *planCache) put(sql string, ver int64, e *planEntry) {
-	if c == nil {
-		return
-	}
 	key := planKey{sql, ver}
 	sz := planEntryBytes(sql, e)
 	c.mu.Lock()
@@ -124,7 +115,7 @@ func (c *planCache) put(sql string, ver int64, e *planEntry) {
 	// single plan bigger than the byte bound still caches (and is the
 	// lone resident until something else pushes it out).
 	for c.order.Len() > 1 &&
-		(c.order.Len() > c.cap || (c.capBytes > 0 && c.bytes > c.capBytes)) {
+		(c.order.Len() > c.cap || c.bytes > c.capBytes) {
 		last := c.order.Back()
 		c.order.Remove(last)
 		n := last.Value.(*planNode)
@@ -144,13 +135,9 @@ type PlanCacheStats struct {
 	Bytes   int64 // summed estimated footprint of resident entries
 }
 
-// PlanCacheStats returns the current shared-plan-cache counters (zero
-// when the cache is disabled via WithPlanCache(0)).
+// PlanCacheStats returns the current shared-plan-cache counters.
 func (d *DB) PlanCacheStats() PlanCacheStats {
 	c := d.plans
-	if c == nil {
-		return PlanCacheStats{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return PlanCacheStats{Hits: c.hits, Misses: c.misses, Entries: c.order.Len(), Bytes: c.bytes}

@@ -123,46 +123,15 @@ func TestPlanCacheSchemaChangeInvalidates(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDisabled: WithPlanCache(-1) turns the cache off without
-// breaking statement execution.
-func TestPlanCacheDisabled(t *testing.T) {
-	ctx := context.Background()
-	db, err := Open(WithPlanCache(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := db.Exec(ctx, `CREATE TABLE t (a INT)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec(ctx, `INSERT INTO t VALUES (7)`); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		rows, err := db.Query(ctx, `SELECT a FROM t`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rows.Next() {
-			t.Fatal("no row")
-		}
-		if err := rows.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := db.PlanCacheStats(); s != (PlanCacheStats{}) {
-		t.Fatalf("disabled cache must report zero stats, got %+v", s)
-	}
-}
-
 // TestPlanCacheEviction: the LRU stays within its bound.
 func TestPlanCacheEviction(t *testing.T) {
 	ctx := context.Background()
-	db, err := Open(WithPlanCache(2))
+	db, err := Open()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	db.plans = newPlanCache(2, 8<<20)
 	if _, err := db.Exec(ctx, `CREATE TABLE t (a INT)`); err != nil {
 		t.Fatal(err)
 	}
@@ -181,52 +150,5 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 	if s.Misses < 5 {
 		t.Fatalf("5 distinct statements should all miss, got %+v", s)
-	}
-}
-
-// TestStmtEstimateBytes: the admission-control sizing hook tracks the
-// referenced tables' stored bytes.
-func TestStmtEstimateBytes(t *testing.T) {
-	ctx := context.Background()
-	db, err := Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := db.Exec(ctx, `CREATE TABLE big (a INT, s TEXT)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec(ctx, `CREATE TABLE small (a INT)`); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if _, err := db.Exec(ctx, `INSERT INTO big VALUES (?, ?)`, i, "some-longish-text-value"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := db.Conn()
-	defer c.Close()
-
-	stBig, err := c.Prepare(`SELECT a FROM big`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stBig.Close()
-	stSmall, err := c.Prepare(`SELECT a FROM small`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stSmall.Close()
-
-	big, small := stBig.EstimateBytes(), stSmall.EstimateBytes()
-	if big <= small {
-		t.Fatalf("big table estimate %d should exceed empty table estimate %d", big, small)
-	}
-	// 100 rows * (8-byte int + offsets + text) — at minimum the int column.
-	if big < 800 {
-		t.Fatalf("big estimate %d implausibly small", big)
-	}
-	if small != 0 {
-		t.Fatalf("empty table estimate = %d, want 0", small)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/wal"
 )
@@ -22,7 +21,7 @@ import (
 // durableOpts opens a crash-simulated persistent engine: checkpoints go
 // to dir on the real filesystem, the WAL goes through mfs.
 func durableOpts(dir string, mfs *wal.MemFS) []Option {
-	return []Option{WithDir(dir), WithWALFS(mfs), WithGroupCommit(time.Millisecond, 0)}
+	return []Option{WithDir(dir), WithWALFS(mfs)}
 }
 
 func tableRows(t *testing.T, db *DB, table string) [][]any {

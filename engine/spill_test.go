@@ -401,11 +401,12 @@ func TestOpenSweepsOrphanedSpillFiles(t *testing.T) {
 // The plan cache's byte bound evicts cold plans even when the entry
 // count is far below the entry cap.
 func TestPlanCacheByteBound(t *testing.T) {
-	db, err := Open(WithPlanCache(1000), WithPlanCacheBytes(2<<10))
+	db, err := Open()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	db.plans = newPlanCache(1000, 2<<10)
 	mustExec(t, db, "CREATE TABLE t (a INT, b INT)")
 	conn := db.Conn()
 	for i := 0; i < 40; i++ {

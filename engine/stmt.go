@@ -43,23 +43,6 @@ func (s *Stmt) SQL() string { return s.sql }
 // NumParams returns the number of ? placeholders.
 func (s *Stmt) NumParams() int { return s.nparams }
 
-// EstimateBytes returns a coarse upper bound on the stored column
-// bytes the statement can touch: the summed tail storage of every
-// table it references, under the current snapshot. The serving layer's
-// admission control compares this against its per-query memory budget
-// before letting the query onto a worker. Unknown tables contribute
-// zero (the query will fail with a real error anyway).
-func (s *Stmt) EstimateBytes() int64 {
-	snap := s.conn.snapshot()
-	var total int64
-	for _, name := range sqlfe.StmtTables(s.st) {
-		if t, err := snap.Table(name); err == nil {
-			total += t.ApproxBytes()
-		}
-	}
-	return total
-}
-
 // Close releases the statement. Idempotent.
 func (s *Stmt) Close() error {
 	s.mu.Lock()
@@ -181,6 +164,9 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 	// MAL fallback: bind the slots and run the compiled program. The
 	// result columns are materialized by the interpreter, but the cursor
 	// still hands them out row-at-a-time.
+	if err := s.checkMALBudget(snap); err != nil {
+		return nil, err
+	}
 	params, err := bindMALParams(args, e.ptypes)
 	if err != nil {
 		return nil, err
@@ -191,6 +177,37 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 		return nil, err
 	}
 	return newMALRows(ctx, e.prog.ResultNames, vals), nil
+}
+
+// checkMALBudget refuses a MAL-routed SELECT, under a budget and with
+// no spill directory, when the tables it reads store more than the
+// budget in snap. The interpreter materializes whole columns outside
+// the per-query ledger and cannot spill, so the stored bytes of its
+// FROM and JOIN tables are the bound it gets. With a spill directory
+// the budget means "spill past this", which MAL cannot do, and the
+// statement runs.
+func (s *Stmt) checkMALBudget(snap *sqlfe.Snapshot) error {
+	db := s.conn.db
+	budget := db.opts.MemBudget
+	if budget <= 0 || db.spillMgr != nil {
+		return nil
+	}
+	var total int64
+	read := func(name string) {
+		// An unknown table already failed binding; count nothing for it.
+		if t, err := snap.Table(name); err == nil {
+			total += t.ApproxBytes()
+		}
+	}
+	read(s.sel.From)
+	for _, j := range s.sel.Joins {
+		read(j.Table)
+	}
+	if total > budget {
+		return fmt.Errorf("engine: %w: MAL-routed statement reads ~%d stored bytes, budget is %d",
+			ErrOverBudget, total, budget)
+	}
+	return nil
 }
 
 // Exec executes a prepared DDL/DML statement (or drains a SELECT for

@@ -364,17 +364,6 @@ type pipeline struct {
 	leafPreds []vector.Pred
 }
 
-// serialChain returns a factory for a fresh single-threaded instance of
-// the full chain, whatever mode the pipeline is in.
-func (pl *pipeline) serialChain(opts Options) func() vector.Operator {
-	if pl.mkSerial != nil {
-		return pl.mkSerial
-	}
-	return func() vector.Operator {
-		return pl.par(vector.NewScan(pl.src, opts.VectorSize))
-	}
-}
-
 // pipelineFor instantiates the plan child feeding a projection, sort,
 // or aggregation.
 func (p *Plan) pipelineFor(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, n Node) (*pipeline, error) {
@@ -662,7 +651,7 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 		var jb *vector.JoinBuild
 		err := memgov.ErrExceeded
 		if mkSerial == nil || !opts.canSpill() {
-			jb, err = vector.BuildJoinTableGov(mkLeafOp(st.build), st.buildKeyPos, payload, false, opts.Gov)
+			jb, err = vector.BuildJoinTableGov(mkLeafOp(st.build), st.buildKeyPos, payload, opts.Gov)
 		}
 		// Once a step has degraded, later builds degrade too (err stays
 		// ErrExceeded above): the chain is already serial-on-disk, and an

@@ -446,7 +446,7 @@ func (o *graceJoinOp) Next() (*vector.Batch, error) {
 			// If even one partition's build exceeds the budget the query
 			// fails with the typed over-budget error — the fan-out was
 			// sized for the estimate, not a guarantee against skew.
-			jb, err := vector.BuildJoinTableGov(&spillScanOp{f: bf}, o.buildKey, o.payload, false, o.res)
+			jb, err := vector.BuildJoinTableGov(&spillScanOp{f: bf}, o.buildKey, o.payload, o.res)
 			if err != nil {
 				return nil, err
 			}

@@ -251,25 +251,6 @@ type JoinTreeNode struct {
 
 func (*JoinTreeNode) node() {}
 
-// VirtualPos maps (leaf, pipeline position) to the virtual output
-// layout — FROM-order concatenation of the leaves' pipeline columns.
-func (j *JoinTreeNode) VirtualPos(leaf, pos int) int {
-	off := 0
-	for l := 0; l < leaf; l++ {
-		off += len(j.Leaves[l].Scan.Cols)
-	}
-	return off + pos
-}
-
-// Width is the virtual layout's total column count.
-func (j *JoinTreeNode) Width() int {
-	w := 0
-	for i := range j.Leaves {
-		w += len(j.Leaves[i].Scan.Cols)
-	}
-	return w
-}
-
 // AccSpec is one per-worker accumulator (a partial-aggregate column).
 type AccSpec struct {
 	Kind vector.AggKind

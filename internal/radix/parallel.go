@@ -17,19 +17,13 @@ import (
 // chunk-major cursor layout preserves input order within each bucket, so
 // the clustering stays stable.
 
-// ParallelCluster is Cluster with the work of every pass spread over
-// `workers` goroutines. workers <= 1 (or a small input) degenerates to
-// the serial algorithm.
-func ParallelCluster(tuples []Tuple, passBits []int, workers int) Clustered {
-	c, _ := ParallelClusterCtx(nil, tuples, passBits, workers)
-	return c
-}
-
-// ParallelClusterCtx is ParallelCluster with bounded cancellation: a
-// non-nil ctx is observed between passes, between clusters of the
-// later passes, and between chunks of the first pass, so a canceled
-// long shuffle stops within one chunk/cluster of work instead of
-// running the full multi-pass O(n) scatter to completion. On
+// ParallelClusterCtx is Cluster with the work of every pass spread over
+// `workers` goroutines. workers == 1 (or a small input) degenerates to
+// the serial algorithm; workers <= 0 means GOMAXPROCS. Cancellation is
+// bounded: a non-nil ctx is observed between passes, between clusters
+// of the later passes, and between chunks of the first pass, so a
+// canceled long shuffle stops within one chunk/cluster of work instead
+// of running the full multi-pass O(n) scatter to completion. On
 // cancellation the returned error is ctx.Err() and the Clustered value
 // is meaningless.
 func ParallelClusterCtx(ctx context.Context, tuples []Tuple, passBits []int, workers int) (Clustered, error) {

@@ -8,7 +8,7 @@ import (
 	"repro/internal/bat"
 )
 
-// ParallelCluster must be bit-for-bit identical to the serial Cluster
+// ParallelClusterCtx must be bit-for-bit identical to the serial Cluster
 // (stability included) for any worker count and pass split.
 func TestParallelClusterMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -24,7 +24,10 @@ func TestParallelClusterMatchesSerial(t *testing.T) {
 		for _, passes := range [][]int{{0}, {3}, {6}, {4, 3}, {3, 2, 2}} {
 			want := Cluster(append([]Tuple(nil), tuples...), passes)
 			for _, workers := range []int{1, 2, 3, 8} {
-				got := ParallelCluster(append([]Tuple(nil), tuples...), passes, workers)
+				got, err := ParallelClusterCtx(nil, append([]Tuple(nil), tuples...), passes, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if !reflect.DeepEqual(got.Bounds, want.Bounds) {
 					t.Fatalf("n=%d passes=%v workers=%d: bounds diverge", n, passes, workers)
 				}

@@ -109,36 +109,10 @@ func ShouldCluster(nl, nr, cacheBytes int) bool {
 	return clustered*1.2 < flat
 }
 
-// --- join build-side planning ---
-
 // JoinCacheBytes is the cache size the join cost model tunes cluster
-// plans for (the paper-era L2; see internal/simhw.Default). Both
-// executors — the MAL join op and the physical plan's HashJoin — hand
-// it to ShouldCluster/BuildLeft, so their plan crossovers agree.
+// plans for (the paper-era L2; see internal/simhw.Default); the MAL
+// join op hands it to ShouldCluster.
 const JoinCacheBytes = 512 << 10
-
-// BuildLeft reports whether an equi-join over an nl-row left and nr-row
-// right input should build its hash table on the LEFT side: each
-// orientation is priced as the cheaper of its flat and clustered plans
-// (JoinCost), and the cheaper orientation wins. With the table layout
-// symmetric in the key this almost always picks the smaller build — the
-// classic rule — but it is the model, not a magic comparison, that says
-// so, and a future asymmetric layout inherits the decision for free.
-// Ties report false, keeping the conventional orientation: build on the
-// joined (right) table, probe the FROM table.
-func BuildLeft(nl, nr, cacheBytes int) bool {
-	lFlat, lClu := JoinCost(nl, nr, cacheBytes)
-	rFlat, rClu := JoinCost(nr, nl, cacheBytes)
-	left := lFlat
-	if lClu < left {
-		left = lClu
-	}
-	right := rFlat
-	if rClu < right {
-		right = rClu
-	}
-	return left < right
-}
 
 // --- sort planning ---
 

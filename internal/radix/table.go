@@ -238,7 +238,7 @@ func BuildPartitionedTable(keys []int64, bits int) *PartitionedTable {
 	// thread with no worker-count knob in this signature, and spawning
 	// GOMAXPROCS goroutines here would bypass an embedder's Workers
 	// setting. The grouped-aggregation paths, which DO carry an
-	// explicit worker count, cluster via ParallelCluster.
+	// explicit worker count, cluster via ParallelClusterCtx.
 	c := Cluster(tuples, SplitBits(bits, 2))
 	p := &PartitionedTable{
 		clustered: c,

@@ -3,12 +3,14 @@
 // engine.DB. Plan compilation is amortized across connections by the
 // engine's shared plan cache; execution is guarded by admission
 // control — a bounded number of queries may be in the system (running
-// or queued) and each query's estimated working set is checked against
-// a per-query memory budget, with typed rejections (ErrQueueFull,
-// ErrBudget) instead of unbounded queueing. This is the X100 engine
-// behind a wire: on a machine saturated by a few vectorized scans,
-// piling more concurrent queries on only destroys cache locality, so
-// the pool stays small and overload is refused loudly at the door.
+// or queued), and one arriving past that is refused with ErrQueueFull
+// instead of queueing without bound. This is the X100 engine behind a
+// wire: on a machine saturated by a few vectorized scans, piling more
+// concurrent queries on only destroys cache locality, so the pool
+// stays small and overload is refused loudly at the door. Memory is
+// the engine's business: its per-query budget (engine.WithMemBudget)
+// governs a statement the same way embedded and served, and the
+// session answers an engine.ErrOverBudget with CodeBudget.
 package server
 
 import (
@@ -31,9 +33,6 @@ var (
 	// ErrQueueFull: the admission queue is at capacity; the query was
 	// rejected without queueing.
 	ErrQueueFull = errors.New("server: admission queue full")
-	// ErrBudget: the query's estimated working set exceeds the
-	// per-query memory budget.
-	ErrBudget = errors.New("server: query exceeds per-query memory budget")
 	// errShutdown: the server is draining and takes no new commands.
 	errShutdown = errors.New("server: shutting down")
 )
@@ -51,16 +50,6 @@ type Config struct {
 	// with Workers running and QueueDepth waiting is rejected with
 	// ErrQueueFull. Default 4×Workers.
 	QueueDepth int
-	// MemBudget, when positive, rejects (ErrBudget) any query whose
-	// referenced tables' stored bytes exceed it. 0 disables the check.
-	MemBudget int64
-	// MemPolicy selects what an over-budget query gets: "reject" (the
-	// default) refuses it at the door with ErrBudget; "spill" admits it
-	// and lets the engine's governed operators degrade to disk, so the
-	// static estimate check above is skipped (the runtime ledger and
-	// grace-hash re-planning take over). Any other value is a config
-	// error.
-	MemPolicy string
 	// StmtTimeout, when positive, bounds every statement's wall-clock
 	// execution (admission wait included); an overrun cancels the query
 	// at its next morsel boundary with CodeTimeout. Sessions may
@@ -120,11 +109,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4 * cfg.Workers
-	}
-	switch cfg.MemPolicy {
-	case "", "reject", "spill":
-	default:
-		return nil, fmt.Errorf("server: Config.MemPolicy %q (want \"reject\" or \"spill\")", cfg.MemPolicy)
 	}
 	logf := cfg.Logf
 	if logf == nil {

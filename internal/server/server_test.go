@@ -494,50 +494,6 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 	}
 }
 
-// TestMemBudgetRejection: a query over a table bigger than the budget
-// is rejected with ErrBudget; a small query still runs.
-func TestMemBudgetRejection(t *testing.T) {
-	ctx := context.Background()
-	addr, srv, _, _ := startServer(t, "", func(c *Config) {
-		c.MemBudget = 1 << 20
-	})
-	c := dial(t, addr)
-	if _, err := c.Exec(ctx, `CREATE TABLE big (a INT)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Exec(ctx, `CREATE TABLE small (a INT)`); err != nil {
-		t.Fatal(err)
-	}
-	// ~2 MB of int column: 256 inserts x 1000 rows x 8 bytes.
-	for i := 0; i < 256; i++ {
-		sql := `INSERT INTO big VALUES (0)`
-		for j := 1; j < 1000; j++ {
-			sql += ", (1)"
-		}
-		if _, err := c.Exec(ctx, sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := c.Exec(ctx, `INSERT INTO small VALUES (42)`); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err := c.Query(ctx, `SELECT count(*) AS n FROM big`)
-	if !errors.Is(err, client.ErrBudget) {
-		t.Fatalf("big query err = %v, want ErrBudget", err)
-	}
-	if srv.rejectedMem.Load() == 0 {
-		t.Fatal("rejectedMem counter not bumped")
-	}
-	rows, err := c.Query(ctx, `SELECT a FROM small`)
-	if err != nil {
-		t.Fatalf("small query rejected: %v", err)
-	}
-	if err := rows.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCancelMidQuery cancels a streaming SELECT over the wire and
 // checks the server stops it at a morsel boundary: the client sees
 // ErrCanceled, and the connection remains usable afterwards.

@@ -256,14 +256,13 @@ func (se *session) rejectConn(code wire.ErrCode, msg string) {
 // codeFor maps an execution error to its wire code. DeadlineExceeded
 // is the statement timeout firing (the only deadline on a query
 // context), so it gets its own code; a Cancel frame or client
-// disconnect surfaces as context.Canceled. The engine's runtime
-// over-budget rejection maps to the same CodeBudget as the static
-// admission check — the client sees one "too big" error either way.
+// disconnect surfaces as context.Canceled. The engine's over-budget
+// refusal is CodeBudget.
 func codeFor(err error) wire.ErrCode {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		return wire.CodeQueueFull
-	case errors.Is(err, ErrBudget), errors.Is(err, engine.ErrOverBudget):
+	case errors.Is(err, engine.ErrOverBudget):
 		return wire.CodeBudget
 	case errors.Is(err, context.DeadlineExceeded):
 		return wire.CodeTimeout
@@ -273,6 +272,18 @@ func codeFor(err error) wire.ErrCode {
 		return wire.CodeShutdown
 	}
 	return wire.CodeGeneric
+}
+
+// fail reports a statement's execution error under its wire code. Every
+// CodeBudget answer counts in rejectedMem, whether the engine refused
+// the statement at Query or while its result drained, so the Stats
+// frame's RejectedMem is "statements refused for memory".
+func (se *session) fail(err error) error {
+	code := codeFor(err)
+	if code == wire.CodeBudget {
+		se.srv.rejectedMem.Add(1)
+	}
+	return se.sendErr(code, err.Error())
 }
 
 // dispatch executes one command. Its error contract: non-nil means the
@@ -359,32 +370,22 @@ func (se *session) runStmt(ctx context.Context, sql string, st *engine.Stmt, arg
 		}()
 	}
 
-	// Under the "spill" policy the static estimate check is skipped:
-	// the engine's runtime ledger governs the query and over-grants
-	// degrade to disk instead of being refused at the door.
-	if b := se.srv.cfg.MemBudget; b > 0 && se.srv.cfg.MemPolicy != "spill" {
-		if est := st.EstimateBytes(); est > b {
-			se.srv.rejectedMem.Add(1)
-			return se.sendErr(wire.CodeBudget,
-				fmt.Sprintf("%v: statement touches ~%d stored bytes, budget is %d", ErrBudget, est, b))
-		}
-	}
 	if err := se.srv.acquire(qctx); err != nil {
-		return se.sendErr(codeFor(err), err.Error())
+		return se.fail(err)
 	}
 	defer se.srv.release()
 
 	if !st.IsQuery() {
 		res, err := st.Exec(qctx, args...)
 		if err != nil {
-			return se.sendErr(codeFor(err), err.Error())
+			return se.fail(err)
 		}
 		return wire.Send(se.nc, wire.Done{RowsAffected: res.RowsAffected})
 	}
 
 	rows, err := st.Query(qctx, args...)
 	if err != nil {
-		return se.sendErr(codeFor(err), err.Error())
+		return se.fail(err)
 	}
 	defer func() {
 		if err := rows.Close(); err != nil {
@@ -409,7 +410,7 @@ func (se *session) runStmt(ctx context.Context, sql string, st *engine.Stmt, arg
 		}
 	}
 	if err := rows.Err(); err != nil {
-		return se.sendErr(codeFor(err), err.Error())
+		return se.fail(err)
 	}
 	return wire.Send(se.nc, wire.Done{})
 }

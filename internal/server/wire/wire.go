@@ -119,7 +119,7 @@ type ErrCode uint16
 const (
 	CodeGeneric   ErrCode = 0 // SQL or execution error; message has detail
 	CodeQueueFull ErrCode = 1 // admission: queue at capacity
-	CodeBudget    ErrCode = 2 // admission: per-query memory budget exceeded
+	CodeBudget    ErrCode = 2 // the engine's per-query memory budget refused the statement
 	CodeCanceled  ErrCode = 3 // command canceled (Cancel frame or ctx)
 	CodeProtocol  ErrCode = 4 // malformed frame or out-of-order command
 	CodeUnknown   ErrCode = 5 // unknown statement handle

@@ -13,28 +13,6 @@ import (
 // plan do NOT go through BindParams — their placeholders compile into
 // mal.P bind slots and are bound per execution by the interpreter.
 
-// StmtTables returns the names of the tables a statement READS (FROM
-// and JOIN tables for SELECT, the scanned table for DELETE/UPDATE
-// predicates). Callers use it to size a statement's working set before
-// running it — the server's admission control sums the referenced
-// tables' column bytes against its per-query memory budget. INSERT and
-// DDL read nothing, so they contribute no tables.
-func StmtTables(st Stmt) []string {
-	switch s := st.(type) {
-	case *Delete:
-		return []string{s.Table}
-	case *Update:
-		return []string{s.Table}
-	case *Select:
-		out := []string{s.From}
-		for _, j := range s.Joins {
-			out = append(out, j.Table)
-		}
-		return out
-	}
-	return nil
-}
-
 // NumParams returns the number of ? placeholders in a statement.
 func NumParams(st Stmt) int {
 	max := 0

@@ -186,7 +186,7 @@ func (t *Table) ZonedRows() int { return t.zoned }
 func (t *Table) ZoneMap(i int) *ZoneMap { return t.zones[i] }
 
 // ApproxBytes reports the tail-storage bytes of every column, cheap
-// enough for per-query admission control.
+// enough to check per query against a memory budget.
 func (t *Table) ApproxBytes() int64 {
 	var n int64
 	for _, c := range t.cols {

@@ -12,11 +12,12 @@ package vector
 //     cache-resident: the merge costs workers×groups inserts, trivial
 //     against n.
 //
-//   - Shared-nothing partitioned (PartitionedGroupAgg): the (position,
-//     key) pairs are radix-clustered on the low hash bits first
-//     (radix.ParallelCluster — every pass parallel), then each worker
-//     owns whole clusters = disjoint key ranges, griding through a
-//     cache-resident per-cluster table; the "merge" is concatenation.
+//   - Shared-nothing partitioned (PartitionedGroupAggGov): the
+//     (position, key) pairs are radix-clustered on the low hash bits
+//     first (radix.ParallelClusterCtx — every pass parallel), then
+//     each worker owns whole clusters = disjoint key ranges, griding
+//     through a cache-resident per-cluster table; the "merge" is
+//     concatenation.
 //     Wins at high cardinality, where per-worker tables would each be
 //     LLC-sized and the merge another full-table build.
 //
@@ -62,23 +63,13 @@ func MergeKind(k AggKind) AggKind {
 // preds (optional) filter before grouping; ctx (optional) cancels at
 // morsel boundaries.
 func ParallelGroupAgg(ctx context.Context, src *Source, keyCols []int, specs []AggSpec, preds []Pred, workers, morselSize, vectorSize int) (*Batch, error) {
-	return ParallelGroupAggGov(ctx, src, keyCols, specs, preds, workers, morselSize, vectorSize, nil)
-}
-
-// ParallelGroupAggGov is ParallelGroupAgg with every worker's grouping
-// table — and the final merge's — charged against res. The shared
-// ledger is what triggers mid-query re-planning: a worker whose table
-// outgrows the query's grant surfaces memgov.ErrExceeded through the
-// Exchange, each worker Agg hands its charge back on Close, and the
-// physical layer re-plans to grace-hash partitioning.
-func ParallelGroupAggGov(ctx context.Context, src *Source, keyCols []int, specs []AggSpec, preds []Pred, workers, morselSize, vectorSize int, res *memgov.Reservation) (*Batch, error) {
 	wrap := func(scan Operator) Operator {
 		if len(preds) > 0 {
 			return &Filter{Child: scan, Preds: preds}
 		}
 		return scan
 	}
-	return GroupAggOverPlan(ctx, src, wrap, keyCols, specs, workers, morselSize, vectorSize, res)
+	return GroupAggOverPlan(ctx, src, wrap, keyCols, specs, workers, morselSize, vectorSize, nil)
 }
 
 // GroupAggOverPlan is the merge-based grouped aggregation over an
@@ -88,7 +79,11 @@ func ParallelGroupAggGov(ctx context.Context, src *Source, keyCols []int, specs 
 // per-worker partial Agg and runs the key-merge. keyCols/specs index
 // the columns of wrap's OUTPUT batches. This is how grouped aggregation
 // composes over N-way join pipelines without re-materializing the join
-// result.
+// result. Every worker's grouping table — and the final merge's — is
+// charged against res (nil: ungoverned); a worker whose table outgrows
+// the query's grant surfaces memgov.ErrExceeded through the Exchange,
+// each worker Agg hands its charge back on Close, and the physical
+// layer re-plans to grace-hash partitioning.
 func GroupAggOverPlan(ctx context.Context, src *Source, wrap func(Operator) Operator, keyCols []int, specs []AggSpec, workers, morselSize, vectorSize int, res *memgov.Reservation) (*Batch, error) {
 	plan := func(scan Operator) Operator {
 		return &Agg{Child: wrap(scan), Keys: keyCols, Aggs: specs, Res: res}
@@ -127,7 +122,7 @@ func GroupAggOverPlan(ctx context.Context, src *Source, wrap func(Operator) Oper
 	return out, nil
 }
 
-// PartitionedGroupAgg is the shared-nothing plan: radix-cluster
+// PartitionedGroupAggGov is the shared-nothing plan: radix-cluster
 // (position, key) pairs so workers own disjoint key ranges, aggregate
 // each cluster with a cache-resident table, concatenate. The input must
 // be unfiltered (the caller falls back to the merge plan under
@@ -135,16 +130,12 @@ func GroupAggOverPlan(ctx context.Context, src *Source, wrap func(Operator) Oper
 // (ParallelClusterCtx checks between passes and clusters) and between
 // aggregation clusters — so cancellation latency stays bounded by one
 // pass/cluster of work, not the whole plan.
-func PartitionedGroupAgg(ctx context.Context, src *Source, keyCol int, specs []AggSpec, workers, bits int) (*Batch, error) {
-	return PartitionedGroupAggGov(ctx, src, keyCol, specs, workers, bits, nil)
-}
-
-// PartitionedGroupAggGov is PartitionedGroupAgg charging the tuple
-// shuffle — its dominant allocation: the (position, key) array plus
-// the clustered copy, 16 bytes per row each — against res up front.
-// The per-cluster tables stay cache-resident by construction and are
-// not charged. The whole charge is released on return: the shuffle
-// dies with this call.
+//
+// A non-nil res is charged up front for the tuple shuffle — the plan's
+// dominant allocation: the (position, key) array plus the clustered
+// copy, 16 bytes per row each. The per-cluster tables stay
+// cache-resident by construction and are not charged. The whole charge
+// is released on return: the shuffle dies with this call.
 func PartitionedGroupAggGov(ctx context.Context, src *Source, keyCol int, specs []AggSpec, workers, bits int, res *memgov.Reservation) (*Batch, error) {
 	keys := src.Cols[keyCol].Ints
 	n := len(keys)

@@ -17,7 +17,7 @@ import (
 //   - serial-map:    the PR-3-era per-batch map grouping
 //   - serial-table:  the open-addressing Agg, one worker's pipeline
 //   - parallel:      per-worker partial tables + merge (ParallelGroupAgg)
-//   - partitioned:   shared-nothing radix-partitioned (PartitionedGroupAgg)
+//   - partitioned:   shared-nothing radix-partitioned (PartitionedGroupAggGov)
 //
 // On a 1-core host the parallel variants measure their overhead, not
 // their scaling; re-run on a multi-core machine for speedups.
@@ -79,7 +79,7 @@ func BenchmarkGroupedAgg(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := PartitionedGroupAgg(context.Background(), src, 0, specs, workers, bits)
+				out, err := PartitionedGroupAggGov(context.Background(), src, 0, specs, workers, bits, nil)
 				if err != nil || out.N == 0 {
 					b.Fatalf("groups=%d err=%v", out.N, err)
 				}

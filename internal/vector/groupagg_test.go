@@ -189,7 +189,7 @@ func TestPartitionedGroupAggMatchesOracle(t *testing.T) {
 		src, keys, ivals, fvals := randGroupSource(rng, n, card)
 		want := serialGroupOracle(keys, ivals, fvals)
 		for _, workers := range []int{1, 2, 4, 8} {
-			got, err := PartitionedGroupAgg(context.Background(), src, 0, fullSpecs, workers, bits)
+			got, err := PartitionedGroupAggGov(context.Background(), src, 0, fullSpecs, workers, bits, nil)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -242,7 +242,7 @@ func TestGroupAggCancel(t *testing.T) {
 	if _, err := ParallelGroupAgg(ctx, src, []int{0}, fullSpecs, nil, 4, 1024, 128); !errors.Is(err, context.Canceled) {
 		t.Fatalf("merge plan: err = %v, want Canceled", err)
 	}
-	if _, err := PartitionedGroupAgg(ctx, src, 0, fullSpecs, 4, 4); !errors.Is(err, context.Canceled) {
+	if _, err := PartitionedGroupAggGov(ctx, src, 0, fullSpecs, 4, 4, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("partitioned plan: err = %v, want Canceled", err)
 	}
 }

@@ -3,7 +3,6 @@ package vector
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/memgov"
 	"repro/internal/radix"
@@ -19,15 +18,9 @@ import (
 type JoinBuild struct {
 	table *radix.JoinTable
 
-	// DSM payload storage: one slice per payload column.
+	// Payload storage (DSM): one column per payload column.
 	cols  []Col
-	kinds []Kind
-	// NSM payload storage: rows[i*np .. i*np+np) holds row i (int64
-	// cells; float bits stored via the column kind).
-	rows      []int64
-	np        int
-	rowLayout bool
-	nrows     int
+	nrows int
 
 	res     *memgov.Reservation
 	charged int64
@@ -53,10 +46,12 @@ func (jb *JoinBuild) ReleaseMem() {
 const joinTableBytesPerRow = 48
 
 // BuildJoinTable drains op (opening and closing it) into a JoinBuild:
-// key column key, payload columns carried into join output, laid out
-// row-wise when rowLayout is set.
-func BuildJoinTable(op Operator, key int, payload []int, rowLayout bool) (*JoinBuild, error) {
-	return BuildJoinTableGov(op, key, payload, rowLayout, nil)
+// key column key, payload columns carried into join output. The last
+// argument is ignored: payloads are always kept columnar (the paper's
+// §5 NSM/DSM trade-off is reproduced on internal/layout by experiment
+// E12); it stays so existing callers compile.
+func BuildJoinTable(op Operator, key int, payload []int, _ bool) (*JoinBuild, error) {
+	return BuildJoinTableGov(op, key, payload, nil)
 }
 
 // BuildJoinTableGov is BuildJoinTable charging the materialized build
@@ -64,19 +59,13 @@ func BuildJoinTable(op Operator, key int, payload []int, rowLayout bool) (*JoinB
 // A denied charge returns the query's memgov.ErrExceeded with the
 // partial build's memory already handed back; the physical layer may
 // answer by re-planning to a grace-hash join.
-func BuildJoinTableGov(op Operator, key int, payload []int, rowLayout bool, res *memgov.Reservation) (*JoinBuild, error) {
+func BuildJoinTableGov(op Operator, key int, payload []int, res *memgov.Reservation) (*JoinBuild, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
 
-	jb := &JoinBuild{
-		cols:      make([]Col, len(payload)),
-		kinds:     make([]Kind, len(payload)),
-		np:        len(payload),
-		rowLayout: rowLayout,
-		res:       res,
-	}
+	jb := &JoinBuild{cols: make([]Col, len(payload)), res: res}
 	var keys []int64
 	for {
 		b, err := op.Next()
@@ -111,29 +100,16 @@ func BuildJoinTableGov(op Operator, key int, payload []int, rowLayout bool, res 
 					innerErr = fmt.Errorf("vector: build payload column %d out of range", pc)
 					return
 				}
-				c := &b.Cols[pc]
-				jb.kinds[pi] = c.Kind
-				var cell int64
+				c, col := &b.Cols[pc], &jb.cols[pi]
+				col.Kind = c.Kind
 				switch c.Kind {
 				case KindInt:
-					cell = c.Ints[i]
+					col.Ints = append(col.Ints, c.Ints[i])
 				case KindFloat:
-					cell = int64(floatBits(c.Floats[i]))
+					col.Floats = append(col.Floats, c.Floats[i])
 				default:
 					innerErr = errors.New("vector: join payload must be int or float")
 					return
-				}
-				if rowLayout {
-					jb.rows = append(jb.rows, cell)
-				} else {
-					col := &jb.cols[pi]
-					col.Kind = c.Kind
-					switch c.Kind {
-					case KindInt:
-						col.Ints = append(col.Ints, cell)
-					case KindFloat:
-						col.Floats = append(col.Floats, c.Floats[i])
-					}
 				}
 			}
 		})
@@ -160,56 +136,25 @@ func (jb *JoinBuild) ForEach(key int64, f func(row int32)) {
 	jb.table.ForEach(key, f)
 }
 
-// HashJoinOp is a vectorized equi-join on int64 keys: the build child is
-// drained into a JoinBuild, then probe batches stream through, emitting
-// joined batches of probe payload columns ++ build payload columns.
-//
-// The build-side payload can be kept in two in-execution layouts (paper §5,
-// [46]): columnar (DSM — one array per column, so fetching a match touches
-// one cache line *per column*) or row-wise re-grouped (NSM — matched
-// payloads contiguous, one line per match). The layout choice is exactly
-// the "tuple-layout planning" the paper proposes as a new query-optimizer
-// task; benchmark BenchmarkJoinLayout measures the tradeoff.
+// HashJoinOp is a vectorized equi-join on int64 keys: probe batches
+// stream through a pre-built, read-only build side, emitting joined
+// batches of probe columns ++ build payload columns. Sharing the build
+// is how morsel-parallel probe pipelines use one table (see
+// parallel.go).
 type HashJoinOp struct {
-	Build, Probe Operator
-	BuildKey     int // key column index in build batches
-	ProbeKey     int // key column index in probe batches
-	// BuildPayload lists build columns to carry into the output.
-	BuildPayload []int
-	// RowLayout re-groups build payloads row-wise (NSM) instead of
-	// keeping them columnar (DSM).
-	RowLayout bool
-	// Shared, when set, is a pre-built build side (from BuildJoinTable);
-	// Build is then ignored. This is how morsel-parallel probe pipelines
-	// share one read-only table (see parallel.go).
-	Shared *JoinBuild
+	Probe    Operator
+	ProbeKey int        // key column index in probe batches
+	Shared   *JoinBuild // the build side, from BuildJoinTable(Gov)
 
-	jb  *JoinBuild
 	out Batch
 }
 
-// Open implements Operator: drains the build side into the hash table
-// (unless a Shared build was injected).
-func (j *HashJoinOp) Open() error {
-	if err := j.Probe.Open(); err != nil {
-		return err
-	}
-	if j.Shared != nil {
-		j.jb = j.Shared
-		return nil
-	}
-	jb, err := BuildJoinTable(j.Build, j.BuildKey, j.BuildPayload, j.RowLayout)
-	if err != nil {
-		return err
-	}
-	j.jb = jb
-	return nil
-}
+// Open implements Operator.
+func (j *HashJoinOp) Open() error { return j.Probe.Open() }
 
 // Next implements Operator: pulls probe batches until one produces output.
 func (j *HashJoinOp) Next() (*Batch, error) {
-	jb := j.jb
-	np := jb.np
+	jb := j.Shared
 	for {
 		b, err := j.Probe.Next()
 		if err != nil || b == nil {
@@ -217,36 +162,20 @@ func (j *HashJoinOp) Next() (*Batch, error) {
 		}
 		keys := b.Cols[j.ProbeKey].Ints
 		// Output: probe columns gathered per match + build payloads.
-		outCols := make([]Col, len(b.Cols)+np)
+		outCols := make([]Col, len(b.Cols)+len(jb.cols))
 		for c := range b.Cols {
 			outCols[c].Kind = b.Cols[c].Kind
 		}
-		for pi := range outCols[len(b.Cols):] {
-			outCols[len(b.Cols)+pi].Kind = jb.kinds[pi]
+		for pi := range jb.cols {
+			outCols[len(b.Cols)+pi].Kind = jb.cols[pi].Kind
 		}
 		n := 0
 		emit := func(i, bid int32) {
 			for c := range b.Cols {
 				appendCell(&outCols[c], &b.Cols[c], i)
 			}
-			for pi := 0; pi < np; pi++ {
-				oc := &outCols[len(b.Cols)+pi]
-				if jb.rowLayout {
-					cell := jb.rows[int(bid)*np+pi]
-					switch jb.kinds[pi] {
-					case KindInt:
-						oc.Ints = append(oc.Ints, cell)
-					case KindFloat:
-						oc.Floats = append(oc.Floats, floatFromBits(uint64(cell)))
-					}
-				} else {
-					switch jb.kinds[pi] {
-					case KindInt:
-						oc.Ints = append(oc.Ints, jb.cols[pi].Ints[bid])
-					case KindFloat:
-						oc.Floats = append(oc.Floats, jb.cols[pi].Floats[bid])
-					}
-				}
+			for pi := range jb.cols {
+				appendCell(&outCols[len(b.Cols)+pi], &jb.cols[pi], bid)
 			}
 			n++
 		}
@@ -271,11 +200,8 @@ func (j *HashJoinOp) Next() (*Batch, error) {
 	}
 }
 
-// Close implements Operator. The build child is not closed here:
-// BuildJoinTable already closed it when Open drained it.
-func (j *HashJoinOp) Close() error {
-	return j.Probe.Close()
-}
+// Close implements Operator.
+func (j *HashJoinOp) Close() error { return j.Probe.Close() }
 
 func appendCell(dst *Col, src *Col, i int32) {
 	switch src.Kind {
@@ -287,7 +213,3 @@ func appendCell(dst *Col, src *Col, i int32) {
 		dst.Bools = append(dst.Bools, src.Bools[i])
 	}
 }
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }

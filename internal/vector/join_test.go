@@ -11,7 +11,23 @@ import (
 	"repro/internal/radix"
 )
 
-func joinPlan(t *testing.T, ok, pk []int64, pay []float64, size int, row bool) [][]any {
+// hashJoin builds a join table over build (key column bkey, payload
+// columns pay) and probes it with probe's column pkey, returning the
+// joined rows.
+func hashJoin(t *testing.T, build, probe Operator, bkey, pkey int, pay []int) [][]any {
+	t.Helper()
+	jb, err := BuildJoinTable(build, bkey, pay, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := Drain(&HashJoinOp{Probe: probe, ProbeKey: pkey, Shared: jb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+func joinPlan(t *testing.T, ok, pk []int64, pay []float64, size int) [][]any {
 	t.Helper()
 	build, err := NewSource([]string{"cid", "weight"}, []Col{
 		{Kind: KindInt, Ints: ok}, {Kind: KindFloat, Floats: pay}})
@@ -22,48 +38,36 @@ func joinPlan(t *testing.T, ok, pk []int64, pay []float64, size int, row bool) [
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := &HashJoinOp{
-		Build: NewScan(build, size), Probe: NewScan(probe, size),
-		BuildKey: 0, ProbeKey: 0,
-		BuildPayload: []int{1, 0},
-		RowLayout:    row,
-	}
-	rows, err := Drain(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rows
+	return hashJoin(t, NewScan(build, size), NewScan(probe, size), 0, 0, []int{1, 0})
 }
 
 func TestHashJoinOpBasic(t *testing.T) {
 	bk := []int64{10, 20, 10}
 	pay := []float64{1.5, 2.5, 3.5}
 	pk := []int64{20, 10, 99}
-	for _, row := range []bool{false, true} {
-		rows := joinPlan(t, bk, pk, pay, 2, row)
-		// probe 20 -> (20, 2.5, 20); probe 10 -> two matches.
-		if len(rows) != 3 {
-			t.Fatalf("row=%v: rows = %v", row, rows)
+	rows := joinPlan(t, bk, pk, pay, 2)
+	// probe 20 -> (20, 2.5, 20); probe 10 -> two matches.
+	if len(rows) != 3 {
+		t.Fatalf("rows = %v", rows)
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i][0] != rows[j][0] {
+			return rows[i][0].(int64) < rows[j][0].(int64)
 		}
-		sort.Slice(rows, func(i, j int) bool {
-			if rows[i][0] != rows[j][0] {
-				return rows[i][0].(int64) < rows[j][0].(int64)
-			}
-			return rows[i][1].(float64) < rows[j][1].(float64)
-		})
-		want := [][]any{
-			{int64(10), 1.5, int64(10)},
-			{int64(10), 3.5, int64(10)},
-			{int64(20), 2.5, int64(20)},
-		}
-		if !reflect.DeepEqual(rows, want) {
-			t.Fatalf("row=%v: rows = %v", row, rows)
-		}
+		return rows[i][1].(float64) < rows[j][1].(float64)
+	})
+	want := [][]any{
+		{int64(10), 1.5, int64(10)},
+		{int64(10), 3.5, int64(10)},
+		{int64(20), 2.5, int64(20)},
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows = %v", rows)
 	}
 }
 
 func TestHashJoinOpNoMatches(t *testing.T) {
-	rows := joinPlan(t, []int64{1}, []int64{2, 3}, []float64{9}, 1, false)
+	rows := joinPlan(t, []int64{1}, []int64{2, 3}, []float64{9}, 1)
 	if len(rows) != 0 {
 		t.Fatalf("rows = %v", rows)
 	}
@@ -74,16 +78,9 @@ func TestHashJoinOpWithFilteredProbe(t *testing.T) {
 		{Kind: KindInt, Ints: []int64{1, 2}},
 		{Kind: KindInt, Ints: []int64{100, 200}}})
 	probe, _ := NewSource([]string{"k"}, []Col{{Kind: KindInt, Ints: []int64{1, 2, 1}}})
-	j := &HashJoinOp{
-		Build: NewScan(build, 4),
-		Probe: &Filter{Child: NewScan(probe, 4),
-			Preds: []Pred{{ColIdx: 0, Op: PredEq, IntVal: 1}}},
-		BuildKey: 0, ProbeKey: 0, BuildPayload: []int{1},
-	}
-	rows, err := Drain(j)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := hashJoin(t, NewScan(build, 4),
+		&Filter{Child: NewScan(probe, 4), Preds: []Pred{{ColIdx: 0, Op: PredEq, IntVal: 1}}},
+		0, 0, []int{1})
 	if len(rows) != 2 || rows[0][1] != int64(100) {
 		t.Fatalf("rows = %v", rows)
 	}
@@ -91,123 +88,11 @@ func TestHashJoinOpWithFilteredProbe(t *testing.T) {
 
 func TestHashJoinOpBadColumns(t *testing.T) {
 	src, _ := NewSource([]string{"k"}, []Col{{Kind: KindInt, Ints: []int64{1}}})
-	j := &HashJoinOp{Build: NewScan(src, 4), Probe: NewScan(src, 4),
-		BuildKey: 5, ProbeKey: 0}
-	if err := j.Open(); err == nil {
+	if _, err := BuildJoinTable(NewScan(src, 4), 5, nil, false); err == nil {
 		t.Fatal("expected key-out-of-range error")
 	}
-	src2, _ := NewSource([]string{"k"}, []Col{{Kind: KindInt, Ints: []int64{1}}})
-	j2 := &HashJoinOp{Build: NewScan(src2, 4), Probe: NewScan(src2, 4),
-		BuildKey: 0, ProbeKey: 0, BuildPayload: []int{7}}
-	if err := j2.Open(); err == nil {
+	if _, err := BuildJoinTable(NewScan(src, 4), 0, []int{7}, false); err == nil {
 		t.Fatal("expected payload-out-of-range error")
-	}
-}
-
-// Property: DSM and NSM payload layouts produce identical join results for
-// arbitrary inputs and vector sizes.
-func TestQuickJoinLayoutsAgree(t *testing.T) {
-	f := func(bk, pk []uint8, size8 uint8) bool {
-		if len(bk) > 50 {
-			bk = bk[:50]
-		}
-		if len(pk) > 50 {
-			pk = pk[:50]
-		}
-		size := int(size8%16) + 1
-		bkeys := make([]int64, len(bk))
-		pay := make([]float64, len(bk))
-		for i, v := range bk {
-			bkeys[i] = int64(v % 8)
-			pay[i] = float64(i) + 0.5
-		}
-		pkeys := make([]int64, len(pk))
-		for i, v := range pk {
-			pkeys[i] = int64(v % 8)
-		}
-		t2 := &testing.T{}
-		dsm := joinPlan(t2, bkeys, pkeys, pay, size, false)
-		nsm := joinPlan(t2, bkeys, pkeys, pay, size, true)
-		norm := func(rows [][]any) {
-			sort.Slice(rows, func(i, j int) bool {
-				if rows[i][0] != rows[j][0] {
-					return rows[i][0].(int64) < rows[j][0].(int64)
-				}
-				return rows[i][1].(float64) < rows[j][1].(float64)
-			})
-		}
-		norm(dsm)
-		norm(nsm)
-		return reflect.DeepEqual(dsm, nsm)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// BenchmarkJoinLayout measures the §5/[46] tradeoff: with a wide build
-// payload, row-wise regrouping touches one line per match where columnar
-// touches one per column.
-func BenchmarkJoinLayout(b *testing.B) {
-	n := 1 << 18
-	r := rand.New(rand.NewSource(1))
-	nPay := 6
-	cols := make([]Col, nPay+1)
-	names := make([]string, nPay+1)
-	names[0] = "k"
-	keys := make([]int64, n)
-	for i := range keys {
-		keys[i] = int64(i)
-	}
-	cols[0] = Col{Kind: KindInt, Ints: keys}
-	payload := make([]int, nPay)
-	for c := 1; c <= nPay; c++ {
-		v := make([]int64, n)
-		for i := range v {
-			v[i] = r.Int63()
-		}
-		cols[c] = Col{Kind: KindInt, Ints: v}
-		names[c] = "p"
-		payload[c-1] = c
-	}
-	build, err := NewSource(names, cols)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pkeys := make([]int64, n)
-	for i := range pkeys {
-		pkeys[i] = int64(r.Intn(n))
-	}
-	probe, err := NewSource([]string{"k"}, []Col{{Kind: KindInt, Ints: pkeys}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, row := range []bool{false, true} {
-		name := "dsm"
-		if row {
-			name = "nsm-regrouped"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				j := &HashJoinOp{
-					Build: NewScan(build, 1024), Probe: NewScan(probe, 1024),
-					BuildKey: 0, ProbeKey: 0, BuildPayload: payload, RowLayout: row,
-				}
-				if err := j.Open(); err != nil {
-					b.Fatal(err)
-				}
-				for {
-					batch, err := j.Next()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if batch == nil {
-						break
-					}
-				}
-				j.Close()
-			}
-		})
 	}
 }
 
@@ -242,14 +127,7 @@ func joinPairs(t *testing.T, bk, pk []int64, size int) []radix.OIDPair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := &HashJoinOp{
-		Build: NewScan(build, size), Probe: NewScan(probe, size),
-		BuildKey: 0, ProbeKey: 0, BuildPayload: []int{1},
-	}
-	rows, err := Drain(j)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := hashJoin(t, NewScan(build, size), NewScan(probe, size), 0, 0, []int{1})
 	pairs := make([]radix.OIDPair, len(rows))
 	for i, r := range rows {
 		pairs[i] = radix.OIDPair{L: bat.OID(r[2].(int64)), R: bat.OID(r[1].(int64))}

@@ -447,21 +447,6 @@ func MapAddFloat(a, b []float64, sel []int32, out []float64) {
 	}
 }
 
-// SumInt folds qualifying values of col into a scalar.
-func SumInt(col []int64, sel []int32) int64 {
-	var s int64
-	if sel == nil {
-		for _, x := range col {
-			s += x
-		}
-		return s
-	}
-	for _, i := range sel {
-		s += col[i]
-	}
-	return s
-}
-
 // SumFloat folds qualifying values of col into a scalar.
 func SumFloat(col []float64, sel []int32) float64 {
 	var s float64
@@ -475,14 +460,6 @@ func SumFloat(col []float64, sel []int32) float64 {
 		s += col[i]
 	}
 	return s
-}
-
-// CountSel returns the number of qualifying rows.
-func CountSel(n int, sel []int32) int64 {
-	if sel == nil {
-		return int64(n)
-	}
-	return int64(len(sel))
 }
 
 // SumIntPerGroup folds col values into accs[gids[i]] for qualifying rows,

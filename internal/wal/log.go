@@ -23,16 +23,18 @@ import (
 // prefix.
 var ErrPoisoned = errors.New("wal: log poisoned by write/fsync failure; reopen to recover")
 
+// maxBatch flushes without waiting for the window once this many
+// records are pending.
+const maxBatch = 128
+
 // Params tune group commit.
 type Params struct {
 	// FlushEvery is the batch window: once a record arrives, the
-	// committer waits this long for more before issuing the fsync.
-	// 0 flushes as soon as the committer drains (batching still happens
-	// under load, while an fsync is in flight).
+	// committer waits this long for more before issuing the fsync, or
+	// until maxBatch records are pending. 0 flushes as soon as the
+	// committer drains (batching still happens under load, while an
+	// fsync is in flight).
 	FlushEvery time.Duration
-	// MaxBatch flushes without waiting for the window once this many
-	// records are pending. <= 0 means 128.
-	MaxBatch int
 	// BaseLSN is the checkpoint watermark of the snapshot this log
 	// accompanies: the highest LSN whose effects the snapshot already
 	// contains. LSN numbering resumes above max(BaseLSN, last record in
@@ -59,7 +61,6 @@ type Log struct {
 	f    File
 
 	flushEvery time.Duration
-	maxBatch   int
 
 	// ioMu serializes file IO (flush vs truncate); always taken before mu.
 	ioMu sync.Mutex
@@ -105,9 +106,6 @@ func Open(fs FS, path string, p Params) (*Log, []Tx, error) {
 			return nil, nil, fmt.Errorf("wal: sync after truncate: %w", err)
 		}
 	}
-	if p.MaxBatch <= 0 {
-		p.MaxBatch = 128
-	}
 	if p.BaseLSN > lastLSN {
 		lastLSN = p.BaseLSN
 	}
@@ -116,7 +114,6 @@ func Open(fs FS, path string, p Params) (*Log, []Tx, error) {
 		path:       path,
 		f:          f,
 		flushEvery: p.FlushEvery,
-		maxBatch:   p.MaxBatch,
 		nextLSN:    lastLSN + 1,
 		durable:    lastLSN,
 		kick:       make(chan struct{}, 1),
@@ -178,7 +175,7 @@ func (l *Log) AppendTx(ops []Op) (uint64, error) {
 	l.lastAppended = commitLSN
 	l.stats.Txs++
 	l.stats.Records += uint64(len(payloads))
-	notifyFull := l.pendingRecs >= l.maxBatch
+	notifyFull := l.pendingRecs >= maxBatch
 	l.mu.Unlock()
 
 	select {
