@@ -225,9 +225,9 @@
 // keeps an append-only log of length-prefixed, CRC32-checksummed
 // records with sequential LSNs; a committed statement is one
 // begin/ops/commit transaction of physical effects (coerced values,
-// physical positions), group-committed: concurrent commits share one
-// fsync (a flush window plus a batch cap), and Exec returns only after
-// the covering fsync. Recovery loads the last checkpoint — an atomic
+// physical positions), group-committed: the log fsyncs as soon as a
+// commit arrives, commits that arrive during that fsync share the next
+// one, and Exec returns only after the covering fsync. Recovery loads the last checkpoint — an atomic
 // snapshot directory committed by renaming a CURRENT pointer — and
 // replays exactly the transactions whose commit record survived
 // intact, truncating the log at the first torn or corrupt record. The

@@ -51,7 +51,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/memgov"
 	"repro/internal/physical"
@@ -117,17 +116,15 @@ type Options struct {
 	SpillDir string
 }
 
-// Engine constants no deployment tunes. The group-commit window is how
-// long the first commit to arrive waits for company before one fsync
-// covers the whole batch (the wal package flushes a full batch of 128
-// records without waiting). The shared plan cache keeps at most
-// planCacheEntries compiled SELECTs and planCacheBytes of their
+// Engine constants no deployment tunes. The shared plan cache keeps at
+// most planCacheEntries compiled SELECTs and planCacheBytes of their
 // estimated footprint, so many large plans cannot pin unbounded memory
-// under the entry cap.
+// under the entry cap. Group commit has no knob: the WAL fsyncs as soon
+// as a commit arrives, and commits that arrive during that fsync share
+// the next one.
 const (
-	groupCommitWindow = 2 * time.Millisecond
-	planCacheEntries  = 256
-	planCacheBytes    = 8 << 20
+	planCacheEntries = 256
+	planCacheBytes   = 8 << 20
 )
 
 // Option mutates Options.
@@ -224,7 +221,7 @@ func Open(opts ...Option) (*DB, error) {
 		watermark := sdb.AppliedLSN()
 		var txs []wal.Tx
 		lg, txs, err = wal.Open(fs, filepath.Join(o.Dir, "wal.log"),
-			wal.Params{FlushEvery: groupCommitWindow, BaseLSN: watermark})
+			wal.Params{BaseLSN: watermark})
 		if err != nil {
 			return nil, fmt.Errorf("engine: open wal: %w", err)
 		}
@@ -331,12 +328,12 @@ func (d *DB) Vacuum() (int, error) {
 }
 
 // WALStats reports write-ahead-log counters (zero for in-memory
-// databases). Fsyncs < Txs means group commit is batching.
+// databases). Fsyncs < Txs means group commit is batching: commits
+// that arrived during an fsync shared the next one.
 type WALStats struct {
 	Fsyncs  uint64 // physical fsync calls
 	Txs     uint64 // committed transactions
 	Records uint64 // log records appended
-	Flushes uint64 // batch flushes (a flush may cover many txs)
 }
 
 // Err reports the database's sticky fatal state: non-nil once the WAL
@@ -363,7 +360,7 @@ func (d *DB) WALStats() WALStats {
 		return WALStats{}
 	}
 	s := d.wal.Stats()
-	return WALStats{Fsyncs: s.Fsyncs, Txs: s.Txs, Records: s.Records, Flushes: s.Flushes}
+	return WALStats{Fsyncs: s.Fsyncs, Txs: s.Txs, Records: s.Records}
 }
 
 func (d *DB) checkOpen() error {

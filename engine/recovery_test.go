@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/wal"
 )
@@ -395,46 +396,29 @@ func TestTombstonedTablePlansVectorized(t *testing.T) {
 	}
 }
 
-// BenchmarkGroupCommit measures commits and fsyncs under concurrent
-// single-row inserts; the fsyncs/commit metric is the group-commit
-// payoff (1.0 would be one fsync per transaction).
-func BenchmarkGroupCommit(b *testing.B) {
-	for _, writers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			dir := b.TempDir()
-			db, err := Open(WithDir(dir))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			if _, err := db.Exec(bg, "CREATE TABLE t (w INT, i INT)"); err != nil {
-				b.Fatal(err)
-			}
-			start := db.WALStats()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			per := b.N/writers + 1
-			for w := 0; w < writers; w++ {
-				w := w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						if _, err := db.Exec(bg, "INSERT INTO t VALUES (?, ?)", int64(w), int64(i)); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			s := db.WALStats()
-			txs := s.Txs - start.Txs
-			if txs > 0 {
-				b.ReportMetric(float64(s.Fsyncs-start.Fsyncs)/float64(txs), "fsyncs/commit")
-			}
-		})
+// TestLoneCommitDoesNotWait: a commit with no company waits only for
+// its own fsync, not for a batch window. 200 sequential single-row
+// INSERTs on MemFS, whose fsync is instant, take one fsync each and
+// finish in well under a millisecond apiece.
+func TestLoneCommitDoesNotWait(t *testing.T) {
+	db, err := Open(durableOpts(t.TempDir(), wal.NewMemFS())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, "CREATE TABLE t (i INT)")
+	const n = 200
+	before := db.WALStats()
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		mustExec(t, db, "INSERT INTO t VALUES (?)", int64(i))
+	}
+	if d := time.Since(start); d >= 100*time.Millisecond {
+		t.Fatalf("%d lone commits took %v, want < 100ms", n, d)
+	}
+	s := db.WALStats()
+	if txs, fsyncs := s.Txs-before.Txs, s.Fsyncs-before.Fsyncs; txs != n || fsyncs != txs {
+		t.Fatalf("%d fsyncs for %d txs, want one per tx for %d", fsyncs, txs, n)
 	}
 }
 

@@ -2,9 +2,11 @@
 // crash recovery. Records are length-prefixed and CRC32-checksummed;
 // each committed transaction is begin + ops + commit. Concurrent
 // committers enqueue records under the log mutex and then wait, off the
-// mutex, for the committer goroutine to cover their LSN with one fsync —
-// group commit amortizes the fsync across every transaction that
-// arrived inside the batch window. A failed fsync is never retried: it
+// mutex, for the committer goroutine to cover their LSN with one fsync.
+// The committer flushes as soon as work arrives — there is no batch
+// window, so a lone commit waits only for its own fsync — and every
+// transaction that arrives while an fsync is in flight shares the next
+// one: group commit costs no latency. A failed fsync is never retried: it
 // poisons the log, every pending and future commit errors until the
 // process reopens and recovers from the durable prefix.
 package wal
@@ -13,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // ErrPoisoned marks a log that has seen a write or fsync failure. No
@@ -23,18 +24,8 @@ import (
 // prefix.
 var ErrPoisoned = errors.New("wal: log poisoned by write/fsync failure; reopen to recover")
 
-// maxBatch flushes without waiting for the window once this many
-// records are pending.
-const maxBatch = 128
-
-// Params tune group commit.
+// Params configure Open.
 type Params struct {
-	// FlushEvery is the batch window: once a record arrives, the
-	// committer waits this long for more before issuing the fsync, or
-	// until maxBatch records are pending. 0 flushes as soon as the
-	// committer drains (batching still happens under load, while an
-	// fsync is in flight).
-	FlushEvery time.Duration
 	// BaseLSN is the checkpoint watermark of the snapshot this log
 	// accompanies: the highest LSN whose effects the snapshot already
 	// contains. LSN numbering resumes above max(BaseLSN, last record in
@@ -50,7 +41,6 @@ type Stats struct {
 	Fsyncs  uint64 // fsyncs issued (successful flushes)
 	Txs     uint64 // transactions appended
 	Records uint64 // records appended (begin/op/commit)
-	Flushes uint64 // flush passes that wrote bytes
 }
 
 // Log is an open write-ahead log. All methods are safe for concurrent
@@ -60,15 +50,12 @@ type Log struct {
 	path string
 	f    File
 
-	flushEvery time.Duration
-
 	// ioMu serializes file IO (flush vs truncate); always taken before mu.
 	ioMu sync.Mutex
 
 	mu           sync.Mutex
 	cond         *sync.Cond
 	pending      []byte // encoded records not yet handed to the file
-	pendingRecs  int
 	nextLSN      uint64
 	lastAppended uint64 // highest LSN assigned
 	durable      uint64 // highest LSN covered by a successful fsync
@@ -77,7 +64,6 @@ type Log struct {
 	stats        Stats
 
 	kick chan struct{} // committer: work arrived
-	full chan struct{} // committer: batch limit hit, skip the window
 	quit chan struct{}
 	dead chan struct{}
 }
@@ -110,16 +96,14 @@ func Open(fs FS, path string, p Params) (*Log, []Tx, error) {
 		lastLSN = p.BaseLSN
 	}
 	l := &Log{
-		fs:         fs,
-		path:       path,
-		f:          f,
-		flushEvery: p.FlushEvery,
-		nextLSN:    lastLSN + 1,
-		durable:    lastLSN,
-		kick:       make(chan struct{}, 1),
-		full:       make(chan struct{}, 1),
-		quit:       make(chan struct{}),
-		dead:       make(chan struct{}),
+		fs:      fs,
+		path:    path,
+		f:       f,
+		nextLSN: lastLSN + 1,
+		durable: lastLSN,
+		kick:    make(chan struct{}, 1),
+		quit:    make(chan struct{}),
+		dead:    make(chan struct{}),
 	}
 	// Seed the counters with the recovered prefix, so Stats().Txs means
 	// "committed transactions in the log" whether appended or replayed.
@@ -171,22 +155,14 @@ func (l *Log) AppendTx(ops []Op) (uint64, error) {
 		l.pending = appendRecord(l.pending, p)
 		commitLSN = lsn
 	}
-	l.pendingRecs += len(payloads)
 	l.lastAppended = commitLSN
 	l.stats.Txs++
 	l.stats.Records += uint64(len(payloads))
-	notifyFull := l.pendingRecs >= maxBatch
 	l.mu.Unlock()
 
 	select {
 	case l.kick <- struct{}{}:
 	default:
-	}
-	if notifyFull {
-		select {
-		case l.full <- struct{}{}:
-		default:
-		}
 	}
 	return commitLSN, nil
 }
@@ -201,20 +177,22 @@ func patchLSN(p []byte, lsn uint64) {
 
 // WaitDurable blocks until the record with the given LSN is covered by
 // a successful fsync (or included in a checkpoint truncation), the log
-// is poisoned, or the log is closed underneath the waiter.
+// is poisoned, or the log is closed underneath the waiter. A record an
+// fsync covered reports success even if the next flush has poisoned the
+// log before the waiter woke: recovery replays it, so it is committed.
 func (l *Log) WaitDurable(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for l.durable < lsn && l.err == nil && !l.closed {
 		l.cond.Wait()
 	}
+	if l.durable >= lsn {
+		return nil
+	}
 	if l.err != nil {
 		return l.err
 	}
-	if l.durable < lsn {
-		return fmt.Errorf("wal: log closed before LSN %d became durable", lsn)
-	}
-	return nil
+	return fmt.Errorf("wal: log closed before LSN %d became durable", lsn)
 }
 
 // Err returns the poison error, or nil while the log is healthy.
@@ -251,7 +229,6 @@ func (l *Log) Truncate() error {
 		return fmt.Errorf("wal: log is closed")
 	}
 	l.pending = nil
-	l.pendingRecs = 0
 	target := l.lastAppended
 	l.mu.Unlock()
 
@@ -294,9 +271,10 @@ func (l *Log) Close() error {
 	return err
 }
 
-// committer is the single goroutine that performs file IO: it batches
-// pending records across the flush window and covers them with one
-// fsync.
+// committer is the single goroutine that performs file IO. It flushes
+// as soon as it is kicked; records appended while that flush's fsync is
+// in flight pile up in pending and re-arm the kick, so the next flush
+// covers all of them with one fsync.
 func (l *Log) committer() {
 	defer close(l.dead)
 	for {
@@ -305,18 +283,6 @@ func (l *Log) committer() {
 			l.flush() // final drain so Close leaves nothing buffered
 			return
 		case <-l.kick:
-		}
-		if l.flushEvery > 0 {
-			t := time.NewTimer(l.flushEvery)
-			select {
-			case <-t.C:
-			case <-l.full:
-				t.Stop()
-			case <-l.quit:
-				t.Stop()
-				l.flush()
-				return
-			}
 		}
 		l.flush()
 	}
@@ -334,7 +300,6 @@ func (l *Log) flush() {
 	}
 	buf := l.pending
 	l.pending = nil
-	l.pendingRecs = 0
 	target := l.lastAppended
 	l.mu.Unlock()
 
@@ -349,7 +314,6 @@ func (l *Log) flush() {
 	l.mu.Lock()
 	l.durable = target
 	l.stats.Fsyncs++
-	l.stats.Flushes++
 	l.cond.Broadcast()
 	l.mu.Unlock()
 }

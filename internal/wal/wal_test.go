@@ -233,57 +233,90 @@ func TestUncommittedTailDropped(t *testing.T) {
 	}
 }
 
-// TestGroupCommitBatches has concurrent writers share fsyncs: with a
-// batch window and N parallel committers, the fsync count must come in
-// well under the transaction count.
+// heldFS is a MemFS whose first Sync blocks until release is closed:
+// it keeps one fsync in flight so a test can pile commits up behind it.
+type heldFS struct {
+	*MemFS
+	once    sync.Once
+	entered chan struct{} // closed when the held Sync starts
+	release chan struct{} // close to let the held Sync finish
+}
+
+func newHeldFS() *heldFS {
+	return &heldFS{MemFS: NewMemFS(), entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (h *heldFS) OpenAppend(path string) (File, error) {
+	f, err := h.MemFS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return &heldFile{File: f, fs: h}, nil
+}
+
+type heldFile struct {
+	File
+	fs *heldFS
+}
+
+func (f *heldFile) Sync() error {
+	f.fs.once.Do(func() {
+		close(f.fs.entered)
+		<-f.fs.release
+	})
+	return f.File.Sync()
+}
+
+// TestGroupCommitBatches checks the only batching the log does: commits
+// that arrive while an fsync is in flight share the next one. Writer 0's
+// fsync is held; writers 1..7 append and wait behind it; releasing it
+// must take exactly one more fsync for all seven, and every commit must
+// survive a crash.
 func TestGroupCommitBatches(t *testing.T) {
-	fs := NewMemFS()
-	l, _, err := Open(fs, "wal.log", Params{FlushEvery: time.Millisecond})
+	fs := newHeldFS()
+	l, _, err := Open(fs, "wal.log", Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const writers, each = 8, 25
-	var wg sync.WaitGroup
+	const writers = 8
+	commit := func(w int) error {
+		lsn, err := l.AppendTx([]Op{&OpDelete{Table: "t", Pos: []uint64{uint64(w)}}})
+		if err != nil {
+			return err
+		}
+		return l.WaitDurable(lsn)
+	}
 	errs := make(chan error, writers)
+	go func() { errs <- commit(0) }()
+	<-fs.entered // writer 0's fsync is in flight and held
+
+	for w := 1; w < writers; w++ {
+		go func(w int) { errs <- commit(w) }(w)
+	}
+	// Release the held fsync only once all seven have appended.
+	for l.Stats().Txs < writers {
+		time.Sleep(time.Millisecond)
+	}
+	close(fs.release)
 	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				lsn, err := l.AppendTx([]Op{&OpDelete{Table: "t", Pos: []uint64{uint64(w*each + i)}}})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if err := l.WaitDurable(lsn); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(w)
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	st := l.Stats()
-	if st.Txs != writers*each {
-		t.Fatalf("txs = %d, want %d", st.Txs, writers*each)
-	}
-	if st.Fsyncs >= st.Txs {
-		t.Fatalf("no group commit: %d fsyncs for %d txs", st.Fsyncs, st.Txs)
+	if st := l.Stats(); st.Txs != writers || st.Fsyncs != 2 {
+		t.Fatalf("%d fsyncs for %d txs, want 2 for %d", st.Fsyncs, st.Txs, writers)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	fs.Crash()
-	_, txs, err := Open(fs, "wal.log", Params{})
+	l2, txs, err := Open(fs.MemFS, "wal.log", Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(txs) != writers*each {
-		t.Fatalf("recovered %d txs, want %d", len(txs), writers*each)
+	defer l2.Close()
+	if len(txs) != writers {
+		t.Fatalf("recovered %d txs, want %d", len(txs), writers)
 	}
 }
 
@@ -333,6 +366,46 @@ func TestFsyncFailurePoisons(t *testing.T) {
 	}
 	if len(txs) != 1 || txs[0].Ops[0].(*OpVacuum).Table != "good" {
 		t.Fatalf("recovered %#v, want only the pre-failure tx", txs)
+	}
+}
+
+// TestPoisonKeepsEarlierCommits: flushes run back to back, so a waiter
+// whose fsync succeeded may wake only after the next flush has poisoned
+// the log. Its commit is durable and recovery replays it, so
+// WaitDurable must report success for it, not the poison.
+func TestPoisonKeepsEarlierCommits(t *testing.T) {
+	fs := NewMemFS()
+	l, _, err := Open(fs, "wal.log", Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, err := l.AppendTx([]Op{&OpVacuum{Table: "early"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l.Stats().Fsyncs == 0 { // covered, but its waiter has not looked yet
+		time.Sleep(time.Millisecond)
+	}
+	fs.FailSyncsAfter(0, fmt.Errorf("disk on fire"))
+	late, err := l.AppendTx([]Op{&OpVacuum{Table: "late"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WaitDurable(late); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("WaitDurable(late) = %v, want ErrPoisoned", err)
+	}
+	if err := l.WaitDurable(early); err != nil {
+		t.Fatalf("WaitDurable(early) on a log poisoned after its fsync = %v, want nil", err)
+	}
+	l.Close()
+	fs.Crash()
+	fs.FailSyncsAfter(-1, nil)
+	_, txs, err := Open(fs, "wal.log", Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(txs) != 1 || txs[0].CommitLSN != early {
+		t.Fatalf("recovered %#v, want only the early tx", txs)
 	}
 }
 
