@@ -42,13 +42,18 @@
 //     BenchmarkBandJoin sweeps the A/B the calibration reproduces.
 //
 //   - Pipelines parallelize morsel-driven: vector.Exchange splits a
-//     Source into fixed-size morsels handed out by an atomic cursor,
-//     runs one pipeline fragment per worker (filters, projections,
-//     probes against a shared read-only vector.JoinBuild, partial
-//     aggregates), and re-aggregates the partials. A context on the
-//     Exchange cancels at morsel boundaries. Experiment E15 and
-//     BenchmarkE15ParallelScaling measure the scaling. An Exchange
-//     never starts more workers than there are morsels to claim.
+//     Source into morsels handed out by an atomic cursor, runs one
+//     pipeline fragment per worker (filters, projections, probes
+//     against a shared read-only vector.JoinBuild, partial aggregates),
+//     and re-aggregates the partials. The morsel size is derived from
+//     the rows the scan reads after zone pruning and the workers:
+//     rows/(4·workers) rounded up to whole 1024-row zones, clamped to
+//     [4096, 65536]. So every worker gets about four morsels, a table
+//     of at most 4096 rows stays one morsel on one worker, and 64K
+//     rows bound cancellation: a context on the Exchange cancels at
+//     morsel boundaries. Experiment E15 and BenchmarkE15ParallelScaling
+//     measure the scaling. An Exchange never starts more workers than
+//     there are morsels to claim.
 //
 //   - Scans skip what zone maps rule out. Every INT/FLOAT column has a
 //     sqlfe.ZoneMap — per 1024-row zone the min and max over the

@@ -15,7 +15,7 @@ import (
 // Parallel sessions: readers stream queries while writers insert and
 // delete, all over one DB. Run under -race in CI.
 func TestConcurrentQueryAndExec(t *testing.T) {
-	db, _ := Open(WithWorkers(2), WithMorselSize(256))
+	db, _ := openSized(256, 0, WithWorkers(2))
 	defer db.Close()
 	loadInts(t, db, "t", 5000)
 
@@ -93,7 +93,7 @@ func TestConcurrentQueryAndExec(t *testing.T) {
 // Mid-query cancellation on the vectorized path: the cursor reports
 // context.Canceled and the pipeline stops without draining the scan.
 func TestCancelMidQuery(t *testing.T) {
-	db, _ := Open(WithWorkers(2), WithMorselSize(512), WithVectorSize(128))
+	db, _ := openSized(512, 128, WithWorkers(2))
 	defer db.Close()
 	loadInts(t, db, "big", 200000)
 
@@ -137,7 +137,7 @@ func TestCancelBeforeQuery(t *testing.T) {
 // (placeholders inlined as literals) returns — across both executors,
 // since nil-free data runs vectorized and the oracle runs through MAL.
 func TestPreparedRebindMatchesOneShotOracle(t *testing.T) {
-	db, _ := Open(WithWorkers(2), WithMorselSize(128))
+	db, _ := openSized(128, 0, WithWorkers(2))
 	defer db.Close()
 	loadInts(t, db, "t", 3000)
 	sdb := db.sdb // oracle: the internal one-shot layer
@@ -176,7 +176,7 @@ func TestPreparedRebindMatchesOneShotOracle(t *testing.T) {
 // vector-routed and a MAL-routed query return their first answer every
 // time. Run under -race in CI.
 func TestFrozenSnapshotStableUnderWriters(t *testing.T) {
-	db, _ := Open(WithWorkers(2), WithMorselSize(256), WithVectorSize(64))
+	db, _ := openSized(256, 64, WithWorkers(2))
 	defer db.Close()
 	mustExec(t, db, "CREATE TABLE t (x INT, y INT, s TEXT)")
 	for i := 0; i < 2000; i += 500 {

@@ -86,15 +86,10 @@ type Options struct {
 	// the paper) with the given capacity. 0 disables recycling.
 	RecyclerBytes int
 	// Workers is the degree of parallelism for vectorized queries
-	// (<= 0 means GOMAXPROCS).
+	// (<= 0 means GOMAXPROCS). Each scan's morsel size, and with it
+	// the cancellation latency bound, is derived from the rows it reads
+	// and the workers: several morsels per worker, at most 64K rows.
 	Workers int
-	// MorselSize is the scheduling granule, in rows, of the parallel
-	// pipeline — and therefore the cancellation latency bound
-	// (<= 0 means the engine default of 64K rows).
-	MorselSize int
-	// VectorSize is the batch length of the vectorized pipeline
-	// (<= 0 means the engine default of 1024).
-	VectorSize int
 	// WALFS substitutes the filesystem the WAL writes through; nil means
 	// the OS filesystem. Tests inject fault-simulating filesystems here.
 	WALFS wal.FS
@@ -140,12 +135,6 @@ func WithRecycler(bytes int) Option { return func(o *Options) { o.RecyclerBytes 
 // WithWorkers sets the degree of parallelism for vectorized queries.
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
-// WithMorselSize sets the parallel scheduling granule in rows.
-func WithMorselSize(rows int) Option { return func(o *Options) { o.MorselSize = rows } }
-
-// WithVectorSize sets the vectorized batch length.
-func WithVectorSize(rows int) Option { return func(o *Options) { o.VectorSize = rows } }
-
 // WithWALFS substitutes the WAL's filesystem (fault injection in tests).
 func WithWALFS(fs wal.FS) Option { return func(o *Options) { o.WALFS = fs } }
 
@@ -162,6 +151,10 @@ func WithSpill(dir string) Option { return func(o *Options) { o.SpillDir = dir }
 // writers never block readers mid-query.
 type DB struct {
 	opts Options
+	// sizes pins the morsel and vector lengths in rows (0: derived and
+	// vector.DefaultSize). Only tests set it, so that small tables still
+	// run as many morsels of small vectors.
+	sizes struct{ morsel, vector int }
 
 	mu     sync.Mutex
 	sdb    *sqlfe.DB
@@ -383,8 +376,8 @@ func (d *DB) checkOpen() error {
 func (d *DB) physOpts() physical.Options {
 	return physical.Options{
 		Workers:    d.opts.Workers,
-		MorselSize: d.opts.MorselSize,
-		VectorSize: d.opts.VectorSize,
+		MorselSize: d.sizes.morsel,
+		VectorSize: d.sizes.vector,
 	}
 }
 

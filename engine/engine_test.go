@@ -15,6 +15,17 @@ import (
 
 var bg = context.Background()
 
+// openSized is Open with the morsel and vector lengths pinned (0 keeps
+// the derived morsel or the default vector), so that test tables of a
+// few thousand rows still run as many morsels of small vectors.
+func openSized(morsel, vector int, opts ...Option) (*DB, error) {
+	db, err := Open(opts...)
+	if err == nil {
+		db.sizes.morsel, db.sizes.vector = morsel, vector
+	}
+	return db, err
+}
+
 func mustExec(t *testing.T, db *DB, sql string, args ...any) Result {
 	t.Helper()
 	res, err := db.Exec(bg, sql, args...)
@@ -203,7 +214,7 @@ func TestDMLPlaceholders(t *testing.T) {
 }
 
 func TestVectorPathAndFallbackAgree(t *testing.T) {
-	db, _ := Open(WithWorkers(3), WithMorselSize(64), WithVectorSize(32))
+	db, _ := openSized(64, 32, WithWorkers(3))
 	defer db.Close()
 	loadInts(t, db, "t", 1000)
 	conn := db.Conn()
@@ -250,7 +261,7 @@ func TestVectorPathAndFallbackAgree(t *testing.T) {
 }
 
 func TestVectorAggregates(t *testing.T) {
-	db, _ := Open(WithWorkers(4), WithMorselSize(128))
+	db, _ := openSized(128, 0, WithWorkers(4))
 	defer db.Close()
 	loadInts(t, db, "t", 10000)
 	conn := db.Conn()
@@ -352,7 +363,7 @@ func TestFloatPredsOverNullsOnVectorPath(t *testing.T) {
 }
 
 func TestLimitStreams(t *testing.T) {
-	db, _ := Open(WithMorselSize(64))
+	db, _ := openSized(64, 0)
 	defer db.Close()
 	loadInts(t, db, "t", 5000)
 	got := collect(t)(db.Query(bg, "SELECT x FROM t LIMIT 7"))

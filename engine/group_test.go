@@ -84,7 +84,7 @@ func TestGroupByVectorVsMALOracle(t *testing.T) {
 		"SELECT k, sum(v) FROM g WHERE v > -100 GROUP BY k",
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		db, _ := Open(WithWorkers(workers), WithMorselSize(128), WithVectorSize(64))
+		db, _ := openSized(128, 64, WithWorkers(workers))
 		loadGrouped(t, db, "g", 3000, 37, int64(workers))
 		conn := db.Conn()
 		for _, q := range queries {
@@ -125,7 +125,7 @@ func TestGroupByVectorVsMALOracle(t *testing.T) {
 // Property: random small tables, random cardinalities — grouped sums
 // and counts agree between the two engines.
 func TestGroupByPropertyVsOracle(t *testing.T) {
-	db, _ := Open(WithWorkers(3), WithMorselSize(64), WithVectorSize(32))
+	db, _ := openSized(64, 32, WithWorkers(3))
 	defer db.Close()
 	i := 0
 	check := func(seed int64, cardRaw uint8) bool {
@@ -157,7 +157,7 @@ func TestGroupByPropertyVsOracle(t *testing.T) {
 // Global min/max now cross the bridge (per-worker partials re-folded),
 // nil-aware, NULL over empty input.
 func TestGlobalMinMaxOnVectorPath(t *testing.T) {
-	db, _ := Open(WithWorkers(4), WithMorselSize(128))
+	db, _ := openSized(128, 0, WithWorkers(4))
 	defer db.Close()
 	loadGrouped(t, db, "g", 5000, 20, 7)
 	conn := db.Conn()
@@ -254,7 +254,7 @@ func sortRowsByStr(rows [][]any) [][]any {
 // cancellation is observed INSIDE the grouped pipeline. Runs under
 // -race in CI.
 func TestGroupedCancelInsidePipeline(t *testing.T) {
-	db, _ := Open(WithWorkers(4), WithMorselSize(256), WithVectorSize(64))
+	db, _ := openSized(256, 64, WithWorkers(4))
 	defer db.Close()
 	loadGrouped(t, db, "big", 100000, 1000, 1)
 	conn := db.Conn()

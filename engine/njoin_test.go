@@ -91,7 +91,7 @@ func TestNWayJoinVectorVsMALOracle(t *testing.T) {
 		"SELECT * FROM fact JOIN da ON fact.d1 = da.k JOIN db2 ON fact.d2 = db2.k JOIN dc ON fact.d3 = dc.k JOIN dd ON fact.d4 = dd.k",
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		db, _ := Open(WithWorkers(workers), WithMorselSize(64), WithVectorSize(32))
+		db, _ := openSized(64, 32, WithWorkers(workers))
 		loadStar(t, db, 900, 5+int64(workers))
 		conn := db.Conn()
 		for _, q := range queries {
@@ -129,7 +129,7 @@ func TestNWayOrderByVectorVsMALOracle(t *testing.T) {
 		"SELECT da.p FROM fact JOIN da ON fact.d1 = da.k ORDER BY m LIMIT 30",
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		db, _ := Open(WithWorkers(workers), WithMorselSize(64), WithVectorSize(32))
+		db, _ := openSized(64, 32, WithWorkers(workers))
 		loadStar(t, db, 700, 11+int64(workers))
 		conn := db.Conn()
 		for _, q := range queries {
@@ -175,7 +175,7 @@ func TestGroupByOverJoinVectorVsMALOracle(t *testing.T) {
 		"SELECT da.p AS dp, count(*) FROM fact JOIN da ON fact.d1 = da.k JOIN db2 ON fact.d2 = db2.k GROUP BY da.p ORDER BY dp DESC LIMIT 12",
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		db, _ := Open(WithWorkers(workers), WithMorselSize(64), WithVectorSize(32))
+		db, _ := openSized(64, 32, WithWorkers(workers))
 		loadStar(t, db, 800, 23+int64(workers))
 		conn := db.Conn()
 		for _, q := range unordered {
@@ -229,7 +229,7 @@ func TestAggExprVectorVsMALOracle(t *testing.T) {
 		"SELECT k, avg(v + f) FROM g GROUP BY k",
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		db, _ := Open(WithWorkers(workers), WithMorselSize(128), WithVectorSize(64))
+		db, _ := openSized(128, 64, WithWorkers(workers))
 		loadGrouped(t, db, "g", 1500, 17, 31+int64(workers))
 		conn := db.Conn()
 		for _, q := range append(append([]string{}, global...), grouped...) {
@@ -253,10 +253,69 @@ func TestAggExprVectorVsMALOracle(t *testing.T) {
 	}
 }
 
+// The hash-join probe refills the same output columns for every batch.
+// A plain projection over a chain of multi-match joins, many batches
+// long, must still return the MAL rows: in-memory at the derived morsel
+// size on 1 and 4 workers, and through the serial chain that a
+// grace-degraded step leaves behind, whose join output reaches the
+// cursor without an Exchange copy in between.
+func TestJoinProbeBufferReuseVsMALOracle(t *testing.T) {
+	const q = "SELECT jl.v, jm.v, jr.f FROM jl JOIN jm ON jl.k = jm.k JOIN jr ON jm.k = jr.k"
+	for _, c := range []struct {
+		name string
+		open func() *DB
+	}{
+		{"workers=1", func() *DB { db, _ := Open(WithWorkers(1)); return db }},
+		{"workers=4", func() *DB { db, _ := Open(WithWorkers(4)); return db }},
+		{"grace", func() *DB { db, _ := newGovDB(t, 256<<10, 4); return db }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := c.open()
+			defer db.Close()
+			loadGrouped(t, db, "jl", 12000, 3000, 21)
+			loadGrouped(t, db, "jm", 6000, 3000, 22)
+			loadGrouped(t, db, "jr", 6000, 3000, 23)
+			spills := db.SpillStats().Spills
+			rows, err := db.Query(bg, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [][]any
+			batches := 0
+			for rows.Next() {
+				if rows.bi == 1 { // the row opened a new batch
+					batches++
+				}
+				row := make([]any, 3)
+				if err := rows.Scan(&row[0], &row[1], &row[2]); err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, row)
+			}
+			if err := rows.Err(); err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := db.sdb.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameMultiset(got, oracle.Rows); err != nil {
+				t.Fatal(err)
+			}
+			if batches < 3 || len(got) <= 12000 {
+				t.Fatalf("%d rows in %d batches: want a multi-match result of at least 3 batches", len(got), batches)
+			}
+			if grace := db.SpillStats().Spills > spills; grace != (c.name == "grace") {
+				t.Fatalf("spilled = %v", grace)
+			}
+		})
+	}
+}
+
 // Property: GROUP BY over THREE keys (composite hash over K columns)
 // agrees with MAL's group+subgroup refinement on random nil-laden data.
 func TestGroupByThreeKeysPropertyVsMAL(t *testing.T) {
-	db, _ := Open(WithWorkers(3), WithMorselSize(64), WithVectorSize(32))
+	db, _ := openSized(64, 32, WithWorkers(3))
 	defer db.Close()
 	i := 0
 	check := func(seed int64, c1, c2, c3 uint8) bool {
@@ -306,7 +365,7 @@ func TestGroupByThreeKeysPropertyVsMAL(t *testing.T) {
 // measured intermediate cardinalities of both orders on the same
 // snapshot, and that both produce the same rows.
 func TestGreedyOrderBeatsNaive(t *testing.T) {
-	db, _ := Open(WithWorkers(2), WithMorselSize(64), WithVectorSize(32))
+	db, _ := openSized(64, 32, WithWorkers(2))
 	defer db.Close()
 	mustExec(t, db, "CREATE TABLE sfact (h INT, s INT, m INT)")
 	mustExec(t, db, "CREATE TABLE hot (k INT, p INT)")

@@ -169,7 +169,7 @@ func TestOrderByVectorVsMALOracle(t *testing.T) {
 		"SELECT k, v AS sortme FROM g ORDER BY sortme", // alias resolution
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		db, _ := Open(WithWorkers(workers), WithMorselSize(128), WithVectorSize(64))
+		db, _ := openSized(128, 64, WithWorkers(workers))
 		loadGrouped(t, db, "g", 2500, 23, int64(workers)*13)
 		conn := db.Conn()
 		for _, q := range queries {
@@ -211,7 +211,7 @@ func TestJoinVectorVsMALOracle(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, sizes := range [][2]int{{400, 60}, {60, 400}} { // both build orientations
-			db, _ := Open(WithWorkers(workers), WithMorselSize(64), WithVectorSize(32))
+			db, _ := openSized(64, 32, WithWorkers(workers))
 			loadJoinPair(t, db, sizes[0], sizes[1], int64(workers)+int64(sizes[0]))
 			conn := db.Conn()
 			for _, q := range queries {
@@ -269,7 +269,7 @@ func TestGroupByPairVsMALOracle(t *testing.T) {
 		"SELECT k, v, sum(f) FROM g WHERE v > -300 GROUP BY k, v",
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		db, _ := Open(WithWorkers(workers), WithMorselSize(128), WithVectorSize(64))
+		db, _ := openSized(128, 64, WithWorkers(workers))
 		loadGrouped(t, db, "g", 2000, 11, 31+int64(workers))
 		conn := db.Conn()
 		for _, q := range queries {
@@ -297,7 +297,7 @@ func TestGroupByPairVsMALOracle(t *testing.T) {
 // to nil-sentinel selections and agrees with MAL's select ops, before
 // and after a DELETE leaves tombstones among the nils.
 func TestIsNullEndToEnd(t *testing.T) {
-	db, _ := Open(WithWorkers(2), WithMorselSize(64), WithVectorSize(32))
+	db, _ := openSized(64, 32, WithWorkers(2))
 	defer db.Close()
 	loadGrouped(t, db, "g", 900, 13, 5)
 	conn := db.Conn()
@@ -349,7 +349,7 @@ func TestIsNullEndToEnd(t *testing.T) {
 // the planner swaps in nil-aware Sel primitives, and results match MAL
 // (which nil-checks inside ThetaSelect) on every operator.
 func TestNilAwareFiltersStayVectorized(t *testing.T) {
-	db, _ := Open(WithWorkers(3), WithMorselSize(64), WithVectorSize(32))
+	db, _ := openSized(64, 32, WithWorkers(3))
 	defer db.Close()
 	loadGrouped(t, db, "g", 1200, 9, 17)
 	conn := db.Conn()
@@ -382,7 +382,7 @@ func TestNilAwareFiltersStayVectorized(t *testing.T) {
 // Prepared statements with placeholders keep working through the
 // physical plan — including on the new shapes.
 func TestPreparedPlaceholdersOnNewShapes(t *testing.T) {
-	db, _ := Open(WithWorkers(2), WithMorselSize(32), WithVectorSize(16))
+	db, _ := openSized(32, 16, WithWorkers(2))
 	defer db.Close()
 	loadJoinPair(t, db, 300, 50, 3)
 	conn := db.Conn()

@@ -24,8 +24,7 @@ import (
 func newGovDB(t *testing.T, budget int64, workers int) (*DB, *wal.MemFS) {
 	t.Helper()
 	fs := wal.NewMemFS()
-	db, err := Open(WithWorkers(workers), WithMorselSize(512), WithVectorSize(64),
-		WithMemBudget(budget), WithSpill("/spill"), WithWALFS(fs))
+	db, err := openSized(512, 64, WithWorkers(workers), WithMemBudget(budget), WithSpill("/spill"), WithWALFS(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func newGovDB(t *testing.T, budget int64, workers int) (*DB, *wal.MemFS) {
 // pure in-memory plans are the oracle the spilled plans must match.
 func newOracleDB(t *testing.T, workers int) *DB {
 	t.Helper()
-	db, err := Open(WithWorkers(workers), WithMorselSize(512), WithVectorSize(64))
+	db, err := openSized(512, 64, WithWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +269,7 @@ func TestGraceNWayJoinEngineOracle(t *testing.T) {
 // Without a spill directory the budget is a hard rejection — typed,
 // per-query, database untouched.
 func TestBudgetRejectWithoutSpill(t *testing.T) {
-	db, err := Open(WithWorkers(4), WithMorselSize(512), WithVectorSize(64),
-		WithMemBudget(64<<10))
+	db, err := openSized(512, 64, WithWorkers(4), WithMemBudget(64<<10))
 	if err != nil {
 		t.Fatal(err)
 	}

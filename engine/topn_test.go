@@ -256,8 +256,8 @@ func TestTopNMatchesPlainGoStableSort(t *testing.T) {
 				dir := t.TempDir()
 				// 64-row vectors: LIMIT 100 and 1000 are many vectors deep, and
 				// a 2*LIMIT buffer compacts dozens of times over 6000 rows.
-				opts := []Option{WithDir(dir), WithWorkers(workers), WithMorselSize(700), WithVectorSize(64)}
-				db, err := Open(opts...)
+				opts := []Option{WithDir(dir), WithWorkers(workers)}
+				db, err := openSized(700, 64, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -280,7 +280,7 @@ func TestTopNMatchesPlainGoStableSort(t *testing.T) {
 				if err := db.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if db, err = Open(opts...); err != nil {
+				if db, err = openSized(700, 64, opts...); err != nil {
 					t.Fatal(err)
 				}
 				check("main columns")
@@ -336,7 +336,7 @@ func TestTopNCutoffPrunes(t *testing.T) {
 	const n, limit = 20000, 10
 	for _, workers := range []int{1, 2, 4} {
 		for _, shape := range []string{"random", "sorted"} {
-			db, err := Open(WithWorkers(workers), WithMorselSize(2048))
+			db, err := openSized(2048, 0, WithWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -317,8 +317,8 @@ func TestPrunedScansMatchPlainGoFilter(t *testing.T) {
 				dir := t.TempDir()
 				// Morsels of 1500 rows are cut inside the surviving ranges and
 				// never line up with the 1024-row zones.
-				opts := []Option{WithDir(dir), WithWorkers(workers), WithMorselSize(1500), WithVectorSize(200)}
-				db, err := Open(opts...)
+				opts := []Option{WithDir(dir), WithWorkers(workers)}
+				db, err := openSized(1500, 200, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -346,7 +346,7 @@ func TestPrunedScansMatchPlainGoFilter(t *testing.T) {
 				if err := db.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if db, err = Open(opts...); err != nil {
+				if db, err = openSized(1500, 200, opts...); err != nil {
 					t.Fatal(err)
 				}
 				zCheck(t, "reopened", db.Conn(), model, preds, rng)

@@ -74,8 +74,11 @@ func fallback(code, detail string, args ...any) *Fallback {
 // Options carry the execution knobs of the engine into plan
 // instantiation. Zero values mean the engine defaults.
 type Options struct {
-	Workers    int // <= 0: GOMAXPROCS
-	MorselSize int // <= 0: vector.DefaultMorselSize
+	Workers int // <= 0: GOMAXPROCS
+	// MorselSize and VectorSize pin the morsel and vector lengths. No
+	// deployment sets them; tests do, so small tables still run as many
+	// morsels of small vectors.
+	MorselSize int // <= 0: derived by the Exchange from rows and workers
 	VectorSize int // <= 0: vector.DefaultSize
 
 	// Gov is the query's live memory ledger; nil runs ungoverned. The

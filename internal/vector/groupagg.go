@@ -61,7 +61,8 @@ func MergeKind(k AggKind) AggKind {
 // aggregation over morsels, merged by key into one batch with columns
 // [keys..., aggs...]. keyCols names any number of int key columns.
 // preds (optional) filter before grouping; ctx (optional) cancels at
-// morsel boundaries.
+// morsel boundaries. Zero workers, morselSize or vectorSize take the
+// Exchange defaults.
 func ParallelGroupAgg(ctx context.Context, src *Source, keyCols []int, specs []AggSpec, preds []Pred, workers, morselSize, vectorSize int) (*Batch, error) {
 	wrap := func(scan Operator) Operator {
 		if len(preds) > 0 {
@@ -107,7 +108,7 @@ func GroupAggOverPlan(ctx context.Context, src *Source, wrap func(Operator) Oper
 	for i, s := range specs {
 		merge[i] = AggSpec{Kind: MergeKind(s.Kind), Col: i + nk}
 	}
-	final := &Agg{Child: ex, Keys: mergeKeys, Aggs: merge, Res: res}
+	final := &Agg{Child: ex, Keys: mergeKeys, Aggs: merge, Res: res, merge: true}
 	if err := final.Open(); err != nil {
 		return nil, err
 	}

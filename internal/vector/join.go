@@ -140,19 +140,24 @@ func (jb *JoinBuild) ForEach(key int64, f func(row int32)) {
 // stream through a pre-built, read-only build side, emitting joined
 // batches of probe columns ++ build payload columns. Sharing the build
 // is how morsel-parallel probe pipelines use one table (see
-// parallel.go).
+// parallel.go). The output columns are the operator's own buffers,
+// refilled by every Next: a batch is valid until the next call.
 type HashJoinOp struct {
 	Probe    Operator
 	ProbeKey int        // key column index in probe batches
 	Shared   *JoinBuild // the build side, from BuildJoinTable(Gov)
 
-	out Batch
+	probeRows, buildRows []int32 // the current batch's matches, pairwise
+	cols                 []Col
+	out                  Batch
 }
 
 // Open implements Operator.
 func (j *HashJoinOp) Open() error { return j.Probe.Open() }
 
-// Next implements Operator: pulls probe batches until one produces output.
+// Next implements Operator: pulls probe batches until one produces
+// output. It first lists the batch's matches as (probe row, build row)
+// pairs, then gathers each output column from them in one pass.
 func (j *HashJoinOp) Next() (*Batch, error) {
 	jb := j.Shared
 	for {
@@ -161,41 +166,35 @@ func (j *HashJoinOp) Next() (*Batch, error) {
 			return nil, err
 		}
 		keys := b.Cols[j.ProbeKey].Ints
-		// Output: probe columns gathered per match + build payloads.
-		outCols := make([]Col, len(b.Cols)+len(jb.cols))
-		for c := range b.Cols {
-			outCols[c].Kind = b.Cols[c].Kind
-		}
-		for pi := range jb.cols {
-			outCols[len(b.Cols)+pi].Kind = jb.cols[pi].Kind
-		}
-		n := 0
-		emit := func(i, bid int32) {
-			for c := range b.Cols {
-				appendCell(&outCols[c], &b.Cols[c], i)
-			}
-			for pi := range jb.cols {
-				appendCell(&outCols[len(b.Cols)+pi], &jb.cols[pi], bid)
-			}
-			n++
-		}
+		pr, br := j.probeRows[:0], j.buildRows[:0]
 		if ht := jb.table.Flat(); ht != nil {
 			// Flat build: iterate First/Next inline instead of paying a
 			// nested closure call per match in the hottest probe loop.
 			b.ForEach(func(i int32) {
 				for bid := ht.First(keys[i]); bid >= 0; bid = ht.Next(bid) {
-					emit(i, bid)
+					pr, br = append(pr, i), append(br, bid)
 				}
 			})
 		} else {
 			b.ForEach(func(i int32) {
-				jb.table.ForEach(keys[i], func(bid int32) { emit(i, bid) })
+				jb.table.ForEach(keys[i], func(bid int32) { pr, br = append(pr, i), append(br, bid) })
 			})
 		}
-		if n == 0 {
+		j.probeRows, j.buildRows = pr, br
+		if len(pr) == 0 {
 			continue
 		}
-		j.out = Batch{N: n, Cols: outCols}
+		np := len(b.Cols)
+		if len(j.cols) != np+len(jb.cols) {
+			j.cols = make([]Col, np+len(jb.cols))
+		}
+		for c := range b.Cols {
+			gather(&j.cols[c], &b.Cols[c], pr)
+		}
+		for c := range jb.cols {
+			gather(&j.cols[np+c], &jb.cols[c], br)
+		}
+		j.out = Batch{N: len(pr), Cols: j.cols}
 		return &j.out, nil
 	}
 }
@@ -203,13 +202,27 @@ func (j *HashJoinOp) Next() (*Batch, error) {
 // Close implements Operator.
 func (j *HashJoinOp) Close() error { return j.Probe.Close() }
 
-func appendCell(dst *Col, src *Col, i int32) {
+// gather overwrites dst with src's cells at rows, reusing dst's storage.
+func gather(dst, src *Col, rows []int32) {
+	dst.Kind = src.Kind
 	switch src.Kind {
 	case KindInt:
-		dst.Ints = append(dst.Ints, src.Ints[i])
+		out := dst.Ints[:0]
+		for _, i := range rows {
+			out = append(out, src.Ints[i])
+		}
+		dst.Ints = out
 	case KindFloat:
-		dst.Floats = append(dst.Floats, src.Floats[i])
+		out := dst.Floats[:0]
+		for _, i := range rows {
+			out = append(out, src.Floats[i])
+		}
+		dst.Floats = out
 	case KindBool:
-		dst.Bools = append(dst.Bools, src.Bools[i])
+		out := dst.Bools[:0]
+		for _, i := range rows {
+			out = append(out, src.Bools[i])
+		}
+		dst.Bools = out
 	}
 }

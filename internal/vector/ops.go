@@ -490,6 +490,10 @@ type Agg struct {
 	// layer may answer by re-planning to grace-hash partitioning.
 	Res *memgov.Reservation
 
+	// merge marks the final Agg over workers' grouped partials: each
+	// batch holds distinct keys, usually most of the result's groups.
+	merge bool
+
 	done    bool
 	charged int64
 }
@@ -521,6 +525,11 @@ func (a *Agg) Next() (*Batch, error) {
 		}
 		if b == nil {
 			break
+		}
+		if a.merge && gt != nil && gt.Len() == 0 && b.N > 1024 {
+			// Size the table for the first partial at once rather than
+			// rehashing it through every doubling on the way.
+			gt = radix.NewGroupTable(len(a.Keys), b.N)
 		}
 		if cap(gids) < b.N {
 			gids = make([]int32, b.N)

@@ -1,10 +1,11 @@
 package vector
 
 // Morsel-driven parallelism for the vectorized engine: a Source is cut
-// into fixed-size row ranges ("morsels") handed out by an atomic
-// cursor; each worker runs its own copy of the per-batch pipeline
-// (filters, projections, join probes against a shared read-only
-// JoinBuild, partial aggregates) over the morsels it claims, and an
+// into row ranges ("morsels"), sized so each worker gets several, and
+// handed out by an atomic cursor; each worker runs its own copy of the
+// per-batch pipeline (filters, projections, join probes against a
+// shared read-only JoinBuild, partial aggregates) over the morsels it
+// claims, and an
 // Exchange operator funnels the workers' output batches back into the
 // single-threaded consumer. This is the NUMA-oblivious core of
 // morsel-driven scheduling grafted onto X100-style pipelines: the
@@ -28,10 +29,26 @@ import (
 	"repro/internal/bat"
 )
 
-// DefaultMorselSize is the default morsel length in rows: big enough
-// that claiming one costs a single atomic add per ~64K rows, small
-// enough that GOMAXPROCS workers load-balance on skewed pipelines.
+// DefaultMorselSize is the morsel length ceiling in rows, and with it
+// the cancellation bound: an Exchange derives its morsel size from the
+// rows it will scan and its workers (morselSize) and never exceeds this.
+// A cursor given no size, which a serial Scan's is, uses it outright.
 const DefaultMorselSize = 1 << 16
+
+// minMorselSize is the derived morsel size's floor: a table of at most
+// this many rows is one morsel on one worker, so a query that takes
+// tens of microseconds never pays to start a second.
+const minMorselSize = 4096
+
+// morselSize derives an Exchange's morsel length from the rows its scan
+// visits (after zone pruning) and its worker count: about four morsels
+// per worker, rounded up to whole 1024-row zones so pruned ranges are
+// not cut into slivers, inside [minMorselSize, DefaultMorselSize].
+func morselSize(rows, workers int) int {
+	const zone = 1024
+	size := (rows/(4*workers) + zone - 1) / zone * zone
+	return min(max(size, minMorselSize), DefaultMorselSize)
+}
 
 // MorselCursor hands out disjoint [lo,hi) row ranges of a Source to any
 // number of concurrent claimants. An optional context cancels it: a
@@ -104,6 +121,7 @@ type MorselScan struct {
 
 	pos, hi int
 	b       Batch
+	cols    []Col // b.Cols, re-pointed at each batch's rows
 	rowids  []int64
 	sel     []int32
 }
@@ -140,7 +158,10 @@ func (s *MorselScan) Next() (*Batch, error) {
 	if s.RowIDs {
 		n++
 	}
-	cols := make([]Col, n)
+	if len(s.cols) != n {
+		s.cols = make([]Col, n)
+	}
+	cols := s.cols
 	for i := range src.Cols {
 		c := &src.Cols[i]
 		cols[i] = Col{Kind: c.Kind}
@@ -203,7 +224,7 @@ func (s *MorselScan) Close() error { return nil }
 type Exchange struct {
 	Source     *Source
 	Workers    int // <= 0 means runtime.GOMAXPROCS(0)
-	MorselSize int // <= 0 means DefaultMorselSize
+	MorselSize int // <= 0 means derived from Source.ScanRows and Workers
 	VectorSize int // <= 0 means DefaultSize
 	// Plan builds one worker's pipeline fragment on top of its scan. It
 	// is called once per started worker and must not share mutable
@@ -237,7 +258,11 @@ func (e *Exchange) Open() error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cursor := NewMorselCursor(e.Source, e.MorselSize)
+	size := e.MorselSize
+	if size <= 0 {
+		size = morselSize(e.Source.ScanRows(), workers)
+	}
+	cursor := NewMorselCursor(e.Source, size)
 	cursor.ctx = e.Ctx
 	// A worker without a morsel to claim would open a pipeline for
 	// nothing; one always runs, so an empty input still yields the
@@ -341,7 +366,8 @@ func q6WorkerPlan(scan Operator) Operator {
 // ParallelQ6 is the morsel-parallel TPC-H Q6 plan over a (qty, price,
 // disc) source: per-worker filter+project+partial-sum fragments under an
 // Exchange, re-aggregated by a final sum. Used by the root benchmarks
-// and experiment E15.
+// and experiment E15. A workers or morselSize of 0 takes the Exchange
+// defaults (GOMAXPROCS workers, derived morsels).
 func ParallelQ6(src *Source, workers, morselSize int) (float64, error) {
 	final := &Agg{
 		//lint:ignore ctxmorsel canned benchmark/experiment plan over an in-memory source; bounded work with no cancellation surface
@@ -358,6 +384,7 @@ func ParallelQ6(src *Source, workers, morselSize int) (float64, error) {
 // ParallelJoinCount probes a shared read-only JoinBuild from `workers`
 // morsel-parallel pipelines and returns the total number of matches:
 // each worker counts its own matches, the final Agg sums the counts.
+// Zero workers or morselSize take the Exchange defaults.
 func ParallelJoinCount(jb *JoinBuild, probe *Source, probeKey, workers, morselSize int) (int64, error) {
 	plan := func(scan Operator) Operator {
 		return &Agg{

@@ -168,3 +168,50 @@ func TestExchangeStartsNoWorkerWithoutAMorsel(t *testing.T) {
 		}
 	}
 }
+
+// TestMorselSizeDerivation: the derived morsel is whole 1024-row zones
+// inside [4096, 65536], and gives every worker at least two morsels
+// once there are 8192 rows per worker.
+func TestMorselSizeDerivation(t *testing.T) {
+	for _, c := range []struct{ rows, workers, want int }{
+		{0, 2, 4096},
+		{4096, 1, 4096},  // a small table is one morsel even serially
+		{4096, 16, 4096}, // ... and on many workers
+		{10000, 2, 4096},
+		{65536, 1, 16384},
+		{65536, 2, 8192},
+		{65536, 4, 4096},
+		{200000, 2, 25600}, // 25000 rounded up to a zone
+		{1 << 24, 2, DefaultMorselSize},
+	} {
+		if got := morselSize(c.rows, c.workers); got != c.want {
+			t.Errorf("morselSize(%d, %d) = %d, want %d", c.rows, c.workers, got, c.want)
+		}
+	}
+	for _, workers := range []int{1, 2, 3, 4, 7, 8, 16, 64} {
+		for _, rows := range []int{0, 1, 1023, 4097, 8191, 8192, 12345, 65536, 99999, 1 << 20, 1 << 22, 1 << 26} {
+			size := morselSize(rows, workers)
+			if size%1024 != 0 || size < 4096 || size > DefaultMorselSize {
+				t.Fatalf("morselSize(%d, %d) = %d: not whole zones inside [4096, %d]", rows, workers, size, DefaultMorselSize)
+			}
+			if morsels := (rows + size - 1) / size; rows >= 8192*workers && morsels < 2*workers {
+				t.Fatalf("morselSize(%d, %d) = %d: %d morsels for %d workers", rows, workers, size, morsels, workers)
+			}
+		}
+	}
+}
+
+// TestExchangeDerivesAMorselPerWorker: with no MorselSize set, a
+// 65536-row scan on two workers is cut small enough that both run.
+func TestExchangeDerivesAMorselPerWorker(t *testing.T) {
+	src, _ := NewSource([]string{"v"}, []Col{{Kind: KindInt, Ints: make([]int64, 1<<16)}})
+	var started atomic.Int64
+	ex := &Exchange{Source: src, Workers: 2, Plan: func(scan Operator) Operator { started.Add(1); return scan }}
+	rows, err := Drain(ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1<<16 || started.Load() != 2 {
+		t.Fatalf("%d rows from %d workers, want %d rows from 2", len(rows), started.Load(), 1<<16)
+	}
+}
