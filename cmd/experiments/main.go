@@ -1,6 +1,5 @@
-// Command experiments regenerates the paper-reproduction tables E1–E14
-// (see DESIGN.md §2 for the experiment index and EXPERIMENTS.md for a
-// recorded reference run).
+// Command experiments regenerates the paper-reproduction tables E1–E15;
+// -list prints each id with its title.
 //
 // Usage:
 //

@@ -80,12 +80,11 @@
 //     zero-row source an IS NULL contradiction binds. A snapshot's
 //     tombstones, by contrast, are a filter (Source.WithDeleted): the
 //     MorselScan leaves them out of each batch's selection vector, and
-//     no plan that reads raw positions — the partitioned GROUP BY —
-//     runs over a leaf that has any. This is the paper's run-time
-//     choice of algorithm from column properties (a sorted tail is
-//     binary-searched by batalg.Select) carried to the vector path,
-//     and the min/max baseline of provenance-based data skipping
-//     (PAPERS.md).
+//     every plan reads its leaves through that scan. This is the
+//     paper's run-time choice of algorithm from column properties (a
+//     sorted tail is binary-searched by batalg.Select) carried to the
+//     vector path, and the min/max baseline of provenance-based data
+//     skipping (PAPERS.md).
 //
 //   - Grouping is ONE table too: radix.GroupTable maps K-wide int64
 //     key tuples to dense first-seen group ids, for every K. A slot is
@@ -107,13 +106,10 @@
 //     The table backs batalg.Group/SubGroup/Unique (SubGroup is K=2
 //     over (previous gid, value)), the MAL group ops, vector.Agg at
 //     every key width, and — through the same exported hash recipe —
-//     the grace-hash partitioner's row routing. Parallel GROUP BY runs
-//     per-worker partial tables merged by key
-//     (vector.ParallelGroupAgg) or — when the cost model
-//     radix.ShouldPartitionGroup predicts the grouping table outgrows
-//     the LLC — a shared-nothing plan over the parallel Radix-Cluster
-//     (vector.PartitionedGroupAggGov), where each worker owns disjoint key
-//     ranges and the merge is concatenation.
+//     the grace-hash partitioner's row routing. Every parallel GROUP BY
+//     runs one plan: per-worker partial tables merged by key
+//     (vector.MergeGroups), re-planned to grace hash when a table
+//     outgrows the query's memory grant.
 //
 // # Physical plans
 //
@@ -209,10 +205,9 @@
 //
 //   - Without ORDER BY a result is a MULTISET of rows. The order rows
 //     arrive in is whatever the executing path produces — morsel
-//     scheduling on the vector path, group first-seen order, the key
-//     hash on the partitioned plan — and may differ between runs,
-//     worker counts and engines (vector vs MAL). Tests compare such
-//     results order-insensitively.
+//     scheduling on the vector path, group first-seen order — and may
+//     differ between runs, worker counts and engines (vector vs MAL).
+//     Tests compare such results order-insensitively.
 //   - ORDER BY fixes the sequence of SORT-KEY values, with LIMIT
 //     cutting that sequence; which of several rows with equal sort
 //     keys comes first is not promised by the contract. (The vector

@@ -280,11 +280,11 @@ func TestGroupedCancelInsidePipeline(t *testing.T) {
 	}
 }
 
-// The radix-partitioned GROUP BY shuffles raw positions, so a leaf with
-// tombstones must take the merge plan, which scans through the filter:
-// at a key cardinality that picks the partitioned plan on an untouched
-// table, the grouped result still equals MAL's after deletes.
+// A grouped result equals MAL's on one key per row, on the untouched
+// table and after deletes tombstone a prefix and a middle range, whose
+// groups must vanish from the vector scan as they do from MAL's.
 func TestTombstonedHighCardinalityGroupBy(t *testing.T) {
+	const q = "SELECT k, sum(v), count(*) FROM g GROUP BY k"
 	for _, workers := range []int{1, 2, 4} {
 		db, _ := Open(WithWorkers(workers))
 		ins := &sqlfe.Insert{Table: "g"}
@@ -295,16 +295,18 @@ func TestTombstonedHighCardinalityGroupBy(t *testing.T) {
 		if _, err := db.sdb.ExecStmt(ins); err != nil {
 			t.Fatal(err)
 		}
-		mustExec(t, db, "DELETE FROM g WHERE k < 5000")
-		mustExec(t, db, "DELETE FROM g WHERE k >= 40000 AND k < 41000")
-		const q = "SELECT k, sum(v), count(*) FROM g GROUP BY k"
-		got := collect(t)(db.Query(bg, q))
-		oracle, err := db.sdb.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sameMultiset(got, oracle.Rows); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		for _, del := range []string{"", "DELETE FROM g WHERE k < 5000", "DELETE FROM g WHERE k >= 40000 AND k < 41000"} {
+			if del != "" {
+				mustExec(t, db, del)
+			}
+			got := collect(t)(db.Query(bg, q))
+			oracle, err := db.sdb.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameMultiset(got, oracle.Rows); err != nil {
+				t.Fatalf("workers=%d after %q: %v", workers, del, err)
+			}
 		}
 		db.Close()
 	}

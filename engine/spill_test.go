@@ -231,7 +231,8 @@ func TestGraceRoutingSpreadsHighBitKeys(t *testing.T) {
 // Deep join trees degrade per step: when a build table exceeds the
 // grant mid-chain, that step grace-partitions both sides to disk and
 // the rest of the chain continues serially — including with GROUP BY,
-// aggregate expressions, and canonical ORDER BY over the join output.
+// a global aggregate, aggregate expressions, and canonical ORDER BY over
+// the join output.
 func TestGraceNWayJoinEngineOracle(t *testing.T) {
 	queries := []struct {
 		sql     string
@@ -241,6 +242,7 @@ func TestGraceNWayJoinEngineOracle(t *testing.T) {
 		{"SELECT jl.k, count(*), sum(jm.v), sum(jm.v + jl.v) FROM jl JOIN jm ON jl.k = jm.k JOIN jr ON jm.k = jr.k GROUP BY jl.k", false},
 		{"SELECT jl.v AS a, jm.v AS b FROM jl JOIN jm ON jl.k = jm.k JOIN jr ON jm.k = jr.k ORDER BY a LIMIT 100", true},
 		{"SELECT jl.k AS kk, sum(jr.v) FROM jl JOIN jm ON jl.k = jm.k JOIN jr ON jm.k = jr.k GROUP BY jl.k ORDER BY kk DESC LIMIT 20", true},
+		{"SELECT count(*), sum(jm.v), min(jr.f), avg(jr.f) FROM jl JOIN jm ON jl.k = jm.k JOIN jr ON jm.k = jr.k", false},
 	}
 	for _, workers := range []int{1, 4} {
 		oracle := newOracleDB(t, workers)

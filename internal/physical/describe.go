@@ -59,9 +59,6 @@ func (p *Plan) Describe() string {
 		if root.OrderBy >= 0 {
 			fmt.Fprintf(&sb, " -> order-by[item %d%s]", root.OrderBy, descSuffix(root.OrderDesc))
 		}
-		if len(root.Keys) == 1 && root.Pre == nil && !hasFilter(root.Child) {
-			sb.WriteString("\n    (radix-partitioned shared-nothing plan at high key cardinality)")
-		}
 	default:
 		fmt.Fprintf(&sb, "    %T", root)
 	}
@@ -165,11 +162,6 @@ func describePreds(sb *strings.Builder, preds []Pred) {
 		}
 	}
 	sb.WriteString("]")
-}
-
-func hasFilter(n Node) bool {
-	_, ok := n.(*FilterNode)
-	return ok
 }
 
 func descSuffix(desc bool) string {

@@ -339,29 +339,58 @@ func resetActuals(s *ExecStats) {
 
 // --- the instantiated pipeline ---
 
-// pipeline is a plan child (leaf or join tree) bound to a snapshot, in
-// one of two modes. Parallel (mkSerial == nil): src streams through an
-// Exchange and par builds each worker's fragment on top of its morsel
-// scan. Serial (mkSerial != nil): a join build degraded to grace-hash
-// partitioning mid-instantiation, and the whole stream now issues from
-// spill partitions — mkSerial constructs a fresh single-threaded chain
-// (replayable: spill files and shared join tables persist).
+// pipeline is a plan child (leaf or join tree) bound to a snapshot.
+// Normally src streams through an Exchange and par builds each worker's
+// fragment on top of its morsel scan. When a join build degraded to
+// grace-hash partitioning mid-instantiation, mkSerial is set instead:
+// the whole stream now issues from spill partitions, and mkSerial
+// constructs a fresh single-threaded chain (replayable: spill files and
+// shared join tables persist). run and serial are the only readers of
+// that difference.
 //
 // remap translates the plan's VIRTUAL column positions (FROM-order
 // concatenation of the leaves) to the chain's intermediate layout
 // (stream leaf's columns, then each build's payload in execution
 // order). For a single-table child it is the identity.
 type pipeline struct {
+	ctx      context.Context
+	opts     Options
 	src      *vector.Source
 	par      func(vector.Operator) vector.Operator
 	mkSerial func() vector.Operator
 	remap    []int
 	width    int
+}
 
-	// Single-table children only (the partitioned-grouping fast path
-	// needs the raw source and predicate list).
-	leaf      *boundScan
-	leafPreds []vector.Pred
+// run returns the stream frag computes over the whole pipeline, and
+// whether that stream is the outputs of several fragments, which an
+// aggregate must still merge. Normally it is an Exchange running
+// frag∘par on up to workers workers, whose morsel scans append global
+// row positions when rowIDs is set. After a degraded join step it is
+// frag over the one serial chain, whose output is already whole (a join
+// output carries no row ids: its sorts break ties by value).
+func (pl *pipeline) run(workers int, rowIDs bool, frag func(vector.Operator) vector.Operator) (vector.Operator, bool) {
+	if pl.mkSerial != nil {
+		return frag(pl.mkSerial()), false
+	}
+	return &vector.Exchange{
+		Source:     pl.src,
+		Workers:    workers,
+		MorselSize: pl.opts.MorselSize,
+		VectorSize: pl.opts.VectorSize,
+		Plan:       func(scan vector.Operator) vector.Operator { return frag(pl.par(scan)) },
+		Ctx:        pl.ctx,
+		RowIDs:     rowIDs,
+	}, true
+}
+
+// serial returns a fresh single-threaded chain over the whole input:
+// the stream a grace re-plan partitions.
+func (pl *pipeline) serial() vector.Operator {
+	if pl.mkSerial != nil {
+		return pl.mkSerial()
+	}
+	return pl.par(vector.NewScan(pl.src, pl.opts.VectorSize))
 }
 
 // pipelineFor instantiates the plan child feeding a projection, sort,
@@ -384,16 +413,18 @@ func (p *Plan) pipelineFor(ctx context.Context, snap *sqlfe.Snapshot, args []any
 		remap[i] = i
 	}
 	return &pipeline{
-		src: bs.src,
-		par: func(scan vector.Operator) vector.Operator {
-			if len(vpreds) > 0 {
-				return &vector.Filter{Child: scan, Preds: vpreds}
-			}
-			return scan
-		},
+		ctx: ctx, opts: opts, src: bs.src,
+		par:   func(scan vector.Operator) vector.Operator { return filtered(scan, vpreds) },
 		remap: remap, width: width,
-		leaf: bs, leafPreds: vpreds,
 	}, nil
+}
+
+// filtered puts a Filter over op when there are predicates.
+func filtered(op vector.Operator, preds []vector.Pred) vector.Operator {
+	if len(preds) > 0 {
+		return &vector.Filter{Child: op, Preds: preds}
+	}
+	return op
 }
 
 // --- join ordering: statistics-free greedy over strided samples ---
@@ -618,11 +649,7 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 	}
 
 	mkLeafOp := func(li int) vector.Operator {
-		var op vector.Operator = vector.NewScan(bss[li].src, opts.VectorSize)
-		if len(vpreds[li]) > 0 {
-			op = &vector.Filter{Child: op, Preds: vpreds[li]}
-		}
-		return op
+		return filtered(vector.NewScan(bss[li].src, opts.VectorSize), vpreds[li])
 	}
 
 	// Intermediate layout: the stream leaf's columns first, then each
@@ -633,6 +660,17 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 		jb       *vector.JoinBuild
 		probeKey int
 		stat     *JoinStat
+	}
+	// probe stacks the in-memory steps' hash-join probes on op, each
+	// counting its output rows into the step's observation.
+	probe := func(op vector.Operator, steps []builtStep) vector.Operator {
+		for _, c := range steps {
+			op = &vector.HashJoinOp{Probe: op, ProbeKey: c.probeKey, Shared: c.jb}
+			if c.stat != nil {
+				op = &countOp{child: op, ctr: &c.stat.Actual}
+			}
+		}
+		return op
 	}
 	var chain []builtStep
 	var mkSerial func() vector.Operator
@@ -662,17 +700,12 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 			if stat != nil {
 				stat.BuildRows = int64(jb.Rows())
 			}
+			step := builtStep{jb: jb, probeKey: probeKey, stat: stat}
 			if mkSerial == nil {
-				chain = append(chain, builtStep{jb: jb, probeKey: probeKey, stat: stat})
+				chain = append(chain, step)
 			} else {
-				prev, cjb := mkSerial, jb
-				mkSerial = func() vector.Operator {
-					var op vector.Operator = &vector.HashJoinOp{Probe: prev(), ProbeKey: probeKey, Shared: cjb}
-					if stat != nil {
-						op = &countOp{child: op, ctr: &stat.Actual}
-					}
-					return op
-				}
+				prev := mkSerial
+				mkSerial = func() vector.Operator { return probe(prev(), []builtStep{step}) }
 			}
 		case errors.Is(err, memgov.ErrExceeded) && opts.canSpill():
 			// This step's build outgrew the grant (its partial charge is
@@ -683,17 +716,8 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 				stat.Grace = true
 			}
 			if mkSerial == nil {
-				pref := append([]builtStep{}, chain...)
-				mkSerial = func() vector.Operator {
-					op := mkLeafOp(stream)
-					for _, c := range pref {
-						op = &vector.HashJoinOp{Probe: op, ProbeKey: c.probeKey, Shared: c.jb}
-						if c.stat != nil {
-							op = &countOp{child: op, ctr: &c.stat.Actual}
-						}
-					}
-					return op
-				}
+				// chain grows no further: every later step joins serially.
+				mkSerial = func() vector.Operator { return probe(mkLeafOp(stream), chain) }
 			}
 			ncolsB := len(bss[st.build].src.Cols)
 			stateBytes := int64(bss[st.build].src.ScanRows()) * int64(8+8*ncolsB+48)
@@ -740,22 +764,9 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 			remap = append(remap, ipos[li]+j)
 		}
 	}
-	fixedChain := chain
 	return &pipeline{
-		src: bss[stream].src,
-		par: func(scan vector.Operator) vector.Operator {
-			op := scan
-			if len(vpreds[stream]) > 0 {
-				op = &vector.Filter{Child: op, Preds: vpreds[stream]}
-			}
-			for _, c := range fixedChain {
-				op = &vector.HashJoinOp{Probe: op, ProbeKey: c.probeKey, Shared: c.jb}
-				if c.stat != nil {
-					op = &countOp{child: op, ctr: &c.stat.Actual}
-				}
-			}
-			return op
-		},
+		ctx: ctx, opts: opts, src: bss[stream].src,
+		par:      func(scan vector.Operator) vector.Operator { return probe(filtered(scan, vpreds[stream]), chain) },
 		mkSerial: mkSerial,
 		remap:    remap, width: width,
 	}, nil
@@ -789,7 +800,7 @@ func (p *Plan) execPlain(ctx context.Context, snap *sqlfe.Snapshot, args []any, 
 		return nil, nil, err
 	}
 	exprs := make([]vector.Expr, len(proj.Outs))
-	identity := pl.mkSerial == nil && len(proj.Outs) == pl.width
+	identity := len(proj.Outs) == pl.width
 	for i, o := range proj.Outs {
 		ri := pl.remap[o]
 		if ri != i {
@@ -797,32 +808,16 @@ func (p *Plan) execPlain(ctx context.Context, snap *sqlfe.Snapshot, args []any, 
 		}
 		exprs[i] = vector.ColRef{Idx: ri}
 	}
-	if pl.mkSerial != nil {
-		op := &vector.Project{Child: pl.mkSerial(), Exprs: exprs}
-		if err := op.Open(); err != nil {
-			return nil, nil, err
+	op, _ := pl.run(opts.workers(), false, func(in vector.Operator) vector.Operator {
+		if identity {
+			return in
 		}
-		return &Result{Op: op, Limit: p.Limit}, nil, nil
-	}
-	plan := func(scan vector.Operator) vector.Operator {
-		op := pl.par(scan)
-		if !identity {
-			op = &vector.Project{Child: op, Exprs: exprs}
-		}
-		return op
-	}
-	ex := &vector.Exchange{
-		Source:     pl.src,
-		Workers:    opts.workers(),
-		MorselSize: opts.MorselSize,
-		VectorSize: opts.VectorSize,
-		Plan:       plan,
-		Ctx:        ctx,
-	}
-	if err := ex.Open(); err != nil {
+		return &vector.Project{Child: in, Exprs: exprs}
+	})
+	if err := op.Open(); err != nil {
 		return nil, nil, err
 	}
-	return &Result{Op: ex, Limit: p.Limit}, nil, nil
+	return &Result{Op: op, Limit: p.Limit}, nil, nil
 }
 
 // --- ORDER BY: per-worker sorted runs + k-way merge ---
@@ -854,19 +849,6 @@ func (p *Plan) execSort(ctx context.Context, snap *sqlfe.Snapshot, args []any, o
 			opts.Stats.Sort.Input = scan.Table
 		}
 	}
-
-	if pl.mkSerial != nil {
-		sr := &vector.SortRun{Child: pl.mkSerial(), Key: key, RowID: -1, Ties: ties, Desc: sn.Desc, Limit: sn.Limit,
-			Res: opts.Gov, Spill: sink, Runs: runs, Size: opts.VectorSize}
-		merge := &vector.MergeRuns{Child: sr, Key: key, RowID: -1, Ties: ties, Desc: sn.Desc, Limit: sn.Limit,
-			Size: opts.VectorSize, Ext: runs}
-		out := &vector.Project{Child: merge, Exprs: exprs}
-		if err := out.Open(); err != nil {
-			return nil, nil, err
-		}
-		return &Result{Op: out, Limit: p.Limit}, nil, nil
-	}
-
 	if useRowIDs {
 		// The RowIDs scan appends the global-position tiebreak column
 		// after the (single) leaf's columns.
@@ -883,22 +865,12 @@ func (p *Plan) execSort(ctx context.Context, snap *sqlfe.Snapshot, args []any, o
 	// and MergeRuns streams those external runs back through the same
 	// k-way heap as the in-memory ones. With a nil sink (no scope, or
 	// the reject policy) a denied charge fails the query instead.
-	plan := func(scan vector.Operator) vector.Operator {
-		op := pl.par(scan)
-		return &vector.SortRun{Child: op, Key: key, RowID: rowID, Ties: ties, Desc: sn.Desc, Limit: sn.Limit,
+	sorted, _ := pl.run(workers, useRowIDs, func(in vector.Operator) vector.Operator {
+		return &vector.SortRun{Child: in, Key: key, RowID: rowID, Ties: ties, Desc: sn.Desc, Limit: sn.Limit,
 			Res: opts.Gov, Spill: sink, Runs: runs, Size: opts.VectorSize}
-	}
-	ex := &vector.Exchange{
-		Source:     pl.src,
-		Workers:    workers,
-		MorselSize: opts.MorselSize,
-		VectorSize: opts.VectorSize,
-		Plan:       plan,
-		Ctx:        ctx,
-		RowIDs:     useRowIDs,
-	}
+	})
 	merge := &vector.MergeRuns{
-		Child: ex,
+		Child: sorted,
 		Key:   key,
 		RowID: rowID,
 		Ties:  ties,
@@ -959,36 +931,18 @@ func (p *Plan) execGlobalAgg(ctx context.Context, snap *sqlfe.Snapshot, args []a
 		return nil, nil, err
 	}
 	specs, wrap, _ := aggSetup(g, pl)
-	var row *vector.Batch
-	if pl.mkSerial != nil {
-		// One serial pass IS the final aggregation: a single Agg instance's
-		// accumulators over the whole stream equal the merged partials.
-		row, err = drainOne(&vector.Agg{Child: wrap(pl.mkSerial()), Aggs: specs})
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		plan := func(scan vector.Operator) vector.Operator {
-			return &vector.Agg{Child: wrap(pl.par(scan)), Aggs: specs}
-		}
-		ex := &vector.Exchange{
-			Source:     pl.src,
-			Workers:    opts.workers(),
-			MorselSize: opts.MorselSize,
-			VectorSize: opts.VectorSize,
-			Plan:       plan,
-			Ctx:        ctx,
-		}
+	op, parts := pl.run(opts.workers(), false, func(in vector.Operator) vector.Operator {
+		return &vector.Agg{Child: wrap(in), Aggs: specs}
+	})
+	if parts {
 		// Re-aggregate the workers' partials (sums and counts add, min/max
-		// re-fold nil-aware).
-		finals := make([]vector.AggSpec, len(g.Accs))
-		for i, a := range g.Accs {
-			finals[i] = vector.AggSpec{Kind: vector.MergeKind(a.Kind), Col: i}
-		}
-		row, err = drainOne(&vector.Agg{Child: ex, Aggs: finals})
-		if err != nil {
-			return nil, nil, err
-		}
+		// re-fold nil-aware). One serial pass needs none: its accumulators
+		// over the whole stream are the totals.
+		op = vector.MergeGroups(op, 0, specs, nil)
+	}
+	row, err := drainOne(op)
+	if err != nil {
+		return nil, nil, err
 	}
 	// Shape the single result row with SQL NULL semantics — sum/avg over
 	// zero non-nil inputs is NULL, as is min/max over none. The row is
@@ -1033,11 +987,11 @@ func (p *Plan) execGlobalAgg(ctx context.Context, snap *sqlfe.Snapshot, args []a
 			cols[i] = row.Cols[o.Acc]
 		}
 	}
-	op := &batchOp{b: &vector.Batch{N: 1, Cols: cols}}
-	if err := op.Open(); err != nil {
+	out := &batchOp{b: &vector.Batch{N: 1, Cols: cols}}
+	if err := out.Open(); err != nil {
 		return nil, nil, err
 	}
-	return &Result{Op: op, Limit: p.Limit}, nil, nil
+	return &Result{Op: out, Limit: p.Limit}, nil, nil
 }
 
 // --- grouped aggregates (any key count, optional ORDER BY) ---
@@ -1048,61 +1002,26 @@ func (p *Plan) execGrouped(ctx context.Context, snap *sqlfe.Snapshot, args []any
 		return nil, nil, err
 	}
 	specs, wrap, keyIdx := aggSetup(g, pl)
-	workers := opts.workers()
-	preCols := 0
-	if g.Pre != nil {
-		preCols = len(g.Pre)
+	op, parts := pl.run(opts.workers(), false, func(in vector.Operator) vector.Operator {
+		return &vector.Agg{Child: wrap(in), Keys: keyIdx, Aggs: specs, Res: opts.Gov}
+	})
+	if parts {
+		// Merge the workers' partial groups by key. One serial pass needs
+		// no second table: its Agg already holds every group's totals.
+		op = vector.MergeGroups(op, len(keyIdx), specs, opts.Gov)
 	}
-	chainCols := pl.width
-	if preCols > 0 {
-		chainCols = preCols
-	}
-
-	if pl.mkSerial != nil {
-		agg := &vector.Agg{Child: wrap(pl.mkSerial()), Keys: keyIdx, Aggs: specs, Res: opts.Gov}
-		merged, err := drainOne(agg)
-		if err != nil {
-			if errors.Is(err, memgov.ErrExceeded) && opts.canSpill() {
-				resetActuals(opts.Stats)
-				mk := func() vector.Operator { return wrap(pl.mkSerial()) }
-				return p.graceGrouped(ctx, opts, mk, chainCols, pl.src.ScanRows(), keyIdx, g, specs)
-			}
-			return nil, nil, err
+	merged, err := drainOne(op)
+	if errors.Is(err, memgov.ErrExceeded) && opts.canSpill() {
+		// The grouping table outgrew the grant mid-build: re-plan to
+		// grace-hash partitioning (the failed attempt already handed its
+		// memory back on the way out).
+		resetActuals(opts.Stats)
+		chainCols := pl.width
+		if g.Pre != nil {
+			chainCols = len(g.Pre)
 		}
-		return p.finishGrouped(merged, g, opts.Stats)
-	}
-
-	// Plan choice: the shared-nothing radix-partitioned plan shuffles raw
-	// positions, so it needs every position to qualify (no filter, no
-	// tombstones, no joins, no expressions) and a single int64 key; every
-	// other shape takes the merge-based plan.
-	var merged *vector.Batch
-	if pl.leaf != nil && len(keyIdx) == 1 && len(pl.leafPreds) == 0 && pl.src.Deleted() == 0 && g.Pre == nil {
-		keys := pl.src.Cols[keyIdx[0]].Ints
-		est := vector.EstimateGroups(keys)
-		if radix.ShouldPartitionGroup(len(keys), est, workers) {
-			merged, err = vector.PartitionedGroupAggGov(ctx, pl.src, keyIdx[0], specs, workers, radix.GroupBits(est), opts.Gov)
-			if err != nil && errors.Is(err, memgov.ErrExceeded) {
-				// The shuffle's upfront charge was denied; the merge-based
-				// plan builds smaller state and can still grace-spill.
-				merged, err = nil, nil
-			}
-		}
-	}
-	if merged == nil && err == nil {
-		merged, err = vector.GroupAggOverPlan(ctx, pl.src,
-			func(scan vector.Operator) vector.Operator { return wrap(pl.par(scan)) },
-			keyIdx, specs, workers, opts.MorselSize, opts.VectorSize, opts.Gov)
-		if err != nil && errors.Is(err, memgov.ErrExceeded) && opts.canSpill() {
-			// The grouping table outgrew the grant mid-build: re-plan to
-			// grace-hash partitioning (the failed attempt already handed
-			// its memory back on the way out).
-			resetActuals(opts.Stats)
-			mk := func() vector.Operator {
-				return wrap(pl.par(vector.NewScan(pl.src, opts.VectorSize)))
-			}
-			return p.graceGrouped(ctx, opts, mk, chainCols, pl.src.ScanRows(), keyIdx, g, specs)
-		}
+		mk := func() vector.Operator { return wrap(pl.serial()) }
+		return p.graceGrouped(ctx, opts, mk, chainCols, pl.src.ScanRows(), keyIdx, g, specs)
 	}
 	if err != nil {
 		return nil, nil, err

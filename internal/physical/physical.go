@@ -20,10 +20,10 @@
 //   - Plan.Execute runs per Query: it binds the ? slots through the same
 //     sqlfe.CoerceArg rules as the MAL interpreter, picks nil-aware
 //     filter primitives per the columns' NoNil property, prunes zones,
-//     consults the radix cost models (join build side,
-//     merge-vs-partitioned grouping, serial-vs-run sort), and
-//     instantiates Exchange pipelines over zero-copy snapshot column
-//     slices whose scans filter the snapshot's tombstones. No snapshot
+//     consults the radix cost models (join build side, serial-vs-run
+//     sort), and instantiates Exchange pipelines over zero-copy
+//     snapshot column slices whose scans filter the snapshot's
+//     tombstones. No snapshot
 //     disqualifies a lowered plan: routing is fixed at LowerBound.
 package physical
 
@@ -272,11 +272,7 @@ type AggOut struct {
 
 // GroupAggNode aggregates its child per group of any number of INT key
 // columns (empty = global); every key width rides the one
-// radix.GroupTable.
-// Grouped instantiation picks between the merge-based and the
-// shared-nothing radix-partitioned parallel plans by cost model
-// (single-key, unfiltered, expression-free input only — every other
-// shape merges).
+// radix.GroupTable, in per-worker partial tables merged by key.
 //
 // Pre, when non-nil, is a per-worker expression projection inserted
 // between the child pipeline and the aggregation: Keys and Accs then

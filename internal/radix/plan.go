@@ -152,8 +152,8 @@ func parallelSortPattern(n, workers int) costmodel.Pattern {
 }
 
 // SortCost predicts the memory cost (ns) of one serial stable sort vs
-// the per-worker-runs + merge plan over n rows. As with JoinCost and
-// GroupCost only MEMORY cost is compared — the CPU-parallel speedup of
+// the per-worker-runs + merge plan over n rows. As with JoinCost only
+// MEMORY cost is compared — the CPU-parallel speedup of
 // the run phase comes on top for the parallel plan, so the comparison
 // is conservative in its favor.
 func SortCost(n, workers int) (serialNS, parallelNS float64) {
@@ -193,95 +193,4 @@ func log2ceil(n int) int {
 		b++
 	}
 	return b
-}
-
-// --- grouped-aggregation planning ---
-
-// groupTableBytes is the footprint of a GroupTable over g groups: the
-// power-of-two 16-byte slot array at load <= ½, the dense key array,
-// and one 8-byte accumulator lane.
-func groupTableBytes(g int) int {
-	slots := 8
-	for slots < 2*g {
-		slots <<= 1
-	}
-	return slots*16 + 16*g
-}
-
-// GroupBits picks the radix bits for the shared-nothing partitioned
-// grouped-aggregation plan: enough that one cluster's grouping table
-// fits half the per-cluster cache budget.
-func GroupBits(groups int) int {
-	bits := 0
-	for groupTableBytes(groups>>uint(bits)) > partitionCacheBytes/2 && bits < 24 {
-		bits++
-	}
-	return bits
-}
-
-// mergedGroupPattern is the per-worker-tables + merge plan: every input
-// row probes a table of ~groups entries (each worker sees most groups
-// when keys are uniformly spread, so per-worker tables are NOT smaller
-// than the global one), then the merge re-inserts workers×groups
-// partials into a global table of the same size.
-func mergedGroupPattern(n, groups, workers int) costmodel.Pattern {
-	tb := groupTableBytes(groups)
-	return costmodel.Sequence{
-		costmodel.Concurrent{
-			costmodel.SeqTraverse{Bytes: n * 16, N: n},
-			costmodel.RandTraverse{Bytes: tb, N: n},
-		},
-		costmodel.Concurrent{
-			costmodel.SeqTraverse{Bytes: workers * groups * 16, N: workers * groups},
-			costmodel.RandTraverse{Bytes: tb, N: workers * groups},
-		},
-	}
-}
-
-// partitionedGroupPattern is the shared-nothing plan: radix-cluster the
-// (position,key) tuples so every worker owns disjoint key ranges, then
-// per-cluster grouping with a cache-resident table plus the random
-// gather of one aggregate column through the shuffled positions.
-func partitionedGroupPattern(n, groups, bits int) costmodel.Pattern {
-	passes := SplitBits(bits, 2)
-	perCluster := groupTableBytes(groups >> uint(bits))
-	if perCluster < 1 {
-		perCluster = 1
-	}
-	return costmodel.Sequence{
-		costmodel.RadixClusterPattern(n, 16, passes),
-		costmodel.Concurrent{
-			costmodel.SeqTraverse{Bytes: n * 16, N: n},
-			costmodel.RandTraverse{Bytes: perCluster, N: n},
-			costmodel.RandTraverse{Bytes: n * 8, N: n},
-		},
-	}
-}
-
-// GroupCost predicts the memory cost (ns) of the merge-based and the
-// radix-partitioned parallel grouped-aggregation plans for n rows and
-// an estimated `groups` distinct keys. As with JoinCost the model
-// compares MEMORY cost — the parallel speedup divides both plans about
-// equally and cancels out of the comparison.
-func GroupCost(n, groups, workers int) (mergedNS, partitionedNS float64) {
-	h := joinHierarchy()
-	mergedNS = costmodel.Predict(h, mergedGroupPattern(n, groups, workers)).TimeNS
-	bits := GroupBits(groups)
-	if bits == 0 {
-		return mergedNS, mergedNS
-	}
-	partitionedNS = costmodel.Predict(h, partitionedGroupPattern(n, groups, bits)).TimeNS
-	return mergedNS, partitionedNS
-}
-
-// ShouldPartitionGroup reports whether the shared-nothing partitioned
-// grouped aggregation is predicted clearly cheaper than per-worker
-// tables + merge. Low-cardinality groupings keep tiny cache-resident
-// tables and a trivial merge, so the merge plan wins there; the
-// partitioned plan takes over when the grouping table outgrows the LLC
-// (same crossover discipline as ShouldCluster, same 1.2 margin for the
-// plan that rewrites its input).
-func ShouldPartitionGroup(n, groups, workers int) bool {
-	merged, partitioned := GroupCost(n, groups, workers)
-	return partitioned*1.2 < merged
 }

@@ -237,8 +237,7 @@ func BuildPartitionedTable(keys []int64, bits int) *PartitionedTable {
 	// Serial clustering on purpose: join builds run on the caller's
 	// thread with no worker-count knob in this signature, and spawning
 	// GOMAXPROCS goroutines here would bypass an embedder's Workers
-	// setting. The grouped-aggregation paths, which DO carry an
-	// explicit worker count, cluster via ParallelClusterCtx.
+	// setting.
 	c := Cluster(tuples, SplitBits(bits, 2))
 	p := &PartitionedTable{
 		clustered: c,

@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/bat"
-	"repro/internal/radix"
 )
 
 // serialGroupOracle is the map-based reference: group on keys, fold
@@ -178,33 +177,6 @@ func TestParallelGroupAggMatchesOracle(t *testing.T) {
 	}
 }
 
-// Property: the shared-nothing radix-partitioned plan equals the oracle
-// too, across worker counts and radix widths.
-func TestPartitionedGroupAggMatchesOracle(t *testing.T) {
-	check := func(seed int64, cardRaw uint8, bitsRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		card := 1 + int(cardRaw)%96
-		bits := int(bitsRaw) % 6
-		n := 500 + rng.Intn(3000)
-		src, keys, ivals, fvals := randGroupSource(rng, n, card)
-		want := serialGroupOracle(keys, ivals, fvals)
-		for _, workers := range []int{1, 2, 4, 8} {
-			got, err := PartitionedGroupAggGov(context.Background(), src, 0, fullSpecs, workers, bits, nil)
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			if !sameRows(rowsFromBatch(got), want) {
-				t.Logf("workers=%d bits=%d diverges (n=%d card=%d)", workers, bits, n, card)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Filtered grouped aggregation: predicates apply before grouping, so
 // fully-filtered groups must not appear at all.
 func TestParallelGroupAggWithPreds(t *testing.T) {
@@ -233,17 +205,14 @@ func TestParallelGroupAggWithPreds(t *testing.T) {
 	}
 }
 
-// A canceled context stops both plans with context.Canceled.
+// A canceled context stops the grouped aggregation with context.Canceled.
 func TestGroupAggCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	src, _, _, _ := randGroupSource(rng, 100000, 1000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := ParallelGroupAgg(ctx, src, []int{0}, fullSpecs, nil, 4, 1024, 128); !errors.Is(err, context.Canceled) {
-		t.Fatalf("merge plan: err = %v, want Canceled", err)
-	}
-	if _, err := PartitionedGroupAggGov(ctx, src, 0, fullSpecs, 4, 4, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("partitioned plan: err = %v, want Canceled", err)
+		t.Fatalf("err = %v, want Canceled", err)
 	}
 }
 
@@ -257,16 +226,15 @@ func TestEstimateGroups(t *testing.T) {
 	}
 	// The mid-cardinality band is where a naive linear extrapolation
 	// overestimates by orders of magnitude once the sample is half
-	// distinct: these true cardinalities must all stay on the merge
-	// side of the plan chooser (their tables fit the LLC).
+	// distinct: these true cardinalities must come back no larger than
+	// twice, and no smaller than a quarter of, themselves.
 	for _, card := range []int{4096, 10000, 50000} {
 		mid := make([]int64, 1<<20)
 		for i := range mid {
 			mid[i] = rng.Int63n(int64(card))
 		}
-		est := EstimateGroups(mid)
-		if radix.ShouldPartitionGroup(len(mid), est, 4) {
-			t.Fatalf("card %d (est %d) must pick the merge plan", card, est)
+		if est := EstimateGroups(mid); est < card/4 || est > 2*card {
+			t.Fatalf("card %d: estimate %d, want in [%d, %d]", card, est, card/4, 2*card)
 		}
 	}
 	if est := EstimateGroups(low); est < 50 || est > 400 {
@@ -274,13 +242,6 @@ func TestEstimateGroups(t *testing.T) {
 	}
 	if est := EstimateGroups(high); est < len(high)/2 {
 		t.Fatalf("high-cardinality estimate %d, want ~%d", est, len(high))
-	}
-	// The estimates must land on the right side of the plan chooser.
-	if radix.ShouldPartitionGroup(1<<20, EstimateGroups(low), 4) {
-		t.Fatal("low cardinality must pick the merge plan")
-	}
-	if !radix.ShouldPartitionGroup(1<<20, EstimateGroups(high), 4) {
-		t.Fatal("high cardinality must pick the partitioned plan")
 	}
 }
 
