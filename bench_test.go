@@ -1,8 +1,8 @@
 package repro_test
 
-// One benchmark per experiment of DESIGN.md §2. Each regenerates the core
-// measurement of the corresponding E-table; run the cmd/experiments binary
-// for the full formatted tables.
+// One benchmark per paper experiment of cmd/experiments (E1–E15). Each
+// regenerates the core measurement of the corresponding E-table; run the
+// cmd/experiments binary for the full formatted tables.
 
 import (
 	"fmt"

@@ -1,6 +1,7 @@
-// Command mkdata dumps the synthetic workloads (DESIGN.md §3 substitutes
-// for the paper's benchmark data) as persisted BAT files, so experiments
-// can be re-run against identical inputs.
+// Command mkdata dumps the synthetic workloads (package workload, the
+// stand-ins cmd/experiments (E1–E15) uses for the paper's benchmark data)
+// as persisted BAT files, so experiments can be re-run against identical
+// inputs.
 //
 // Usage:
 //

@@ -148,24 +148,28 @@
 // # Join ordering
 //
 // A FROM clause with N tables lowers into a left-deep tree of hash
-// joins: each non-stream input builds a serial join table (charged to
-// the memory ledger, so deep trees degrade to grace hash instead of
-// failing), and the stream side probes them morsel-parallel in one
-// pipeline pass. The ORDER of that tree is chosen greedily at
-// execution time, statistics-free, in the X100 spirit of deciding
-// from the data in front of you: the planner draws a strided sample
-// from each input AFTER its filters, estimates every join edge's
-// output cardinality from sample key-overlap, and repeatedly picks
-// the edge that yields the smallest intermediate result
-// (smallest-intermediate-first). No catalog statistics exist or are
-// needed — the estimates see the live predicate set for free, so a
-// WHERE clause that guts one dimension reorders the whole tree around
-// it. The join graph must be a tree (it is by construction — every ON
-// clause references one new table); Options.NaiveJoinOrder pins the
-// textual order for A/B measurement (engine/njoin_bench_test.go: on
-// a skew-filtered 5-table star the greedy order carries 229x fewer
-// intermediate rows than the textual order for a 32x wall-clock
-// win). ORDER BY over a join emits a canonical order on
+// joins, ordered at execution time, statistics-free, in the X100 spirit
+// of deciding from the data in front of you: the planner draws a
+// strided sample from each input AFTER its filters and estimates every
+// leaf's surviving rows. The leaf with the largest estimate is the
+// stream, so the fact table is never hashed; the others are folded in
+// greedily, each time the adjacent leaf whose join yields the smallest
+// estimated intermediate (from sample key overlap). The join graph
+// must be a tree (it is by construction — every ON clause references
+// one new table); Options.NaiveJoinOrder pins the textual order for
+// A/B measurement. The non-stream leaves build serial join tables,
+// charged to the memory ledger, children first: the tree rooted at the
+// stream, leaves before their parents. Each build publishes a key
+// filter on the leaf owning its probe key — an exact bitmap when its
+// keys span at most 64 values per key, else their [min, max] — which
+// that leaf's Filter applies after its own predicates. So a dimension
+// is pruned by the dimensions hanging off it before it is hashed, and
+// the stream reaches its first probe already semi-join-reduced by
+// every build. An over-budget build degrades its step, and every later
+// step, to grace hash; the filters of the builds that fit still prune
+// both sides before they are partitioned. The stream probes the
+// in-memory tables morsel-parallel in one pipeline pass. ORDER BY over
+// a join emits a canonical order on
 // both engines — sort key first, every output column left to right as
 // tiebreaks, DESC a full reversal — so vector and MAL results stay
 // bit-identical even where SQL leaves tie order unspecified.
@@ -190,7 +194,7 @@
 //	scan u: 1/1 zones, 100/100 rows
 //	join order (greedy, sampled at execution):
 //	    stream: scan t
-//	    join 1: build u (100 rows), est 9500 rows -> actual 10000 rows
+//	    join 1: build u (100 rows), est 9500 rows -> actual 10000 rows, bitmap filter on t: 10000 -> 10000 rows
 //
 //	\plan SELECT a, b, sum(v) FROM t GROUP BY a, b
 //	vectorized pipeline (physical plan, morsel-parallel exchange):

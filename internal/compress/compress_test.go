@@ -268,7 +268,7 @@ func TestBitPacking(t *testing.T) {
 }
 
 // BenchmarkDecompress measures ns/tuple; the paper claims < 5 cycles/tuple
-// for the C implementation — see EXPERIMENTS.md E7 for the Go numbers.
+// for the C implementation — `go run ./cmd/experiments E7` prints the Go numbers.
 func BenchmarkPFORDecompress(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	vals := make([]int64, 1<<16)

@@ -7,7 +7,7 @@
 // concurrent scans share fetched pages regardless of their logical order —
 // synergy rather than competition.
 //
-// The disk is simulated (DESIGN.md §3): a page fetch costs FetchNS of
+// The disk is simulated (cmd/experiments E8): a page fetch costs FetchNS of
 // simulated time on a single I/O channel; CPU cost per page is PageCPUNS.
 package coopscan
 

@@ -5,10 +5,10 @@
 // CPU-mediated request/response round trips are involved.
 //
 // No RDMA cluster is available here, so both architectures run on a
-// discrete-event simulation (DESIGN.md §3) with identical link parameters:
-// HopNS to forward a partition to the ring neighbour (RDMA write), and for
-// the baseline a request/response exchange costing 2x the software
-// messaging overhead MsgNS plus the transfer.
+// discrete-event simulation (cmd/experiments E14) with identical link
+// parameters: HopNS to forward a partition to the ring neighbour (RDMA
+// write), and for the baseline a request/response exchange costing 2x the
+// software messaging overhead MsgNS plus the transfer.
 package cyclotron
 
 // Config describes the cluster and workload.

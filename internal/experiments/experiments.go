@@ -1,8 +1,8 @@
-// Package experiments contains the harness that regenerates every
-// experiment in DESIGN.md §2 (E1–E14): for each quantitative claim of the
-// paper it runs workload generator, system under test, and baseline, and
-// returns the table the paper's narrative corresponds to. The cmd/experiments
-// binary prints these tables; EXPERIMENTS.md records a reference run.
+// Package experiments contains the harness that regenerates every paper
+// experiment (E1–E15): for each quantitative claim of the paper it runs
+// workload generator, system under test, and baseline, and returns the
+// table the paper's narrative corresponds to. The cmd/experiments binary
+// prints these tables (-list names them).
 package experiments
 
 import (

@@ -70,7 +70,9 @@ func (p *Plan) Describe() string {
 // reached the sort, how many of them a LIMIT's cutoff let through, and
 // what came out; then, for a join, which leaf the greedy orderer
 // streamed and per join step the build side with its sampled estimate
-// against the measured output cardinality.
+// against the measured output cardinality, and the key filter the build
+// published: its kind, the leaf that applied it, and the rows it saw
+// and kept there.
 func (s *ExecStats) Describe() string {
 	var sb strings.Builder
 	for _, sc := range s.Scans {
@@ -96,6 +98,10 @@ func (s *ExecStats) Describe() string {
 		j := &s.Joins[i]
 		fmt.Fprintf(&sb, "    join %d: build %s (%d rows), est %d rows -> actual %d rows",
 			i+1, j.Build, j.BuildRows, j.EstRows, atomic.LoadInt64(&j.Actual))
+		if j.Filter != "" {
+			fmt.Fprintf(&sb, ", %s filter on %s: %d -> %d rows",
+				j.Filter, j.FilterOn, atomic.LoadInt64(&j.FilterIn), atomic.LoadInt64(&j.FilterKept))
+		}
 		if j.Grace {
 			sb.WriteString(" [grace: partitioned to disk]")
 		}

@@ -325,18 +325,6 @@ func (o *countOp) Next() (*vector.Batch, error) {
 
 func (o *countOp) Close() error { return o.child.Close() }
 
-// resetActuals zeroes the observed row counters before a grace re-plan
-// re-runs the probe chain, so the counts reflect the run that actually
-// produced the result.
-func resetActuals(s *ExecStats) {
-	if s == nil {
-		return
-	}
-	for i := range s.Joins {
-		atomic.StoreInt64(&s.Joins[i].Actual, 0)
-	}
-}
-
 // --- the instantiated pipeline ---
 
 // pipeline is a plan child (leaf or join tree) bound to a snapshot.
@@ -360,6 +348,10 @@ type pipeline struct {
 	mkSerial func() vector.Operator
 	remap    []int
 	width    int
+	// recount lists the observation counters a serial() replay counts
+	// again; serial zeroes them, so \plan reports the run that produced
+	// the result.
+	recount []*int64
 }
 
 // run returns the stream frag computes over the whole pipeline, and
@@ -387,6 +379,9 @@ func (pl *pipeline) run(workers int, rowIDs bool, frag func(vector.Operator) vec
 // serial returns a fresh single-threaded chain over the whole input:
 // the stream a grace re-plan partitions.
 func (pl *pipeline) serial() vector.Operator {
+	for _, c := range pl.recount {
+		atomic.StoreInt64(c, 0)
+	}
 	if pl.mkSerial != nil {
 		return pl.mkSerial()
 	}
@@ -503,12 +498,11 @@ type joinStep struct {
 }
 
 // orderJoins picks the stream leaf and the join order. Greedy mode
-// starts from the edge with the smallest estimated output (streaming
-// its larger endpoint, building the smaller) and repeatedly folds in
-// the adjacent leaf minimizing the next intermediate's estimate
-// |S ⋈ L| ≈ |S|·|L| / max(d_S-key, d_L-key). Naive mode executes the
-// textual order (stream = first FROM table, edges in JOIN order) — the
-// benchmark baseline greedy is measured against.
+// streams the leaf with the largest estimate, so the fact table is never
+// hashed, and repeatedly folds in the adjacent leaf minimizing the next
+// intermediate's estimate |S ⋈ L| ≈ |S|·|L| / max(d_S-key, d_L-key).
+// Naive mode executes the textual order (stream = first FROM table,
+// edges in JOIN order) — the baseline greedy is measured against.
 func orderJoins(jt *JoinTreeNode, ests []float64, dist func(leaf, pos int) float64, naive bool) (int, []joinStep) {
 	edges := jt.Edges
 	steps := make([]joinStep, 0, len(edges))
@@ -525,34 +519,18 @@ func orderJoins(jt *JoinTreeNode, ests []float64, dist func(leaf, pos int) float
 		return 0, steps
 	}
 
-	// Seed: the globally cheapest edge.
-	best, bestEst := -1, math.Inf(1)
-	for ei, e := range edges {
-		dA := math.Min(dist(e.A, e.AKey), math.Max(ests[e.A], 1))
-		dB := math.Min(dist(e.B, e.BKey), math.Max(ests[e.B], 1))
-		est := ests[e.A] * ests[e.B] / math.Max(1, math.Max(dA, dB))
-		if est < bestEst {
-			best, bestEst = ei, est
+	stream := 0
+	for i, est := range ests {
+		if est > ests[stream] {
+			stream = i
 		}
 	}
-	e0 := edges[best]
-	stream, build0 := e0.A, e0.B
-	pk, bk := e0.AKey, e0.BKey
-	if ests[e0.B] > ests[e0.A] {
-		// Stream the larger endpoint; hash the smaller.
-		stream, build0 = e0.B, e0.A
-		pk, bk = e0.BKey, e0.AKey
-	}
 	inS := make([]bool, len(jt.Leaves))
-	inS[stream], inS[build0] = true, true
+	inS[stream] = true
 	used := make([]bool, len(edges))
-	used[best] = true
-	steps = append(steps, joinStep{edge: e0, build: build0, probe: stream,
-		probeKeyPos: pk, buildKeyPos: bk, est: bestEst})
-	cur := bestEst
-
+	cur := ests[stream]
 	for len(steps) < len(edges) {
-		best, bestEst = -1, math.Inf(1)
+		best, bestEst := -1, math.Inf(1)
 		var bestStep joinStep
 		for ei, e := range edges {
 			if used[ei] {
@@ -588,10 +566,20 @@ func orderJoins(jt *JoinTreeNode, ests []float64, dist func(leaf, pos int) float
 }
 
 // joinPipeline instantiates an N-way join tree: estimates, orders,
-// builds the non-stream leaves into shared hash tables (serially,
-// memory charged to the governor — an over-grant build degrades that
-// step to grace-hash partitioning and the chain continues serially),
-// and returns the pipeline the post-stages compose over.
+// builds the non-stream leaves into shared hash tables, and returns the
+// pipeline the post-stages compose over.
+//
+// Builds run children-first (reverse chain order: the join tree rooted
+// at the stream, leaves first), and each in-memory build publishes a key
+// filter into the Filter of the leaf owning its probe key, after that
+// leaf's own predicates. So a build leaf is pruned by the leaves hanging
+// off it before it is hashed, and the stream arrives at its first probe
+// pruned by every dimension: a bottom-up semi-join reduction.
+//
+// Builds charge the governor. An over-grant build degrades its step to
+// grace-hash partitioning, and so does every later step in chain order,
+// whose in-memory tables are handed back: the chain from that step on
+// runs serially over disk partitions.
 func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, jt *JoinTreeNode) (*pipeline, error) {
 	n := len(jt.Leaves)
 	bss := make([]*boundScan, n)
@@ -637,6 +625,7 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 	if len(steps) != n-1 {
 		return nil, fmt.Errorf("physical: join graph is not a tree (%d steps for %d leaves)", len(steps), n)
 	}
+	stats := make([]*JoinStat, len(steps)) // nil entries when not observed
 	if opts.Stats != nil {
 		opts.Stats.Stream = jt.Leaves[stream].Scan.Table
 		opts.Stats.Joins = make([]JoinStat, len(steps))
@@ -645,11 +634,56 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 				Build:   jt.Leaves[st.build].Scan.Table,
 				EstRows: int64(st.est + 0.5),
 			}
+			stats[k] = &opts.Stats.Joins[k]
 		}
 	}
 
 	mkLeafOp := func(li int) vector.Operator {
 		return filtered(vector.NewScan(bss[li].src, opts.VectorSize), vpreds[li])
+	}
+	payloadOf := func(li int) []int {
+		payload := make([]int, len(bss[li].src.Cols))
+		for i := range payload {
+			payload[i] = i
+		}
+		return payload
+	}
+
+	// Children-first builds. first is the first step in chain order whose
+	// build degraded (len(steps) when none did).
+	jbs := make([]*vector.JoinBuild, len(steps))
+	first := len(steps)
+	for k := len(steps) - 1; k >= 0; k-- {
+		st, stat := steps[k], stats[k]
+		jb, err := vector.BuildJoinTableGov(mkLeafOp(st.build), st.buildKeyPos, payloadOf(st.build), opts.Gov)
+		switch {
+		case err == nil:
+			jbs[k] = jb
+			preds, bitmap := jb.KeyFilter(st.probeKeyPos, opts.Gov)
+			if stat != nil {
+				stat.BuildRows = int64(jb.Rows())
+				stat.FilterOn, stat.Filter = jt.Leaves[st.probe].Scan.Table, "range"
+				if bitmap {
+					stat.Filter = "bitmap"
+				}
+				preds[0].In, preds[len(preds)-1].Kept = &stat.FilterIn, &stat.FilterKept
+			}
+			vpreds[st.probe] = append(vpreds[st.probe], preds...)
+		case errors.Is(err, memgov.ErrExceeded) && opts.canSpill():
+			// The build outgrew the grant (its partial charge is already
+			// handed back). The steps after it will join on its serial
+			// chain: hand back their tables, keep their filters.
+			for j := k + 1; j < first; j++ {
+				jbs[j].ReleaseMem()
+				jbs[j] = nil
+			}
+			first = k
+		default:
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 	}
 
 	// Intermediate layout: the stream leaf's columns first, then each
@@ -676,48 +710,23 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 	var mkSerial func() vector.Operator
 
 	for k := range steps {
-		st := steps[k]
+		st, stat := steps[k], stats[k] // per step: the grace closure keeps them
 		probeKey := ipos[st.probe] + st.probeKeyPos
-		var stat *JoinStat
-		if opts.Stats != nil {
-			stat = &opts.Stats.Joins[k]
-		}
-		payload := make([]int, len(bss[st.build].src.Cols))
-		for i := range payload {
-			payload[i] = i
-		}
-		var jb *vector.JoinBuild
-		err := memgov.ErrExceeded
-		if mkSerial == nil || !opts.canSpill() {
-			jb, err = vector.BuildJoinTableGov(mkLeafOp(st.build), st.buildKeyPos, payload, opts.Gov)
-		}
-		// Once a step has degraded, later builds degrade too (err stays
-		// ErrExceeded above): the chain is already serial-on-disk, and an
-		// in-memory build here would hold budget the degraded step's
-		// partition-pair joins need at drain time.
-		switch {
-		case err == nil:
-			if stat != nil {
-				stat.BuildRows = int64(jb.Rows())
-			}
-			step := builtStep{jb: jb, probeKey: probeKey, stat: stat}
-			if mkSerial == nil {
-				chain = append(chain, step)
-			} else {
-				prev := mkSerial
-				mkSerial = func() vector.Operator { return probe(prev(), []builtStep{step}) }
-			}
-		case errors.Is(err, memgov.ErrExceeded) && opts.canSpill():
-			// This step's build outgrew the grant (its partial charge is
-			// already handed back): degrade the STEP to grace-hash — both
-			// sides partition to disk by key hash, partition pairs join
-			// one at a time — and continue the chain serially on top.
+		if k < first {
+			chain = append(chain, builtStep{jb: jbs[k], probeKey: probeKey, stat: stat})
+		} else {
+			// Grace-hash step: both sides partition to disk by key hash
+			// (each side's key filters applied first), partition pairs
+			// join one at a time, and the chain continues serially on top.
 			if stat != nil {
 				stat.Grace = true
 			}
 			if mkSerial == nil {
-				// chain grows no further: every later step joins serially.
 				mkSerial = func() vector.Operator { return probe(mkLeafOp(stream), chain) }
+			}
+			// The build leaf ran once already: its filters count this run.
+			for _, c := range counters(vpreds[st.build]) {
+				atomic.StoreInt64(c, 0)
 			}
 			ncolsB := len(bss[st.build].src.Cols)
 			stateBytes := int64(bss[st.build].src.ScanRows()) * int64(8+8*ncolsB+48)
@@ -737,6 +746,7 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 			for i := range exprs {
 				exprs[i] = vector.ColRef{Idx: i}
 			}
+			payload := payloadOf(st.build)
 			mkSerial = func() vector.Operator {
 				var op vector.Operator = &graceJoinOp{
 					ctx: ctx, bParts: bParts, pParts: pParts,
@@ -748,11 +758,9 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 				}
 				return op
 			}
-		default:
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
 		ipos[st.build] = width
 		width += len(bss[st.build].src.Cols)
@@ -764,12 +772,40 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 			remap = append(remap, ipos[li]+j)
 		}
 	}
+	// A serial() replay counts again what the stream pipeline counted:
+	// every in-memory step and the stream's filters, or, after a degraded
+	// step, just the last grace join (the others read spilled partitions).
+	var recount []*int64
+	if opts.Stats != nil {
+		if mkSerial != nil {
+			recount = append(recount, &stats[len(steps)-1].Actual)
+		} else {
+			recount = counters(vpreds[stream])
+			for _, stat := range stats {
+				recount = append(recount, &stat.Actual)
+			}
+		}
+	}
 	return &pipeline{
 		ctx: ctx, opts: opts, src: bss[stream].src,
 		par:      func(scan vector.Operator) vector.Operator { return probe(filtered(scan, vpreds[stream]), chain) },
 		mkSerial: mkSerial,
 		remap:    remap, width: width,
+		recount: recount,
 	}, nil
+}
+
+// counters lists the row counters key filters carry in preds.
+func counters(preds []vector.Pred) []*int64 {
+	var out []*int64
+	for _, p := range preds {
+		for _, c := range []*int64{p.In, p.Kept} {
+			if c != nil {
+				out = append(out, c)
+			}
+		}
+	}
+	return out
 }
 
 // remapExpr rebuilds an expression tree with its ColRef leaves
@@ -1015,7 +1051,6 @@ func (p *Plan) execGrouped(ctx context.Context, snap *sqlfe.Snapshot, args []any
 		// The grouping table outgrew the grant mid-build: re-plan to
 		// grace-hash partitioning (the failed attempt already handed its
 		// memory back on the way out).
-		resetActuals(opts.Stats)
 		chainCols := pl.width
 		if g.Pre != nil {
 			chainCols = len(g.Pre)

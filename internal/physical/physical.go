@@ -139,6 +139,15 @@ type JoinStat struct {
 	EstRows   int64  // planner's sampled estimate of the step's output
 	Actual    int64  // observed output rows (updated atomically during execution)
 	Grace     bool   // step degraded to grace-hash partitioning
+
+	// The key filter the build published: "bitmap" (exact), "range"
+	// (min/max), or "" when the build degraded before it had keys to
+	// publish. FilterOn is the table whose scan applied it; FilterIn and
+	// FilterKept count the rows that reached it there and the rows it let
+	// through (updated atomically during execution).
+	Filter               string
+	FilterOn             string
+	FilterIn, FilterKept int64
 }
 
 func (o Options) workers() int {

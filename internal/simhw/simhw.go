@@ -5,9 +5,9 @@
 // The paper's cache studies (§4) were done with hardware event counters on
 // real CPUs; Go offers no portable access to those, so instrumented variants
 // of the algorithms replay their exact memory reference streams into this
-// simulator instead (substitution documented in DESIGN.md §3). What the
-// experiments need — the number and kind of misses per level as a function
-// of algorithm parameters — is preserved exactly.
+// simulator instead (cmd/experiments E1, E3–E5, E11 and E12 run on it).
+// What the experiments need — the number and kind of misses per level as a
+// function of algorithm parameters — is preserved exactly.
 package simhw
 
 import "fmt"

@@ -3,7 +3,9 @@ package vector
 import (
 	"errors"
 	"fmt"
+	"math"
 
+	"repro/internal/bat"
 	"repro/internal/memgov"
 	"repro/internal/radix"
 )
@@ -17,6 +19,7 @@ import (
 // (bat.NilInt) never matching.
 type JoinBuild struct {
 	table *radix.JoinTable
+	keys  []int64 // the build keys by row id, nils included
 
 	// Payload storage (DSM): one column per payload column.
 	cols  []Col
@@ -127,8 +130,46 @@ func BuildJoinTableGov(op Operator, key int, payload []int, res *memgov.Reservat
 		jb.charged += add
 	}
 	jb.nrows = len(keys)
+	jb.keys = keys
 	jb.table = radix.NewJoinTable(keys)
 	return jb, nil
+}
+
+// bitmapSpanPerKey bounds the exact key filter: a build publishes a
+// bitmap while its keys span at most this many values per key, i.e. at
+// most 8 bytes of bitmap per key, the size of the key itself.
+const bitmapSpanPerKey = 64
+
+// KeyFilter returns the predicates over a probe leaf's key column col
+// that drop rows no build key can match, and whether they are an exact
+// bitmap. Dense keys get one PredInBits over [min, max], its bytes
+// charged to res; sparse keys, or a bitmap res denies, get the range
+// [min, max] as PredGe and the nil-skipping PredLeNil. Neither lets a
+// nil key through, and a build without keys passes nothing.
+func (jb *JoinBuild) KeyFilter(col int, res *memgov.Reservation) ([]Pred, bool) {
+	lo, hi, n := int64(math.MaxInt64), bat.NilInt, uint64(0) // nil sorts below every key
+	for _, k := range jb.keys {
+		if k != bat.NilInt {
+			lo, hi, n = min(lo, k), max(hi, k), n+1
+		}
+	}
+	if n == 0 {
+		return []Pred{{ColIdx: col, Op: PredInBits}}, true
+	}
+	if span := uint64(hi-lo) + 1; span <= bitmapSpanPerKey*n {
+		words := (span + 63) / 64
+		if res.Acquire(int64(8*words)) == nil {
+			bits := make([]uint64, words)
+			for _, k := range jb.keys {
+				if k != bat.NilInt {
+					d := uint64(k - lo)
+					bits[d>>6] |= 1 << (d & 63)
+				}
+			}
+			return []Pred{{ColIdx: col, Op: PredInBits, IntVal: lo, Bits: bits}}, true
+		}
+	}
+	return []Pred{{ColIdx: col, Op: PredGe, IntVal: lo}, {ColIdx: col, Op: PredLeNil, IntVal: hi}}, false
 }
 
 // ForEach calls f with each build row id matching key.

@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -8,6 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bat"
+	"repro/internal/memgov"
 	"repro/internal/radix"
 )
 
@@ -212,5 +214,89 @@ func TestJoinPartitionedBuildPath(t *testing.T) {
 	sortPairs(want)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("partitioned join: %d pairs, want %d", len(got), len(want))
+	}
+}
+
+// A build's key filter keeps exactly the probe rows that can match: with
+// a bitmap, the non-nil keys the build holds; with the range fallback
+// (sparse keys, or a bitmap the reservation denies), the non-nil keys in
+// [min, max]. Keys at both ends of the int64 domain and nils on both
+// sides included.
+func TestJoinKeyFilterKeepsMatchableRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	edge := []int64{math.MaxInt64, math.MaxInt64 - 1, bat.NilInt + 1, bat.NilInt + 2, 0, -1}
+	draw := func(span int64) int64 {
+		switch rng.Intn(10) {
+		case 0:
+			return bat.NilInt
+		case 1:
+			return edge[rng.Intn(len(edge))]
+		}
+		return rng.Int63n(span) - span/4
+	}
+	kinds := map[bool]int{}
+	for trial := 0; trial < 200; trial++ {
+		span := []int64{8, 300, 1 << 40}[trial%3]
+		base := []int64{0, math.MaxInt64 - 500, bat.NilInt + 1}[trial/3%3]
+		build := make([]int64, rng.Intn(40))
+		for i := range build {
+			if build[i] = draw(span); build[i] != bat.NilInt && trial%2 == 0 {
+				build[i] = base + (build[i]-base)%span // stays dense near base
+			}
+		}
+		probe := make([]int64, 500)
+		for i := range probe {
+			probe[i] = draw(span)
+			if rng.Intn(3) == 0 && len(build) > 0 {
+				probe[i] = build[rng.Intn(len(build))]
+			}
+		}
+		src, err := NewSource([]string{"k"}, []Col{{Kind: KindInt, Ints: build}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jb, err := BuildJoinTable(NewScan(src, 7), 0, []int{0}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *memgov.Reservation
+		if trial%5 == 0 {
+			res = memgov.New(1, memgov.Reject) // no room for a bitmap
+		}
+		preds, bitmap := jb.KeyFilter(0, res)
+		kinds[bitmap]++
+		keys, lo, hi := map[int64]bool{}, int64(math.MaxInt64), bat.NilInt
+		for _, k := range build {
+			if k != bat.NilInt {
+				keys[k], lo, hi = true, min(lo, k), max(hi, k)
+			}
+		}
+		if res != nil && bitmap && len(keys) > 0 {
+			t.Fatalf("trial %d: a bitmap the reservation cannot hold", trial)
+		}
+		var want []any
+		for _, k := range probe {
+			if k != bat.NilInt && (bitmap && keys[k] || !bitmap && k >= lo && k <= hi) {
+				want = append(want, k)
+			}
+		}
+		psrc, err := NewSource([]string{"k"}, []Col{{Kind: KindInt, Ints: probe}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := Drain(&Filter{Child: NewScan(psrc, 64), Preds: preds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []any
+		for _, r := range rows {
+			got = append(got, r[0])
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (bitmap=%v, build %v): kept %v, want %v", trial, bitmap, build, got, want)
+		}
+	}
+	if kinds[true] < 20 || kinds[false] < 20 {
+		t.Fatalf("filter kinds drawn: %v", kinds)
 	}
 }

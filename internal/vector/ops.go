@@ -3,6 +3,7 @@ package vector
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/bat"
 	"repro/internal/memgov"
@@ -25,6 +26,8 @@ type PredOp uint8
 // Predicate operator codes. The *Nil int variants skip the nil sentinel
 // (bat.NilInt sorts below every value, so plain <, <=, <> would let
 // stored NULLs qualify); PredIsNull/PredIsNotNull select ON nil-ness.
+// PredInBits keeps the int values whose bit is set in a key bitmap: the
+// exact filter a join build publishes on its probe side.
 const (
 	PredGe PredOp = iota
 	PredLt
@@ -45,14 +48,21 @@ const (
 	PredIsNotNull
 	PredIsNullF
 	PredIsNotNullF
+	PredInBits
 )
 
-// Pred is one predicate: column ColIdx compared against a constant.
+// Pred is one predicate: column ColIdx compared against a constant, or
+// for PredInBits tested against Bits, where bit k stands for the value
+// IntVal+k.
 type Pred struct {
 	ColIdx int
 	Op     PredOp
 	IntVal int64
 	FltVal float64
+	Bits   []uint64
+	// In and Kept, when set, count the rows that reach this predicate
+	// and the rows it lets through. Every worker's Filter shares them.
+	In, Kept *int64
 }
 
 // Open implements Operator.
@@ -68,6 +78,13 @@ func (f *Filter) Next() (*Batch, error) {
 		sel := b.Sel
 		for pi := range f.Preds {
 			p := &f.Preds[pi]
+			if p.In != nil {
+				in := len(sel)
+				if sel == nil {
+					in = b.N
+				}
+				atomic.AddInt64(p.In, int64(in))
+			}
 			out := f.sel[:0]
 			if out == nil {
 				// nil means "all rows" to the primitives; an empty
@@ -114,8 +131,13 @@ func (f *Filter) Next() (*Batch, error) {
 				out = SelNilFloat(c.Floats, sel, out)
 			case PredIsNotNullF:
 				out = SelNotNilFloat(c.Floats, sel, out)
+			case PredInBits:
+				out = SelInBitsInt(c.Ints, sel, p.IntVal, p.Bits, out)
 			default:
 				return nil, fmt.Errorf("vector: bad predicate op %d", p.Op)
+			}
+			if p.Kept != nil {
+				atomic.AddInt64(p.Kept, int64(len(out)))
 			}
 			f.sel, f.tmp = f.tmp, out
 			sel = out

@@ -716,3 +716,25 @@ func MaxFloatNilPerGroup(col []float64, sel []int32, gids []int32, accs []float6
 	}
 	return accs
 }
+
+// SelInBitsInt appends indexes whose value x has bit x-base set in bits.
+// The offset is taken modulo 2^64, so a set bit always names the value
+// itself: values below base wrap far past the bitmap, and the nil
+// sentinel, never a key, never has its bit set.
+func SelInBitsInt(col []int64, sel []int32, base int64, bits []uint64, out []int32) []int32 {
+	n := uint64(len(bits)) * 64
+	if sel == nil {
+		for i, x := range col {
+			if d := uint64(x - base); d < n && bits[d>>6]&(1<<(d&63)) != 0 {
+				out = append(out, int32(i))
+			}
+		}
+		return out
+	}
+	for _, i := range sel {
+		if d := uint64(col[i] - base); d < n && bits[d>>6]&(1<<(d&63)) != 0 {
+			out = append(out, i)
+		}
+	}
+	return out
+}

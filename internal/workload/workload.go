@@ -1,6 +1,6 @@
 // Package workload generates the synthetic datasets and query logs the
 // experiment harness uses in place of the paper's benchmark data
-// (substitutions documented in DESIGN.md §3): uniform/zipf/sorted integer
+// (the experiments of cmd/experiments, E1–E15): uniform/zipf/sorted integer
 // columns, a TPC-H-lineitem-shaped table for the analytical queries, and a
 // Skyserver-shaped query log (overlapping range predicates over few
 // columns) for the recycler experiment.
