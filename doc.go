@@ -39,7 +39,8 @@
 //   - Whether a MAL join radix-clusters BOTH sides (Figure 2) or stays
 //     flat is decided by the §4.4 cost model (radix.ShouldCluster on a
 //     calibrated hierarchy with an LLC level), not a fixed threshold;
-//     BenchmarkBandJoin sweeps the A/B the calibration reproduces.
+//     the band rows of experiment E3 sweep the A/B the calibration
+//     reproduces.
 //
 //   - Pipelines parallelize morsel-driven: vector.Exchange splits a
 //     Source into morsels handed out by an atomic cursor, runs one
@@ -51,9 +52,9 @@
 //     [4096, 65536]. So every worker gets about four morsels, a table
 //     of at most 4096 rows stays one morsel on one worker, and 64K
 //     rows bound cancellation: a context on the Exchange cancels at
-//     morsel boundaries. Experiment E15 and BenchmarkE15ParallelScaling
-//     measure the scaling. An Exchange never starts more workers than
-//     there are morsels to claim.
+//     morsel boundaries. Experiment E15 measures the scaling. An
+//     Exchange never starts more workers than there are morsels to
+//     claim.
 //
 //   - Scans skip what zone maps rule out. Every INT/FLOAT column has a
 //     sqlfe.ZoneMap — per 1024-row zone the min and max over the

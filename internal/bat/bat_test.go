@@ -2,7 +2,6 @@ package bat
 
 import (
 	"bytes"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -347,29 +346,6 @@ func TestHeapBytes(t *testing.T) {
 	if got := s.HeapBytes(); got != 4*2+5 {
 		t.Fatalf("str heap = %d, want 13", got)
 	}
-}
-
-func BenchmarkAppendInt(b *testing.B) {
-	bb := New(TypeInt)
-	for i := 0; i < b.N; i++ {
-		bb.AppendInt(int64(i))
-	}
-}
-
-func BenchmarkPositionalRead(b *testing.B) {
-	const n = 1 << 20
-	bb := FromInts(make([]int64, n))
-	r := rand.New(rand.NewSource(1))
-	idx := make([]int, 4096)
-	for i := range idx {
-		idx[i] = r.Intn(n)
-	}
-	b.ResetTimer()
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		sink += bb.IntAt(idx[i&4095])
-	}
-	_ = sink
 }
 
 func TestAccessorPanics(t *testing.T) {

@@ -242,38 +242,3 @@ func checkAligned(a, b int) {
 		panic(fmt.Sprintf("batalg: unaligned operands: %d vs %d", a, b))
 	}
 }
-
-// AppendBAT appends all of src's tail values to dst (same tail type),
-// returning dst. It is the bulk update primitive the delta-BAT design of
-// the SQL front-end relies on.
-func AppendBAT(dst, src *bat.BAT) *bat.BAT {
-	if dst.TailType() != src.TailType() {
-		panic(fmt.Sprintf("batalg: append %s to %s", src.TailType(), dst.TailType()))
-	}
-	n := src.Len()
-	switch dst.TailType() {
-	case bat.TypeInt:
-		for _, v := range src.Ints() {
-			dst.AppendInt(v)
-		}
-	case bat.TypeFloat:
-		for _, v := range src.Floats() {
-			dst.AppendFloat(v)
-		}
-	case bat.TypeBool:
-		for _, v := range src.Bools() {
-			dst.AppendBool(v)
-		}
-	case bat.TypeStr:
-		for i := 0; i < n; i++ {
-			dst.AppendStr(src.StrAt(i))
-		}
-	case bat.TypeOID:
-		for _, v := range src.OIDs() {
-			dst.AppendOID(v)
-		}
-	default:
-		panic("batalg: append to void tail")
-	}
-	return dst
-}

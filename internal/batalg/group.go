@@ -219,14 +219,6 @@ func SumCount(b *bat.BAT) (int64, int64) {
 	return s, n
 }
 
-// SumFloat folds a float tail to its total. NaN — the float nil
-// stand-in (see batalg.DivFloatNil) — is skipped, like NilInt in Sum;
-// the check is v == v, one predictable compare per element.
-func SumFloat(b *bat.BAT) float64 {
-	s, _ := SumFloatCount(b)
-	return s
-}
-
 // SumFloatCount is SumCount for float tails (NaN = nil).
 func SumFloatCount(b *bat.BAT) (float64, int64) {
 	var s float64

@@ -75,12 +75,6 @@ func TestMinMaxEmpty(t *testing.T) {
 	}
 }
 
-func TestSumFloat(t *testing.T) {
-	if got := SumFloat(bat.FromFloats([]float64{0.5, 1.5})); got != 2.0 {
-		t.Fatalf("sumf = %v", got)
-	}
-}
-
 func TestPerGroupAggregates(t *testing.T) {
 	keys := bat.FromInts([]int64{1, 2, 1, 2, 1})
 	vals := bat.FromInts([]int64{10, 20, 30, 40, 50})
@@ -265,28 +259,6 @@ func TestCalcUnalignedPanics(t *testing.T) {
 		}
 	}()
 	Add(bat.FromInts([]int64{1}), bat.FromInts([]int64{1, 2}))
-}
-
-func TestAppendBAT(t *testing.T) {
-	dst := bat.FromInts([]int64{1})
-	AppendBAT(dst, bat.FromInts([]int64{2, 3}))
-	if !reflect.DeepEqual(dst.Ints(), []int64{1, 2, 3}) {
-		t.Fatalf("append = %v", dst.Ints())
-	}
-	sd := bat.FromStrings([]string{"a"})
-	AppendBAT(sd, bat.FromStrings([]string{"b"}))
-	if sd.StrAt(1) != "b" {
-		t.Fatal("str append wrong")
-	}
-}
-
-func TestAppendBATTypeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	AppendBAT(bat.FromInts(nil), bat.FromFloats(nil))
 }
 
 // --- property tests: the open-addressing grouping core vs the old

@@ -115,33 +115,3 @@ func JoinStr(l, r *bat.BAT) (*bat.BAT, *bat.BAT) {
 	}
 	return bat.FromOIDs(lout), bat.FromOIDs(rout)
 }
-
-// SemiJoin returns the left head OIDs with at least one match in r. Nil
-// left values never match and are excluded.
-func SemiJoin(l, r *bat.BAT) *bat.BAT {
-	jt := radix.NewJoinTable(r.Ints())
-	lt := l.Ints()
-	out := make([]bat.OID, 0)
-	for i, v := range lt {
-		if jt.Contains(v) {
-			out = append(out, l.HSeq()+bat.OID(i))
-		}
-	}
-	return candList(out)
-}
-
-// AntiJoin returns the left head OIDs with no match in r. Because nil
-// never matches, nil left values always qualify (BAT-algebra anti-join
-// complements SemiJoin; SQL NOT IN's three-valued logic is the
-// front-end's concern).
-func AntiJoin(l, r *bat.BAT) *bat.BAT {
-	jt := radix.NewJoinTable(r.Ints())
-	lt := l.Ints()
-	out := make([]bat.OID, 0)
-	for i, v := range lt {
-		if !jt.Contains(v) {
-			out = append(out, l.HSeq()+bat.OID(i))
-		}
-	}
-	return candList(out)
-}

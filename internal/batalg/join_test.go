@@ -1,7 +1,6 @@
 package batalg
 
 import (
-	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -152,57 +151,5 @@ func TestJoinStr(t *testing.T) {
 	want := []pair{{0, 0}, {2, 0}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("join str = %v, want %v", got, want)
-	}
-}
-
-func TestSemiAntiJoin(t *testing.T) {
-	l := bat.FromInts([]int64{1, 2, 3, 4})
-	r := bat.FromInts([]int64{2, 4, 9})
-	if got := SemiJoin(l, r).OIDs(); !reflect.DeepEqual(got, []bat.OID{1, 3}) {
-		t.Fatalf("semi = %v", got)
-	}
-	if got := AntiJoin(l, r).OIDs(); !reflect.DeepEqual(got, []bat.OID{0, 2}) {
-		t.Fatalf("anti = %v", got)
-	}
-}
-
-// Property: SemiJoin ∪ AntiJoin partitions the left head.
-func TestQuickSemiAntiPartition(t *testing.T) {
-	f := func(ls, rs []uint8) bool {
-		li := make([]int64, len(ls))
-		ri := make([]int64, len(rs))
-		for i, v := range ls {
-			li[i] = int64(v % 10)
-		}
-		for i, v := range rs {
-			ri[i] = int64(v % 10)
-		}
-		l, r := bat.FromInts(li), bat.FromInts(ri)
-		s := SemiJoin(l, r)
-		a := AntiJoin(l, r)
-		if s.Len()+a.Len() != l.Len() {
-			return false
-		}
-		u := Union(s, a)
-		return u.Len() == l.Len()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkHashJoin64K(b *testing.B) {
-	r := rand.New(rand.NewSource(7))
-	n := 1 << 16
-	li := make([]int64, n)
-	ri := make([]int64, n)
-	for i := range li {
-		li[i] = r.Int63n(int64(n))
-		ri[i] = r.Int63n(int64(n))
-	}
-	l, rr := bat.FromInts(li), bat.FromInts(ri)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Join(l, rr)
 	}
 }

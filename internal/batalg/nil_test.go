@@ -99,21 +99,6 @@ func TestQuickMergeJoinNilAware(t *testing.T) {
 	}
 }
 
-func TestSemiAntiJoinNilSemantics(t *testing.T) {
-	l := bat.FromInts([]int64{1, bat.NilInt, 2, 3, bat.NilInt})
-	r := bat.FromInts([]int64{2, bat.NilInt, 1})
-	semi := SemiJoin(l, r)
-	// Nil left values never match: excluded from the semijoin.
-	if got := semi.OIDs(); !reflect.DeepEqual(got, []bat.OID{0, 2}) {
-		t.Fatalf("SemiJoin = %v", got)
-	}
-	// ... and therefore always qualify for the anti-join.
-	anti := AntiJoin(l, r)
-	if got := anti.OIDs(); !reflect.DeepEqual(got, []bat.OID{1, 3, 4}) {
-		t.Fatalf("AntiJoin = %v", got)
-	}
-}
-
 func TestCountNonNil(t *testing.T) {
 	b := bat.FromInts([]int64{1, bat.NilInt, 2, bat.NilInt, bat.NilInt})
 	if got := Count(b); got != 5 {

@@ -342,19 +342,6 @@ func SelectNotNil(b *bat.BAT) *bat.BAT {
 	return candList(out)
 }
 
-// SelectBool returns head OIDs where the bool tail equals v.
-func SelectBool(b *bat.BAT, v bool) *bat.BAT {
-	tail := b.Bools()
-	hseq := b.HSeq()
-	out := make([]bat.OID, 0, selCap(b))
-	for i, x := range tail {
-		if x == v {
-			out = append(out, hseq+bat.OID(i))
-		}
-	}
-	return candList(out)
-}
-
 // SelectCand re-selects within a candidate list: it returns the subset of
 // cand whose corresponding int tail value in b satisfies (op v). This is how
 // conjunctive WHERE clauses chain without re-touching disqualified tuples.
@@ -399,13 +386,6 @@ func candList(oids []bat.OID) *bat.BAT {
 // naming every tuple.
 func Mirror(b *bat.BAT) *bat.BAT {
 	return bat.NewVoid(b.HSeq(), b.Len())
-}
-
-// Mark renumbers: it returns a BAT whose tail is a dense OID sequence
-// starting at base, aligned with b's head. With virtual heads this is just a
-// void BAT of the same length.
-func Mark(b *bat.BAT, base bat.OID) *bat.BAT {
-	return bat.NewVoid(base, b.Len())
 }
 
 // Diff returns the candidate OIDs of a (sorted candidate list) that do not

@@ -1,7 +1,6 @@
 package batalg
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -121,14 +120,6 @@ func TestSelectStr(t *testing.T) {
 	}
 }
 
-func TestSelectBool(t *testing.T) {
-	b := bat.FromBools([]bool{true, false, true})
-	got := SelectBool(b, true)
-	if !reflect.DeepEqual(oids(got), []bat.OID{0, 2}) {
-		t.Fatalf("= %v", oids(got))
-	}
-}
-
 func TestSelectCandChains(t *testing.T) {
 	// WHERE v >= 2 AND v <= 3 via chained candidate selection.
 	b := bat.FromInts([]int64{1, 2, 3, 4, 2})
@@ -140,16 +131,12 @@ func TestSelectCandChains(t *testing.T) {
 	}
 }
 
-func TestMirrorAndMark(t *testing.T) {
+func TestMirror(t *testing.T) {
 	b := bat.FromInts([]int64{9, 9, 9})
 	b.SetHSeq(5)
 	m := Mirror(b)
 	if m.Len() != 3 || m.OIDAt(0) != 5 {
 		t.Fatalf("mirror len=%d first=%d", m.Len(), m.OIDAt(0))
-	}
-	mk := Mark(b, 1000)
-	if mk.OIDAt(2) != 1002 {
-		t.Fatalf("mark = %d", mk.OIDAt(2))
 	}
 }
 
@@ -246,18 +233,5 @@ func TestQuickSelectCandEqualsIntersect(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkSelectUnsorted1M(b *testing.B) {
-	r := rand.New(rand.NewSource(42))
-	xs := make([]int64, 1<<20)
-	for i := range xs {
-		xs[i] = r.Int63n(1000)
-	}
-	bb := bat.FromInts(xs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Select(bb, 500)
 	}
 }

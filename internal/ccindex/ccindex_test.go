@@ -238,42 +238,3 @@ func TestTracePositionalBeatsBTree(t *testing.T) {
 			pos.TimeNS, bt.TimeNS)
 	}
 }
-
-func BenchmarkLookup1M(b *testing.B) {
-	n := 1 << 20
-	keys := make([]int64, n)
-	for i := range keys {
-		keys[i] = int64(i * 2)
-	}
-	bt := NewBTree(16)
-	for i, k := range keys {
-		bt.Insert(k, int64(i))
-	}
-	css := BuildCSS(keys, 8)
-	csb := BuildCSB(keys, 8)
-	r := rand.New(rand.NewSource(1))
-	probes := make([]int64, 4096)
-	for i := range probes {
-		probes[i] = int64(r.Intn(n) * 2)
-	}
-	b.Run("binary", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			BinarySearch(keys, probes[i&4095])
-		}
-	})
-	b.Run("btree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bt.Get(probes[i&4095])
-		}
-	})
-	b.Run("css", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			css.Search(probes[i&4095])
-		}
-	})
-	b.Run("csb", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			csb.Search(probes[i&4095])
-		}
-	})
-}

@@ -267,38 +267,6 @@ func TestBitPacking(t *testing.T) {
 	}
 }
 
-// BenchmarkDecompress measures ns/tuple; the paper claims < 5 cycles/tuple
-// for the C implementation — `go run ./cmd/experiments E7` prints the Go numbers.
-func BenchmarkPFORDecompress(b *testing.B) {
-	r := rand.New(rand.NewSource(7))
-	vals := make([]int64, 1<<16)
-	for i := range vals {
-		vals[i] = r.Int63n(256)
-	}
-	p := CompressPFOR(vals)
-	dst := make([]int64, len(vals))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Decompress(dst)
-	}
-	b.SetBytes(int64(len(vals) * 8))
-}
-
-func BenchmarkPDICTDecompress(b *testing.B) {
-	r := rand.New(rand.NewSource(8))
-	vals := make([]int64, 1<<16)
-	for i := range vals {
-		vals[i] = int64(r.Intn(64)) * 1000003
-	}
-	p := CompressPDICT(vals)
-	dst := make([]int64, len(vals))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Decompress(dst)
-	}
-	b.SetBytes(int64(len(vals) * 8))
-}
-
 func TestFORRoundTripAndAblation(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	vals := make([]int64, 2000)

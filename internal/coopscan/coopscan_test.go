@@ -85,15 +85,3 @@ func TestMoreQueriesDoNotIncreaseCoopFetchesMuch(t *testing.T) {
 		t.Fatalf("coop fetches should stay near table size: 2q=%d 16q=%d", f2, f16)
 	}
 }
-
-func BenchmarkLRU8Queries(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		RunLRU(testDisk, 8, 100, 50)
-	}
-}
-
-func BenchmarkCooperative8Queries(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		RunCooperative(testDisk, 8, 100, 50)
-	}
-}

@@ -270,23 +270,3 @@ func TestConvergenceTowardsSorted(t *testing.T) {
 		t.Fatalf("still cracking heavily: %d new cracks", ix.Cracks-before)
 	}
 }
-
-func BenchmarkCrackQuerySequence(b *testing.B) {
-	r := rand.New(rand.NewSource(3))
-	vals := make([]int64, 1<<20)
-	for i := range vals {
-		vals[i] = r.Int63n(1 << 20)
-	}
-	col := bat.FromInts(vals)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		ix := New(col)
-		qr := rand.New(rand.NewSource(4))
-		b.StartTimer()
-		for q := 0; q < 100; q++ {
-			lo := qr.Int63n(1 << 19)
-			ix.RangeOIDs(lo, lo+1000)
-		}
-	}
-}

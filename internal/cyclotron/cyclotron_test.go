@@ -91,15 +91,3 @@ func TestMoreNodesScaleCyclotron(t *testing.T) {
 			b.Throughput, s.Throughput)
 	}
 }
-
-func BenchmarkCyclotron(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		RunCyclotron(paperCfg, 10000, 1)
-	}
-}
-
-func BenchmarkRequestResponse(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		RunRequestResponse(paperCfg, 10000, 1)
-	}
-}

@@ -147,35 +147,3 @@ func TestQuickEnginesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkPerEvent(b *testing.B) {
-	queries := make([]Query, 8)
-	for i := range queries {
-		queries[i] = Query{ID: i, Lo: int64(i * 10), Hi: int64(i*10 + 30), Window: 1 << 16}
-	}
-	events := genEvents(1<<16, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := NewPerEventEngine(queries)
-		for _, ev := range events {
-			e.Push(ev)
-		}
-		e.Flush()
-	}
-}
-
-func BenchmarkBulkBasket4096(b *testing.B) {
-	queries := make([]Query, 8)
-	for i := range queries {
-		queries[i] = Query{ID: i, Lo: int64(i * 10), Hi: int64(i*10 + 30), Window: 1 << 16}
-	}
-	events := genEvents(1<<16, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, _ := NewEngine(4096, queries)
-		for _, ev := range events {
-			e.Push(ev)
-		}
-		e.Flush()
-	}
-}

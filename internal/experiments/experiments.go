@@ -189,11 +189,19 @@ func E2() Table {
 	return t
 }
 
+// e3BandSizes are the build sizes of E3's flat-join band sweep: from an
+// L2-resident table to one past the LLC.
+var e3BandSizes = []int{32_000, 64_000, 128_000, 256_000, 512_000, 1 << 20}
+
 // E3 sweeps radix bits and passes: simulated misses for the clustering
-// phase, plus wall-clock simple vs partitioned hash join (Figure 2).
+// phase, plus wall-clock simple vs partitioned hash join (Figure 2). Its
+// band rows are the A/B that calibrates radix.ShouldCluster (§4.4): flat
+// batalg.Join against both-sides radix-clustered radix.JoinBATs at each
+// of e3BandSizes, beside the side the cost model picks.
 func E3() Table {
 	t := Table{ID: "E3", Title: "radix-cluster / partitioned hash-join (Figure 2)",
-		Header: []string{"config", "L1 miss/tuple", "L2 miss/tuple", "TLB miss/tuple", "sim ns/tuple"}}
+		Header: []string{"config", "L1 miss/tuple", "L2 miss/tuple", "TLB miss/tuple", "sim ns/tuple",
+			"flat ns/tuple", "radix ns/tuple", "model"}}
 	h := simhw.Default()
 	n := 1 << 18
 	for _, cfg := range []struct {
@@ -214,6 +222,7 @@ func E3() Table {
 			fmt.Sprintf("%.2f", float64(st.Levels[1].Misses())/float64(n)),
 			fmt.Sprintf("%.2f", float64(st.TLBMisses)/float64(n)),
 			fmt.Sprintf("%.0f", st.TimeNS/float64(n)),
+			"-", "-", "-",
 		})
 	}
 	// Join comparison: wall clock at a size exceeding the host LLC.
@@ -235,13 +244,29 @@ func E3() Table {
 		fmt.Sprintf("join simple (wall %.0f ns/t @4M)", float64(simpleT.Nanoseconds())/float64(nj)),
 		"-", "-",
 		fmt.Sprintf("%.2f", float64(simS.TLBMisses)/float64(n)),
-		fmt.Sprintf("%.0f", simS.TimeNS/float64(n))})
+		fmt.Sprintf("%.0f", simS.TimeNS/float64(n)),
+		"-", "-", "-"})
 	t.Rows = append(t.Rows, []string{
 		fmt.Sprintf("join partitioned B=%d P=2 (wall %.0f ns/t @4M)", bits, float64(partT.Nanoseconds())/float64(nj)),
 		"-", "-",
 		fmt.Sprintf("%.2f", float64(simP.TLBMisses)/float64(n)),
-		fmt.Sprintf("%.0f", simP.TimeNS/float64(n))})
-	t.Notes = "paper claim: multi-pass clustering avoids TLB/cache thrash; partitioned join ~order of magnitude over simple"
+		fmt.Sprintf("%.0f", simP.TimeNS/float64(n)),
+		"-", "-", "-"})
+	const cache = 512 << 10
+	for _, nb := range e3BandSizes {
+		l := bat.FromInts(workload.UniformInts(nb, int64(nb), 31))
+		r := bat.FromInts(workload.UniformInts(nb, int64(nb), 32))
+		flatT := minRun(3, func() { batalg.Join(l, r) })
+		radixT := minRun(3, func() { radix.JoinBATs(l, r, cache) })
+		model := "flat"
+		if radix.ShouldCluster(nb, nb, cache) {
+			model = "radix"
+		}
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("band n=%d", nb), "-", "-", "-", "-",
+			ns(flatT, nb), ns(radixT, nb), model})
+	}
+	t.Notes = "paper claim: multi-pass clustering avoids TLB/cache thrash; partitioned join ~order of magnitude over simple. " +
+		"Band rows: radix.ShouldCluster should pick the faster of flat and radix"
 	return t
 }
 

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/radix"
 )
 
-// The fast experiments are executed outright; heavyweight ones are covered
-// by cmd/experiments and the root benchmarks.
+// The fast experiments, and E3 for its band rows, are executed outright;
+// the heavyweight ones are covered by cmd/experiments.
 
 func TestTableString(t *testing.T) {
 	tb := Table{ID: "EX", Title: "demo", Header: []string{"a", "bb"},
@@ -69,6 +72,34 @@ func sscanf(s string, out *float64) (int, error) {
 	}
 	*out = v
 	return 1, nil
+}
+
+// E3's band rows are the calibration sweep behind radix.ShouldCluster:
+// one per size, each naming the side the model picks. Wall times are not
+// asserted.
+func TestE3BandRowsMatchModel(t *testing.T) {
+	var band [][]string
+	for _, r := range E3().Rows {
+		if strings.HasPrefix(r[0], "band ") {
+			band = append(band, r)
+		}
+	}
+	if len(band) != len(e3BandSizes) {
+		t.Fatalf("band rows = %d, want %d", len(band), len(e3BandSizes))
+	}
+	for i, n := range e3BandSizes {
+		r := band[i]
+		if r[0] != fmt.Sprintf("band n=%d", n) {
+			t.Fatalf("band row %d is %q, want size %d", i, r[0], n)
+		}
+		want := "flat"
+		if radix.ShouldCluster(n, n, 512<<10) {
+			want = "radix"
+		}
+		if got := r[len(r)-1]; got != want {
+			t.Fatalf("n=%d: model column %q, ShouldCluster says %q", n, got, want)
+		}
+	}
 }
 
 func TestE8CoopBeatsLRU(t *testing.T) {

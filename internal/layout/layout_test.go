@@ -127,31 +127,3 @@ func TestTraceScanFullWidthNSMCompetitive(t *testing.T) {
 		t.Fatalf("full-width scan: NSM %d vs DSM %d should be comparable", nm, dm)
 	}
 }
-
-func BenchmarkScanOneOfEight(b *testing.B) {
-	rows, cols := 1<<20, 8
-	for name, rel := range relations(rows, cols) {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rel.ScanSum([]int{3})
-			}
-		})
-	}
-}
-
-func BenchmarkGatherAllColumns(b *testing.B) {
-	rows, cols := 1<<20, 8
-	r := rand.New(rand.NewSource(1))
-	idx := make([]int, 1<<14)
-	for i := range idx {
-		idx[i] = r.Intn(rows)
-	}
-	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	for name, rel := range relations(rows, cols) {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rel.GatherSum(idx, all)
-			}
-		})
-	}
-}

@@ -28,19 +28,25 @@ type Result struct {
 // plan since scans filter tombstones — and stays in the signature for
 // callers outside this module (bench/probes.go).
 func (p *Plan) Execute(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options) (*Result, *Fallback, error) {
+	var res *Result
+	var err error
 	switch root := p.Root.(type) {
 	case *ProjectNode:
 		if sn, ok := root.Child.(*SortNode); ok {
-			return p.execSort(ctx, snap, args, opts, root, sn)
+			res, err = p.execSort(ctx, snap, args, opts, root, sn)
+		} else {
+			res, err = p.execPlain(ctx, snap, args, opts, root)
 		}
-		return p.execPlain(ctx, snap, args, opts, root)
 	case *GroupAggNode:
 		if len(root.Keys) == 0 {
-			return p.execGlobalAgg(ctx, snap, args, opts, root)
+			res, err = p.execGlobalAgg(ctx, snap, args, opts, root)
+		} else {
+			res, err = p.execGrouped(ctx, snap, args, opts, root)
 		}
-		return p.execGrouped(ctx, snap, args, opts, root)
+	default:
+		err = fmt.Errorf("physical: unexecutable plan root %T", p.Root)
 	}
-	return nil, nil, fmt.Errorf("physical: unexecutable plan root %T", p.Root)
+	return res, nil, err
 }
 
 // DataFallback always returns nil: routing no longer depends on the
@@ -830,10 +836,10 @@ func remapExpr(e vector.Expr, remap []int) vector.Expr {
 
 // --- plain projection ---
 
-func (p *Plan) execPlain(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, proj *ProjectNode) (*Result, *Fallback, error) {
+func (p *Plan) execPlain(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, proj *ProjectNode) (*Result, error) {
 	pl, err := p.pipelineFor(ctx, snap, args, opts, proj.Child)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	exprs := make([]vector.Expr, len(proj.Outs))
 	identity := len(proj.Outs) == pl.width
@@ -851,17 +857,17 @@ func (p *Plan) execPlain(ctx context.Context, snap *sqlfe.Snapshot, args []any, 
 		return &vector.Project{Child: in, Exprs: exprs}
 	})
 	if err := op.Open(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &Result{Op: op, Limit: p.Limit}, nil, nil
+	return &Result{Op: op, Limit: p.Limit}, nil
 }
 
 // --- ORDER BY: per-worker sorted runs + k-way merge ---
 
-func (p *Plan) execSort(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, proj *ProjectNode, sn *SortNode) (*Result, *Fallback, error) {
+func (p *Plan) execSort(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, proj *ProjectNode, sn *SortNode) (*Result, error) {
 	pl, err := p.pipelineFor(ctx, snap, args, opts, sn.Child)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	key := pl.remap[sn.Key]
 	var ties []int
@@ -917,9 +923,9 @@ func (p *Plan) execSort(ctx context.Context, snap *sqlfe.Snapshot, args []any, o
 	}
 	out := &vector.Project{Child: merge, Exprs: exprs}
 	if err := out.Open(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &Result{Op: out, Limit: p.Limit}, nil, nil
+	return &Result{Op: out, Limit: p.Limit}, nil
 }
 
 // --- aggregate plumbing shared by the global and grouped forms ---
@@ -961,10 +967,10 @@ func aggSetup(g *GroupAggNode, pl *pipeline) (specs []vector.AggSpec, wrap func(
 
 // --- global aggregates ---
 
-func (p *Plan) execGlobalAgg(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, g *GroupAggNode) (*Result, *Fallback, error) {
+func (p *Plan) execGlobalAgg(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, g *GroupAggNode) (*Result, error) {
 	pl, err := p.pipelineFor(ctx, snap, args, opts, g.Child)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	specs, wrap, _ := aggSetup(g, pl)
 	op, parts := pl.run(opts.workers(), false, func(in vector.Operator) vector.Operator {
@@ -978,7 +984,7 @@ func (p *Plan) execGlobalAgg(ctx context.Context, snap *sqlfe.Snapshot, args []a
 	}
 	row, err := drainOne(op)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Shape the single result row with SQL NULL semantics — sum/avg over
 	// zero non-nil inputs is NULL, as is min/max over none. The row is
@@ -1025,17 +1031,17 @@ func (p *Plan) execGlobalAgg(ctx context.Context, snap *sqlfe.Snapshot, args []a
 	}
 	out := &batchOp{b: &vector.Batch{N: 1, Cols: cols}}
 	if err := out.Open(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &Result{Op: out, Limit: p.Limit}, nil, nil
+	return &Result{Op: out, Limit: p.Limit}, nil
 }
 
 // --- grouped aggregates (any key count, optional ORDER BY) ---
 
-func (p *Plan) execGrouped(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, g *GroupAggNode) (*Result, *Fallback, error) {
+func (p *Plan) execGrouped(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, g *GroupAggNode) (*Result, error) {
 	pl, err := p.pipelineFor(ctx, snap, args, opts, g.Child)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	specs, wrap, keyIdx := aggSetup(g, pl)
 	op, parts := pl.run(opts.workers(), false, func(in vector.Operator) vector.Operator {
@@ -1059,7 +1065,7 @@ func (p *Plan) execGrouped(ctx context.Context, snap *sqlfe.Snapshot, args []any
 		return p.graceGrouped(ctx, opts, mk, chainCols, pl.src.ScanRows(), keyIdx, g, specs)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	return p.finishGrouped(merged, g, opts.Stats)
 }
@@ -1067,7 +1073,7 @@ func (p *Plan) execGrouped(ctx context.Context, snap *sqlfe.Snapshot, args []any
 // finishGrouped shapes a merged [keys..., accs...] batch into the
 // select-list columns and applies the grouped ORDER BY, emitting the
 // whole result as one batch.
-func (p *Plan) finishGrouped(merged *vector.Batch, g *GroupAggNode, stats *ExecStats) (*Result, *Fallback, error) {
+func (p *Plan) finishGrouped(merged *vector.Batch, g *GroupAggNode, stats *ExecStats) (*Result, error) {
 	out := &vector.Batch{N: merged.N, Cols: shapeGrouped(merged, g)}
 	if g.OrderBy >= 0 && merged.N > 1 && p.Limit != 0 {
 		// Sort by the chosen output item; ties break on the full group-key
@@ -1083,7 +1089,7 @@ func (p *Plan) finishGrouped(merged *vector.Batch, g *GroupAggNode, stats *ExecS
 		}
 		src, err := vector.NewSourceWithLen(make([]string, len(comb)), comb, merged.N)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		runs := &vector.RunSet{}
 		if stats != nil {
@@ -1092,16 +1098,16 @@ func (p *Plan) finishGrouped(merged *vector.Batch, g *GroupAggNode, stats *ExecS
 		sorted, err := drainOne(&vector.SortRun{Child: vector.NewScan(src, 0), Key: g.OrderBy, RowID: -1,
 			Ties: ties, Desc: g.OrderDesc, Limit: p.Limit, Runs: runs})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		runs.Stats.Kept.Add(int64(sorted.N))
 		out = &vector.Batch{N: sorted.N, Cols: sorted.Cols[:ns]}
 	}
 	op := &batchOp{b: out}
 	if err := op.Open(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &Result{Op: op, Limit: p.Limit}, nil, nil
+	return &Result{Op: op, Limit: p.Limit}, nil
 }
 
 // shapeGrouped shapes a merged [keys..., accs...] grouped-aggregate

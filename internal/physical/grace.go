@@ -273,26 +273,26 @@ func partitionOp(ctx context.Context, opts Options, op vector.Operator, ncols in
 // so their shaped outputs concatenate into the full result. With a
 // grouped ORDER BY the partition results are collected and sorted as
 // one batch (an ordered result materializes either way).
-func (p *Plan) graceGrouped(ctx context.Context, opts Options, mk func() vector.Operator, ncols, estRows int, keyIdx []int, g *GroupAggNode, specs []vector.AggSpec) (*Result, *Fallback, error) {
+func (p *Plan) graceGrouped(ctx context.Context, opts Options, mk func() vector.Operator, ncols, estRows int, keyIdx []int, g *GroupAggNode, specs []vector.AggSpec) (*Result, error) {
 	// Worst-case grouping state scales with the input rows (every row
 	// its own group): 8 bytes a cell plus table overhead per row.
 	stateBytes := int64(estRows) * int64(8*ncols+16)
 	bits := graceBits(stateBytes, graceHeadroom(opts.Gov))
 	parts, _, err := partitionOp(ctx, opts, mk(), ncols, keyIdx, bits, "grp")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	op := &graceGroupOp{ctx: ctx, parts: parts, g: g, keys: keyIdx, specs: specs, res: opts.Gov}
 	if g.OrderBy < 0 {
 		if err := op.Open(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return &Result{Op: op, Limit: p.Limit}, nil, nil
+		return &Result{Op: op, Limit: p.Limit}, nil
 	}
 	op.raw = true
 	merged, err := collectMerged(op, len(keyIdx), specs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	return p.finishGrouped(merged, g, opts.Stats)
 }

@@ -18,7 +18,8 @@ import (
 // where the paper-era model mispredicts by assuming every L2 miss pays
 // DRAM latency. Without the L3 level the model clusters from ~50K rows;
 // measured on real hardware the flat join wins until the table outgrows
-// the LLC (BenchmarkBandJoin is the A/B sweep).
+// the LLC (the band rows of `go run ./cmd/experiments E3` are the A/B
+// sweep).
 // Latencies are EFFECTIVE, not architectural: an out-of-order core keeps
 // several hash-probe misses in flight, so the per-probe cost observed in
 // the flat-join sweep (~35ns per L3-resident probe, ~80ns past the LLC)

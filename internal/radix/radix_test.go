@@ -344,36 +344,3 @@ func TestTraceDeclusterBeatsNaive(t *testing.T) {
 		t.Fatalf("naive L2 misses (%d) should exceed decluster (%d)", naiveMiss, decMiss)
 	}
 }
-
-func BenchmarkSimpleHashJoin256K(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	n := 1 << 18
-	lv := make([]int64, n)
-	rv := make([]int64, n)
-	for i := range lv {
-		lv[i] = r.Int63n(int64(n))
-		rv[i] = r.Int63n(int64(n))
-	}
-	l, rr := mkTuples(lv), mkTuples(rv)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SimpleHashJoin(l, rr)
-	}
-}
-
-func BenchmarkPartitionedHashJoin256K(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	n := 1 << 18
-	lv := make([]int64, n)
-	rv := make([]int64, n)
-	for i := range lv {
-		lv[i] = r.Int63n(int64(n))
-		rv[i] = r.Int63n(int64(n))
-	}
-	l, rr := mkTuples(lv), mkTuples(rv)
-	bits := JoinBits(n, 512<<10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PartitionedHashJoin(l, rr, SplitBits(bits, 2))
-	}
-}

@@ -106,9 +106,6 @@ func (t *StrTable) First(key string) int32 {
 // Next returns the row after row in its key chain, or -1 at the end.
 func (t *StrTable) Next(row int32) int32 { return t.next[row] - 1 }
 
-// Contains reports whether key has at least one row.
-func (t *StrTable) Contains(key string) bool { return t.First(key) >= 0 }
-
 // ForEach calls f for every row id matching key, most recent first.
 func (t *StrTable) ForEach(key string, f func(row int32)) {
 	for r := t.First(key); r >= 0; r = t.Next(r) {

@@ -190,10 +190,6 @@ func (t *Table) First(key int64) int32 {
 // Next returns the row after row in its key chain, or -1 at the end.
 func (t *Table) Next(row int32) int32 { return t.next[row] - 1 }
 
-// Contains reports whether key has at least one row (always false for a
-// nil key).
-func (t *Table) Contains(key int64) bool { return t.First(key) >= 0 }
-
 // ForEach calls f for every row id matching key.
 func (t *Table) ForEach(key int64, f func(row int32)) {
 	for r := t.First(key); r >= 0; r = t.Next(r) {
@@ -270,16 +266,6 @@ func (p *PartitionedTable) ForEach(key int64, f func(row int32)) {
 	}
 }
 
-// Contains reports whether key has at least one row, without walking
-// its duplicate chain.
-func (p *PartitionedTable) Contains(key int64) bool {
-	if key == nilKey {
-		return false
-	}
-	t := p.tables[Hash(key)&p.mask]
-	return t != nil && t.First(key) >= 0
-}
-
 // JoinTable is the build side of a hash join over the shared core: a
 // flat Table for cache-resident builds, automatically radix-partitioned
 // past PartitionRows rows. It is read-only once built and safe to share
@@ -313,14 +299,4 @@ func (jt *JoinTable) ForEach(key int64, f func(row int32)) {
 		return
 	}
 	jt.ht.ForEach(key, f)
-}
-
-// Contains reports whether key has at least one build row. Both layouts
-// answer from the slot probe alone — no duplicate-chain walk, so a
-// skewed key costs the same as a unique one.
-func (jt *JoinTable) Contains(key int64) bool {
-	if jt.pt != nil {
-		return jt.pt.Contains(key)
-	}
-	return jt.ht.First(key) >= 0
 }

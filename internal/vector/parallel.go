@@ -245,13 +245,6 @@ type Exchange struct {
 	wg      sync.WaitGroup
 }
 
-// NewParallelScan returns an Exchange that just scans src in parallel:
-// the identity Plan. Useful as a building block and in tests.
-func NewParallelScan(src *Source, workers int) *Exchange {
-	//lint:ignore ctxmorsel bounded building block for tests and benchmarks; callers that need cancellation set Ctx on the returned Exchange
-	return &Exchange{Source: src, Workers: workers, Plan: func(scan Operator) Operator { return scan }}
-}
-
 // Open implements Operator: spawns the workers.
 func (e *Exchange) Open() error {
 	workers := e.Workers
@@ -365,9 +358,9 @@ func q6WorkerPlan(scan Operator) Operator {
 
 // ParallelQ6 is the morsel-parallel TPC-H Q6 plan over a (qty, price,
 // disc) source: per-worker filter+project+partial-sum fragments under an
-// Exchange, re-aggregated by a final sum. Used by the root benchmarks
-// and experiment E15. A workers or morselSize of 0 takes the Exchange
-// defaults (GOMAXPROCS workers, derived morsels).
+// Exchange, re-aggregated by a final sum. Used by experiment E15 and the
+// benchmark's kernel probes. A workers or morselSize of 0 takes the
+// Exchange defaults (GOMAXPROCS workers, derived morsels).
 func ParallelQ6(src *Source, workers, morselSize int) (float64, error) {
 	final := &Agg{
 		//lint:ignore ctxmorsel canned benchmark/experiment plan over an in-memory source; bounded work with no cancellation surface

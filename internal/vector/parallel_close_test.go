@@ -10,7 +10,7 @@ func TestExchangeCloseBeforeOpenAndIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewParallelScan(src, 2)
+	e := parallelScan(src, 2)
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close before Open: %v", err)
 	}
@@ -47,7 +47,7 @@ func TestExchangeCloseMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewParallelScan(src, 4)
+	e := parallelScan(src, 4)
 	e.MorselSize = 128
 	if err := e.Open(); err != nil {
 		t.Fatal(err)

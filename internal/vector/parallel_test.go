@@ -9,6 +9,12 @@ import (
 	"repro/internal/workload"
 )
 
+// parallelScan is an Exchange that just scans src in parallel: the
+// identity Plan.
+func parallelScan(src *Source, workers int) *Exchange {
+	return &Exchange{Source: src, Workers: workers, Plan: func(scan Operator) Operator { return scan }}
+}
+
 func TestMorselCursorDisjointCover(t *testing.T) {
 	src, _ := NewSource([]string{"v"}, []Col{{Kind: KindInt, Ints: make([]int64, 10000)}})
 	cur := NewMorselCursor(src, 333)
@@ -44,7 +50,7 @@ func TestParallelScanSumMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 7} {
-		ex := NewParallelScan(src, workers)
+		ex := parallelScan(src, workers)
 		ex.MorselSize = 4096
 		agg := &Agg{Child: ex, Aggs: []AggSpec{{Kind: AggSumInt, Col: 0}, {Kind: AggCount}}}
 		rows, err := Drain(agg)

@@ -447,21 +447,6 @@ func MapAddFloat(a, b []float64, sel []int32, out []float64) {
 	}
 }
 
-// SumFloat folds qualifying values of col into a scalar.
-func SumFloat(col []float64, sel []int32) float64 {
-	var s float64
-	if sel == nil {
-		for _, x := range col {
-			s += x
-		}
-		return s
-	}
-	for _, i := range sel {
-		s += col[i]
-	}
-	return s
-}
-
 // SumIntPerGroup folds col values into accs[gids[i]] for qualifying rows,
 // growing accs to ngroups first. It returns accs.
 func SumIntPerGroup(col []int64, sel []int32, gids []int32, accs []int64, ngroups int32) []int64 {

@@ -112,7 +112,7 @@ func checkScans(t *testing.T, src *Source, want []int64) {
 	}
 	check("scan", NewScan(src, 64))
 	for _, workers := range []int{1, 2, 4} {
-		ex := NewParallelScan(src, workers)
+		ex := parallelScan(src, workers)
 		ex.MorselSize, ex.VectorSize, ex.RowIDs = 1024, 100, true
 		check("exchange", ex)
 	}
@@ -156,7 +156,7 @@ func TestExchangeStartsNoWorkerWithoutAMorsel(t *testing.T) {
 		{"empty", empty, 8, 0, 1},
 	} {
 		var started atomic.Int64
-		ex := NewParallelScan(c.src, c.workers)
+		ex := parallelScan(c.src, c.workers)
 		ex.MorselSize = c.morsel
 		ex.Plan = func(scan Operator) Operator { started.Add(1); return scan }
 		rows, err := Drain(ex)

@@ -1,7 +1,6 @@
 package vector
 
 import (
-	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -282,49 +281,5 @@ func TestBatchForEachAndRows(t *testing.T) {
 	b.Sel = nil
 	if b.Rows() != 3 {
 		t.Fatalf("rows = %d", b.Rows())
-	}
-}
-
-// BenchmarkVectorSize is the E6 kernel at a few sizes (the full sweep lives
-// in the root bench harness).
-func BenchmarkVectorSize(b *testing.B) {
-	r := rand.New(rand.NewSource(2))
-	n := 1 << 20
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = r.Int63n(1000)
-	}
-	for _, size := range []int{1, 16, 1024, n} {
-		src, err := NewSource([]string{"v"}, []Col{{Kind: KindInt, Ints: vals}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(sizeName(size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				plan := &Agg{
-					Child: &Filter{
-						Child: NewScan(src, size),
-						Preds: []Pred{{ColIdx: 0, Op: PredLt, IntVal: 500}},
-					},
-					Aggs: []AggSpec{{Kind: AggSumInt, Col: 0}},
-				}
-				if _, err := Drain(plan); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func sizeName(n int) string {
-	switch {
-	case n >= 1<<20:
-		return "size=full"
-	case n == 1:
-		return "size=1"
-	case n == 16:
-		return "size=16"
-	default:
-		return "size=1024"
 	}
 }

@@ -29,16 +29,6 @@ type Table struct {
 	Rows    []Row
 }
 
-// ColIndex returns the position of the named column, or an error.
-func (t *Table) ColIndex(name string) (int, error) {
-	for i, c := range t.Columns {
-		if c == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("volcano: no column %q in %s", name, t.Name)
-}
-
 // Iterator is the Volcano operator interface.
 type Iterator interface {
 	// Open prepares the iterator for a fresh pass.

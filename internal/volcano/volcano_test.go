@@ -253,27 +253,3 @@ func TestAgreesWithBATAlgebra(t *testing.T) {
 		t.Fatalf("volcano %v != bat %v", got[0][0], want)
 	}
 }
-
-// BenchmarkVolcanoSelectSum is the E2 baseline measurement.
-func BenchmarkVolcanoSelectSum1M(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	n := 1 << 20
-	rows := make([]Row, n)
-	for i := range rows {
-		rows[i] = Row{r.Int63n(1000)}
-	}
-	tab := &Table{Columns: []string{"v"}, Rows: rows}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := &HashAgg{
-			Child: &SelectOp{
-				Child: NewScan(tab),
-				Pred:  BinOp{Op: OpLt, L: Col{0}, R: Const{int64(500)}},
-			},
-			Aggs: []AggSpec{{Kind: AggSum, Arg: Col{0}}},
-		}
-		if _, err := Drain(it); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -9,8 +9,6 @@ package workload
 import (
 	"math"
 	"math/rand"
-
-	"repro/internal/bat"
 )
 
 // UniformInts returns n uniform values in [0, domain).
@@ -103,12 +101,6 @@ func GenLineItem(n int, seed int64) *LineItem {
 
 // Len returns the row count.
 func (li *LineItem) Len() int { return len(li.Quantity) }
-
-// QuantityBAT returns the quantity column as a BAT.
-func (li *LineItem) QuantityBAT() *bat.BAT { return bat.FromInts(li.Quantity) }
-
-// ShipDateBAT returns the shipdate column as a BAT.
-func (li *LineItem) ShipDateBAT() *bat.BAT { return bat.FromInts(li.ShipDate) }
 
 // RangeQuery is one log entry: a range predicate over one column.
 type RangeQuery struct {

@@ -70,9 +70,6 @@ func TestGenLineItemShape(t *testing.T) {
 			t.Fatalf("returnflag out of range: %d", li.ReturnFlg[i])
 		}
 	}
-	if li.QuantityBAT().Len() != 10000 || li.ShipDateBAT().Len() != 10000 {
-		t.Fatal("BAT views wrong")
-	}
 }
 
 func TestSkyserverLogRepeats(t *testing.T) {

@@ -180,3 +180,13 @@ func malJoinPairs(t *testing.T, lv, rv []int64) []radix.OIDPair {
 	}
 	return batPairs(out[0].B, out[1].B)
 }
+
+// malJoinProg builds the two-BAT join program over catalog names l and r.
+func malJoinProg() *mal.Program {
+	b := mal.NewBuilder()
+	l := b.Emit("bind", mal.CS("l"))
+	r := b.Emit("bind", mal.CS("r"))
+	lo, ro := b.Emit2("join", mal.V(l), mal.V(r))
+	b.Return([]string{"lo", "ro"}, lo, ro)
+	return b.Program()
+}
