@@ -205,8 +205,9 @@
 // # Result contract
 //
 // What a SELECT promises about row order is stated once and held by
-// the tests, the benchmark's oracle (bench/oracle.go) and the wire
-// alike:
+// the benchmark's oracle (bench/oracle.go), the wire and the tests,
+// where the differential driver (engine/diff_test.go) holds every
+// executor to it through one comparator, engine.Contract:
 //
 //   - Without ORDER BY a result is a MULTISET of rows. The order rows
 //     arrive in is whatever the executing path produces — morsel
@@ -222,7 +223,7 @@
 //     the same tie order as the full sort cut short. Over join and
 //     grouped output both engines additionally break ties by every
 //     output column left to right — see the join-ordering chapter —
-//     which tests of those shapes may rely on.)
+//     and the driver holds such a result to MAL's row for row.)
 //
 // # Durability
 //
@@ -282,8 +283,8 @@
 // keys into one corner of its table, and a fixed lower window would
 // send keys that differ only in their high bits to one partition — and
 // each partition's table is built and drained one at a time. Spilled
-// plans are bit-exact against the in-memory plans
-// (engine/spill_test.go compares both to an unbudgeted oracle
+// plans return the in-memory plans' rows (engine/diff_test.go runs
+// its statements under a tight budget against a plain-Go reference
 // across worker counts, race detector on). Spill files live in
 // internal/spill — CRC-checked chunked runs under a per-query scope
 // that dies with the query's cursor, swept at Open if a crash orphaned

@@ -2,11 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -26,6 +29,122 @@ func openSized(morsel, vector int, opts ...Option) (*DB, error) {
 	return db, err
 }
 
+// OpenSized is openSized for the differential driver, which lives in
+// package engine_test (diff_test.go) so that it can import the server.
+var OpenSized = openSized
+
+// Contract is what doc.go § Result contract lets a test rely on about
+// the rows of one SELECT, and Check is the one comparison every engine
+// test makes: without ORDER BY the rows are a multiset; with it, the
+// sequence of sort-key values is fixed; a LIMIT keeps that many rows,
+// each of them a row of the unlimited result.
+type Contract struct {
+	Order int // the ORDER BY item, -1 for none
+	Desc  bool
+	Limit int // -1 for none
+}
+
+// Unordered is the contract of a SELECT without ORDER BY or LIMIT.
+var Unordered = Contract{Order: -1, Limit: -1}
+
+// Check reports how got breaks c, where want is every row of the
+// statement without its LIMIT, in any order.
+func (c Contract) Check(got, want [][]any) error {
+	n := len(want)
+	if c.Limit >= 0 && c.Limit < n {
+		n = c.Limit
+	}
+	if len(got) != n {
+		return fmt.Errorf("%d rows, want %d", len(got), n)
+	}
+	pool := map[string]int{}
+	for _, r := range want {
+		pool[RowKey(r)]++
+	}
+	for i, r := range got {
+		k := RowKey(r)
+		if pool[k] == 0 {
+			return fmt.Errorf("row %d %v is not a row of the result", i, r)
+		}
+		pool[k]--
+	}
+	if c.Order < 0 {
+		return nil
+	}
+	keys := make([]any, len(want))
+	for i, r := range want {
+		keys[i] = r[c.Order]
+	}
+	slices.SortFunc(keys, Compare)
+	if c.Desc {
+		slices.Reverse(keys)
+	}
+	for i, r := range got {
+		if cellKey(r[c.Order]) != cellKey(keys[i]) {
+			return fmt.Errorf("row %d %v: sort key %v, want %v", i, r, r[c.Order], keys[i])
+		}
+	}
+	return nil
+}
+
+// cellKey renders a result cell for comparison: typed, so an INT never
+// equals a FLOAT, with -0 as 0 and floats to 12 significant digits.
+func cellKey(v any) string { return string(appendCell(nil, v)) }
+
+func appendCell(b []byte, v any) []byte {
+	switch x := v.(type) {
+	case nil:
+		return append(b, "NULL"...)
+	case int64:
+		return strconv.AppendInt(append(b, 'i'), x, 10)
+	case float64:
+		return strconv.AppendFloat(append(b, 'f'), x+0, 'g', 12, 64)
+	case string:
+		return strconv.AppendQuote(b, x)
+	}
+	return fmt.Appendf(b, "%T %v", v, v)
+}
+
+// RowKey renders a row as its cells' keys: two rows are the same row of
+// a result when their keys are equal.
+func RowKey(r []any) string {
+	var b []byte
+	for _, v := range r {
+		b = append(appendCell(b, v), ',')
+	}
+	return string(b)
+}
+
+// Compare orders cells: NULL first, then by value, an INT against a
+// FLOAT as numbers.
+func Compare(a, b any) int {
+	switch {
+	case a == nil && b == nil:
+		return 0
+	case a == nil:
+		return -1
+	case b == nil:
+		return 1
+	}
+	if x, ok := a.(string); ok {
+		return strings.Compare(x, b.(string))
+	}
+	x, xi := a.(int64)
+	y, yi := b.(int64)
+	if xi && yi {
+		return cmp.Compare(x, y)
+	}
+	return cmp.Compare(Num(a), Num(b))
+}
+
+// Num is an INT or FLOAT cell as a float64.
+func Num(v any) float64 {
+	if n, ok := v.(int64); ok {
+		return float64(n)
+	}
+	return v.(float64)
+}
+
 func mustExec(t *testing.T, db *DB, sql string, args ...any) Result {
 	t.Helper()
 	res, err := db.Exec(bg, sql, args...)
@@ -40,33 +159,43 @@ func mustExec(t *testing.T, db *DB, sql string, args ...any) Result {
 func collect(t *testing.T) func(*Rows, error) [][]any {
 	t.Helper()
 	return func(rows *Rows, err error) [][]any {
-		return drainRows(t, rows, err)
+		out, err := Drain(rows, err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
 }
 
-func drainRows(t *testing.T, rows *Rows, err error) [][]any {
-	t.Helper()
+// RowSource is what the rows of an engine query and of a client query
+// have in common.
+type RowSource interface {
+	Columns() []string
+	Next() bool
+	Scan(dest ...any) error
+	Err() error
+	Close() error
+}
+
+// Drain reads every row through *any destinations.
+func Drain[R RowSource](rows R, err error) ([][]any, error) {
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	defer rows.Close()
-	ncols := len(rows.Columns())
 	var out [][]any
 	for rows.Next() {
-		row := make([]any, ncols)
-		ptrs := make([]any, ncols)
+		row := make([]any, len(rows.Columns()))
+		ptrs := make([]any, len(row))
 		for i := range row {
 			ptrs[i] = &row[i]
 		}
 		if err := rows.Scan(ptrs...); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		out = append(out, row)
 	}
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return out, rows.Err()
 }
 
 // loadInts bulk-loads n rows (i, i*2, float(i)/2) into table name.
@@ -131,6 +260,16 @@ func TestScanTypedDestinations(t *testing.T) {
 	}
 	if rows.Next() {
 		t.Fatal("extra row")
+	}
+	// A typed destination refuses NULL; *any takes it.
+	mustExec(t, db, "INSERT INTO t VALUES (NULL, NULL, NULL)")
+	rows, err = db.Query(bg, "SELECT x FROM t WHERE x IS NULL")
+	if err != nil || !rows.Next() {
+		t.Fatalf("no NULL row: %v", err)
+	}
+	defer rows.Close()
+	if err := rows.Scan(&x); err == nil {
+		t.Fatal("scanning NULL into *int64 should error")
 	}
 }
 
@@ -213,165 +352,6 @@ func TestDMLPlaceholders(t *testing.T) {
 	}
 }
 
-func TestVectorPathAndFallbackAgree(t *testing.T) {
-	db, _ := openSized(64, 32, WithWorkers(3))
-	defer db.Close()
-	loadInts(t, db, "t", 1000)
-	conn := db.Conn()
-
-	// This shape lowers onto the vectorized pipeline.
-	if plan, err := conn.Plan("SELECT x, f FROM t WHERE x >= 100 AND x < 200"); err != nil {
-		t.Fatal(err)
-	} else if !strings.Contains(plan, "vectorized pipeline") {
-		t.Fatalf("expected vector plan, got:\n%s", plan)
-	}
-	vec := collect(t)(conn.Query(bg, "SELECT x, f FROM t WHERE x >= 100 AND x < 200"))
-
-	// A deleted row is a tombstone the vector scan filters: the query
-	// stays vectorized and agrees with MAL, minus the deleted row.
-	mustExec(t, db, "DELETE FROM t WHERE x = 150")
-	if plan, err := conn.Plan("SELECT x, f FROM t WHERE x >= 100 AND x < 200"); err != nil {
-		t.Fatal(err)
-	} else if !strings.HasPrefix(plan, "vectorized pipeline") {
-		t.Fatalf("expected vector plan after DELETE, got:\n%s", plan)
-	}
-	after := collect(t)(conn.Query(bg, "SELECT x, f FROM t WHERE x >= 100 AND x < 200"))
-	oracle, err := db.sdb.Query("SELECT x, f FROM t WHERE x >= 100 AND x < 200")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mal := oracle.Rows
-	if len(vec) != 100 || len(after) != 99 {
-		t.Fatalf("vec %d rows, after delete %d rows", len(vec), len(after))
-	}
-	if err := sameMultiset(after, mal); err != nil {
-		t.Fatal(err)
-	}
-	// Un-ORDERed SELECT: a multiset (doc.go § Result contract); the
-	// parallel scan's row order is the workers' business.
-	var kept [][]any
-	for _, r := range vec {
-		if r[0].(int64) != 150 {
-			kept = append(kept, r)
-		}
-	}
-	if err := sameMultiset(kept, mal); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVectorAggregates(t *testing.T) {
-	db, _ := openSized(128, 0, WithWorkers(4))
-	defer db.Close()
-	loadInts(t, db, "t", 10000)
-	conn := db.Conn()
-	got := collect(t)(conn.Query(bg, "SELECT count(*), sum(x), avg(x), sum(f) FROM t WHERE x < ?", 100))
-	want := [][]any{{int64(100), int64(99 * 100 / 2), 49.5, float64(99*100/2) / 2}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("aggs = %v, want %v", got, want)
-	}
-	// Zero qualifying rows: count 0, sum/avg NULL.
-	got = collect(t)(conn.Query(bg, "SELECT count(*), sum(x), avg(f) FROM t WHERE x < ?", -1))
-	want = [][]any{{int64(0), nil, nil}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("empty aggs = %v, want %v", got, want)
-	}
-}
-
-func TestNullsOnBothPaths(t *testing.T) {
-	db, _ := Open()
-	defer db.Close()
-	mustExec(t, db, "CREATE TABLE n (x INT, f FLOAT)")
-	mustExec(t, db, "INSERT INTO n VALUES (1, 1.0), (NULL, NULL), (3, 3.0)")
-	// Projections stream nils as NULL (vector path allows nil
-	// projection columns).
-	got := collect(t)(db.Query(bg, "SELECT x, f FROM n"))
-	want := [][]any{{int64(1), 1.0}, {nil, nil}, {int64(3), 3.0}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("projection = %v", got)
-	}
-	// Filters over nil-bearing INT columns and aggregates over any
-	// nil-bearing column run vectorized, on nil-aware primitives, and
-	// skip NULLs.
-	const aggs = "SELECT count(x), sum(f) FROM n WHERE x >= 0"
-	if plan, err := db.conn().Plan(aggs); err != nil || !strings.HasPrefix(plan, "vectorized pipeline") {
-		t.Fatalf("plan = %q (err %v), want the vectorized pipeline", plan, err)
-	}
-	got = collect(t)(db.Query(bg, aggs))
-	if !reflect.DeepEqual(got, [][]any{{int64(2), 4.0}}) {
-		t.Fatalf("nil-aware aggs = %v", got)
-	}
-	// Scanning NULL into a typed destination errors; *any accepts.
-	rows, err := db.Query(bg, "SELECT x FROM n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rows.Close()
-	rows.Next()
-	rows.Next() // the NULL row
-	var x int64
-	if err := rows.Scan(&x); err == nil {
-		t.Fatal("scanning NULL into *int64 should error")
-	}
-	var a any
-	if err := rows.Scan(&a); err != nil || a != nil {
-		t.Fatalf("scan into *any: %v %v", a, err)
-	}
-}
-
-// Float filters over NULL-bearing columns STAY on the vectorized path
-// (the Sel*Float primitives are NaN-aware, unlike the int ones), so
-// their three-valued-logic parity with MAL needs explicit coverage —
-// especially <> and =, where a naive IEEE compare would keep NaN.
-func TestFloatPredsOverNullsOnVectorPath(t *testing.T) {
-	db, _ := Open()
-	defer db.Close()
-	mustExec(t, db, "CREATE TABLE fp (x INT, f FLOAT)")
-	mustExec(t, db, "INSERT INTO fp VALUES (1, 1.5), (2, NULL), (3, 2.5), (4, NULL)")
-	conn := db.Conn()
-	for _, tc := range []struct {
-		q    string
-		arg  float64
-		want int64
-	}{
-		{"SELECT count(*) FROM fp WHERE f <> ?", 2.5, 1}, // NULLs excluded from <>
-		{"SELECT count(*) FROM fp WHERE f = ?", 2.5, 1},  // NaN never equal
-		{"SELECT count(*) FROM fp WHERE f < ?", 2.5, 1},  // 1.5 only
-		{"SELECT count(*) FROM fp WHERE f > ?", 2.5, 0},  // nothing above 2.5
-		{"SELECT count(*) FROM fp WHERE f >= ?", 1.5, 2}, // both non-NULLs
-		{"SELECT count(*) FROM fp WHERE f <= ?", 2.5, 2}, // 1.5 and 2.5
-	} {
-		if plan, err := conn.Plan(tc.q); err != nil {
-			t.Fatal(err)
-		} else if !strings.Contains(plan, "vectorized pipeline") {
-			t.Fatalf("%s: expected the vectorized path, got:\n%s", tc.q, plan)
-		}
-		got := collect(t)(conn.Query(bg, tc.q, tc.arg))
-		if !reflect.DeepEqual(got, [][]any{{tc.want}}) {
-			t.Errorf("%s (arg %v) = %v, want %d", tc.q, tc.arg, got, tc.want)
-		}
-		// Parity oracle: the same predicate with the literal inlined,
-		// through the internal one-shot layer (ThetaSelectFloat).
-		oracle, err := db.sdb.Query(strings.Replace(tc.q, "?", fmt.Sprint(tc.arg), 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(oracle.Rows, [][]any{{tc.want}}) {
-			t.Errorf("MAL oracle for %s = %v, want %d", tc.q, oracle.Rows, tc.want)
-		}
-	}
-}
-
-func TestLimitStreams(t *testing.T) {
-	db, _ := openSized(64, 0)
-	defer db.Close()
-	loadInts(t, db, "t", 5000)
-	got := collect(t)(db.Query(bg, "SELECT x FROM t LIMIT 7"))
-	if len(got) != 7 {
-		t.Fatalf("limit = %d rows", len(got))
-	}
-}
-
 func TestFreezeSnapshotIsolation(t *testing.T) {
 	db, _ := Open()
 	defer db.Close()
@@ -415,31 +395,6 @@ func TestSchemaChangeReplans(t *testing.T) {
 	mustExec(t, db, "DROP TABLE t")
 	if _, err := stmt.Query(bg, 0); err == nil {
 		t.Fatal("query against dropped table should error")
-	}
-}
-
-func TestPersistence(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	db, err := Open(WithDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, db, "CREATE TABLE t (x INT, f FLOAT, s TEXT)")
-	mustExec(t, db, "INSERT INTO t VALUES (1, 0.5, 'a'), (2, NULL, 'b'), (NULL, 2.5, 'c')")
-	mustExec(t, db, "DELETE FROM t WHERE s = 'b'")
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(WithDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	got := collect(t)(re.Query(bg, "SELECT x, f, s FROM t ORDER BY s"))
-	want := [][]any{{int64(1), 0.5, "a"}, {nil, 2.5, "c"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("reloaded = %v, want %v", got, want)
 	}
 }
 

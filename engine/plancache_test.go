@@ -36,19 +36,7 @@ func TestPlanCacheCrossConnection(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		rows, err := st.Query(ctx, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rows.Close()
-		n := 0
-		for rows.Next() {
-			n++
-		}
-		if err := rows.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if n != 2 {
+		if n := len(collect(t)(st.Query(ctx, 2))); n != 2 {
 			t.Fatalf("got %d rows, want 2", n)
 		}
 	}
@@ -86,19 +74,7 @@ func TestPlanCacheSchemaChangeInvalidates(t *testing.T) {
 	}
 	query := func(want int) {
 		t.Helper()
-		rows, err := db.Query(ctx, `SELECT a FROM t`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rows.Close()
-		n := 0
-		for rows.Next() {
-			n++
-		}
-		if err := rows.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if n != want {
+		if n := len(collect(t)(db.Query(ctx, `SELECT a FROM t`))); n != want {
 			t.Fatalf("got %d rows, want %d", n, want)
 		}
 	}

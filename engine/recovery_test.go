@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -31,7 +30,7 @@ func tableRows(t *testing.T, db *DB, table string) [][]any {
 }
 
 func TestCleanCloseReopen(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "db") // Open creates it
 	db, err := Open(WithDir(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -75,91 +74,14 @@ var crashWorkload = []string{
 // TestCrashPointSweep kills the database at every record boundary (and
 // at points inside records) of the WAL a workload produced, recovers,
 // and compares against an in-memory oracle that ran the statement
-// prefix covered by the surviving transactions. The guarantee checked
-// is exactly-once, all-or-nothing replay: a transaction is either fully
-// recovered or fully absent, and acknowledged-then-crashed writes are
-// recovered whenever their commit record survived.
+// prefix covered by the surviving transactions (crashSweepActions).
 func TestCrashPointSweep(t *testing.T) {
-	mfs := wal.NewMemFS()
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "wal.log")
-	db, err := Open(durableOpts(dir, mfs)...)
-	if err != nil {
-		t.Fatal(err)
+	var actions []func(t *testing.T, db *DB)
+	for _, s := range crashWorkload {
+		s := s
+		actions = append(actions, func(t *testing.T, db *DB) { mustExec(t, db, s) })
 	}
-	// txsAfter[i] = committed tx count once statement i returned; the
-	// recovery oracle for R surviving txs is the longest statement
-	// prefix whose final count is <= R.
-	txsAfter := make([]uint64, len(crashWorkload))
-	for i, s := range crashWorkload {
-		mustExec(t, db, s)
-		txsAfter[i] = db.WALStats().Txs
-	}
-	blob := mfs.Durable(walPath)
-	recs := wal.Dump(blob)
-	if len(recs) < 3*9 { // 9 logging statements, >= begin+op+commit each
-		t.Fatalf("workload produced only %d records", len(recs))
-	}
-
-	cuts := []int64{0}
-	for _, r := range recs {
-		cuts = append(cuts, r.End) // clean kill at a record boundary
-		if r.End-cuts[len(cuts)-2] > 5 {
-			cuts = append(cuts, r.End-3) // torn tail inside this record
-		}
-	}
-	for _, cut := range cuts {
-		cut := cut
-		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
-			// A fresh filesystem holding exactly the bytes that were
-			// durable at the kill point. The checkpoint dir is fresh
-			// too: this subtest's Close checkpoints into it, which must
-			// not leak into other cuts.
-			subdir := t.TempDir()
-			cfs := wal.NewMemFS()
-			cfs.Seed(filepath.Join(subdir, "wal.log"), blob[:cut])
-			rec, err := Open(durableOpts(subdir, cfs)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rec.Close()
-			replayed := rec.WALStats().Txs
-
-			oracle, err := Open()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer oracle.Close()
-			for i, s := range crashWorkload {
-				if txsAfter[i] > replayed {
-					break
-				}
-				mustExec(t, oracle, s)
-			}
-			for _, table := range oracle.Tables() {
-				want := tableRows(t, oracle, table)
-				got := tableRows(t, rec, table)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("table %s after %d replayed txs:\n oracle %v\n got    %v",
-						table, replayed, want, got)
-				}
-			}
-			if !reflect.DeepEqual(oracle.Tables(), rec.Tables()) {
-				t.Fatalf("tables: oracle %v, recovered %v", oracle.Tables(), rec.Tables())
-			}
-			// The truncated log must accept new writes, including a
-			// 0-row DML that logs nothing.
-			if len(rec.Tables()) > 0 && rec.Tables()[0] == "t" {
-				before := len(tableRows(t, rec, "t"))
-				mustExec(t, rec, "DELETE FROM t WHERE a = 123456")
-				mustExec(t, rec, "CREATE TABLE postcrash (z INT)")
-				mustExec(t, rec, "INSERT INTO postcrash VALUES (1)")
-				if got := len(tableRows(t, rec, "t")); got != before {
-					t.Fatalf("no-op delete changed row count %d -> %d", before, got)
-				}
-			}
-		})
-	}
+	crashSweepActions(t, actions)
 }
 
 // TestCrashSweepWithVacuum reruns the sweep over a workload whose
@@ -229,25 +151,34 @@ func TestCrashSweepHalfTombstoned(t *testing.T) {
 
 // crashSweepActions runs actions (each logging at most one transaction)
 // on a crash-simulated database, then kills it at every record boundary
-// of the resulting WAL, recovers, and compares table t with an in-memory
-// oracle that ran the action prefix the surviving transactions cover.
+// of the resulting WAL and at a torn tail inside each record, recovers,
+// and compares every table with an in-memory oracle that ran the action
+// prefix the surviving transactions cover. The guarantee checked is
+// exactly-once, all-or-nothing replay: a transaction is either fully
+// recovered or fully absent, and acknowledged-then-crashed writes are
+// recovered whenever their commit record survived.
 func crashSweepActions(t *testing.T, actions []func(t *testing.T, db *DB)) {
 	mfs := wal.NewMemFS()
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "wal.log")
 	db, err := Open(durableOpts(dir, mfs)...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// txsAfter[i] = committed tx count once action i returned; the
+	// oracle for R surviving txs is the longest action prefix whose
+	// final count is <= R.
 	txsAfter := make([]uint64, len(actions))
 	for i, act := range actions {
 		act(t, db)
 		txsAfter[i] = db.WALStats().Txs
 	}
-	blob := mfs.Durable(walPath)
-	for _, r := range wal.Dump(blob) {
-		cut := r.End
+	blob := mfs.Durable(filepath.Join(dir, "wal.log"))
+	for _, cut := range cuts(t, blob) {
+		cut := cut
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
+			// A fresh filesystem holding exactly the bytes that were
+			// durable at the kill point, and a fresh checkpoint dir: this
+			// subtest's Close checkpoints into it.
 			subdir := t.TempDir()
 			cfs := wal.NewMemFS()
 			cfs.Seed(filepath.Join(subdir, "wal.log"), blob[:cut])
@@ -268,18 +199,61 @@ func crashSweepActions(t *testing.T, actions []func(t *testing.T, db *DB)) {
 				}
 				act(t, oracle)
 			}
-			if !reflect.DeepEqual(oracle.Tables(), rec.Tables()) {
-				t.Fatalf("tables: oracle %v, recovered %v", oracle.Tables(), rec.Tables())
-			}
-			if len(oracle.Tables()) == 0 {
-				return // cut before the CREATE committed
-			}
-			want := tableRows(t, oracle, "t")
-			got := tableRows(t, rec, "t")
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("after %d replayed txs:\n oracle %v\n got    %v", replayed, want, got)
+			sameTables(t, oracle, rec)
+			// The truncated log must accept new writes, including a
+			// 0-row DML that logs nothing.
+			if tables := rec.Tables(); len(tables) > 0 && tables[0] == "t" {
+				before := len(tableRows(t, rec, "t"))
+				mustExec(t, rec, "DELETE FROM t WHERE a = 123456")
+				mustExec(t, rec, "CREATE TABLE postcrash (z INT)")
+				mustExec(t, rec, "INSERT INTO postcrash VALUES (1)")
+				if got := len(tableRows(t, rec, "t")); got != before {
+					t.Fatalf("no-op delete changed row count %d -> %d", before, got)
+				}
 			}
 		})
+	}
+}
+
+// cuts lists the kill points of a WAL image: its start, every record
+// boundary, and a torn tail inside each record.
+func cuts(t *testing.T, blob []byte) []int64 {
+	recs := wal.Dump(blob)
+	if len(recs) == 0 {
+		t.Fatal("the log image parsed to zero records")
+	}
+	out := []int64{0}
+	for _, r := range recs {
+		out = append(out, r.End)
+		if r.End-r.Off > 5 {
+			out = append(out, r.End-3)
+		}
+	}
+	return out
+}
+
+// ran returns an in-memory database that ran stmts.
+func ran(t *testing.T, stmts []string) *DB {
+	db, err := Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stmts {
+		mustExec(t, db, s)
+	}
+	return db
+}
+
+// sameTables fails unless got holds the tables of want, row for row.
+func sameTables(t *testing.T, want, got *DB) {
+	t.Helper()
+	if !reflect.DeepEqual(want.Tables(), got.Tables()) {
+		t.Fatalf("tables: want %v, got %v", want.Tables(), got.Tables())
+	}
+	for _, table := range want.Tables() {
+		if w, g := tableRows(t, want, table), tableRows(t, got, table); !reflect.DeepEqual(w, g) {
+			t.Fatalf("table %s:\n want %v\n got  %v", table, w, g)
+		}
 	}
 }
 
@@ -351,48 +325,6 @@ func TestFsyncFailurePoisonsEngine(t *testing.T) {
 		if !reflect.DeepEqual(acked[w], got[w]) {
 			t.Fatalf("writer %d: acked %v, recovered %v", w, acked[w], got[w])
 		}
-	}
-}
-
-// TestTombstonedTablePlansVectorized: a table with tombstones runs on
-// the vectorized pipeline — the scan filters them — before and after
-// DB.Vacuum drops them, with identical rows, and \plan counts them.
-func TestTombstonedTablePlansVectorized(t *testing.T) {
-	db, err := Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	loadInts(t, db, "t", 5000)
-	mustExec(t, db, "DELETE FROM t WHERE x < 100")
-	conn := db.Conn()
-
-	const q = "SELECT x, y FROM t WHERE x < 1000"
-	plan, err := conn.Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(plan, "vectorized pipeline") || !strings.Contains(plan, "5000 rows, 100 tombstoned") {
-		t.Fatalf("expected a vectorized plan scanning 100 tombstones, got:\n%s", plan)
-	}
-	before := collect(t)(db.Query(bg, q))
-	if len(before) != 900 {
-		t.Fatalf("%d rows before vacuum, want 900", len(before))
-	}
-
-	if n, err := db.Vacuum(); err != nil || n != 1 {
-		t.Fatalf("vacuumed %d tables, %v; want 1", n, err)
-	}
-	plan, err = conn.Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(plan, "vectorized pipeline") || strings.Contains(plan, "tombstoned") {
-		t.Fatalf("expected a vectorized plan without tombstones after vacuum, got:\n%s", plan)
-	}
-	after := collect(t)(db.Query(bg, q))
-	if err := sameMultiset(before, after); err != nil {
-		t.Fatalf("vacuum changed results: %v", err)
 	}
 }
 
@@ -470,24 +402,9 @@ func TestCheckpointCrashBeforeTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery after checkpoint crash window: %v", err)
 	}
-	oracle, err := Open()
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle := ran(t, checkpointWindowWorkload)
 	defer oracle.Close()
-	for _, s := range checkpointWindowWorkload {
-		mustExec(t, oracle, s)
-	}
-	for _, table := range oracle.Tables() {
-		want := tableRows(t, oracle, table)
-		got := tableRows(t, rec, table)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("table %s after recovery:\n oracle %v\n got    %v", table, want, got)
-		}
-	}
-	if !reflect.DeepEqual(oracle.Tables(), rec.Tables()) {
-		t.Fatalf("tables: oracle %v, recovered %v", oracle.Tables(), rec.Tables())
-	}
+	sameTables(t, oracle, rec)
 
 	// The recovered database must write, checkpoint, and survive another
 	// full cycle: post-recovery LSNs sit above the watermark, so nothing
@@ -540,30 +457,11 @@ func TestCheckpointWindowSweep(t *testing.T) {
 	}
 	db.Close()
 
-	want := func() [][]any {
-		oracle, err := Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer oracle.Close()
-		for _, s := range checkpointWindowWorkload {
-			mustExec(t, oracle, s)
-		}
-		return tableRows(t, oracle, "t")
-	}()
+	oracle := ran(t, checkpointWindowWorkload)
+	want := tableRows(t, oracle, "t")
+	oracle.Close()
 
-	recs := wal.Dump(oldImage)
-	if len(recs) == 0 {
-		t.Fatal("old log image parsed to zero records")
-	}
-	cuts := []int64{0}
-	for _, r := range recs {
-		cuts = append(cuts, r.End)
-		if r.End-r.Off > 5 {
-			cuts = append(cuts, r.End-3) // torn tail inside this record
-		}
-	}
-	for _, cut := range cuts {
+	for _, cut := range cuts(t, oldImage) {
 		cut := cut
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 			cfs := wal.NewMemFS()

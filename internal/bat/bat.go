@@ -355,9 +355,6 @@ func (b *BAT) IntAt(i int) int64 { return b.ints[i] }
 // FloatAt returns the float tail value at position i.
 func (b *BAT) FloatAt(i int) float64 { return b.floats[i] }
 
-// BoolAt returns the bool tail value at position i.
-func (b *BAT) BoolAt(i int) bool { return b.bools[i] }
-
 // Value returns the tail value at position i boxed as an interface value.
 // Bulk operators never use this; it exists for front-end result rendering.
 func (b *BAT) Value(i int) any {
@@ -560,9 +557,9 @@ func (b *BAT) Copy() *BAT {
 	return out
 }
 
-// Materialize converts a void tail into an explicit OID tail; other tails
+// materialize converts a void tail into an explicit OID tail; other tails
 // are returned unchanged.
-func (b *BAT) Materialize() *BAT {
+func (b *BAT) materialize() *BAT {
 	if b.ttyp != TypeVoid {
 		return b
 	}

@@ -27,7 +27,7 @@ func TestNewVoidVirtual(t *testing.T) {
 }
 
 func TestVoidMaterialize(t *testing.T) {
-	b := NewVoid(3, 4).Materialize()
+	b := NewVoid(3, 4).materialize()
 	want := []OID{3, 4, 5, 6}
 	if !reflect.DeepEqual(b.OIDs(), want) {
 		t.Fatalf("materialized = %v, want %v", b.OIDs(), want)
@@ -402,7 +402,7 @@ func TestAppendOIDAndFloatProps(t *testing.T) {
 	bb := New(TypeBool)
 	bb.AppendBool(true)
 	bb.AppendBool(false)
-	if bb.Len() != 2 || bb.BoolAt(1) {
+	if bb.Len() != 2 || bb.bools[1] {
 		t.Fatal("bool append wrong")
 	}
 }
@@ -509,7 +509,7 @@ func TestPersistChecksumDetectsBitFlip(t *testing.T) {
 
 func TestMaterializeNonVoidIdentity(t *testing.T) {
 	b := FromInts([]int64{1})
-	if b.Materialize() != b {
+	if b.materialize() != b {
 		t.Fatal("materialize of non-void should be identity")
 	}
 }

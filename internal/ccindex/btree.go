@@ -112,9 +112,9 @@ func (t *BTree) Get(k int64) (int64, bool) {
 	return 0, false
 }
 
-// Range calls f for every key in [lo,hi) in ascending order; f returning
+// scan calls f for every key in [lo,hi) in ascending order; f returning
 // false stops the scan.
-func (t *BTree) Range(lo, hi int64, f func(k, v int64) bool) {
+func (t *BTree) scan(lo, hi int64, f func(k, v int64) bool) {
 	n := t.root
 	for !n.leaf {
 		i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] > lo })
@@ -136,8 +136,8 @@ func (t *BTree) Range(lo, hi int64, f func(k, v int64) bool) {
 	}
 }
 
-// Depth returns the tree height (1 = just a leaf).
-func (t *BTree) Depth() int {
+// depth returns the tree height (1 = just a leaf).
+func (t *BTree) depth() int {
 	d := 1
 	for n := t.root; !n.leaf; n = n.children[0] {
 		d++

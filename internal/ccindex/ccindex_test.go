@@ -28,8 +28,8 @@ func TestBTreeInsertGet(t *testing.T) {
 	if _, ok := bt.Get(99999); ok {
 		t.Fatal("phantom key")
 	}
-	if bt.Depth() < 3 {
-		t.Fatalf("depth = %d; expected a real tree", bt.Depth())
+	if bt.depth() < 3 {
+		t.Fatalf("depth = %d; expected a real tree", bt.depth())
 	}
 }
 
@@ -51,7 +51,7 @@ func TestBTreeRange(t *testing.T) {
 		bt.Insert(int64(i*2), int64(i))
 	}
 	var got []int64
-	bt.Range(10, 30, func(k, v int64) bool {
+	bt.scan(10, 30, func(k, v int64) bool {
 		got = append(got, k)
 		return true
 	})
@@ -66,7 +66,7 @@ func TestBTreeRange(t *testing.T) {
 	}
 	// early stop
 	n := 0
-	bt.Range(0, 1000, func(k, v int64) bool { n++; return n < 3 })
+	bt.scan(0, 1000, func(k, v int64) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Fatalf("early stop n = %d", n)
 	}

@@ -278,15 +278,15 @@ func (db *DB) snapshotLocked() *Snapshot {
 	return s
 }
 
-// QuerySnapshot runs a SELECT against a previously taken snapshot.
-func (db *DB) QuerySnapshot(snap *Snapshot, sql string) (*Result, error) {
+// querySnapshot runs a SELECT against a previously taken snapshot.
+func (db *DB) querySnapshot(snap *Snapshot, sql string) (*Result, error) {
 	st, err := Parse(sql)
 	if err != nil {
 		return nil, err
 	}
 	sel, ok := st.(*Select)
 	if !ok {
-		return nil, fmt.Errorf("sql: QuerySnapshot requires SELECT")
+		return nil, fmt.Errorf("sql: querySnapshot requires SELECT")
 	}
 	return db.runSelect(sel, snap)
 }

@@ -229,7 +229,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	mustExec(t, db, "DELETE FROM people WHERE age = 1927")
 	mustExec(t, db, "INSERT INTO people VALUES ('Late Arrival', 1999)")
 	// The snapshot still sees the original 4 rows.
-	r, err := db.QuerySnapshot(snap, "SELECT count(*) FROM people")
+	r, err := db.querySnapshot(snap, "SELECT count(*) FROM people")
 	if err != nil {
 		t.Fatal(err)
 	}
