@@ -149,31 +149,35 @@
 // # Join ordering
 //
 // A FROM clause with N tables lowers into a left-deep tree of hash
-// joins, ordered at execution time, statistics-free, in the X100 spirit
-// of deciding from the data in front of you: the planner draws a
-// strided sample from each input AFTER its filters and estimates every
-// leaf's surviving rows. The leaf with the largest estimate is the
-// stream, so the fact table is never hashed; the others are folded in
-// greedily, each time the adjacent leaf whose join yields the smallest
-// estimated intermediate (from sample key overlap). The join graph
-// must be a tree (it is by construction — every ON clause references
-// one new table); Options.NaiveJoinOrder pins the textual order for
-// A/B measurement. The non-stream leaves build serial join tables,
-// charged to the memory ledger, children first: the tree rooted at the
-// stream, leaves before their parents. Each build publishes a key
-// filter on the leaf owning its probe key — an exact bitmap when its
-// keys span at most 64 values per key, else their [min, max] — which
-// that leaf's Filter applies after its own predicates. So a dimension
-// is pruned by the dimensions hanging off it before it is hashed, and
-// the stream reaches its first probe already semi-join-reduced by
-// every build. An over-budget build degrades its step, and every later
-// step, to grace hash; the filters of the builds that fit still prune
-// both sides before they are partitioned. The stream probes the
-// in-memory tables morsel-parallel in one pipeline pass. ORDER BY over
-// a join emits a canonical order on
-// both engines — sort key first, every output column left to right as
-// tiebreaks, DESC a full reversal — so vector and MAL results stay
-// bit-identical even where SQL leaves tie order unspecified.
+// joins, ordered at execution time from facts the query measures
+// itself, in the X100 spirit of deciding from the data in front of
+// you; the engine keeps no statistics. The stream is the leaf whose
+// filters pass the most rows in a strided sample of its scan (inside
+// the surviving zones, tombstones skipped), so the fact table is never
+// hashed. The join graph must be a tree (it is by construction — every
+// ON clause references one new table). Every other leaf builds a
+// serial join table, charged to the memory ledger, children first: the
+// tree rooted at the stream, leaves before their parents, siblings in
+// FROM order. Each build publishes a key filter on the leaf owning its
+// probe key — an exact bitmap when its keys span at most 64 values per
+// key, else their [min, max] — which that leaf's Filter applies after
+// its own predicates. So a dimension is pruned by the dimensions
+// hanging off it before it is hashed, and the stream reaches its first
+// probe already semi-join-reduced by every build. Only then are the
+// probes ordered: each after the step that joins its probe leaf, and
+// of the steps free to go, the one with the smallest multiplier first,
+// the rows one probe row past its filter yields: build rows ÷ distinct
+// keys behind a bitmap, build rows ÷ (max − min + 1) behind a range.
+// Options.NaiveJoinOrder pins the textual order for A/B measurement.
+// An over-budget build degrades its step, its descendants' and every
+// later build's to grace hash, run after the in-memory probes; the
+// filters of the builds that fit still prune both sides before they
+// are partitioned. The stream probes the in-memory tables
+// morsel-parallel in one pipeline pass. ORDER BY over a join emits a
+// canonical order on both engines — sort key first, every output
+// column left to right as tiebreaks, DESC a full reversal — so vector
+// and MAL results stay bit-identical even where SQL leaves tie order
+// unspecified.
 // \plan renders the pipeline and, from one instrumented execution of a
 // statement without placeholders, what data skipping left of each scan
 // (decided at bind) and for joins the observed order:
@@ -193,9 +197,9 @@
 //	    probe: scan t -> hash-join[key col1, shared table] -> project -> exchange
 //	scan t: 10/10 zones, 10000/10000 rows
 //	scan u: 1/1 zones, 100/100 rows
-//	join order (greedy, sampled at execution):
+//	join order (greedy, from the measured builds):
 //	    stream: scan t
-//	    join 1: build u (100 rows), est 9500 rows -> actual 10000 rows, bitmap filter on t: 10000 -> 10000 rows
+//	    join 1: build u (100 rows), est 10000 rows -> actual 10000 rows, bitmap filter on t: 10000 -> 10000 rows
 //
 //	\plan SELECT a, b, sum(v) FROM t GROUP BY a, b
 //	vectorized pipeline (physical plan, morsel-parallel exchange):
@@ -223,7 +227,9 @@
 //     the same tie order as the full sort cut short. Over join and
 //     grouped output both engines additionally break ties by every
 //     output column left to right — see the join-ordering chapter —
-//     and the driver holds such a result to MAL's row for row.)
+//     and the driver holds such a result to MAL's row for row, as it
+//     does an ORDER BY on a column no item projects, over one table or
+//     a join: MAL breaks those ties the same way.)
 //
 // # Durability
 //

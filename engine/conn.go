@@ -158,12 +158,12 @@ func (c *Conn) Plan(sql string) (string, error) {
 // skipping left of it (decided at bind, from this snapshot's zone maps
 // and the statement's constants); for an ORDER BY, how many rows
 // reached the sort and how many a LIMIT's cutoff let through; and for a
-// join the order the sampled greedy orderer chose — per step, the
-// estimated intermediate cardinality against the measured one. The
-// last two take draining the result. All are per-execution decisions,
-// so \plan reports an observation, not a promise. Parameterized
-// statements have no argument values to execute with and report
-// structure only.
+// join the order the orderer chose from what the builds measured — per
+// step, the estimated intermediate cardinality against the measured
+// one. The last two take draining the result. All are per-execution
+// decisions, so \plan reports an observation, not a promise.
+// Parameterized statements have no argument values to execute with and
+// report structure only.
 func (c *Conn) observe(sel *sqlfe.Select, phys *physical.Plan, snap *sqlfe.Snapshot) string {
 	if sqlfe.NumParams(sel) > 0 {
 		return "scans and join order: decided per execution (parameterized; run the statement to observe them)"

@@ -334,10 +334,14 @@ type dQuery struct {
 	items []dItem
 	preds []dPred
 	group []dRef
-	order int // ORDER BY items[order]; -1 for none
+	order int  // ORDER BY items[order]; -1 for none
+	by    dRef // else ORDER BY this column, which no item projects
 	desc  bool
 	limit int // -1 for none
 }
+
+// sorted reports whether q has an ORDER BY.
+func (q *dQuery) sorted() bool { return q.order >= 0 || q.by.t != "" }
 
 // leaves lists the tables q reads, in FROM order.
 func (q *dQuery) leaves() []string {
@@ -435,8 +439,11 @@ func (q *dQuery) sql(params bool) (string, []any) {
 	for i, g := range q.group {
 		s += map[bool]string{true: " GROUP BY ", false: ", "}[i == 0] + g.String()
 	}
-	if q.order >= 0 {
+	switch {
+	case q.order >= 0:
 		s += " ORDER BY " + q.items[q.order].as + map[bool]string{true: " DESC"}[q.desc]
+	case q.by.t != "":
+		s += " ORDER BY " + q.by.String() + map[bool]string{true: " DESC"}[q.desc]
 	}
 	if q.limit >= 0 {
 		s += fmt.Sprintf(" LIMIT %d", q.limit)
@@ -477,6 +484,10 @@ type gen struct {
 	rng *rand.Rand
 	m   *model
 	sp  spec
+	// unprojected decides which plain ORDER BYs sort on a column no
+	// item projects. It is a stream of its own, so the shape leaves
+	// every other draw of a seed as it was.
+	unprojected *rand.Rand
 }
 
 func (g *gen) pick(n int) int { return g.rng.Intn(n) }
@@ -659,11 +670,27 @@ func (g *gen) query() *dQuery {
 			q.order = len(q.items) - 1
 		}
 		q.items[q.order].as = "ok"
+		if cs := g.unprojectedColumns(q, tables); !q.aggregated() && sp.orderOn == "" && len(cs) > 0 && g.unprojected.Intn(3) == 0 {
+			q.items[q.order].as, q.order = "", -1
+			q.by = cs[g.unprojected.Intn(len(cs))]
+		}
 	}
 	if g.chance(sp.limit) {
 		q.limit = []int{0, 1, 3, 10, 100, 1000, 5000}[g.pick(7)]
 	}
 	return q
+}
+
+// unprojectedColumns lists the sortable columns of tables that no item
+// of q projects.
+func (g *gen) unprojectedColumns(q *dQuery, tables []string) []dRef {
+	var out []dRef
+	for _, r := range g.m.columns(tables, "ifk") {
+		if !slices.ContainsFunc(q.items, func(it dItem) bool { return it.e == col(r) }) {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // ---- the plain-Go reference ----
@@ -1022,8 +1049,10 @@ func (d *driver) check(q *dQuery, x target) string {
 	}
 	// Over join and grouped output both engines break sort-key ties on
 	// every output column (doc.go § Result contract): the whole
-	// sequence is MAL's.
-	if q.order >= 0 && len(q.joins)+len(q.group) > 0 {
+	// sequence is MAL's. So it is for a sort key no item projects, over
+	// one table too (ties on the row position), of which the reference
+	// holds only the multiset.
+	if q.order >= 0 && len(q.joins)+len(q.group) > 0 || q.by.t != "" {
 		mal, err := d.malRows(q)
 		if err != nil || len(mal) != len(got) {
 			return fmt.Sprintf("order: MAL returned %d rows, %v", len(mal), err)
@@ -1036,7 +1065,7 @@ func (d *driver) check(q *dQuery, x target) string {
 	}
 	// A LIMIT may stop the scans early, unless a sort or an aggregate
 	// has to read everything first.
-	early := q.limit == 0 || q.limit > 0 && q.order < 0 && !q.aggregated()
+	early := q.limit == 0 || q.limit > 0 && !q.sorted() && !q.aggregated()
 	if x.cell != nil && len(q.joins) > 0 && !early {
 		return d.filters(q, x.cell)
 	}
@@ -1047,8 +1076,9 @@ func (d *driver) check(q *dQuery, x target) string {
 // observation describes and compares every key filter's rows in and
 // kept: a leaf's live rows that pass its own predicates, then each
 // filter on it in the order the children-first builds published them
-// (reverse join order), a bitmap keeping exactly the build's non-nil
-// keys and a range keeping [min, max] of them. Without a budget, which
+// (the builds of its children in the tree rooted at the stream, in
+// FROM order), a bitmap keeping exactly the build's non-nil keys and a
+// range keeping [min, max] of them. Without a budget, which
 // could deny a bitmap, each filter's kind must follow the density rule:
 // a bitmap while the keys span at most 64 values per non-nil key. A
 // join the vector path lowers must run there.
@@ -1102,7 +1132,7 @@ func (d *driver) filters(q *dQuery, c *cell) string {
 		panic("no edge between " + a + " and " + b)
 	}
 	var why []string
-	empty, memo := false, map[string][][]any{}
+	leaves, empty, memo := q.leaves(), false, map[string][][]any{}
 	var survivors func(name string) [][]any
 	survivors = func(name string) [][]any {
 		if rows, ok := memo[name]; ok {
@@ -1110,11 +1140,17 @@ func (d *driver) filters(q *dQuery, c *cell) string {
 		}
 		rows := d.m.live(name, q.preds)
 		empty = empty || len(rows) == 0
-		for k := len(steps) - 1; k >= 0; k-- {
-			s := steps[k]
-			if s.kind == "" || s.on != name {
-				continue
+		var on []int // the steps whose filter name's scan applies, in build order
+		for k, s := range steps {
+			if s.kind != "" && s.on == name {
+				on = append(on, k)
 			}
+		}
+		slices.SortFunc(on, func(a, b int) int {
+			return slices.Index(leaves, steps[a].build) - slices.Index(leaves, steps[b].build)
+		})
+		for _, k := range on {
+			s := steps[k]
 			pc, bc := col(name, s.build), col(s.build, name)
 			set := map[int64]bool{}
 			lo, hi, n := int64(math.MaxInt64), int64(math.MinInt64), 0
@@ -1145,7 +1181,7 @@ func (d *driver) filters(q *dQuery, c *cell) string {
 	// The stream is the largest leaf; check it where sampling cannot
 	// mistake that, at four times any other.
 	sizes, largest := map[string]int{}, q.from
-	for _, name := range q.leaves() {
+	for _, name := range leaves {
 		survivors(name)
 		if sizes[name] = len(d.m.live(name, q.preds)); sizes[name] > sizes[largest] {
 			largest = name
@@ -1170,6 +1206,9 @@ func (d *driver) filters(q *dQuery, c *cell) string {
 // column and projects no arithmetic (physical's fallback reasons).
 func (d *driver) lowers(q *dQuery) bool {
 	refs := append([]dRef(nil), q.group...)
+	if q.by.t != "" {
+		refs = append(refs, q.by)
+	}
 	for _, p := range q.preds {
 		refs = append(refs, p.ref)
 	}
@@ -1253,7 +1292,8 @@ func (d *driver) run() {
 				t.Fatalf("stage %s, %s: scan of f reads %q, want zones%s", st.name, c, line, tombs)
 			}
 		}
-		g := &gen{rng: rand.New(rand.NewSource(d.seed*1000 + int64(si))), m: d.m, sp: d.sp}
+		g := &gen{rng: rand.New(rand.NewSource(d.seed*1000 + int64(si))), m: d.m, sp: d.sp,
+			unprojected: rand.New(rand.NewSource(-d.seed*1000 - int64(si) - 1))}
 		d.refs, d.mals = map[*dQuery][][]any{}, map[*dQuery][][]any{}
 		qs := make([]*dQuery, d.stmts)
 		for i := range qs {
@@ -1334,6 +1374,9 @@ func (q *dQuery) dropping(drop func(r dRef) bool) *dQuery {
 	}
 	d := *c
 	d.preds, d.group = nil, nil
+	if drop(q.by) {
+		d.by = dRef{}
+	}
 	for _, p := range q.preds {
 		if !drop(p.ref) {
 			d.preds = append(d.preds, p)
@@ -1384,6 +1427,11 @@ func shrinks(q *dQuery) []*dQuery {
 		c := *q
 		c.items = append([]dItem(nil), q.items...)
 		c.items[c.order].as, c.order = "", -1
+		add(&c)
+	}
+	if q.by.t != "" {
+		c := *q
+		c.by = dRef{}
 		add(&c)
 	}
 	if q.limit >= 0 {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -92,4 +93,33 @@ func TestGreedyOrderBeatsNaive(t *testing.T) {
 		t.Fatalf("greedy order did not pay: %d intermediate rows vs naive %d", greedyInter, naiveInter)
 	}
 	t.Logf("intermediate rows: greedy=%d naive=%d (%.1fx)", greedyInter, naiveInter, float64(naiveInter)/float64(greedyInter+1))
+}
+
+// The stream is the leaf with the most LIVE rows: a DELETE that
+// tombstones half a table, short of the half-rule vacuum, leaves its
+// positions in place, and the orderer must not count them.
+func TestStreamSkipsTombstonedRows(t *testing.T) {
+	db, _ := Open()
+	defer db.Close()
+	for name, n := range map[string]int{"a": 10000, "b": 8000} {
+		mustExec(t, db, "CREATE TABLE "+name+" (k INT, v INT)")
+		ins := &sqlfe.Insert{Table: name}
+		for i := 0; i < n; i++ {
+			ins.Rows = append(ins.Rows, []sqlfe.Lit{{Kind: sqlfe.TInt, I: int64(i)}, {Kind: sqlfe.TInt, I: int64(i % 7)}})
+		}
+		if _, err := db.sdb.ExecStmt(ins); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustExec(t, db, "DELETE FROM a WHERE k < 4900")
+	plan, err := db.Conn().Plan("SELECT a.v, b.v FROM a JOIN b ON a.k = b.k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, "10000/10000 rows, 4900 tombstoned") {
+		t.Fatalf("a is not 10000 positions with 4900 tombstoned:\n%s", plan)
+	}
+	if !strings.Contains(plan, "stream: scan b\n") {
+		t.Fatalf("streamed a, whose 5100 live rows are fewer than b's 8000:\n%s", plan)
+	}
 }

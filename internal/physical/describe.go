@@ -10,8 +10,9 @@ import (
 // the Exchange marking where batches cross from the parallel workers to
 // the consumer. The rendering is STRUCTURAL (leaves in textual FROM
 // order): which leaf streams and in what order the others build is
-// decided per execution by the sampled greedy orderer, which \plan
-// reports separately from its instrumented execution.
+// decided per execution by the greedy orderer from what the builds
+// measured, which \plan reports separately from its instrumented
+// execution.
 func (p *Plan) Describe() string {
 	var sb strings.Builder
 	sb.WriteString("vectorized pipeline (physical plan, morsel-parallel exchange):\n")
@@ -68,11 +69,13 @@ func (p *Plan) Describe() string {
 // Describe renders what one instrumented execution observed: per leaf,
 // what data skipping left of its scan; for an ORDER BY, how many rows
 // reached the sort, how many of them a LIMIT's cutoff let through, and
-// what came out; then, for a join, which leaf the greedy orderer
-// streamed and per join step the build side with its sampled estimate
-// against the measured output cardinality, and the key filter the build
-// published: its kind, the leaf that applied it, and the rows it saw
-// and kept there.
+// what came out; then, for a join, which leaf the orderer streamed (the
+// largest in a sample of its scan) and per join step, in probe order,
+// the build side with its estimate (the stream's sampled rows past its
+// key filters times the measured multiplier of every step so far)
+// against the measured output cardinality, and the key filter the
+// build published: its kind, the leaf that applied it, and the rows it
+// saw and kept there.
 func (s *ExecStats) Describe() string {
 	var sb strings.Builder
 	for _, sc := range s.Scans {
@@ -92,10 +95,9 @@ func (s *ExecStats) Describe() string {
 	if len(s.Joins) == 0 {
 		return strings.TrimRight(sb.String(), "\n")
 	}
-	sb.WriteString("join order (greedy, sampled at execution):\n")
+	sb.WriteString("join order (greedy, from the measured builds):\n")
 	fmt.Fprintf(&sb, "    stream: scan %s\n", s.Stream)
-	for i := range s.Joins {
-		j := &s.Joins[i]
+	for i, j := range s.Joins {
 		fmt.Fprintf(&sb, "    join %d: build %s (%d rows), est %d rows -> actual %d rows",
 			i+1, j.Build, j.BuildRows, j.EstRows, atomic.LoadInt64(&j.Actual))
 		if j.Filter != "" {

@@ -415,64 +415,47 @@ func (p *Plan) pipelineFor(ctx context.Context, snap *sqlfe.Snapshot, args []any
 	}
 	return &pipeline{
 		ctx: ctx, opts: opts, src: bs.src,
-		par:   func(scan vector.Operator) vector.Operator { return filtered(scan, vpreds) },
+		par:   func(scan vector.Operator) vector.Operator { return filtered(scan, vpreds, nil) },
 		remap: remap, width: width,
 	}, nil
 }
 
-// filtered puts a Filter over op when there are predicates.
-func filtered(op vector.Operator, preds []vector.Pred) vector.Operator {
+// filtered puts a Filter over op when there are predicates; counts are
+// the row counters of the join key filters among them (Filter.Counts).
+func filtered(op vector.Operator, preds []vector.Pred, counts []vector.PredCount) vector.Operator {
 	if len(preds) > 0 {
-		return &vector.Filter{Child: op, Preds: preds}
+		return &vector.Filter{Child: op, Preds: preds, Counts: counts}
 	}
 	return op
 }
 
-// --- join ordering: statistics-free greedy over strided samples ---
+// --- join ordering: from what the builds measured ---
 
-// estimateLeaf estimates a leaf's post-filter cardinality by running
-// its predicates over a strided sample of at most 1024 rows — the
-// engine keeps no table statistics, so selectivities are measured at
-// plan-instantiation time from the data itself (add-half smoothing
-// keeps an all-rejected sample from estimating an impossible zero).
-func estimateLeaf(bs *boundScan, preds []vector.Pred, vectorSize int) float64 {
-	n := bs.src.Len()
-	if n == 0 {
+// A leaf's estimate scans sampleRuns runs of sampleRun rows.
+const sampleRuns, sampleRun = 32, 32
+
+// estimateLeaf estimates how many rows src's scan passes through preds.
+// The engine keeps no table statistics, so it runs them over about
+// sampleRuns·sampleRun of the positions the scan visits: runs evenly
+// spaced inside the ranges data skipping left, read by a real scan, so
+// tombstoned positions drop out as they do from the leaf's own scan.
+// Add-half smoothing keeps an all-rejected sample from estimating an
+// impossible zero.
+func estimateLeaf(src *vector.Source, preds []vector.Pred, vectorSize int) float64 {
+	total := src.ScanRows()
+	if total == 0 {
 		return 0
 	}
-	if len(preds) == 0 {
-		return float64(n)
-	}
-	const maxSample = 1024
-	step := 1
-	if n > maxSample {
-		step = n / maxSample
-	}
-	cols := make([]vector.Col, len(bs.src.Cols))
-	for i := range cols {
-		cols[i].Kind = bs.src.Cols[i].Kind
-	}
-	sn := 0
-	for pos := 0; pos < n; pos += step {
-		for i := range cols {
-			c := &bs.src.Cols[i]
-			switch c.Kind {
-			case vector.KindInt:
-				cols[i].Ints = append(cols[i].Ints, c.Ints[pos])
-			case vector.KindFloat:
-				cols[i].Floats = append(cols[i].Floats, c.Floats[pos])
-			}
+	sample := src
+	if total > sampleRuns*sampleRun {
+		var err error
+		if sample, err = src.Restrict(sampleRanges(src.Ranges(), total)); err != nil {
+			panic(err) // runs cut inside the source's own ranges cannot fail
 		}
-		sn++
 	}
-	src, err := vector.NewSourceWithLen(bs.src.Names, cols, sn)
-	if err != nil {
-		return float64(n)
-	}
-	var op vector.Operator = vector.NewScan(src, vectorSize)
-	op = &vector.Filter{Child: op, Preds: preds}
+	op := filtered(vector.NewScan(sample, vectorSize), preds, nil)
 	if err := op.Open(); err != nil {
-		return float64(n)
+		return float64(total)
 	}
 	defer op.Close()
 	q := 0
@@ -483,113 +466,118 @@ func estimateLeaf(bs *boundScan, preds []vector.Pred, vectorSize int) float64 {
 		}
 		q += b.Rows()
 	}
-	sel := (float64(q) + 0.5) / (float64(sn) + 1)
+	sn := sample.ScanRows()
 	if q == sn {
-		sel = 1
+		return float64(total)
 	}
-	// The zone maps already proved every row outside the scan ranges
-	// fails a predicate: a narrowed leaf is at most that small.
-	return math.Min(sel*float64(n), float64(bs.src.ScanRows()))
+	return (float64(q) + 0.5) / (float64(sn) + 1) * float64(total)
 }
 
-// joinStep is one ordered step of the left-deep chain: fold leaf
-// `build` into the joined set by probing with the `probe` leaf's key.
+// sampleRanges cuts sampleRuns runs of at most sampleRun rows, evenly
+// spaced over the total positions ranges cover, each inside the range
+// it starts in. total exceeds sampleRuns·sampleRun, so no two meet.
+func sampleRanges(ranges []vector.RowRange, total int) []vector.RowRange {
+	out := make([]vector.RowRange, 0, sampleRuns)
+	i, base := 0, 0 // ranges[i] holds the scan's positions [base, base+its length)
+	for j := 0; j < sampleRuns; j++ {
+		off := j * total / sampleRuns
+		for off >= base+ranges[i].Hi-ranges[i].Lo {
+			base += ranges[i].Hi - ranges[i].Lo
+			i++
+		}
+		lo := ranges[i].Lo + off - base
+		out = append(out, vector.RowRange{Lo: lo, Hi: min(lo+sampleRun, ranges[i].Hi)})
+	}
+	return out
+}
+
+// joinStep folds leaf build into the joined set: a hash table over its
+// key, probed with the key of probe, its parent in the join tree rooted
+// at the stream.
 type joinStep struct {
-	edge        JoinEdge
-	build       int // leaf hashed into a table at this step
-	probe       int // already-joined leaf owning the probe key
-	probeKeyPos int // key position within the probe leaf's columns
-	buildKeyPos int
-	est         float64 // estimated output rows of this step
+	build, probe             int
+	buildKeyPos, probeKeyPos int // key positions within each leaf's columns
+	subtree                  int // the steps of build's descendants are steps[subtree:] up to this one
+
+	jb    *vector.JoinBuild // nil once degraded or handed back
+	grace bool              // joins by grace hash, after every in-memory probe
+	// mult is the output rows one probe row that passed the step's key
+	// filter yields (JoinBuild.KeyFilter); 1 for a degraded build, which
+	// measured nothing.
+	mult float64
+	stat *JoinStat // nil when not observed
 }
 
-// orderJoins picks the stream leaf and the join order. Greedy mode
-// streams the leaf with the largest estimate, so the fact table is never
-// hashed, and repeatedly folds in the adjacent leaf minimizing the next
-// intermediate's estimate |S ⋈ L| ≈ |S|·|L| / max(d_S-key, d_L-key).
-// Naive mode executes the textual order (stream = first FROM table,
-// edges in JOIN order) — the baseline greedy is measured against.
-func orderJoins(jt *JoinTreeNode, ests []float64, dist func(leaf, pos int) float64, naive bool) (int, []joinStep) {
-	edges := jt.Edges
-	steps := make([]joinStep, 0, len(edges))
-
-	if naive {
-		cur := ests[0]
-		for _, e := range edges {
-			dA := dist(e.A, e.AKey)
-			dB := dist(e.B, e.BKey)
-			cur = cur * ests[e.B] / math.Max(1, math.Max(dA, dB))
-			steps = append(steps, joinStep{edge: e, build: e.B, probe: e.A,
-				probeKeyPos: e.AKey, buildKeyPos: e.BKey, est: cur})
-		}
-		return 0, steps
+// runsBefore reports whether s probes before o when both could go next:
+// in-memory steps before grace steps, then the smaller multiplier (not
+// in naive mode), then FROM order.
+func (s *joinStep) runsBefore(o *joinStep, naive bool) bool {
+	switch {
+	case s.grace != o.grace:
+		return o.grace
+	case !naive && s.mult != o.mult:
+		return s.mult < o.mult
 	}
+	return s.build < o.build
+}
 
-	stream := 0
-	for i, est := range ests {
-		if est > ests[stream] {
-			stream = i
-		}
-	}
-	inS := make([]bool, len(jt.Leaves))
-	inS[stream] = true
-	used := make([]bool, len(edges))
-	cur := ests[stream]
-	for len(steps) < len(edges) {
-		best, bestEst := -1, math.Inf(1)
-		var bestStep joinStep
-		for ei, e := range edges {
-			if used[ei] {
+// rootJoinTree orients the join tree away from the stream, one step per
+// other leaf joining it to its parent, and lists the steps
+// children-first: each leaf's subtree before it, siblings in FROM order
+// (edge k introduces leaf k+1, so edge order lists a leaf's neighbours
+// in FROM order).
+func rootJoinTree(jt *JoinTreeNode, stream int) []joinStep {
+	steps := make([]joinStep, 0, len(jt.Edges))
+	seen := make([]bool, len(jt.Leaves))
+	var visit func(leaf int)
+	visit = func(leaf int) {
+		seen[leaf] = true
+		for _, e := range jt.Edges {
+			st := joinStep{build: e.B, probe: leaf, buildKeyPos: e.BKey, probeKeyPos: e.AKey}
+			if e.B == leaf {
+				st = joinStep{build: e.A, probe: leaf, buildKeyPos: e.AKey, probeKeyPos: e.BKey}
+			}
+			if e.A != leaf && e.B != leaf || seen[st.build] {
 				continue
 			}
-			var sLeaf, nLeaf, sKey, nKey int
-			switch {
-			case inS[e.A] && !inS[e.B]:
-				sLeaf, nLeaf, sKey, nKey = e.A, e.B, e.AKey, e.BKey
-			case inS[e.B] && !inS[e.A]:
-				sLeaf, nLeaf, sKey, nKey = e.B, e.A, e.BKey, e.AKey
-			default:
-				continue // not adjacent to the joined set yet
-			}
-			dS := math.Min(dist(sLeaf, sKey), math.Max(ests[sLeaf], 1))
-			dN := math.Min(dist(nLeaf, nKey), math.Max(ests[nLeaf], 1))
-			est := cur * ests[nLeaf] / math.Max(1, math.Max(dS, dN))
-			if est < bestEst {
-				best, bestEst = ei, est
-				bestStep = joinStep{edge: e, build: nLeaf, probe: sLeaf,
-					probeKeyPos: sKey, buildKeyPos: nKey, est: est}
-			}
+			st.subtree = len(steps)
+			visit(st.build)
+			steps = append(steps, st)
 		}
-		if best < 0 {
-			break // disconnected — cannot happen for a tree, guarded by caller
-		}
-		used[best] = true
-		inS[bestStep.build] = true
-		steps = append(steps, bestStep)
-		cur = bestEst
 	}
-	return stream, steps
+	visit(stream)
+	return steps
 }
 
-// joinPipeline instantiates an N-way join tree: estimates, orders,
-// builds the non-stream leaves into shared hash tables, and returns the
-// pipeline the post-stages compose over.
+// joinPipeline instantiates an N-way join tree and returns the pipeline
+// the post-stages compose over. It decides from measured facts, in one
+// pass:
 //
-// Builds run children-first (reverse chain order: the join tree rooted
-// at the stream, leaves first), and each in-memory build publishes a key
-// filter into the Filter of the leaf owning its probe key, after that
-// leaf's own predicates. So a build leaf is pruned by the leaves hanging
-// off it before it is hashed, and the stream arrives at its first probe
-// pruned by every dimension: a bottom-up semi-join reduction.
+//   - The stream is the leaf with the largest estimate (estimateLeaf),
+//     first in FROM order on a tie, so the fact table is never hashed.
+//     Naive mode streams leaf 0.
+//   - Every other leaf builds, children-first over the tree rooted at
+//     the stream, and each in-memory build publishes a key filter into
+//     the Filter of the leaf owning its probe key, after that leaf's own
+//     predicates. So a build leaf is pruned by the leaves hanging off it
+//     before it is hashed, and the stream arrives at its first probe
+//     pruned by every dimension: a bottom-up semi-join reduction.
+//   - The probes run after the builds, each after the step joining its
+//     probe leaf; of the steps that can go next, the one with the
+//     smallest multiplier first (naive: FROM order).
 //
 // Builds charge the governor. An over-grant build degrades its step to
-// grace-hash partitioning, and so does every later step in chain order,
-// whose in-memory tables are handed back: the chain from that step on
-// runs serially over disk partitions.
+// grace-hash partitioning, and so do its descendants, whose probe keys
+// live in its columns: their tables are handed back at once, their
+// filters kept. The builds after it degrade without trying memory, so
+// the tables they would hold leave the grace steps, and the operators
+// above the join, their staging. Grace steps run after every in-memory
+// probe, serially over disk partitions.
 func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, jt *JoinTreeNode) (*pipeline, error) {
 	n := len(jt.Leaves)
 	bss := make([]*boundScan, n)
 	vpreds := make([][]vector.Pred, n)
+	vcounts := make([][]vector.PredCount, n) // the key filters' counters, by index into vpreds
 	anyEmpty := false
 	for i := range jt.Leaves {
 		bs, vp, err := bindLeaf(jt.Leaves[i].Scan, jt.Leaves[i].Preds, snap, args, opts.Stats)
@@ -610,42 +598,22 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 		}
 	}
 
-	ests := make([]float64, n)
-	for i := range bss {
-		ests[i] = estimateLeaf(bss[i], vpreds[i], opts.VectorSize)
-	}
-	distCache := map[[2]int]float64{}
-	dist := func(leaf, pos int) float64 {
-		k := [2]int{leaf, pos}
-		if d, ok := distCache[k]; ok {
-			return d
+	stream := 0
+	if !opts.NaiveJoinOrder {
+		best := -1.0
+		for i := range bss {
+			if est := estimateLeaf(bss[i].src, vpreds[i], opts.VectorSize); est > best {
+				stream, best = i, est
+			}
 		}
-		d := float64(vector.EstimateGroups(bss[leaf].src.Cols[pos].Ints))
-		if d < 1 {
-			d = 1
-		}
-		distCache[k] = d
-		return d
 	}
-	stream, steps := orderJoins(jt, ests, dist, opts.NaiveJoinOrder)
+	steps := rootJoinTree(jt, stream)
 	if len(steps) != n-1 {
 		return nil, fmt.Errorf("physical: join graph is not a tree (%d steps for %d leaves)", len(steps), n)
 	}
-	stats := make([]*JoinStat, len(steps)) // nil entries when not observed
-	if opts.Stats != nil {
-		opts.Stats.Stream = jt.Leaves[stream].Scan.Table
-		opts.Stats.Joins = make([]JoinStat, len(steps))
-		for k, st := range steps {
-			opts.Stats.Joins[k] = JoinStat{
-				Build:   jt.Leaves[st.build].Scan.Table,
-				EstRows: int64(st.est + 0.5),
-			}
-			stats[k] = &opts.Stats.Joins[k]
-		}
-	}
 
 	mkLeafOp := func(li int) vector.Operator {
-		return filtered(vector.NewScan(bss[li].src, opts.VectorSize), vpreds[li])
+		return filtered(vector.NewScan(bss[li].src, opts.VectorSize), vpreds[li], vcounts[li])
 	}
 	payloadOf := func(li int) []int {
 		payload := make([]int, len(bss[li].src.Cols))
@@ -655,35 +623,45 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 		return payload
 	}
 
-	// Children-first builds. first is the first step in chain order whose
-	// build degraded (len(steps) when none did).
-	jbs := make([]*vector.JoinBuild, len(steps))
-	first := len(steps)
-	for k := len(steps) - 1; k >= 0; k-- {
-		st, stat := steps[k], stats[k]
-		jb, err := vector.BuildJoinTableGov(mkLeafOp(st.build), st.buildKeyPos, payloadOf(st.build), opts.Gov)
+	degraded := false // the governor denied a build: the later ones do not try memory
+	for k := range steps {
+		st := &steps[k]
+		if opts.Stats != nil {
+			st.stat = &JoinStat{Build: jt.Leaves[st.build].Scan.Table}
+		}
+		var jb *vector.JoinBuild
+		err := memgov.ErrExceeded
+		if !degraded {
+			jb, err = vector.BuildJoinTableGov(mkLeafOp(st.build), st.buildKeyPos, payloadOf(st.build), opts.Gov)
+		}
 		switch {
 		case err == nil:
-			jbs[k] = jb
-			preds, bitmap := jb.KeyFilter(st.probeKeyPos, opts.Gov)
-			if stat != nil {
+			preds, bitmap, mult := jb.KeyFilter(st.probeKeyPos, opts.Gov)
+			st.jb, st.mult = jb, mult
+			if stat := st.stat; stat != nil {
 				stat.BuildRows = int64(jb.Rows())
 				stat.FilterOn, stat.Filter = jt.Leaves[st.probe].Scan.Table, "range"
 				if bitmap {
 					stat.Filter = "bitmap"
 				}
-				preds[0].In, preds[len(preds)-1].Kept = &stat.FilterIn, &stat.FilterKept
+				// The leaf's earlier predicates count nothing.
+				cs := vcounts[st.probe]
+				cs = append(cs, make([]vector.PredCount, len(vpreds[st.probe])+len(preds)-len(cs))...)
+				cs[len(vpreds[st.probe])].In, cs[len(cs)-1].Kept = &stat.FilterIn, &stat.FilterKept
+				vcounts[st.probe] = cs
 			}
 			vpreds[st.probe] = append(vpreds[st.probe], preds...)
 		case errors.Is(err, memgov.ErrExceeded) && opts.canSpill():
 			// The build outgrew the grant (its partial charge is already
-			// handed back). The steps after it will join on its serial
-			// chain: hand back their tables, keep their filters.
-			for j := k + 1; j < first; j++ {
-				jbs[j].ReleaseMem()
-				jbs[j] = nil
+			// handed back), or followed one that did.
+			for j := st.subtree; j < k; j++ {
+				if d := &steps[j]; d.jb != nil {
+					d.jb.ReleaseMem()
+					d.jb = nil
+				}
+				steps[j].grace = true
 			}
-			first = k
+			st.grace, st.mult, degraded = true, 1, true
 		default:
 			return nil, err
 		}
@@ -692,8 +670,35 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 		}
 	}
 
+	order := make([]*joinStep, 0, len(steps))
+	joined := make([]bool, n)
+	joined[stream] = true
+	for len(order) < len(steps) {
+		var next *joinStep
+		for k := range steps {
+			st := &steps[k]
+			if !joined[st.build] && joined[st.probe] && (next == nil || st.runsBefore(next, opts.NaiveJoinOrder)) {
+				next = st
+			}
+		}
+		joined[next.build] = true
+		order = append(order, next)
+	}
+	if opts.Stats != nil {
+		// Each step's estimate: the stream's rows past its filters,
+		// sampled again now that it carries the key filters (without
+		// their counters), times every multiplier up to the step.
+		opts.Stats.Stream = jt.Leaves[stream].Scan.Table
+		est := estimateLeaf(bss[stream].src, vpreds[stream], opts.VectorSize)
+		for _, st := range order {
+			est *= st.mult
+			st.stat.EstRows = int64(est + 0.5)
+			opts.Stats.Joins = append(opts.Stats.Joins, st.stat)
+		}
+	}
+
 	// Intermediate layout: the stream leaf's columns first, then each
-	// build's payload (all its pipeline columns) in execution order.
+	// build's payload (all its pipeline columns) in probe order.
 	ipos := make([]int, n)
 	width := len(bss[stream].src.Cols)
 	type builtStep struct {
@@ -715,11 +720,11 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 	var chain []builtStep
 	var mkSerial func() vector.Operator
 
-	for k := range steps {
-		st, stat := steps[k], stats[k] // per step: the grace closure keeps them
+	for _, st := range order {
+		st, stat := st, st.stat // per step: the grace closure keeps them
 		probeKey := ipos[st.probe] + st.probeKeyPos
-		if k < first {
-			chain = append(chain, builtStep{jb: jbs[k], probeKey: probeKey, stat: stat})
+		if !st.grace {
+			chain = append(chain, builtStep{jb: st.jb, probeKey: probeKey, stat: stat})
 		} else {
 			// Grace-hash step: both sides partition to disk by key hash
 			// (each side's key filters applied first), partition pairs
@@ -731,7 +736,7 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 				mkSerial = func() vector.Operator { return probe(mkLeafOp(stream), chain) }
 			}
 			// The build leaf ran once already: its filters count this run.
-			for _, c := range counters(vpreds[st.build]) {
+			for _, c := range counters(vcounts[st.build]) {
 				atomic.StoreInt64(c, 0)
 			}
 			ncolsB := len(bss[st.build].src.Cols)
@@ -784,30 +789,32 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 	var recount []*int64
 	if opts.Stats != nil {
 		if mkSerial != nil {
-			recount = append(recount, &stats[len(steps)-1].Actual)
+			recount = append(recount, &order[len(order)-1].stat.Actual)
 		} else {
-			recount = counters(vpreds[stream])
-			for _, stat := range stats {
-				recount = append(recount, &stat.Actual)
+			recount = counters(vcounts[stream])
+			for _, st := range order {
+				recount = append(recount, &st.stat.Actual)
 			}
 		}
 	}
 	return &pipeline{
 		ctx: ctx, opts: opts, src: bss[stream].src,
-		par:      func(scan vector.Operator) vector.Operator { return probe(filtered(scan, vpreds[stream]), chain) },
+		par: func(scan vector.Operator) vector.Operator {
+			return probe(filtered(scan, vpreds[stream], vcounts[stream]), chain)
+		},
 		mkSerial: mkSerial,
 		remap:    remap, width: width,
 		recount: recount,
 	}, nil
 }
 
-// counters lists the row counters key filters carry in preds.
-func counters(preds []vector.Pred) []*int64 {
+// counters lists the row counters of a leaf's key filters.
+func counters(counts []vector.PredCount) []*int64 {
 	var out []*int64
-	for _, p := range preds {
-		for _, c := range []*int64{p.In, p.Kept} {
-			if c != nil {
-				out = append(out, c)
+	for _, c := range counts {
+		for _, p := range []*int64{c.In, c.Kept} {
+			if p != nil {
+				out = append(out, p)
 			}
 		}
 	}

@@ -106,10 +106,10 @@ type Options struct {
 
 // ExecStats is the per-execution observation collector \plan renders.
 type ExecStats struct {
-	Scans  []ScanStat // one per bound leaf, in FROM order, filled at bind
-	Stream string     // name of the streamed (probe) leaf table
-	Joins  []JoinStat // one per executed join step, in execution order
-	Sort   *SortStat  // what the ORDER BY did; nil when nothing was sorted
+	Scans  []ScanStat  // one per bound leaf, in FROM order, filled at bind
+	Stream string      // name of the streamed (probe) leaf table
+	Joins  []*JoinStat // one per executed join step, in execution order
+	Sort   *SortStat   // what the ORDER BY did; nil when nothing was sorted
 }
 
 // SortStat is one executed ORDER BY: what it ordered and the live
@@ -136,7 +136,7 @@ type ScanStat struct {
 type JoinStat struct {
 	Build     string // the table drained into the hash table at this step
 	BuildRows int64  // rows it hashed (post-filter)
-	EstRows   int64  // planner's sampled estimate of the step's output
+	EstRows   int64  // stream rows past its filters (sampled) × the multipliers so far
 	Actual    int64  // observed output rows (updated atomically during execution)
 	Grace     bool   // step degraded to grace-hash partitioning
 
@@ -244,18 +244,19 @@ type JoinEdge struct {
 // JoinTreeNode is an N-way INT equi-join over a TREE of leaves (the
 // grammar admits exactly one edge per joined table, so the graph is a
 // tree by construction — no cycles, no cross products). The node is
-// pure structure: WHICH leaf streams and in WHAT order the others build
-// is decided per execution by a statistics-free greedy orderer working
-// from strided samples — post-filter leaf cardinalities and per-key
-// distinct estimates (vector.EstimateGroups) give each edge an expected
-// output size |A⋈B| ≈ |A|·|B|/max(d_A,d_B); the orderer starts at the
-// cheapest edge and grows the joined set along tree edges, always
-// taking the adjacent edge with the smallest estimated intermediate.
-// All non-stream leaves become serial hash-table builds (memory charged
-// to the query governor; an over-grant build degrades to grace-hash
-// partitioning instead of failing); the stream flows through the chain
-// of probes in morsel-parallel worker pipelines. Nil keys never match —
-// SQL three-valued logic, enforced once inside the table.
+// pure structure: WHICH leaf streams and in WHAT order the others are
+// probed is decided per execution from measured facts, no statistics
+// kept. The stream is the leaf whose filters pass the most rows in a
+// strided sample of its scan. Every other leaf becomes a serial
+// hash-table build, children-first over the tree rooted at the stream
+// (memory charged to the query governor; an over-grant build degrades
+// to grace-hash partitioning instead of failing), and publishes a key
+// filter on its probe side. The probes are then ordered greedily along
+// tree edges, smallest multiplier first: the output rows one probe row
+// past the filter yields, from the build's exact rows and keys. The
+// stream flows through the chain of probes in morsel-parallel worker
+// pipelines. Nil keys never match — SQL three-valued logic, enforced
+// once inside the table.
 type JoinTreeNode struct {
 	Leaves []JoinLeaf
 	Edges  []JoinEdge // Edges[k] joins leaf k+1 into the prefix (textual order)

@@ -17,10 +17,8 @@ package vector
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/memgov"
-	"repro/internal/radix"
 )
 
 // mergeKind maps a partial-aggregate kind to the kind that folds its
@@ -99,45 +97,4 @@ func MergeGroups(child Operator, nk int, specs []AggSpec, res *memgov.Reservatio
 		merge[i] = AggSpec{Kind: mergeKind(s.Kind), Col: i + nk}
 	}
 	return &Agg{Child: child, Keys: keys, Aggs: merge, Res: res, merge: true}
-}
-
-// EstimateGroups guesses the distinct-key count of keys from a sample
-// of at most 4096 values spread across the whole column: d distinct
-// among s sampled. For G uniform groups the expected sample
-// distinctness is E[d] = G·(1-e^(-s/G)) — the Poisson/coupon-collector
-// curve — so the estimate inverts it as G ≈ -s·ln(1-d/s), which is
-// exact at G=s and within a small factor across the band (a naive
-// linear d·n/s extrapolation overestimates that band by orders of
-// magnitude once the sample is half distinct). A fully-distinct sample
-// says only "at least ~n-ish": return n. The join orderer's
-// distinct-key estimates (physical.joinPipeline) need the order of
-// magnitude, not precision.
-func EstimateGroups(keys []int64) int {
-	n := len(keys)
-	if n == 0 {
-		return 0
-	}
-	s := n
-	if s > 4096 {
-		s = 4096
-	}
-	// Sample positions i*n/s so coverage spans the WHOLE column even
-	// when n is not a multiple of s — an integer stride would degrade
-	// to a prefix scan and misjudge data clustered by key.
-	sample := make([]int64, s)
-	for i := range sample {
-		sample[i] = keys[i*n/s]
-	}
-	d := int(radix.NewGroupTable(1, s).Assign([][]int64{sample}, nil, make([]int32, s)))
-	if d >= s {
-		return n
-	}
-	est := int(-float64(s) * math.Log(1-float64(d)/float64(s)))
-	if est < d {
-		est = d
-	}
-	if est > n {
-		est = n
-	}
-	return est
 }

@@ -216,35 +216,6 @@ func TestGroupAggCancel(t *testing.T) {
 	}
 }
 
-func TestEstimateGroups(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	low := make([]int64, 1<<20)
-	high := make([]int64, 1<<20)
-	for i := range low {
-		low[i] = rng.Int63n(100)
-		high[i] = rng.Int63()
-	}
-	// The mid-cardinality band is where a naive linear extrapolation
-	// overestimates by orders of magnitude once the sample is half
-	// distinct: these true cardinalities must come back no larger than
-	// twice, and no smaller than a quarter of, themselves.
-	for _, card := range []int{4096, 10000, 50000} {
-		mid := make([]int64, 1<<20)
-		for i := range mid {
-			mid[i] = rng.Int63n(int64(card))
-		}
-		if est := EstimateGroups(mid); est < card/4 || est > 2*card {
-			t.Fatalf("card %d: estimate %d, want in [%d, %d]", card, est, card/4, 2*card)
-		}
-	}
-	if est := EstimateGroups(low); est < 50 || est > 400 {
-		t.Fatalf("low-cardinality estimate %d, want ~100", est)
-	}
-	if est := EstimateGroups(high); est < len(high)/2 {
-		t.Fatalf("high-cardinality estimate %d, want ~%d", est, len(high))
-	}
-}
-
 // Composite-key grouping: ParallelGroupAgg over TWO int key columns
 // (the K=2 GroupTable path) agrees with a map oracle keyed on the pair,
 // across worker counts, on nil-laden keys and values.

@@ -141,12 +141,20 @@ func BuildJoinTableGov(op Operator, key int, payload []int, res *memgov.Reservat
 const bitmapSpanPerKey = 64
 
 // KeyFilter returns the predicates over a probe leaf's key column col
-// that drop rows no build key can match, and whether they are an exact
-// bitmap. Dense keys get one PredInBits over [min, max], its bytes
-// charged to res; sparse keys, or a bitmap res denies, get the range
-// [min, max] as PredGe and the nil-skipping PredLeNil. Neither lets a
-// nil key through, and a build without keys passes nothing.
-func (jb *JoinBuild) KeyFilter(col int, res *memgov.Reservation) ([]Pred, bool) {
+// that drop rows no build key can match, whether they are an exact
+// bitmap, and the step's multiplier: the output rows one probe row
+// that passes them yields, on average. Dense keys get one PredInBits
+// over [min, max], its bytes charged to res; sparse keys, or a bitmap
+// res denies, get the range [min, max] as PredGe and the nil-skipping
+// PredLeNil. Neither lets a nil key through, and a build without keys
+// passes nothing.
+//
+// A bitmap passes only rows that match, each meeting the build's
+// fan-out, Rows ÷ distinct non-nil keys (the bitmap's population). A
+// range passes distinct ÷ (max − min + 1) of its rows, taking probe
+// keys as spread evenly over it, so its multiplier is Rows ÷ (max −
+// min + 1): the distinct count cancels and is never taken.
+func (jb *JoinBuild) KeyFilter(col int, res *memgov.Reservation) ([]Pred, bool, float64) {
 	lo, hi, n := int64(math.MaxInt64), bat.NilInt, uint64(0) // nil sorts below every key
 	for _, k := range jb.keys {
 		if k != bat.NilInt {
@@ -154,22 +162,27 @@ func (jb *JoinBuild) KeyFilter(col int, res *memgov.Reservation) ([]Pred, bool) 
 		}
 	}
 	if n == 0 {
-		return []Pred{{ColIdx: col, Op: PredInBits}}, true
+		return []Pred{{ColIdx: col, Op: PredInBits}}, true, 0
 	}
-	if span := uint64(hi-lo) + 1; span <= bitmapSpanPerKey*n {
+	span := uint64(hi-lo) + 1
+	if span <= bitmapSpanPerKey*n {
 		words := (span + 63) / 64
 		if res.Acquire(int64(8*words)) == nil {
 			bits := make([]uint64, words)
+			distinct := 0
 			for _, k := range jb.keys {
 				if k != bat.NilInt {
 					d := uint64(k - lo)
-					bits[d>>6] |= 1 << (d & 63)
+					if bits[d>>6]&(1<<(d&63)) == 0 {
+						bits[d>>6] |= 1 << (d & 63)
+						distinct++
+					}
 				}
 			}
-			return []Pred{{ColIdx: col, Op: PredInBits, IntVal: lo, Bits: bits}}, true
+			return []Pred{{ColIdx: col, Op: PredInBits, IntVal: lo, Bits: bits}}, true, float64(jb.nrows) / float64(distinct)
 		}
 	}
-	return []Pred{{ColIdx: col, Op: PredGe, IntVal: lo}, {ColIdx: col, Op: PredLeNil, IntVal: hi}}, false
+	return []Pred{{ColIdx: col, Op: PredGe, IntVal: lo}, {ColIdx: col, Op: PredLeNil, IntVal: hi}}, false, float64(jb.nrows) / float64(span)
 }
 
 // ForEach calls f with each build row id matching key.

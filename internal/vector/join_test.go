@@ -263,7 +263,7 @@ func TestJoinKeyFilterKeepsMatchableRows(t *testing.T) {
 		if trial%5 == 0 {
 			res = memgov.New(1, memgov.Reject) // no room for a bitmap
 		}
-		preds, bitmap := jb.KeyFilter(0, res)
+		preds, bitmap, mult := jb.KeyFilter(0, res)
 		kinds[bitmap]++
 		keys, lo, hi := map[int64]bool{}, int64(math.MaxInt64), bat.NilInt
 		for _, k := range build {
@@ -273,6 +273,18 @@ func TestJoinKeyFilterKeepsMatchableRows(t *testing.T) {
 		}
 		if res != nil && bitmap && len(keys) > 0 {
 			t.Fatalf("trial %d: a bitmap the reservation cannot hold", trial)
+		}
+		// A bitmap passes matches only (fan-out rows ÷ distinct keys), a
+		// range distinct ÷ span of its rows: rows ÷ span.
+		wantMult := 0.0
+		switch {
+		case bitmap && len(keys) > 0:
+			wantMult = float64(len(build)) / float64(len(keys))
+		case !bitmap:
+			wantMult = float64(len(build)) / float64(uint64(hi-lo)+1)
+		}
+		if math.Abs(mult-wantMult) > 1e-9*wantMult {
+			t.Fatalf("trial %d (bitmap=%v, build %v): multiplier %v, want %v", trial, bitmap, build, mult, wantMult)
 		}
 		var want []any
 		for _, k := range probe {

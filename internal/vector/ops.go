@@ -16,9 +16,17 @@ import (
 type Filter struct {
 	Child Operator
 	Preds []Pred
-	sel   []int32
-	tmp   []int32
+	// Counts, when set, holds one optional pair of row counters per
+	// predicate index: In counts the rows that reach Preds[i], Kept the
+	// rows it lets through. Predicates past its end count nothing.
+	// Every worker's Filter shares them.
+	Counts []PredCount
+	sel    []int32
+	tmp    []int32
 }
+
+// PredCount is one predicate's pair of row counters; either may be nil.
+type PredCount struct{ In, Kept *int64 }
 
 // PredOp is a comparison code for vectorized predicates.
 type PredOp uint8
@@ -60,9 +68,6 @@ type Pred struct {
 	IntVal int64
 	FltVal float64
 	Bits   []uint64
-	// In and Kept, when set, count the rows that reach this predicate
-	// and the rows it lets through. Every worker's Filter shares them.
-	In, Kept *int64
 }
 
 // Open implements Operator.
@@ -78,12 +83,16 @@ func (f *Filter) Next() (*Batch, error) {
 		sel := b.Sel
 		for pi := range f.Preds {
 			p := &f.Preds[pi]
-			if p.In != nil {
+			var ct PredCount
+			if pi < len(f.Counts) {
+				ct = f.Counts[pi]
+			}
+			if ct.In != nil {
 				in := len(sel)
 				if sel == nil {
 					in = b.N
 				}
-				atomic.AddInt64(p.In, int64(in))
+				atomic.AddInt64(ct.In, int64(in))
 			}
 			out := f.sel[:0]
 			if out == nil {
@@ -136,8 +145,8 @@ func (f *Filter) Next() (*Batch, error) {
 			default:
 				return nil, fmt.Errorf("vector: bad predicate op %d", p.Op)
 			}
-			if p.Kept != nil {
-				atomic.AddInt64(p.Kept, int64(len(out)))
+			if ct.Kept != nil {
+				atomic.AddInt64(ct.Kept, int64(len(out)))
 			}
 			f.sel, f.tmp = f.tmp, out
 			sel = out

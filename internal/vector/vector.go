@@ -168,6 +168,10 @@ func (s *Source) Restrict(ranges []RowRange) (*Source, error) {
 	return &out, nil
 }
 
+// Ranges returns the row ranges a scan of the source visits, sorted and
+// disjoint. The slice is the source's own: callers must not modify it.
+func (s *Source) Ranges() []RowRange { return s.ranges }
+
 // WithDeleted returns a view of the same columns whose scans skip the
 // given tombstoned positions (sorted, inside [0,Len())). Len, Cols and
 // row positions stay those of the whole table.
