@@ -13,6 +13,7 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"crypto/tls"
 	"errors"
@@ -90,6 +91,7 @@ type Stats struct {
 // Client is one protocol connection.
 type Client struct {
 	nc      net.Conn
+	br      *bufio.Reader // every reply frame is read through it
 	version uint32
 	banner  string
 
@@ -122,12 +124,12 @@ func DialTLS(addr string, cfg *tls.Config) (*Client, error) {
 // (a TLS wrapper, a net.Pipe in tests). On error the connection is
 // closed.
 func DialConn(nc net.Conn) (*Client, error) {
-	c := &Client{nc: nc}
+	c := &Client{nc: nc, br: bufio.NewReaderSize(nc, wire.BufferSize)}
 	if err := wire.Send(nc, wire.Hello{MaxVersion: wire.Version}); err != nil {
 		c.closeConn()
 		return nil, fmt.Errorf("client: handshake: %w", err)
 	}
-	m, err := wire.Recv(nc)
+	m, err := wire.Recv(c.br)
 	if err != nil {
 		c.closeConn()
 		return nil, fmt.Errorf("client: handshake: %w", err)
@@ -190,8 +192,8 @@ func (c *Client) endCommand() {
 	c.mu.Unlock()
 }
 
-// send writes one frame under the write lock.
-func (c *Client) send(m interface{ Encode() ([]byte, error) }) error {
+// send writes one frame, in one Write, under the write lock.
+func (c *Client) send(m wire.Message) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	return wire.Send(c.nc, m)
@@ -289,7 +291,7 @@ func (c *Client) Exec(ctx context.Context, sql string, args ...any) (int64, erro
 // command terminates.
 func (c *Client) drainToDone() (int64, error) {
 	for {
-		m, err := wire.Recv(c.nc)
+		m, err := wire.Recv(c.br)
 		if err != nil {
 			c.closeConn()
 			return 0, err
@@ -331,7 +333,7 @@ func (c *Client) Query(ctx context.Context, sql string, args ...any) (*Rows, err
 
 // startRows reads the first reply frame and builds the cursor.
 func (c *Client) startRows(stop func()) (*Rows, error) {
-	m, err := wire.Recv(c.nc)
+	m, err := wire.Recv(c.br)
 	if err != nil {
 		stop()
 		c.endCommand()
@@ -375,7 +377,7 @@ func (r *Rows) Next() bool {
 	if r.done {
 		return false
 	}
-	m, err := wire.Recv(r.c.nc)
+	m, err := wire.Recv(r.c.br)
 	if err != nil {
 		r.fail(err)
 		r.c.closeConn()
@@ -495,7 +497,7 @@ func (c *Client) Prepare(sql string) (*Stmt, error) {
 		c.closeConn()
 		return nil, err
 	}
-	m, err := wire.Recv(c.nc)
+	m, err := wire.Recv(c.br)
 	if err != nil {
 		c.closeConn()
 		return nil, err
@@ -574,7 +576,7 @@ func (s *Stmt) Close() error {
 		s.c.closeConn()
 		return err
 	}
-	m, err := wire.Recv(s.c.nc)
+	m, err := wire.Recv(s.c.br)
 	if err != nil {
 		s.c.closeConn()
 		return err
@@ -613,7 +615,7 @@ func (c *Client) SetTimeout(d time.Duration) error {
 		c.closeConn()
 		return err
 	}
-	m, err := wire.Recv(c.nc)
+	m, err := wire.Recv(c.br)
 	if err != nil {
 		c.closeConn()
 		return err
@@ -638,7 +640,7 @@ func (c *Client) Plan(sql string) (string, error) {
 		c.closeConn()
 		return "", err
 	}
-	m, err := wire.Recv(c.nc)
+	m, err := wire.Recv(c.br)
 	if err != nil {
 		c.closeConn()
 		return "", err
@@ -663,7 +665,7 @@ func (c *Client) Tables() ([]string, error) {
 		c.closeConn()
 		return nil, err
 	}
-	m, err := wire.Recv(c.nc)
+	m, err := wire.Recv(c.br)
 	if err != nil {
 		c.closeConn()
 		return nil, err
@@ -688,7 +690,7 @@ func (c *Client) Stats() (Stats, error) {
 		c.closeConn()
 		return Stats{}, err
 	}
-	m, err := wire.Recv(c.nc)
+	m, err := wire.Recv(c.br)
 	if err != nil {
 		c.closeConn()
 		return Stats{}, err

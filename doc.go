@@ -332,6 +332,11 @@
 // Rows, context cancellation forwarded as an out-of-band Cancel frame
 // that stops the server-side scan at the next morsel boundary), and
 // monetlite -connect is the same REPL speaking the wire protocol.
+// A command's reply frames are coalesced and flushed at its
+// terminator, or whenever the 16 KiB buffer fills while a result
+// streams, and each request leaves the client in one write, so a
+// served point query costs one syscall each way; frame boundaries
+// never matched segments, and the bytes are unchanged.
 // SIGTERM drains: the listener closes, in-flight commands finish,
 // and the database closes — checkpointing a -d database — before the
 // process exits.
@@ -364,10 +369,12 @@
 //   - ctxmorsel — every vector.Exchange carries a Ctx so cancellation
 //     reaches morsel boundaries (parallelism, PR 3).
 //   - netcheck — in the server and client packages, connection
-//     write/close/deadline errors and wire.Send/WriteFrame errors must
-//     be checked (a dropped write desynchronizes the single-writer
-//     frame stream), and every server goroutine launch passes a
-//     context.Context so SIGTERM drain can reach it (serving, PR 8).
+//     write/close/deadline errors, *bufio.Writer Write/WriteString/
+//     Flush errors and wire.Send/WriteFrame/AppendFrame errors must be
+//     checked (a dropped write desynchronizes the single-writer frame
+//     stream, and a dropped Flush loses a whole buffered reply), and
+//     every server goroutine launch passes a context.Context so SIGTERM
+//     drain can reach it (serving).
 //
 // Run it locally with `go run ./cmd/lintmonet ./...` (or build once
 // and use `go vet -vettool=`). Intentional violations carry a

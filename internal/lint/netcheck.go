@@ -17,8 +17,10 @@ import (
 // internal/server) and the public client package (suffix client):
 //
 //   - The error result of Write, Close, SetDeadline, SetReadDeadline
-//     or SetWriteDeadline on a net or crypto/tls type, or of any
-//     error-returning function in the wire package (Send, WriteFrame),
+//     or SetWriteDeadline on a net or crypto/tls type, of Write,
+//     WriteString or Flush on a *bufio.Writer (replies are buffered, so
+//     a dropped Flush loses a whole reply), or of any error-returning
+//     function in the wire package (Send, WriteFrame, AppendFrame),
 //     must not be discarded — not as an expression statement, not
 //     under defer/go, not assigned to the blank identifier.
 //     Deliberate best-effort sends carry //lint:ignore netcheck with a
@@ -40,6 +42,13 @@ var connMethods = map[string]bool{
 	"SetDeadline":      true,
 	"SetReadDeadline":  true,
 	"SetWriteDeadline": true,
+}
+
+// bufWriterMethods are flagged when the receiver is a bufio.Writer.
+var bufWriterMethods = map[string]bool{
+	"Write":       true,
+	"WriteString": true,
+	"Flush":       true,
 }
 
 func runNetCheck(p *Pass) {
@@ -129,32 +138,32 @@ func (p *Pass) netCall(call *ast.CallExpr) (string, string) {
 			return "", ""
 		}
 	}
-	if connMethods[name] && p.recvIsNetType(sel) {
+	pkg, typ := p.recvType(sel)
+	if connMethods[name] && (pkg == "net" || pkg == "crypto/tls") {
 		return name, "a connection error here leaves the peer waiting on a stream that will never terminate"
+	}
+	if bufWriterMethods[name] && pkg == "bufio" && typ == "Writer" {
+		return name, "a lost buffered write or flush drops a whole reply and desynchronizes the stream"
 	}
 	return "", ""
 }
 
-// recvIsNetType reports whether the method receiver is a named type
-// from the net or crypto/tls packages (net.Conn, net.Listener,
-// net.TCPConn, tls.Conn, ...).
-func (p *Pass) recvIsNetType(sel *ast.SelectorExpr) bool {
+// recvType returns the package path and name of the method receiver's
+// named type (net.Conn, tls.Conn, bufio.Writer, ...), looking through
+// one pointer, or "" when it is not a named type.
+func (p *Pass) recvType(sel *ast.SelectorExpr) (pkg, name string) {
 	t := p.TypeOf(sel.X)
 	if t == nil {
-		return false
+		return "", ""
 	}
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
 	if !ok || named.Obj().Pkg() == nil {
-		return false
+		return "", ""
 	}
-	switch named.Obj().Pkg().Path() {
-	case "net", "crypto/tls":
-		return true
-	}
-	return false
+	return named.Obj().Pkg().Path(), named.Obj().Name()
 }
 
 // passesContext reports whether any argument of call has static type

@@ -5,6 +5,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"net"
 	"time"
@@ -23,6 +24,15 @@ func badDiscards(nc net.Conn, ln net.Listener) {
 	_ = nc.Close()                            // want "Close error assigned to _"
 	wire.Send(nc, wire.Err{})                 // want "wire.Send error discarded"
 	_ = wire.WriteFrame(nc, wire.THello, nil) // want "wire.WriteFrame error assigned to _"
+}
+
+func badBuffered(bw *bufio.Writer) {
+	bw.Flush()                 // want "Flush error discarded"
+	defer bw.Flush()           // want "Flush error discarded"
+	bw.Write([]byte("x"))      // want "Write error discarded"
+	bw.WriteString("x")        // want "WriteString error discarded"
+	_ = bw.Flush()             // want "Flush error assigned to _"
+	_, _ = bw.WriteString("x") // want "WriteString error assigned to _"
 }
 
 func badGo(nc net.Conn) {
@@ -44,6 +54,13 @@ func good(ctx context.Context, nc net.Conn) error {
 	if err := wire.Send(nc, wire.Err{}); err != nil { // ok: checked
 		return err
 	}
+	bw := bufio.NewWriter(nc)
+	if _, err := bw.WriteString("x"); err != nil { // ok: checked
+		return err
+	}
+	if err := bw.Flush(); err != nil { // ok: checked
+		return err
+	}
 	return nc.Close() // ok: returned
 }
 
@@ -55,9 +72,10 @@ type sink struct{}
 func (sink) Close() error       { return nil }
 func (sink) Write([]byte) error { return nil }
 
-func okNonConn(s sink) {
-	s.Close()    // ok: not a net type
-	s.Write(nil) // ok: not a net type
+func okNonConn(s sink, br *bufio.Reader) {
+	s.Close()     // ok: not a net type
+	s.Write(nil)  // ok: not a net type
+	br.Discard(1) // ok: a bufio.Reader writes nothing
 }
 
 func justified(nc net.Conn) {

@@ -82,7 +82,10 @@ type Server struct {
 	mu       sync.Mutex
 	sessions map[*session]struct{}
 	ln       net.Listener
-	draining bool
+	// draining is set once, under mu, by Shutdown. register and Serve
+	// read it under mu too, so no session slips in after Shutdown's
+	// snapshot; acquire reads it without the lock.
+	draining atomic.Bool
 
 	wg sync.WaitGroup // one per serveConn goroutine
 
@@ -130,7 +133,7 @@ func New(cfg Config) (*Server, error) {
 // at their next morsel boundary.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	s.mu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		return errShutdown
 	}
@@ -139,7 +142,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
-			if s.isDraining() {
+			if s.draining.Load() {
 				return nil
 			}
 			return err
@@ -161,7 +164,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // so the drain and the durability boundary stay separate concerns.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	s.draining = true
+	s.draining.Store(true)
 	ln := s.ln
 	open := make([]*session, 0, len(s.sessions))
 	for se := range s.sessions {
@@ -197,17 +200,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // acquire admits one query: a slot immediately or ErrQueueFull, then a
 // worker (waiting in the queue), then the test gate if armed. ctx
 // aborts the wait.
 func (s *Server) acquire(ctx context.Context) error {
-	if s.isDraining() {
+	if s.draining.Load() {
 		return errShutdown
 	}
 	select {
@@ -272,7 +269,7 @@ func (s *Server) stats() wire.StatsReply {
 func (s *Server) register(se *session) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
+	if s.draining.Load() {
 		return false
 	}
 	s.sessions[se] = struct{}{}

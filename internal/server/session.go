@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"repro/engine"
@@ -29,6 +31,13 @@ type session struct {
 	nc  net.Conn
 	ec  *engine.Conn
 
+	// br is the one reader over nc: the handshake reads through it and
+	// then hands it to readLoop, so no byte is stranded between them.
+	// bw holds the executor's reply frames; run flushes it once per
+	// command, and it flushes itself whenever a streamed result fills it.
+	br *bufio.Reader
+	bw *bufio.Writer
+
 	stmts  map[uint32]*engine.Stmt // executor-only
 	nextID uint32                  // executor-only
 
@@ -38,8 +47,11 @@ type session struct {
 	// channel, so no lock is needed.
 	stmtTimeout time.Duration
 
-	// guarded by srv.mu is too coarse for per-command state; the
-	// session has its own tiny critical sections.
+	// mu guards the per-command state below, which the executor (begin,
+	// end, setCancel), the reader (cancelCurrent) and Shutdown (drain,
+	// force) share. Lock order: srv.mu before se.mu — force runs under
+	// srv.mu — and nothing takes srv.mu while holding se.mu.
+	mu        sync.Mutex
 	cancelCur context.CancelFunc // set while a command runs
 	inCmd     bool
 	drainReq  bool
@@ -52,14 +64,20 @@ type readErr struct{ err error }
 // serveConn runs one connection to completion: handshake, then the
 // executor loop. It owns all teardown.
 func (s *Server) serveConn(ctx context.Context, nc net.Conn) {
-	se := &session{srv: s, nc: nc, stmts: make(map[uint32]*engine.Stmt)}
+	se := &session{
+		srv:   s,
+		nc:    nc,
+		br:    bufio.NewReaderSize(nc, wire.BufferSize),
+		bw:    bufio.NewWriterSize(nc, wire.BufferSize),
+		stmts: make(map[uint32]*engine.Stmt),
+	}
 	defer se.teardown()
 
 	if err := nc.SetReadDeadline(time.Now().Add(handshakeTimeout)); err != nil {
 		s.logf("server: %v: set handshake deadline: %v", nc.RemoteAddr(), err)
 		return
 	}
-	m, err := wire.Recv(nc)
+	m, err := wire.Recv(se.br)
 	if err != nil {
 		s.logf("server: %v: handshake: %v", nc.RemoteAddr(), err)
 		return
@@ -77,7 +95,11 @@ func (s *Server) serveConn(ctx context.Context, nc net.Conn) {
 		s.logf("server: %v: clear deadline: %v", nc.RemoteAddr(), err)
 		return
 	}
-	if err := wire.Send(nc, wire.Welcome{Version: wire.Version, Banner: s.cfg.Banner}); err != nil {
+	err = se.send(wire.Welcome{Version: wire.Version, Banner: s.cfg.Banner})
+	if err == nil {
+		err = se.bw.Flush()
+	}
+	if err != nil {
 		s.logf("server: %v: welcome: %v", nc.RemoteAddr(), err)
 		return
 	}
@@ -99,7 +121,7 @@ func (s *Server) serveConn(ctx context.Context, nc net.Conn) {
 func (se *session) readLoop(ctx context.Context, cmds chan<- any) {
 	defer close(cmds)
 	for {
-		m, err := wire.Recv(se.nc)
+		m, err := wire.Recv(se.br)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return
@@ -123,8 +145,10 @@ func (se *session) readLoop(ctx context.Context, cmds chan<- any) {
 }
 
 // run is the executor loop: one command at a time, every reply written
-// here. A non-nil dispatch error is a connection-write failure and
-// tears the session down; SQL errors were already sent as Err frames.
+// here and flushed once, before the command counts as finished (so a
+// drain cannot close the connection under an unsent reply). A non-nil
+// dispatch or flush error is a connection-write failure and tears the
+// session down; SQL errors were already sent as Err frames.
 func (se *session) run(ctx context.Context, cmds <-chan any) {
 	for m := range cmds {
 		if re, ok := m.(readErr); ok {
@@ -136,6 +160,9 @@ func (se *session) run(ctx context.Context, cmds <-chan any) {
 			return
 		}
 		err := se.dispatch(ctx, m)
+		if err == nil {
+			err = se.bw.Flush()
+		}
 		stop := se.end()
 		if err != nil {
 			se.srv.logf("server: %v: %v", se.nc.RemoteAddr(), err)
@@ -150,8 +177,8 @@ func (se *session) run(ctx context.Context, cmds <-chan any) {
 // begin marks a command in flight; false if the session must stop
 // instead (drain requested while the command sat in the channel).
 func (se *session) begin() bool {
-	se.srv.mu.Lock()
-	defer se.srv.mu.Unlock()
+	se.mu.Lock()
+	defer se.mu.Unlock()
 	if se.drainReq {
 		return false
 	}
@@ -161,8 +188,8 @@ func (se *session) begin() bool {
 
 // end clears the in-flight mark and reports whether to stop.
 func (se *session) end() bool {
-	se.srv.mu.Lock()
-	defer se.srv.mu.Unlock()
+	se.mu.Lock()
+	defer se.mu.Unlock()
 	se.inCmd = false
 	return se.drainReq
 }
@@ -170,10 +197,10 @@ func (se *session) end() bool {
 // drain asks the session to stop: immediately (connection closed) if
 // idle, after the current command otherwise. Caller holds no locks.
 func (se *session) drain() {
-	se.srv.mu.Lock()
+	se.mu.Lock()
 	se.drainReq = true
 	idle := !se.inCmd
-	se.srv.mu.Unlock()
+	se.mu.Unlock()
 	if idle {
 		se.closeConn()
 	}
@@ -183,26 +210,29 @@ func (se *session) drain() {
 // with srv.mu held (from Shutdown's deadline path), so it must not
 // take it.
 func (se *session) force() {
-	if se.cancelCur != nil {
-		se.cancelCur()
-	}
+	se.mu.Lock()
+	c := se.cancelCur
 	se.drainReq = true
+	se.mu.Unlock()
+	if c != nil {
+		c()
+	}
 	se.closeConn()
 }
 
 func (se *session) cancelCurrent() {
-	se.srv.mu.Lock()
+	se.mu.Lock()
 	c := se.cancelCur
-	se.srv.mu.Unlock()
+	se.mu.Unlock()
 	if c != nil {
 		c()
 	}
 }
 
 func (se *session) setCancel(c context.CancelFunc) {
-	se.srv.mu.Lock()
+	se.mu.Lock()
 	se.cancelCur = c
-	se.srv.mu.Unlock()
+	se.mu.Unlock()
 }
 
 // effectiveTimeout returns the statement timeout to apply: the
@@ -238,17 +268,32 @@ func (se *session) teardown() {
 	se.closeConn()
 }
 
+// send appends m to the reply buffer as one frame, encoding it in the
+// buffer's free space when it fits there.
+func (se *session) send(m wire.Message) error {
+	f, err := wire.AppendFrame(se.bw.AvailableBuffer(), m)
+	if err != nil {
+		return err
+	}
+	_, err = se.bw.Write(f)
+	return err
+}
+
 // sendErr writes an Err frame; the returned error is a connection
 // failure (fatal), not the SQL error being reported.
 func (se *session) sendErr(code wire.ErrCode, msg string) error {
-	return wire.Send(se.nc, wire.Err{Code: code, Msg: msg})
+	return se.send(wire.Err{Code: code, Msg: msg})
 }
 
-// rejectConn sends a best-effort Err frame on a connection that is
-// about to be torn down regardless; a failed send is only worth a log
-// line because the peer is gone either way.
+// rejectConn sends and flushes a best-effort Err frame on a connection
+// that is about to be torn down regardless; a failed send is only worth
+// a log line because the peer is gone either way.
 func (se *session) rejectConn(code wire.ErrCode, msg string) {
-	if err := se.sendErr(code, msg); err != nil {
+	err := se.sendErr(code, msg)
+	if err == nil {
+		err = se.bw.Flush()
+	}
+	if err != nil {
 		se.srv.logf("server: %v: reject: %v", se.nc.RemoteAddr(), err)
 	}
 }
@@ -299,7 +344,7 @@ func (se *session) dispatch(ctx context.Context, m any) error {
 		}
 		se.nextID++
 		se.stmts[se.nextID] = st
-		return wire.Send(se.nc, wire.PrepareOK{
+		return se.send(wire.PrepareOK{
 			StmtID:    se.nextID,
 			NumParams: uint16(st.NumParams()),
 			IsQuery:   st.IsQuery(),
@@ -319,20 +364,20 @@ func (se *session) dispatch(ctx context.Context, m any) error {
 		if err := st.Close(); err != nil {
 			return se.sendErr(wire.CodeGeneric, err.Error())
 		}
-		return wire.Send(se.nc, wire.Done{})
+		return se.send(wire.Done{})
 	case wire.Plan:
 		text, err := se.ec.Plan(c.SQL)
 		if err != nil {
 			return se.sendErr(wire.CodeGeneric, err.Error())
 		}
-		return wire.Send(se.nc, wire.PlanReply{Text: text})
+		return se.send(wire.PlanReply{Text: text})
 	case wire.SetTimeout:
 		se.stmtTimeout = time.Duration(c.Millis) * time.Millisecond
-		return wire.Send(se.nc, wire.Done{})
+		return se.send(wire.Done{})
 	case wire.Tables:
-		return wire.Send(se.nc, wire.TablesReply{Names: se.srv.cfg.DB.Tables()})
+		return se.send(wire.TablesReply{Names: se.srv.cfg.DB.Tables()})
 	case wire.Stats:
-		return wire.Send(se.nc, se.srv.stats())
+		return se.send(se.srv.stats())
 	}
 	return se.sendErr(wire.CodeProtocol, fmt.Sprintf("unexpected %T frame", m))
 }
@@ -380,7 +425,7 @@ func (se *session) runStmt(ctx context.Context, sql string, st *engine.Stmt, arg
 		if err != nil {
 			return se.fail(err)
 		}
-		return wire.Send(se.nc, wire.Done{RowsAffected: res.RowsAffected})
+		return se.send(wire.Done{RowsAffected: res.RowsAffected})
 	}
 
 	rows, err := st.Query(qctx, args...)
@@ -393,7 +438,7 @@ func (se *session) runStmt(ctx context.Context, sql string, st *engine.Stmt, arg
 		}
 	}()
 	cols := rows.Columns()
-	if err := wire.Send(se.nc, wire.RowDesc{Cols: cols}); err != nil {
+	if err := se.send(wire.RowDesc{Cols: cols}); err != nil {
 		return err
 	}
 	vals := make([]any, len(cols))
@@ -405,12 +450,12 @@ func (se *session) runStmt(ctx context.Context, sql string, st *engine.Stmt, arg
 		if err := rows.Scan(ptrs...); err != nil {
 			return se.sendErr(wire.CodeGeneric, err.Error())
 		}
-		if err := wire.Send(se.nc, wire.Row{Vals: vals}); err != nil {
+		if err := se.send(wire.Row{Vals: vals}); err != nil {
 			return err
 		}
 	}
 	if err := rows.Err(); err != nil {
 		return se.fail(err)
 	}
-	return wire.Send(se.nc, wire.Done{})
+	return se.send(wire.Done{})
 }

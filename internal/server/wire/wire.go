@@ -135,32 +135,35 @@ type Frame struct {
 
 var crcTab = crc32.IEEETable
 
-// header serializes the frame header (sans CRC fill) and returns the
-// running CRC of type||length.
-func header(buf *[headerLen]byte, t Type, n int) uint32 {
-	buf[0] = byte(t)
-	binary.BigEndian.PutUint32(buf[1:5], uint32(n))
-	return crc32.Update(0, crcTab, buf[0:5])
+// BufferSize is the size of the read and the write buffer each end
+// puts over its connection: enough for a few hundred result rows per
+// write, little enough to keep per session.
+const BufferSize = 16 << 10
+
+// seal fills in the header of frame f, whose payload follows the
+// headerLen bytes reserved for it.
+func seal(f []byte, t Type) error {
+	n := len(f) - headerLen
+	if n > MaxPayload {
+		return fmt.Errorf("wire: payload %d bytes exceeds MaxPayload", n)
+	}
+	f[0] = byte(t)
+	binary.BigEndian.PutUint32(f[1:5], uint32(n))
+	crc := crc32.Update(0, crcTab, f[0:5])
+	crc = crc32.Update(crc, crcTab, f[headerLen:])
+	binary.BigEndian.PutUint32(f[5:9], crc)
+	return nil
 }
 
-// WriteFrame writes one frame to w.
+// WriteFrame writes one frame to w with a single Write.
 func WriteFrame(w io.Writer, t Type, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("wire: payload %d bytes exceeds MaxPayload", len(payload))
-	}
-	var h [headerLen]byte
-	crc := header(&h, t, len(payload))
-	crc = crc32.Update(crc, crcTab, payload)
-	binary.BigEndian.PutUint32(h[5:9], crc)
-	if _, err := w.Write(h[:]); err != nil {
+	f := make([]byte, headerLen, headerLen+len(payload))
+	f = append(f, payload...)
+	if err := seal(f, t); err != nil {
 		return err
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(f)
+	return err
 }
 
 // ReadFrame reads one frame from r, verifying length bound and CRC.
@@ -405,8 +408,15 @@ func appendStr(b []byte, s string) []byte {
 }
 
 // ---------------------------------------------------------------------
-// Message types. Each has an Encode producing its payload and is
-// decoded via DecodePayload, which dispatches on frame type.
+// Message types. Each appends its payload to a buffer (Encode is that
+// append into a fresh one) and is decoded via DecodePayload, which
+// dispatches on frame type.
+
+// Message is a protocol message: one of the types below.
+type Message interface {
+	Encode() ([]byte, error)
+	appendPayload(b []byte) ([]byte, error)
+}
 
 // Hello opens a connection: the highest protocol version the client
 // speaks.
@@ -524,26 +534,46 @@ type TablesReply struct {
 	Names []string
 }
 
-func (m Hello) Encode() ([]byte, error) {
-	return binary.BigEndian.AppendUint32(nil, m.MaxVersion), nil
+func (m Hello) Encode() ([]byte, error)       { return m.appendPayload(nil) }
+func (m Welcome) Encode() ([]byte, error)     { return m.appendPayload(nil) }
+func (m Query) Encode() ([]byte, error)       { return m.appendPayload(nil) }
+func (m Prepare) Encode() ([]byte, error)     { return m.appendPayload(nil) }
+func (m PrepareOK) Encode() ([]byte, error)   { return m.appendPayload(nil) }
+func (m Execute) Encode() ([]byte, error)     { return m.appendPayload(nil) }
+func (m CloseStmt) Encode() ([]byte, error)   { return m.appendPayload(nil) }
+func (m RowDesc) Encode() ([]byte, error)     { return m.appendPayload(nil) }
+func (m Row) Encode() ([]byte, error)         { return m.appendPayload(nil) }
+func (m Done) Encode() ([]byte, error)        { return m.appendPayload(nil) }
+func (m Err) Encode() ([]byte, error)         { return m.appendPayload(nil) }
+func (m Cancel) Encode() ([]byte, error)      { return m.appendPayload(nil) }
+func (m Stats) Encode() ([]byte, error)       { return m.appendPayload(nil) }
+func (m StatsReply) Encode() ([]byte, error)  { return m.appendPayload(nil) }
+func (m SetTimeout) Encode() ([]byte, error)  { return m.appendPayload(nil) }
+func (m Plan) Encode() ([]byte, error)        { return m.appendPayload(nil) }
+func (m PlanReply) Encode() ([]byte, error)   { return m.appendPayload(nil) }
+func (m Tables) Encode() ([]byte, error)      { return m.appendPayload(nil) }
+func (m TablesReply) Encode() ([]byte, error) { return m.appendPayload(nil) }
+
+func (m Hello) appendPayload(b []byte) ([]byte, error) {
+	return binary.BigEndian.AppendUint32(b, m.MaxVersion), nil
 }
 
-func (m Welcome) Encode() ([]byte, error) {
-	b := binary.BigEndian.AppendUint32(nil, m.Version)
+func (m Welcome) appendPayload(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint32(b, m.Version)
 	return appendStr(b, m.Banner), nil
 }
 
-func (m Query) Encode() ([]byte, error) {
-	b := appendStr(nil, m.SQL)
+func (m Query) appendPayload(b []byte) ([]byte, error) {
+	b = appendStr(b, m.SQL)
 	return appendValues(b, m.Args)
 }
 
-func (m Prepare) Encode() ([]byte, error) {
-	return appendStr(nil, m.SQL), nil
+func (m Prepare) appendPayload(b []byte) ([]byte, error) {
+	return appendStr(b, m.SQL), nil
 }
 
-func (m PrepareOK) Encode() ([]byte, error) {
-	b := binary.BigEndian.AppendUint32(nil, m.StmtID)
+func (m PrepareOK) appendPayload(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint32(b, m.StmtID)
 	b = binary.BigEndian.AppendUint16(b, m.NumParams)
 	if m.IsQuery {
 		return append(b, 1), nil
@@ -551,38 +581,38 @@ func (m PrepareOK) Encode() ([]byte, error) {
 	return append(b, 0), nil
 }
 
-func (m Execute) Encode() ([]byte, error) {
-	b := binary.BigEndian.AppendUint32(nil, m.StmtID)
+func (m Execute) appendPayload(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint32(b, m.StmtID)
 	return appendValues(b, m.Args)
 }
 
-func (m CloseStmt) Encode() ([]byte, error) {
-	return binary.BigEndian.AppendUint32(nil, m.StmtID), nil
+func (m CloseStmt) appendPayload(b []byte) ([]byte, error) {
+	return binary.BigEndian.AppendUint32(b, m.StmtID), nil
 }
 
-func (m RowDesc) Encode() ([]byte, error) {
-	return appendStrs(nil, m.Cols)
+func (m RowDesc) appendPayload(b []byte) ([]byte, error) {
+	return appendStrs(b, m.Cols)
 }
 
-func (m Row) Encode() ([]byte, error) {
-	return appendValues(nil, m.Vals)
+func (m Row) appendPayload(b []byte) ([]byte, error) {
+	return appendValues(b, m.Vals)
 }
 
-func (m Done) Encode() ([]byte, error) {
-	return binary.BigEndian.AppendUint64(nil, uint64(m.RowsAffected)), nil
+func (m Done) appendPayload(b []byte) ([]byte, error) {
+	return binary.BigEndian.AppendUint64(b, uint64(m.RowsAffected)), nil
 }
 
-func (m Err) Encode() ([]byte, error) {
-	b := binary.BigEndian.AppendUint16(nil, uint16(m.Code))
+func (m Err) appendPayload(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint16(b, uint16(m.Code))
 	return appendStr(b, m.Msg), nil
 }
 
-func (m Cancel) Encode() ([]byte, error) { return nil, nil }
+func (m Cancel) appendPayload(b []byte) ([]byte, error) { return b, nil }
 
-func (m Stats) Encode() ([]byte, error) { return nil, nil }
+func (m Stats) appendPayload(b []byte) ([]byte, error) { return b, nil }
 
-func (m StatsReply) Encode() ([]byte, error) {
-	b := binary.BigEndian.AppendUint64(nil, m.PlanHits)
+func (m StatsReply) appendPayload(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint64(b, m.PlanHits)
 	b = binary.BigEndian.AppendUint64(b, m.PlanMisses)
 	b = binary.BigEndian.AppendUint32(b, m.PlanEntries)
 	b = binary.BigEndian.AppendUint32(b, m.Sessions)
@@ -597,22 +627,22 @@ func (m StatsReply) Encode() ([]byte, error) {
 	return binary.BigEndian.AppendUint64(b, m.SpillLive), nil
 }
 
-func (m SetTimeout) Encode() ([]byte, error) {
-	return binary.BigEndian.AppendUint32(nil, m.Millis), nil
+func (m SetTimeout) appendPayload(b []byte) ([]byte, error) {
+	return binary.BigEndian.AppendUint32(b, m.Millis), nil
 }
 
-func (m Plan) Encode() ([]byte, error) {
-	return appendStr(nil, m.SQL), nil
+func (m Plan) appendPayload(b []byte) ([]byte, error) {
+	return appendStr(b, m.SQL), nil
 }
 
-func (m PlanReply) Encode() ([]byte, error) {
-	return appendStr(nil, m.Text), nil
+func (m PlanReply) appendPayload(b []byte) ([]byte, error) {
+	return appendStr(b, m.Text), nil
 }
 
-func (m Tables) Encode() ([]byte, error) { return nil, nil }
+func (m Tables) appendPayload(b []byte) ([]byte, error) { return b, nil }
 
-func (m TablesReply) Encode() ([]byte, error) {
-	return appendStrs(nil, m.Names)
+func (m TablesReply) appendPayload(b []byte) ([]byte, error) {
+	return appendStrs(b, m.Names)
 }
 
 // typeOf maps a message to its frame type.
@@ -660,17 +690,33 @@ func typeOf(m any) (Type, bool) {
 	return 0, false
 }
 
-// Send encodes m and writes it as one frame.
-func Send(w io.Writer, m interface{ Encode() ([]byte, error) }) error {
+// AppendFrame appends m to dst as one frame. The header is reserved
+// first and filled in after the payload is appended behind it, so the
+// frame is built in place.
+func AppendFrame(dst []byte, m Message) ([]byte, error) {
 	t, ok := typeOf(m)
 	if !ok {
-		return fmt.Errorf("wire: not a protocol message: %T", m)
+		return dst, fmt.Errorf("wire: not a protocol message: %T", m)
 	}
-	payload, err := m.Encode()
+	start := len(dst)
+	f, err := m.appendPayload(append(dst, make([]byte, headerLen)...))
+	if err != nil {
+		return dst, err
+	}
+	if err := seal(f[start:], t); err != nil {
+		return dst, err
+	}
+	return f, nil
+}
+
+// Send encodes m and writes it as one frame with a single Write.
+func Send(w io.Writer, m Message) error {
+	f, err := AppendFrame(nil, m)
 	if err != nil {
 		return err
 	}
-	return WriteFrame(w, t, payload)
+	_, err = w.Write(f)
+	return err
 }
 
 // DecodePayload decodes a frame's payload into its message struct.

@@ -1,18 +1,22 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // allMessages is one of each frame, with non-zero fields, for
 // round-trip coverage.
-func allMessages() []interface{ Encode() ([]byte, error) } {
-	return []interface{ Encode() ([]byte, error) }{
+func allMessages() []Message {
+	return []Message{
 		Hello{MaxVersion: 1},
 		Welcome{Version: 1, Banner: "monetlited"},
 		Query{SQL: "SELECT a FROM t WHERE a > ?", Args: []any{int64(3), "x", 1.5, true, nil}},
@@ -169,6 +173,91 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		if !bytes.Equal(out, payload) {
 			t.Fatalf("decode/encode not stable for type %d:\n in: %x\nout: %x", tb, payload, out)
+		}
+	})
+}
+
+// TestFramesAcrossBufferBoundaries sends frames whose payloads sit
+// below, on and above the default bufio size through a bufio.Writer
+// into a net.Pipe and reads them back through a bufio.Reader: whole
+// frames come back equal, a stream cut mid-payload fails instead of
+// hanging, and a flipped byte fails the CRC of its own frame.
+func TestFramesAcrossBufferBoundaries(t *testing.T) {
+	sizes := []int{0, 1, 4095, 4096, 4097, 70000}
+	var stream bytes.Buffer // the frames as one byte stream
+	var ends []int          // stream offset where each frame ends
+	payloads := make([][]byte, len(sizes))
+	for i, n := range sizes {
+		payloads[i] = make([]byte, n)
+		for j := range payloads[i] {
+			payloads[i][j] = byte(i*7 + j)
+		}
+		if err := WriteFrame(&stream, TRow, payloads[i]); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, stream.Len())
+	}
+
+	// pipe writes raw through a bufio.Writer and closes the pipe, then
+	// reads frames through a bufio.Reader until the first error.
+	pipe := func(t *testing.T, raw []byte) ([]Frame, error) {
+		t.Helper()
+		cw, sr := net.Pipe()
+		defer sr.Close()
+		go func() {
+			defer cw.Close()
+			// A write the reader cut short by returning fails on the
+			// closed pipe; what the reader saw is the result.
+			bw := bufio.NewWriter(cw)
+			if _, err := bw.Write(raw); err == nil {
+				_ = bw.Flush()
+			}
+		}()
+		if err := sr.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(sr)
+		var got []Frame
+		for {
+			f, err := ReadFrame(br)
+			if err != nil {
+				return got, err
+			}
+			got = append(got, f)
+		}
+	}
+
+	t.Run("whole", func(t *testing.T) {
+		got, err := pipe(t, stream.Bytes())
+		if err != io.EOF {
+			t.Fatalf("after %d frames: err = %v, want EOF", len(got), err)
+		}
+		if len(got) != len(sizes) {
+			t.Fatalf("read %d frames, want %d", len(got), len(sizes))
+		}
+		for i, f := range got {
+			if f.Type != TRow || !bytes.Equal(f.Payload, payloads[i]) {
+				t.Fatalf("frame %d (%d bytes) came back different", i, sizes[i])
+			}
+		}
+	})
+
+	t.Run("cut", func(t *testing.T) {
+		last := len(sizes) - 1
+		cut := ends[last-1] + headerLen + sizes[last]/2
+		got, err := pipe(t, stream.Bytes()[:cut])
+		if len(got) != last || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut stream: %d frames, err = %v; want %d frames and ErrUnexpectedEOF", len(got), err, last)
+		}
+	})
+
+	t.Run("flip", func(t *testing.T) {
+		mid := len(sizes) / 2
+		raw := bytes.Clone(stream.Bytes())
+		raw[ends[mid-1]+headerLen+sizes[mid]/2] ^= 0x40
+		got, err := pipe(t, raw)
+		if len(got) != mid || err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
+			t.Fatalf("flipped byte in frame %d: %d frames, err = %v; want %d frames and a CRC mismatch", mid, len(got), err, mid)
 		}
 	})
 }
