@@ -133,18 +133,29 @@
 // reasons, all structural, per operator, none data-dependent:
 // text-column (a TEXT column anywhere in the pipeline),
 // expression-in-select (plain, non-aggregated arithmetic items),
-// group-key-not-int, order-key-not-sortable (a TEXT sort key, or ORDER
-// BY over a global aggregate's one row), join-key-not-int (any edge).
-// The route is therefore fixed when a statement is prepared, and the
-// engine generates a MAL program only for a statement that runs on
-// MAL. Lowered shapes include scan/filter/project, global
-// aggregates, GROUP BY of any number of INT keys (composite hash),
-// aggregates over arithmetic expressions (a nil-propagating
-// pre-projection feeds the aggregate), ORDER BY (per-worker sorted
-// runs + k-way merge on one normalized-key kernel; under a LIMIT every
-// run is a bounded top-N selection behind a shared cutoff), N-table INT
-// equi-join trees, GROUP BY and ORDER BY over join output, and
-// IS [NOT] NULL filters via nil-sentinel primitives.
+// group-key-not-int, order-key-not-sortable (a TEXT sort key),
+// join-key-not-int (any edge). The route is therefore fixed when a
+// statement is prepared, and the engine generates a MAL program only
+// for a statement that runs on MAL.
+//
+// Every lowered plan has one skeleton, Project ← Sort? ← GroupAgg? ←
+// pipeline, and one walk (Plan.Execute) instantiates it bottom-up. The
+// pipeline is a Scan, a Filter over a Scan, or a JoinTreeNode of
+// N-table INT equi-joins; IS [NOT] NULL filters run as nil-sentinel
+// primitives. A GROUP BY of any number of INT keys (composite hash)
+// is a GroupAgg; a global aggregate is a GroupAgg with no keys (the
+// zero-key aggregate emits its identity row over no input); aggregates
+// over arithmetic expressions get a nil-propagating pre-projection
+// inside it. An ORDER BY is a Sort: per-worker sorted runs + k-way
+// merge on one normalized-key kernel, under a LIMIT every run a
+// bounded top-N selection behind a shared cutoff, spilling runs past
+// the query's grant. Over a table its ties are row ids; over a join,
+// every output column; over a GroupAgg the sort key is a select item
+// and its ties are the group keys (a projected key ties through its
+// item, an unprojected one is emitted after the items for the Project
+// to drop). An ORDER BY over a global aggregate is left unresolved by
+// the binder and lowers to no Sort. The Project at the root picks the
+// select items.
 //
 // # Join ordering
 //
@@ -168,7 +179,6 @@
 // of the steps free to go, the one with the smallest multiplier first,
 // the rows one probe row past its filter yields: build rows ÷ distinct
 // keys behind a bitmap, build rows ÷ (max − min + 1) behind a range.
-// Options.NaiveJoinOrder pins the textual order for A/B measurement.
 // An over-budget build degrades its step, its descendants' and every
 // later build's to grace hash, run after the in-memory probes; the
 // filters of the builds that fit still prune both sides before they
@@ -288,7 +298,9 @@
 // the hash itself, so routing on those would crowd each partition's
 // keys into one corner of its table, and a fixed lower window would
 // send keys that differ only in their high bits to one partition — and
-// each partition's table is built and drained one at a time. Spilled
+// each partition's table is built and drained one at a time. A grace
+// grouping writes each partition's groups to one spill file, so the
+// grouping is over before a sort above it charges the budget. Spilled
 // plans return the in-memory plans' rows (engine/diff_test.go runs
 // its statements under a tight budget against a plain-Go reference
 // across worker counts, race detector on). Spill files live in

@@ -1542,7 +1542,7 @@ func TestExternalSortEngineOracle(t *testing.T) {
 	family(t, 27, 4, graceBudget/2, "", spec{shapes: "p", order: 1, limit: 0.3})
 }
 func TestGraceGroupEngineOracle(t *testing.T) {
-	family(t, 28, 2, graceBudget, "", spec{shapes: "g", groupOn: "id"})
+	family(t, 28, 2, graceBudget, "", spec{shapes: "g", groupOn: "id", order: 0.5, limit: 0.3})
 }
 func TestGraceJoinEngineOracle(t *testing.T) {
 	family(t, 29, 4, graceBudget, "p", spec{tables: [2]int{2, 2}, shapes: "p"})

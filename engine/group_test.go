@@ -57,8 +57,8 @@ func TestGroupByFallbacks(t *testing.T) {
 	conn := db.Conn()
 	for _, tc := range []struct{ q, marker string }{
 		{"SELECT k, sum(v) FROM s GROUP BY k", "reason=group-key-not-int"},
-		{"SELECT k, sum(v) FROM g GROUP BY k ORDER BY k", "order-by[item 0]"},
-		{"SELECT k, sum(v) FROM g GROUP BY k ORDER BY k DESC LIMIT 4", "order-by[item 0 desc]"},
+		{"SELECT k, sum(v) FROM g GROUP BY k ORDER BY k", "merge by key -> sort-runs[col0, canonical value ties]"},
+		{"SELECT k, sum(v) FROM g GROUP BY k ORDER BY k DESC LIMIT 4", "merge by key -> top-n[col0 desc limit 4, canonical value ties]"},
 	} {
 		plan, err := conn.Plan(tc.q)
 		if err != nil {

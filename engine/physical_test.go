@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -28,7 +29,6 @@ func TestFallbackReasonsSurfaced(t *testing.T) {
 		{"SELECT s, sum(a) FROM t GROUP BY s", "group-key-not-int"},
 		{"SELECT f, count(*) FROM t GROUP BY f", "group-key-not-int"},
 		{"SELECT a FROM t ORDER BY s", "order-key-not-sortable"},
-		{"SELECT sum(a) AS total FROM t ORDER BY total", "order-key-not-sortable"},
 		{"SELECT t.a FROM t JOIN u ON t.s = u.s", "join-key-not-int"},
 		// N-way: the disqualifying edge is the SECOND join, not the first.
 		{"SELECT t.a FROM t JOIN u ON t.a = u.a JOIN x2 ON u.s = x2.s", "join-key-not-int"},
@@ -49,12 +49,14 @@ func TestFallbackReasonsSurfaced(t *testing.T) {
 	}
 
 	// Vectorized: SELECT * under GROUP BY (the binder already made every
-	// expanded item a group key), and a table with tombstones and rows
-	// appended after them.
+	// expanded item a group key), a table with tombstones and rows
+	// appended after them, and an ORDER BY over a global aggregate, which
+	// the binder leaves unresolved: a one-row result has nothing to order.
 	mustExec(t, db, "INSERT INTO t VALUES (4, 5, 6, 2.5, 'y'), (7, 8, 9, 3.5, 'z')")
 	mustExec(t, db, "DELETE FROM t WHERE a = 1")
 	mustExec(t, db, "INSERT INTO t VALUES (1, 1, 1, 0.5, 'w')")
-	for _, q := range []string{"SELECT * FROM w1 GROUP BY a", "SELECT a, b FROM t", "SELECT sum(b), count(*) FROM t", "SELECT count(*) FROM t"} {
+	const globalOrdered = "SELECT sum(a) AS total FROM t ORDER BY total"
+	for _, q := range []string{"SELECT * FROM w1 GROUP BY a", "SELECT a, b FROM t", "SELECT sum(b), count(*) FROM t", "SELECT count(*) FROM t", globalOrdered} {
 		plan, err := conn.Plan(q)
 		if err != nil {
 			t.Fatal(err)
@@ -62,6 +64,13 @@ func TestFallbackReasonsSurfaced(t *testing.T) {
 		if !strings.HasPrefix(plan, "vectorized pipeline") {
 			t.Fatalf("%s: expected the vectorized pipeline, got:\n%s", q, plan)
 		}
+	}
+	mal, err := db.sdb.Query(globalOrdered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(collect(t)(db.Query(bg, globalOrdered))), fmt.Sprint(mal.Rows); got != want || want != "[[12]]" {
+		t.Fatalf("%s: vector %s, MAL %s, want [[12]]", globalOrdered, got, want)
 	}
 }
 
@@ -93,8 +102,8 @@ func TestNewShapesRoute(t *testing.T) {
 		{"SELECT t.a, sum(u.w) FROM t JOIN u ON t.a = u.a GROUP BY t.a", "group-by["},
 		{"SELECT t.b, u.w FROM t JOIN u ON t.a = u.a ORDER BY w", "canonical value ties"},
 		{"SELECT a, b, c, count(*) FROM t GROUP BY a, b, c", "group-by[col0,col1,col2]"},
-		{"SELECT a, sum(b) FROM t GROUP BY a ORDER BY a", "order-by[item 0]"},
-		{"SELECT a, count(*) FROM t GROUP BY a ORDER BY a DESC LIMIT 2", "order-by[item 0 desc]"},
+		{"SELECT a, sum(b) FROM t GROUP BY a ORDER BY a", "merge by key -> sort-runs[col0, canonical value ties]"},
+		{"SELECT a, count(*) FROM t GROUP BY a ORDER BY a DESC LIMIT 2", "merge by key -> top-n[col0 desc limit 2, canonical value ties]"},
 		{"SELECT sum(a + b) FROM t", "expr-project["},
 		{"SELECT a, avg(b * 2) FROM t GROUP BY a", "expr-project["},
 	}

@@ -16,54 +16,62 @@ import (
 func (p *Plan) Describe() string {
 	var sb strings.Builder
 	sb.WriteString("vectorized pipeline (physical plan, morsel-parallel exchange):\n")
-	switch root := p.Root.(type) {
-	case *ProjectNode:
-		switch child := root.Child.(type) {
-		case *SortNode:
-			if jt, ok := child.Child.(*JoinTreeNode); ok {
-				describeJoinTree(&sb, jt)
-				fmt.Fprintf(&sb, " -> %s[col%d%s%s, canonical value ties] -> exchange -> merge-runs -> project",
-					sortName(child.Limit), child.Key, descSuffix(child.Desc), limitSuffix(child.Limit))
-				break
-			}
-			sb.WriteString("    ")
-			describePipe(&sb, child.Child)
-			fmt.Fprintf(&sb, " -> %s[col%d%s%s] -> exchange -> merge-runs -> project",
-				sortName(child.Limit), child.Key, descSuffix(child.Desc), limitSuffix(child.Limit))
-		case *JoinTreeNode:
-			describeJoinTree(&sb, child)
-			sb.WriteString(" -> project -> exchange")
-		default:
-			sb.WriteString("    ")
-			describePipe(&sb, root.Child)
-			sb.WriteString(" -> project -> exchange")
-		}
+	describe(&sb, p.Root)
+	return sb.String()
+}
+
+// describe renders n and everything under it, and reports whether its
+// output has crossed the exchange to the consumer.
+func describe(sb *strings.Builder, n Node) (crossed bool) {
+	switch x := n.(type) {
+	case *ScanNode:
+		fmt.Fprintf(sb, "    scan %s", x.Table)
+	case *FilterNode:
+		describe(sb, x.Child)
+		describePreds(sb, x.Preds)
+	case *JoinTreeNode:
+		describeJoinTree(sb, x)
 	case *GroupAggNode:
-		if jt, ok := root.Child.(*JoinTreeNode); ok {
-			describeJoinTree(&sb, jt)
-		} else {
-			sb.WriteString("    ")
-			describePipe(&sb, root.Child)
+		describe(sb, x.Child)
+		if x.Pre != nil {
+			fmt.Fprintf(sb, " -> expr-project[%d exprs]", len(x.Pre))
 		}
-		if root.Pre != nil {
-			fmt.Fprintf(&sb, " -> expr-project[%d exprs]", len(root.Pre))
-		}
-		if len(root.Keys) == 0 {
+		if len(x.Keys) == 0 {
 			sb.WriteString(" -> partial-agg -> exchange -> re-agg")
-			break
+			return true
 		}
-		cols := make([]string, len(root.Keys))
-		for i, k := range root.Keys {
+		cols := make([]string, len(x.Keys))
+		for i, k := range x.Keys {
 			cols[i] = fmt.Sprintf("col%d", k)
 		}
-		fmt.Fprintf(&sb, " -> group-by[%s] partial-agg -> exchange -> merge by key", strings.Join(cols, ","))
-		if root.OrderBy >= 0 {
-			fmt.Fprintf(&sb, " -> order-by[item %d%s]", root.OrderBy, descSuffix(root.OrderDesc))
+		fmt.Fprintf(sb, " -> group-by[%s] partial-agg -> exchange -> merge by key", strings.Join(cols, ","))
+		return true
+	case *SortNode:
+		crossed = describe(sb, x.Child)
+		fmt.Fprintf(sb, " -> %s[col%d%s%s", sortName(x.Limit), x.Key, descSuffix(x.Desc), limitSuffix(x.Limit))
+		if len(x.Ties) > 0 {
+			sb.WriteString(", canonical value ties")
 		}
+		sb.WriteString("]")
+		if !crossed {
+			sb.WriteString(" -> exchange")
+		}
+		sb.WriteString(" -> merge-runs")
+		return true
+	case *ProjectNode:
+		crossed = describe(sb, x.Child)
+		if _, ok := x.Child.(*GroupAggNode); ok {
+			return true // the groups are shaped in output order
+		}
+		sb.WriteString(" -> project")
+		if !crossed {
+			sb.WriteString(" -> exchange")
+		}
+		return true
 	default:
-		fmt.Fprintf(&sb, "    %T", root)
+		fmt.Fprintf(sb, "    %T", n)
 	}
-	return sb.String()
+	return false
 }
 
 // Describe renders what one instrumented execution observed: per leaf,
@@ -134,19 +142,6 @@ func describeJoinTree(sb *strings.Builder, jt *JoinTreeNode) {
 func describeLeaf(sb *strings.Builder, lf *JoinLeaf) {
 	fmt.Fprintf(sb, "scan %s", lf.Scan.Table)
 	describePreds(sb, lf.Preds)
-}
-
-// describePipe renders a leaf pipeline (scan, optionally filtered).
-func describePipe(sb *strings.Builder, n Node) {
-	switch x := n.(type) {
-	case *ScanNode:
-		fmt.Fprintf(sb, "scan %s", x.Table)
-	case *FilterNode:
-		describePipe(sb, x.Child)
-		describePreds(sb, x.Preds)
-	default:
-		fmt.Fprintf(sb, "%T", n)
-	}
 }
 
 func describePreds(sb *strings.Builder, preds []Pred) {

@@ -22,31 +22,61 @@ type Result struct {
 	Limit int
 }
 
-// Execute instantiates the plan over a snapshot. A non-nil error is a
-// real binding/execution error that would fail on either engine. The
-// *Fallback result is always nil — no snapshot disqualifies a lowered
-// plan since scans filter tombstones — and stays in the signature for
-// callers outside this module (bench/probes.go).
+// Execute instantiates the plan over a snapshot: stage builds every
+// node's operators bottom-up and the root's stream is the result. A
+// non-nil error is a real binding/execution error that would fail on
+// either engine. The *Fallback result is always nil — no snapshot
+// disqualifies a lowered plan since scans filter tombstones — and stays
+// in the signature for callers outside this module (bench/probes.go).
 func (p *Plan) Execute(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options) (*Result, *Fallback, error) {
-	var res *Result
-	var err error
-	switch root := p.Root.(type) {
-	case *ProjectNode:
-		if sn, ok := root.Child.(*SortNode); ok {
-			res, err = p.execSort(ctx, snap, args, opts, root, sn)
-		} else {
-			res, err = p.execPlain(ctx, snap, args, opts, root)
-		}
-	case *GroupAggNode:
-		if len(root.Keys) == 0 {
-			res, err = p.execGlobalAgg(ctx, snap, args, opts, root)
-		} else {
-			res, err = p.execGrouped(ctx, snap, args, opts, root)
-		}
-	default:
-		err = fmt.Errorf("physical: unexecutable plan root %T", p.Root)
+	pl, err := p.stage(ctx, snap, args, opts, p.Root)
+	if err != nil {
+		return nil, nil, err
 	}
-	return res, nil, err
+	op, _ := pl.run(opts.workers(), false, func(in vector.Operator) vector.Operator { return in })
+	if err := op.Open(); err != nil {
+		return nil, nil, err
+	}
+	return &Result{Op: op, Limit: p.Limit}, nil, nil
+}
+
+// stage instantiates node n and everything under it, returning the
+// pipeline its parent composes over. It is the one walk that builds a
+// plan's operators: a leaf (scan, filtered scan, join tree) yields a
+// morsel-parallel pipeline, a projection stacks on its child's stream,
+// and an aggregation or a sort ends the parallel part, leaving a serial
+// pipeline over its output.
+func (p *Plan) stage(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, n Node) (*pipeline, error) {
+	var child Node
+	switch x := n.(type) {
+	case *JoinTreeNode:
+		return p.joinPipeline(ctx, snap, args, opts, x)
+	case *ScanNode, *FilterNode:
+		return leafPipeline(ctx, snap, args, opts, n)
+	case *ProjectNode:
+		child = x.Child
+	case *SortNode:
+		child = x.Child
+	case *GroupAggNode:
+		child = x.Child
+	default:
+		return nil, fmt.Errorf("physical: unexecutable plan node %T", n)
+	}
+	pl, err := p.stage(ctx, snap, args, opts, child)
+	if err != nil {
+		return nil, err
+	}
+	switch x := n.(type) {
+	case *ProjectNode:
+		pl.project(x.Outs)
+	case *SortNode:
+		pl.sort(x, sortInput(child))
+	case *GroupAggNode:
+		if err := pl.group(x); err != nil {
+			return nil, err
+		}
+	}
+	return pl, nil
 }
 
 // DataFallback always returns nil: routing no longer depends on the
@@ -333,19 +363,22 @@ func (o *countOp) Close() error { return o.child.Close() }
 
 // --- the instantiated pipeline ---
 
-// pipeline is a plan child (leaf or join tree) bound to a snapshot.
-// Normally src streams through an Exchange and par builds each worker's
-// fragment on top of its morsel scan. When a join build degraded to
-// grace-hash partitioning mid-instantiation, mkSerial is set instead:
-// the whole stream now issues from spill partitions, and mkSerial
-// constructs a fresh single-threaded chain (replayable: spill files and
-// shared join tables persist). run and serial are the only readers of
-// that difference.
+// pipeline is a plan node bound to a snapshot: the stream its parent
+// composes over. Normally src streams through an Exchange and par
+// builds each worker's fragment on top of its morsel scan. mkSerial is
+// set instead when the stream has one producer: when a join build
+// degraded to grace-hash partitioning mid-instantiation (the whole
+// stream now issues from spill partitions, and mkSerial constructs a
+// fresh single-threaded chain, replayable: spill files and shared join
+// tables persist), and above an aggregation or a sort, whose output
+// mkSerial returns. run and serial are the only readers of that
+// difference.
 //
 // remap translates the plan's VIRTUAL column positions (FROM-order
 // concatenation of the leaves) to the chain's intermediate layout
 // (stream leaf's columns, then each build's payload in execution
-// order). For a single-table child it is the identity.
+// order). nil is the identity: a single table, or the output of an
+// aggregation or a projection.
 type pipeline struct {
 	ctx      context.Context
 	opts     Options
@@ -364,19 +397,21 @@ type pipeline struct {
 // whether that stream is the outputs of several fragments, which an
 // aggregate must still merge. Normally it is an Exchange running
 // frag∘par on up to workers workers, whose morsel scans append global
-// row positions when rowIDs is set. After a degraded join step it is
-// frag over the one serial chain, whose output is already whole (a join
-// output carries no row ids: its sorts break ties by value).
+// row positions when rowIDs is set. After a degraded join step, an
+// aggregation or a sort it is frag over the one serial stream, whose
+// output is already whole (and carries no row ids: sorts over it break
+// ties by value).
 func (pl *pipeline) run(workers int, rowIDs bool, frag func(vector.Operator) vector.Operator) (vector.Operator, bool) {
 	if pl.mkSerial != nil {
 		return frag(pl.mkSerial()), false
 	}
+	par := pl.par
 	return &vector.Exchange{
 		Source:     pl.src,
 		Workers:    workers,
 		MorselSize: pl.opts.MorselSize,
 		VectorSize: pl.opts.VectorSize,
-		Plan:       func(scan vector.Operator) vector.Operator { return frag(pl.par(scan)) },
+		Plan:       func(scan vector.Operator) vector.Operator { return frag(par(scan)) },
 		Ctx:        pl.ctx,
 		RowIDs:     rowIDs,
 	}, true
@@ -394,12 +429,28 @@ func (pl *pipeline) serial() vector.Operator {
 	return pl.par(vector.NewScan(pl.src, pl.opts.VectorSize))
 }
 
-// pipelineFor instantiates the plan child feeding a projection, sort,
-// or aggregation.
-func (p *Plan) pipelineFor(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, n Node) (*pipeline, error) {
-	if jt, ok := n.(*JoinTreeNode); ok {
-		return p.joinPipeline(ctx, snap, args, opts, jt)
+// pos is the chain position of virtual column v.
+func (pl *pipeline) pos(v int) int {
+	if pl.remap == nil {
+		return v
 	}
+	return pl.remap[v]
+}
+
+// then stacks frag on the stream: on every worker's fragment, or on
+// the serial chain.
+func (pl *pipeline) then(frag func(vector.Operator) vector.Operator) {
+	if mk := pl.mkSerial; mk != nil {
+		pl.mkSerial = func() vector.Operator { return frag(mk()) }
+		return
+	}
+	par := pl.par
+	pl.par = func(scan vector.Operator) vector.Operator { return frag(par(scan)) }
+}
+
+// leafPipeline instantiates a single-table leaf (Scan or
+// Filter-over-Scan).
+func leafPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, n Node) (*pipeline, error) {
 	scan, preds, err := pipe(n)
 	if err != nil {
 		return nil, err
@@ -408,15 +459,10 @@ func (p *Plan) pipelineFor(ctx context.Context, snap *sqlfe.Snapshot, args []any
 	if err != nil {
 		return nil, err
 	}
-	width := len(bs.src.Cols)
-	remap := make([]int, width)
-	for i := range remap {
-		remap[i] = i
-	}
 	return &pipeline{
 		ctx: ctx, opts: opts, src: bs.src,
 		par:   func(scan vector.Operator) vector.Operator { return filtered(scan, vpreds, nil) },
-		remap: remap, width: width,
+		width: len(bs.src.Cols),
 	}, nil
 }
 
@@ -509,13 +555,13 @@ type joinStep struct {
 }
 
 // runsBefore reports whether s probes before o when both could go next:
-// in-memory steps before grace steps, then the smaller multiplier (not
-// in naive mode), then FROM order.
-func (s *joinStep) runsBefore(o *joinStep, naive bool) bool {
+// in-memory steps before grace steps, then the smaller multiplier, then
+// FROM order.
+func (s *joinStep) runsBefore(o *joinStep) bool {
 	switch {
 	case s.grace != o.grace:
 		return o.grace
-	case !naive && s.mult != o.mult:
+	case s.mult != o.mult:
 		return s.mult < o.mult
 	}
 	return s.build < o.build
@@ -555,7 +601,6 @@ func rootJoinTree(jt *JoinTreeNode, stream int) []joinStep {
 //
 //   - The stream is the leaf with the largest estimate (estimateLeaf),
 //     first in FROM order on a tie, so the fact table is never hashed.
-//     Naive mode streams leaf 0.
 //   - Every other leaf builds, children-first over the tree rooted at
 //     the stream, and each in-memory build publishes a key filter into
 //     the Filter of the leaf owning its probe key, after that leaf's own
@@ -564,7 +609,7 @@ func rootJoinTree(jt *JoinTreeNode, stream int) []joinStep {
 //     pruned by every dimension: a bottom-up semi-join reduction.
 //   - The probes run after the builds, each after the step joining its
 //     probe leaf; of the steps that can go next, the one with the
-//     smallest multiplier first (naive: FROM order).
+//     smallest multiplier first.
 //
 // Builds charge the governor. An over-grant build degrades its step to
 // grace-hash partitioning, and so do its descendants, whose probe keys
@@ -598,13 +643,10 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 		}
 	}
 
-	stream := 0
-	if !opts.NaiveJoinOrder {
-		best := -1.0
-		for i := range bss {
-			if est := estimateLeaf(bss[i].src, vpreds[i], opts.VectorSize); est > best {
-				stream, best = i, est
-			}
+	stream, best := 0, -1.0
+	for i := range bss {
+		if est := estimateLeaf(bss[i].src, vpreds[i], opts.VectorSize); est > best {
+			stream, best = i, est
 		}
 	}
 	steps := rootJoinTree(jt, stream)
@@ -677,7 +719,7 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 		var next *joinStep
 		for k := range steps {
 			st := &steps[k]
-			if !joined[st.build] && joined[st.probe] && (next == nil || st.runsBefore(next, opts.NaiveJoinOrder)) {
+			if !joined[st.build] && joined[st.probe] && (next == nil || st.runsBefore(next)) {
 				next = st
 			}
 		}
@@ -841,107 +883,88 @@ func remapExpr(e vector.Expr, remap []int) vector.Expr {
 	return e
 }
 
-// --- plain projection ---
+// --- the stages above the leaves ---
 
-func (p *Plan) execPlain(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, proj *ProjectNode) (*Result, error) {
-	pl, err := p.pipelineFor(ctx, snap, args, opts, proj.Child)
-	if err != nil {
-		return nil, err
+// project narrows the stream to the output columns: a Project on every
+// worker's fragment, or on top of a serial stream, and none at all when
+// the outputs are the stream's columns in order.
+func (pl *pipeline) project(outs []int) {
+	identity := len(outs) == pl.width
+	for i, o := range outs {
+		identity = identity && pl.pos(o) == i
 	}
-	exprs := make([]vector.Expr, len(proj.Outs))
-	identity := len(proj.Outs) == pl.width
-	for i, o := range proj.Outs {
-		ri := pl.remap[o]
-		if ri != i {
-			identity = false
+	if !identity {
+		exprs := make([]vector.Expr, len(outs))
+		for i, o := range outs {
+			exprs[i] = vector.ColRef{Idx: pl.pos(o)}
 		}
-		exprs[i] = vector.ColRef{Idx: ri}
+		pl.then(func(in vector.Operator) vector.Operator { return &vector.Project{Child: in, Exprs: exprs} })
 	}
-	op, _ := pl.run(opts.workers(), false, func(in vector.Operator) vector.Operator {
-		if identity {
-			return in
-		}
-		return &vector.Project{Child: in, Exprs: exprs}
-	})
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	return &Result{Op: op, Limit: p.Limit}, nil
+	pl.remap, pl.width = nil, len(outs)
 }
 
-// --- ORDER BY: per-worker sorted runs + k-way merge ---
+// sortInput names what a sort orders, for \plan's observation.
+func sortInput(n Node) string {
+	switch n.(type) {
+	case *GroupAggNode:
+		return "groups"
+	case *JoinTreeNode:
+		return "join output"
+	}
+	scan, _, _ := pipe(n)
+	return scan.Table
+}
 
-func (p *Plan) execSort(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, proj *ProjectNode, sn *SortNode) (*Result, error) {
-	pl, err := p.pipelineFor(ctx, snap, args, opts, sn.Child)
-	if err != nil {
-		return nil, err
-	}
-	key := pl.remap[sn.Key]
-	var ties []int
-	for _, t := range sn.Ties {
-		ties = append(ties, pl.remap[t])
-	}
-	exprs := make([]vector.Expr, len(proj.Outs))
-	for i, o := range proj.Outs {
-		exprs[i] = vector.ColRef{Idx: pl.remap[o]}
-	}
-	// Single-table sorts tie-break on the global row id (stable, exactly
-	// the MAL order); join outputs have no meaningful row order, so they
-	// carry value ties (the output columns) and no row-id column.
-	rowID := -1
-	useRowIDs := len(ties) == 0
-	runs := &vector.RunSet{}
-	sink := opts.sink()
-	if opts.Stats != nil {
-		opts.Stats.Sort = &SortStat{Input: "join output", SortStats: &runs.Stats}
-		if scan, _, err := pipe(sn.Child); err == nil {
-			opts.Stats.Sort.Input = scan.Table
+// sort orders the stream: per-worker sorted runs (one run over a serial
+// stream) k-way merged, whose merge becomes the stream. Every ORDER BY
+// — over a table, a join or the groups — runs on this one governed
+// kernel: each SortRun encodes over-grant runs to spill files
+// (releasing their memory) and MergeRuns streams them back through the
+// same heap as the in-memory ones. With a nil sink (no scope, or the
+// reject policy) a denied charge fails the query instead.
+func (pl *pipeline) sort(sn *SortNode, input string) {
+	opts := pl.opts
+	key, ties := pl.pos(sn.Key), sn.Ties
+	if pl.remap != nil {
+		ties = make([]int, len(sn.Ties))
+		for i, t := range sn.Ties {
+			ties[i] = pl.remap[t]
 		}
 	}
-	if useRowIDs {
-		// The RowIDs scan appends the global-position tiebreak column
-		// after the (single) leaf's columns.
+	// A table's rows tie-break on the global row id (stable, exactly the
+	// MAL order), the column the RowIDs scan appends after the leaf's; a
+	// join's rows and the groups have no meaningful order, so they carry
+	// value ties instead.
+	rowID := -1
+	if len(ties) == 0 {
 		rowID = pl.width
+		pl.width++ // the row ids ride along until the projection
+	}
+	runs := &vector.RunSet{}
+	if opts.Stats != nil {
+		opts.Stats.Sort = &SortStat{Input: input, SortStats: &runs.Stats}
 	}
 	workers := opts.workers()
-	if !radix.ShouldParallelSort(pl.src.ScanRows(), sn.Limit, workers) {
+	if pl.mkSerial == nil && !radix.ShouldParallelSort(pl.src.ScanRows(), sn.Limit, workers) {
 		// One run: the sort cost model says the merge machinery is pure
 		// overhead here (tiny or single-worker input).
 		workers = 1
 	}
-	// Sort degrades out of core incrementally: each worker's SortRun
-	// encodes over-grant runs to spill files (releasing their memory),
-	// and MergeRuns streams those external runs back through the same
-	// k-way heap as the in-memory ones. With a nil sink (no scope, or
-	// the reject policy) a denied charge fails the query instead.
-	sorted, _ := pl.run(workers, useRowIDs, func(in vector.Operator) vector.Operator {
+	sink := opts.sink()
+	sorted, _ := pl.run(workers, rowID >= 0, func(in vector.Operator) vector.Operator {
 		return &vector.SortRun{Child: in, Key: key, RowID: rowID, Ties: ties, Desc: sn.Desc, Limit: sn.Limit,
 			Res: opts.Gov, Spill: sink, Runs: runs, Size: opts.VectorSize}
 	})
-	merge := &vector.MergeRuns{
-		Child: sorted,
-		Key:   key,
-		RowID: rowID,
-		Ties:  ties,
-		Desc:  sn.Desc,
-		Limit: sn.Limit,
-		Size:  opts.VectorSize,
-		Ext:   runs,
-	}
-	out := &vector.Project{Child: merge, Exprs: exprs}
-	if err := out.Open(); err != nil {
-		return nil, err
-	}
-	return &Result{Op: out, Limit: p.Limit}, nil
+	merge := &vector.MergeRuns{Child: sorted, Key: key, RowID: rowID, Ties: ties, Desc: sn.Desc, Limit: sn.Limit,
+		Size: opts.VectorSize, Ext: runs}
+	pl.mkSerial = func() vector.Operator { return merge }
 }
-
-// --- aggregate plumbing shared by the global and grouped forms ---
 
 // aggSetup resolves a GroupAggNode's accumulators and optional Pre
 // expression projection against the pipeline's intermediate layout.
 func aggSetup(g *GroupAggNode, pl *pipeline) (specs []vector.AggSpec, wrap func(vector.Operator) vector.Operator, keyIdx []int) {
-	var pre []vector.Expr
-	if g.Pre != nil {
+	pre := g.Pre
+	if pre != nil && pl.remap != nil {
 		pre = make([]vector.Expr, len(g.Pre))
 		for i, e := range g.Pre {
 			pre[i] = remapExpr(e, pl.remap)
@@ -951,7 +974,7 @@ func aggSetup(g *GroupAggNode, pl *pipeline) (specs []vector.AggSpec, wrap func(
 	for i, a := range g.Accs {
 		col := a.Col
 		if col >= 0 && pre == nil {
-			col = pl.remap[col]
+			col = pl.pos(col)
 		}
 		specs[i] = vector.AggSpec{Kind: a.Kind, Col: col}
 	}
@@ -960,7 +983,7 @@ func aggSetup(g *GroupAggNode, pl *pipeline) (specs []vector.AggSpec, wrap func(
 		if pre != nil {
 			keyIdx[i] = k // keys lead the Pre projection already
 		} else {
-			keyIdx[i] = pl.remap[k]
+			keyIdx[i] = pl.pos(k)
 		}
 	}
 	wrap = func(op vector.Operator) vector.Operator {
@@ -972,95 +995,34 @@ func aggSetup(g *GroupAggNode, pl *pipeline) (specs []vector.AggSpec, wrap func(
 	return specs, wrap, keyIdx
 }
 
-// --- global aggregates ---
-
-func (p *Plan) execGlobalAgg(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, g *GroupAggNode) (*Result, error) {
-	pl, err := p.pipelineFor(ctx, snap, args, opts, g.Child)
-	if err != nil {
-		return nil, err
-	}
-	specs, wrap, _ := aggSetup(g, pl)
-	op, parts := pl.run(opts.workers(), false, func(in vector.Operator) vector.Operator {
-		return &vector.Agg{Child: wrap(in), Aggs: specs}
-	})
-	if parts {
-		// Re-aggregate the workers' partials (sums and counts add, min/max
-		// re-fold nil-aware). One serial pass needs none: its accumulators
-		// over the whole stream are the totals.
-		op = vector.MergeGroups(op, 0, specs, nil)
-	}
-	row, err := drainOne(op)
-	if err != nil {
-		return nil, err
-	}
-	// Shape the single result row with SQL NULL semantics — sum/avg over
-	// zero non-nil inputs is NULL, as is min/max over none. The row is
-	// emitted as a one-row batch carrying the engine's nil sentinels,
-	// which the cursor renders as NULL.
-	cols := make([]vector.Col, len(g.Outs))
-	for i, o := range g.Outs {
-		cnt := int64(0)
-		if o.CntAcc >= 0 {
-			cnt = row.Cols[o.CntAcc].Ints[0]
-		}
-		switch o.Fn {
-		case sqlfe.AggCount:
-			cols[i] = vector.Col{Kind: vector.KindInt, Ints: []int64{row.Cols[o.Acc].Ints[0]}}
-		case sqlfe.AggSum:
-			if o.Flt {
-				v := row.Cols[o.Acc].Floats[0]
-				if cnt == 0 {
-					v = math.NaN()
-				}
-				cols[i] = vector.Col{Kind: vector.KindFloat, Floats: []float64{v}}
-			} else {
-				v := row.Cols[o.Acc].Ints[0]
-				if cnt == 0 {
-					v = bat.NilInt
-				}
-				cols[i] = vector.Col{Kind: vector.KindInt, Ints: []int64{v}}
-			}
-		case sqlfe.AggAvg:
-			v := math.NaN()
-			if cnt != 0 {
-				s := 0.0
-				if row.Cols[o.Acc].Kind == vector.KindFloat {
-					s = row.Cols[o.Acc].Floats[0]
-				} else {
-					s = float64(row.Cols[o.Acc].Ints[0])
-				}
-				v = s / float64(cnt)
-			}
-			cols[i] = vector.Col{Kind: vector.KindFloat, Floats: []float64{v}}
-		default: // min/max: the accumulators already carry nil sentinels
-			cols[i] = row.Cols[o.Acc]
-		}
-	}
-	out := &batchOp{b: &vector.Batch{N: 1, Cols: cols}}
-	if err := out.Open(); err != nil {
-		return nil, err
-	}
-	return &Result{Op: out, Limit: p.Limit}, nil
-}
-
-// --- grouped aggregates (any key count, optional ORDER BY) ---
-
-func (p *Plan) execGrouped(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, g *GroupAggNode) (*Result, error) {
-	pl, err := p.pipelineFor(ctx, snap, args, opts, g.Child)
-	if err != nil {
-		return nil, err
-	}
+// group aggregates the stream per group of its keys — a partial
+// aggregate on every worker, merged by key — and the shaped groups
+// become the stream. A global aggregate is the zero-key case: one
+// group, which the zero-key Agg emits even over no rows. The groups
+// are drained here, so a grouping table that outgrows the grant
+// re-plans to grace hash before any row is returned.
+func (pl *pipeline) group(g *GroupAggNode) error {
+	opts := pl.opts
 	specs, wrap, keyIdx := aggSetup(g, pl)
+	// A global aggregate's state is one row: it charges nothing, so it
+	// never re-plans.
+	res := opts.Gov
+	if len(keyIdx) == 0 {
+		res = nil
+	}
 	op, parts := pl.run(opts.workers(), false, func(in vector.Operator) vector.Operator {
-		return &vector.Agg{Child: wrap(in), Keys: keyIdx, Aggs: specs, Res: opts.Gov}
+		return &vector.Agg{Child: wrap(in), Keys: keyIdx, Aggs: specs, Res: res}
 	})
 	if parts {
-		// Merge the workers' partial groups by key. One serial pass needs
-		// no second table: its Agg already holds every group's totals.
-		op = vector.MergeGroups(op, len(keyIdx), specs, opts.Gov)
+		// Merge the workers' partials by key (sums and counts add, min/max
+		// re-fold nil-aware). One serial pass needs no second table: its
+		// Agg already holds every group's totals.
+		op = vector.MergeGroups(op, len(keyIdx), specs, res)
 	}
 	merged, err := drainOne(op)
-	if errors.Is(err, memgov.ErrExceeded) && opts.canSpill() {
+	var out vector.Operator
+	switch {
+	case errors.Is(err, memgov.ErrExceeded) && opts.canSpill():
 		// The grouping table outgrew the grant mid-build: re-plan to
 		// grace-hash partitioning (the failed attempt already handed its
 		// memory back on the way out).
@@ -1069,57 +1031,21 @@ func (p *Plan) execGrouped(ctx context.Context, snap *sqlfe.Snapshot, args []any
 			chainCols = len(g.Pre)
 		}
 		mk := func() vector.Operator { return wrap(pl.serial()) }
-		return p.graceGrouped(ctx, opts, mk, chainCols, pl.src.ScanRows(), keyIdx, g, specs)
+		out, err = graceGrouped(pl.ctx, opts, mk, chainCols, pl.src.ScanRows(), keyIdx, g, specs)
+	case err == nil:
+		out = &batchOp{b: vector.Batch{N: merged.N, Cols: shapeGrouped(merged, g)}, size: opts.VectorSize}
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return p.finishGrouped(merged, g, opts.Stats)
+	pl.mkSerial, pl.remap, pl.width = func() vector.Operator { return out }, nil, len(g.Outs)
+	return nil
 }
 
-// finishGrouped shapes a merged [keys..., accs...] batch into the
-// select-list columns and applies the grouped ORDER BY, emitting the
-// whole result as one batch.
-func (p *Plan) finishGrouped(merged *vector.Batch, g *GroupAggNode, stats *ExecStats) (*Result, error) {
-	out := &vector.Batch{N: merged.N, Cols: shapeGrouped(merged, g)}
-	if g.OrderBy >= 0 && merged.N > 1 && p.Limit != 0 {
-		// Sort by the chosen output item; ties break on the full group-key
-		// tuple (group rows are unique on it, so the order is total) —
-		// the same canonical order the MAL program's stable-sort chain
-		// produces. The groups run through the one sort operator, so a
-		// LIMIT selects its top groups instead of ordering all of them.
-		nk, ns := len(g.Keys), len(out.Cols)
-		comb := append(out.Cols[:ns:ns], merged.Cols[:nk]...)
-		ties := make([]int, nk)
-		for ki := range ties {
-			ties[ki] = ns + ki
-		}
-		src, err := vector.NewSourceWithLen(make([]string, len(comb)), comb, merged.N)
-		if err != nil {
-			return nil, err
-		}
-		runs := &vector.RunSet{}
-		if stats != nil {
-			stats.Sort = &SortStat{Input: "groups", SortStats: &runs.Stats}
-		}
-		sorted, err := drainOne(&vector.SortRun{Child: vector.NewScan(src, 0), Key: g.OrderBy, RowID: -1,
-			Ties: ties, Desc: g.OrderDesc, Limit: p.Limit, Runs: runs})
-		if err != nil {
-			return nil, err
-		}
-		runs.Stats.Kept.Add(int64(sorted.N))
-		out = &vector.Batch{N: sorted.N, Cols: sorted.Cols[:ns]}
-	}
-	op := &batchOp{b: out}
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	return &Result{Op: op, Limit: p.Limit}, nil
-}
-
-// shapeGrouped shapes a merged [keys..., accs...] grouped-aggregate
-// batch into the select-list columns with SQL NULL semantics (nil
-// sentinels render as NULL).
+// shapeGrouped shapes a merged [keys..., accs...] aggregate batch into
+// the node's output columns with SQL NULL semantics (nil sentinels
+// render as NULL): sum/avg over zero non-nil inputs is NULL, as is
+// min/max over none.
 func shapeGrouped(merged *vector.Batch, g *GroupAggNode) []vector.Col {
 	nk := len(g.Keys)
 	n := merged.N
@@ -1182,21 +1108,43 @@ func shapeGrouped(merged *vector.Batch, g *GroupAggNode) []vector.Col {
 
 // --- small shared pieces ---
 
-// batchOp adapts one materialized batch to the Operator interface so a
-// shaped result streams through the same cursor as a pipeline.
+// batchOp streams one materialized batch (the shaped groups) in
+// vectors of at most size rows, as a scan would, so a top-N over the
+// groups prunes behind its cutoff from the second vector on.
 type batchOp struct {
-	b    *vector.Batch
-	done bool
+	b, out   vector.Batch
+	size, at int
 }
 
-func (o *batchOp) Open() error { o.done = false; return nil }
+func (o *batchOp) Open() error {
+	o.at = 0
+	if o.size <= 0 {
+		o.size = vector.DefaultSize
+	}
+	return nil
+}
 
 func (o *batchOp) Next() (*vector.Batch, error) {
-	if o.done {
+	lo, hi := o.at, min(o.at+o.size, o.b.N)
+	if lo >= hi {
 		return nil, nil
 	}
-	o.done = true
-	return o.b, nil
+	o.at = hi
+	if hi-lo == o.b.N {
+		return &o.b, nil
+	}
+	if o.out.Cols == nil {
+		o.out.Cols = make([]vector.Col, len(o.b.Cols))
+	}
+	for i, c := range o.b.Cols {
+		if c.Kind == vector.KindFloat {
+			o.out.Cols[i] = vector.Col{Kind: c.Kind, Floats: c.Floats[lo:hi]}
+		} else {
+			o.out.Cols[i] = vector.Col{Kind: c.Kind, Ints: c.Ints[lo:hi]}
+		}
+	}
+	o.out.N = hi - lo
+	return &o.out, nil
 }
 
 func (o *batchOp) Close() error { return nil }

@@ -266,14 +266,16 @@ func partitionOp(ctx context.Context, opts Options, op vector.Operator, ncols in
 
 // --- grace-hash grouped aggregation ---
 
-// graceGrouped is the out-of-core re-plan of execGrouped: run the
+// graceGrouped is the out-of-core re-plan of a grouping: run the
 // producing chain once (mk constructs it fresh), partition its output
-// by group-key hash, then aggregate each partition independently with
-// the ordinary in-memory Agg — the partitions hold disjoint key sets,
-// so their shaped outputs concatenate into the full result. With a
-// grouped ORDER BY the partition results are collected and sorted as
-// one batch (an ordered result materializes either way).
-func (p *Plan) graceGrouped(ctx context.Context, opts Options, mk func() vector.Operator, ncols, estRows int, keyIdx []int, g *GroupAggNode, specs []vector.AggSpec) (*Result, error) {
+// by group-key hash, then aggregate each partition alone with the
+// ordinary in-memory Agg, appending its shaped groups to one spill
+// file. The partitions hold disjoint key sets, so the file is the whole
+// result, and the aggregation is over before anything above it runs: a
+// sort over the groups never shares the grant with a partition's
+// grouping table, and at most one such table is live (and charged) at
+// a time.
+func graceGrouped(ctx context.Context, opts Options, mk func() vector.Operator, ncols, estRows int, keyIdx []int, g *GroupAggNode, specs []vector.AggSpec) (vector.Operator, error) {
 	// Worst-case grouping state scales with the input rows (every row
 	// its own group): 8 bytes a cell plus table overhead per row.
 	stateBytes := int64(estRows) * int64(8*ncols+16)
@@ -282,127 +284,33 @@ func (p *Plan) graceGrouped(ctx context.Context, opts Options, mk func() vector.
 	if err != nil {
 		return nil, err
 	}
-	op := &graceGroupOp{ctx: ctx, parts: parts, g: g, keys: keyIdx, specs: specs, res: opts.Gov}
-	if g.OrderBy < 0 {
-		if err := op.Open(); err != nil {
-			return nil, err
-		}
-		return &Result{Op: op, Limit: p.Limit}, nil
-	}
-	op.raw = true
-	merged, err := collectMerged(op, len(keyIdx), specs)
+	w, err := opts.Spill.Create("groups")
 	if err != nil {
 		return nil, err
 	}
-	return p.finishGrouped(merged, g, opts.Stats)
-}
-
-// collectMerged drains a raw-mode graceGroupOp, concatenating the
-// per-partition [keys..., accs...] batches into one.
-func collectMerged(op *graceGroupOp, nk int, specs []vector.AggSpec) (*vector.Batch, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	var out *vector.Batch
-	for {
-		b, err := op.Next()
-		if err != nil {
+	for _, f := range parts {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if b == nil {
-			break
-		}
-		if out == nil {
-			// Copy: the next partition's batch reuses the operator's state.
-			cols := make([]vector.Col, len(b.Cols))
-			for i := range b.Cols {
-				cols[i].Kind = b.Cols[i].Kind
-				cols[i].Ints = append([]int64{}, b.Cols[i].Ints...)
-				cols[i].Floats = append([]float64{}, b.Cols[i].Floats...)
-			}
-			out = &vector.Batch{N: b.N, Cols: cols}
-			continue
-		}
-		for i := range b.Cols {
-			out.Cols[i].Ints = append(out.Cols[i].Ints, b.Cols[i].Ints...)
-			out.Cols[i].Floats = append(out.Cols[i].Floats, b.Cols[i].Floats...)
-		}
-		out.N += b.N
-	}
-	if out == nil {
-		// Every partition was empty: an empty grouped result with the
-		// merged layout's kinds.
-		cols := make([]vector.Col, 0, nk+len(specs))
-		for i := 0; i < nk; i++ {
-			cols = append(cols, vector.Col{Kind: vector.KindInt, Ints: []int64{}})
-		}
-		for _, s := range specs {
-			if s.Kind.Float() {
-				cols = append(cols, vector.Col{Kind: vector.KindFloat, Floats: []float64{}})
-			} else {
-				cols = append(cols, vector.Col{Kind: vector.KindInt, Ints: []int64{}})
-			}
-		}
-		out = &vector.Batch{N: 0, Cols: cols}
-	}
-	return out, nil
-}
-
-// graceGroupOp streams one batch per non-empty partition — shaped
-// select-list columns normally, the raw merged [keys..., accs...]
-// layout in raw mode. At most one partition's grouping state is live
-// (and charged) at a time.
-type graceGroupOp struct {
-	ctx   context.Context
-	parts []*spill.File
-	g     *GroupAggNode
-	keys  []int // key positions in the partition files' chain layout
-	specs []vector.AggSpec
-	res   *memgov.Reservation
-	raw   bool
-
-	pi  int
-	out vector.Batch
-}
-
-func (o *graceGroupOp) Open() error { o.pi = 0; return nil }
-
-func (o *graceGroupOp) Next() (*vector.Batch, error) {
-	for o.pi < len(o.parts) {
-		if err := o.ctx.Err(); err != nil {
-			return nil, err
-		}
-		f := o.parts[o.pi]
-		o.pi++
 		if f == nil {
 			continue
 		}
-		agg := &vector.Agg{Child: &spillScanOp{f: f}, Keys: o.keys, Aggs: o.specs, Res: o.res}
-		if err := agg.Open(); err != nil {
-			return nil, err
-		}
-		merged, err := agg.Next()
-		if cerr := agg.Close(); err == nil {
-			err = cerr
-		}
+		merged, err := drainOne(&vector.Agg{Child: &spillScanOp{f: f}, Keys: keyIdx, Aggs: specs, Res: opts.Gov})
 		if err != nil {
 			return nil, err
 		}
-		if merged == nil || merged.N == 0 {
-			continue
+		if merged.N > 0 {
+			if err := w.WriteBatch(&vector.Batch{N: merged.N, Cols: shapeGrouped(merged, g)}); err != nil {
+				return nil, err
+			}
 		}
-		if o.raw {
-			o.out = *merged
-		} else {
-			o.out = vector.Batch{N: merged.N, Cols: shapeGrouped(merged, o.g)}
-		}
-		return &o.out, nil
 	}
-	return nil, nil
+	f, err := w.Finish()
+	if err != nil {
+		return nil, err
+	}
+	return &spillScanOp{f: f}, nil
 }
-
-func (o *graceGroupOp) Close() error { return nil }
 
 // --- grace-hash join (one degraded step of a join chain) ---
 

@@ -1,6 +1,8 @@
 package physical
 
 import (
+	"slices"
+
 	"repro/internal/sqlfe"
 	"repro/internal/vector"
 )
@@ -24,12 +26,14 @@ func Lower(sel *sqlfe.Select, snap *sqlfe.Snapshot) (*Plan, *Fallback) {
 // operator, not per query shape — and a Fallback is never an error in
 // disguise.
 //
-// FROM/JOIN clauses of any length lower into one JoinTreeNode; GROUP
-// BY, global aggregates, ORDER BY and LIMIT all compose over it, so
-// N-way joins, grouped joins and ordered joins run vectorized. The
-// structural fallbacks are per-column/per-operator: TEXT anywhere in
-// the pipeline, non-INT join or group keys, plain (non-aggregated)
-// arithmetic items.
+// Every plan has one skeleton, Project ← Sort? ← GroupAgg? ← pipeline.
+// FROM/JOIN clauses of any length lower into one JoinTreeNode (one
+// table: a Scan, filtered when WHERE has a conjunct); GROUP BY and
+// global aggregates (zero keys) into a GroupAggNode; ORDER BY into a
+// SortNode; so N-way joins, grouped joins and ordered joins run
+// vectorized. The structural fallbacks are per-column/per-operator:
+// TEXT anywhere in the pipeline, non-INT join or group keys, plain
+// (non-aggregated) arithmetic items.
 func LowerBound(b *sqlfe.Bound) (*Plan, *Fallback) {
 	p := &planner{b: b, scans: make([]*ScanNode, len(b.Tables)), preds: make([][]Pred, len(b.Tables))}
 	for i, t := range b.Tables {
@@ -52,16 +56,11 @@ func LowerBound(b *sqlfe.Bound) (*Plan, *Fallback) {
 		}
 		p.edges = append(p.edges, JoinEdge{A: j.Prior.Table, B: j.New.Table, AKey: p.source(j.Prior), BKey: p.source(j.New)})
 	}
-	var root Node
-	var fb *Fallback
-	switch b.Shape {
-	case sqlfe.ShapeGrouped:
-		root, fb = p.lowerGrouped()
-	case sqlfe.ShapeGlobalAgg:
-		root, fb = p.lowerGlobalAggs()
-	default:
-		root, fb = p.lowerPlain()
+	lower := p.lowerAgg
+	if b.Shape == sqlfe.ShapePlain {
+		lower = p.lowerPlain
 	}
+	root, fb := lower()
 	if fb != nil {
 		return nil, fb
 	}
@@ -179,24 +178,9 @@ func (p *planner) lowerPlain() (Node, *Fallback) {
 	return &ProjectNode{Child: root, Outs: vouts}, nil
 }
 
-// --- aggregate plans (global and grouped) ---
+// --- aggregates: grouped, or global (no keys), optionally sorted ---
 
-func (p *planner) lowerGlobalAggs() (Node, *Fallback) {
-	if p.b.Ordered {
-		// A one-row result has nothing to order; MAL ignores the clause.
-		return nil, fallback(ReasonOrderKeyType, "ORDER BY over a global aggregate")
-	}
-	agg := &aggBuilder{p: p}
-	for _, it := range p.b.Items {
-		if fb := agg.item(it); fb != nil {
-			return nil, fb
-		}
-	}
-	accs, pre := agg.materialize(nil)
-	return &GroupAggNode{Child: p.child(), Accs: accs, Outs: agg.outs, Pre: pre, OrderBy: -1}, nil
-}
-
-func (p *planner) lowerGrouped() (Node, *Fallback) {
+func (p *planner) lowerAgg() (Node, *Fallback) {
 	b := p.b
 	// The grouping table assigns dense ids over int64 key tuples of any
 	// width. Text and float keys fall back to MAL's grouping. NULL keys
@@ -225,13 +209,30 @@ func (p *planner) lowerGrouped() (Node, *Fallback) {
 			vkeys[i] = p.virt(k)
 		}
 	}
+	g := &GroupAggNode{Child: p.child(), Keys: vkeys, Accs: accs, Outs: agg.outs, Pre: pre}
+	outs := make([]int, len(b.Items))
+	for i := range outs {
+		outs[i] = i
+	}
+	if b.OrderItem < 0 {
+		// No ORDER BY, or one over a global aggregate: the binder leaves
+		// that unresolved, as a one-row result has nothing to order.
+		return &ProjectNode{Child: g, Outs: outs}, nil
+	}
 	// Grouped ORDER BY names an output item; ties break on the full
 	// group-key tuple, which group rows are unique on, so the order is
-	// total on both engines.
-	return &GroupAggNode{
-		Child: p.child(), Keys: vkeys, Accs: accs, Outs: agg.outs,
-		Pre: pre, OrderBy: b.OrderItem, OrderDesc: b.Desc,
-	}, nil
+	// total on both engines. A projected key ties through its item; the
+	// node emits the others after the items, for the Project to drop.
+	ties := make([]int, len(b.GroupBy))
+	for ki := range ties {
+		ties[ki] = slices.IndexFunc(g.Outs, func(o AggOut) bool { return o.Key && o.KeyIdx == ki })
+		if ties[ki] < 0 {
+			ties[ki] = len(g.Outs)
+			g.Outs = append(g.Outs, AggOut{Key: true, KeyIdx: ki, Acc: -1, CntAcc: -1})
+		}
+	}
+	sn := &SortNode{Child: g, Key: b.OrderItem, Ties: ties, Desc: b.Desc, Limit: b.Limit}
+	return &ProjectNode{Child: sn, Outs: outs}, nil
 }
 
 // --- aggregate sources (plain columns and arithmetic expressions) ---
@@ -268,10 +269,10 @@ func (p *planner) vexpr(e *sqlfe.BoundExpr) vector.Expr {
 }
 
 // aggBuilder accumulates the accumulator columns and per-item mappings
-// shared by the global and grouped forms. Accumulator sources are
-// symbolic (srcs indexes) until materialize resolves them against the
-// final layout — directly to virtual positions when every source is a
-// plain column, through a Pre expression projection otherwise.
+// of an aggregate's items. Accumulator sources are symbolic (srcs
+// indexes) until materialize resolves them against the final layout —
+// directly to virtual positions when every source is a plain column,
+// through a Pre expression projection otherwise.
 type aggBuilder struct {
 	p    *planner
 	srcs []*sqlfe.BoundExpr // aggregate arguments

@@ -21,10 +21,10 @@
 //     sqlfe.CoerceArg rules as the MAL interpreter, picks nil-aware
 //     filter primitives per the columns' NoNil property, prunes zones,
 //     consults the radix cost models (join build side, serial-vs-run
-//     sort), and instantiates Exchange pipelines over zero-copy
-//     snapshot column slices whose scans filter the snapshot's
-//     tombstones. No snapshot
-//     disqualifies a lowered plan: routing is fixed at LowerBound.
+//     sort), and, in one walk over the tree, instantiates Exchange
+//     pipelines over zero-copy snapshot column slices whose scans
+//     filter the snapshot's tombstones. No snapshot disqualifies a
+//     lowered plan: routing is fixed at LowerBound.
 package physical
 
 import (
@@ -53,7 +53,7 @@ const (
 	ReasonTextColumn   = "text-column"            // a referenced column is TEXT; the pipeline moves int/float vectors
 	ReasonExprInSelect = "expression-in-select"   // PLAIN (non-aggregated) arithmetic select items are not lowered; expressions inside aggregates are
 	ReasonGroupKeyType = "group-key-not-int"      // the grouping table keys int64 tuples
-	ReasonOrderKeyType = "order-key-not-sortable" // ORDER BY key is TEXT, or orders a global aggregate's one row
+	ReasonOrderKeyType = "order-key-not-sortable" // ORDER BY key is TEXT
 	ReasonJoinKeyType  = "join-key-not-int"       // the shared open-addressing table keys int64
 )
 
@@ -96,12 +96,6 @@ type Options struct {
 	// cached and shared across sessions, so runtime counters never live
 	// on the nodes themselves.
 	Stats *ExecStats
-
-	// NaiveJoinOrder disables the greedy join orderer and executes the
-	// join tree in textual FROM order (stream = first table, joins in
-	// JOIN-clause order). A benchmarking and testing knob: the greedy-vs-
-	// naive comparison is what demonstrates the ordering pays.
-	NaiveJoinOrder bool
 }
 
 // ExecStats is the per-execution observation collector \plan renders.
@@ -217,9 +211,10 @@ type FilterNode struct {
 func (*FilterNode) node() {}
 
 // ProjectNode picks output columns, by position into the child's
-// pipeline columns (for a JoinTreeNode child: VIRTUAL positions — the
-// FROM-order concatenation of the leaves' pipeline columns, regardless
-// of the join order the executor later picks).
+// columns (a SortNode passes its child's through; under a JoinTreeNode:
+// VIRTUAL positions — the FROM-order concatenation of the leaves'
+// pipeline columns, regardless of the join order the executor later
+// picks). It is the root of every plan.
 type ProjectNode struct {
 	Child Node
 	Outs  []int
@@ -281,8 +276,10 @@ type AggOut struct {
 }
 
 // GroupAggNode aggregates its child per group of any number of INT key
-// columns (empty = global); every key width rides the one
-// radix.GroupTable, in per-worker partial tables merged by key.
+// columns; every key width rides the one radix.GroupTable, in
+// per-worker partial tables merged by key. No keys is a global
+// aggregate: one group, emitted even over no rows. It emits one column
+// per Outs entry, in order.
 //
 // Pre, when non-nil, is a per-worker expression projection inserted
 // between the child pipeline and the aggregation: Keys and Accs then
@@ -293,19 +290,12 @@ type AggOut struct {
 // child's pipeline columns (virtual positions for a JoinTreeNode
 // child; the executor remaps them to the chosen join order's
 // intermediate layout without mutating the shared plan).
-//
-// OrderBy >= 0 orders the grouped OUTPUT by that select-list item,
-// ties broken by the full group-key tuple — group rows are unique on
-// it, so the order is total and deterministic, matching the MAL
-// program's canonical least-significant-first stable-sort chain.
 type GroupAggNode struct {
-	Child     Node
-	Keys      []int // key positions (child pipeline, or Pre outputs when Pre != nil); empty = global
-	Accs      []AccSpec
-	Outs      []AggOut
-	Pre       []vector.Expr // optional expression projection feeding Keys/Accs
-	OrderBy   int           // output item index to order by; -1 = none
-	OrderDesc bool
+	Child Node
+	Keys  []int // key positions (child pipeline, or Pre outputs when Pre != nil); empty = global
+	Accs  []AccSpec
+	Outs  []AggOut
+	Pre   []vector.Expr // optional expression projection feeding Keys/Accs
 }
 
 func (*GroupAggNode) node() {}
@@ -322,9 +312,12 @@ func (*GroupAggNode) node() {}
 // both engines — so Ties lists the output columns (virtual positions)
 // instead and both executors produce the canonical lexicographic
 // (key, outputs...) order; rows equal on all of them are identical.
+// Over a GroupAggNode the key is a select item and Ties are the group
+// keys the node emits after the items: group rows are unique on them,
+// so the order is total, the MAL program's canonical stable-sort chain.
 type SortNode struct {
 	Child Node
-	Key   int   // pipeline position of the sort key (virtual over a join tree)
+	Key   int   // position of the sort key (virtual over a join tree)
 	Ties  []int // canonical value tiebreaks (virtual positions); nil = row-id ties
 	Desc  bool
 	Limit int // -1 = none
@@ -334,7 +327,9 @@ func (*SortNode) node() {}
 
 // Plan is a lowered SELECT: the operator tree plus the row budget and
 // the output labels (the binder's, so both executors label
-// identically).
+// identically). Every tree has one skeleton, Project ← Sort? ←
+// GroupAgg? ← pipeline, where the pipeline is a Scan, a Filter over a
+// Scan, or a JoinTreeNode.
 type Plan struct {
 	Root  Node
 	Limit int // -1 = none

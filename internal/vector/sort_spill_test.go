@@ -53,7 +53,7 @@ func (w *fakeWriter) WriteBatch(b *Batch) error {
 
 func (w *fakeWriter) Finish() (SpillRun, error) { return w.run, nil }
 
-// externalSort runs the execSort-shaped plan: parallel SortRun
+// externalSort runs the physical layer's sort stage: parallel SortRun
 // fragments under an Exchange with rowid tiebreaks, merged by
 // MergeRuns, optionally budgeted and spillable.
 func externalSort(t *testing.T, src *Source, key, workers, limit int, desc bool, res *memgov.Reservation, sink SpillSink) ([][]any, error) {
