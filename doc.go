@@ -87,6 +87,33 @@
 //     vector path, and the min/max baseline of provenance-based data
 //     skipping (PAPERS.md).
 //
+//   - Selections adapt to their data (micro-adaptivity, Răducanu,
+//     Boncz and Zukowski, SIGMOD 2013). Every selection primitive has
+//     two flavours of one loop, generic over INT and FLOAT where the
+//     comparison is the same: a branching one that writes an index
+//     only when the predicate holds, and X100's branch-free one that
+//     writes every candidate's index and advances by the predicate's
+//     truth value, 0 or 1. The branching loop wins while the branch is
+//     predictable, the branch-free one costs the same at any pass rate.
+//     vector.Filter picks per predicate per vector: the branching
+//     flavour when that predicate kept under 4 % or over 96 % of the
+//     previous vector's rows, else the branch-free one. The state is
+//     one word in each worker's own Filter, and the cut-off is a
+//     constant (the measured crossover, in vector/ops.go), not an
+//     option. Both flavours write by index, so the Filter sizes the
+//     output for every candidate before the call.
+//
+//   - A join carries only live columns (late materialization). Plan.stage
+//     hands the join the set of its output columns the nodes above read:
+//     the project's outputs, the sort's key and ties, the grouping's
+//     keys, accumulators and Pre expressions. A build keeps those of its
+//     leaf, plus the keys later steps probe on, as its payload; every
+//     probe (vector.HashJoinOp.Keep) copies only the probe columns still
+//     live after it; a grace step partitions only what its join reads,
+//     and a grace GROUP BY only its keys and accumulator arguments. So
+//     one compact layout holds on every path, and a dimension column
+//     nothing reads is never gathered.
+//
 //   - Grouping is ONE table too: radix.GroupTable maps K-wide int64
 //     key tuples to dense first-seen group ids, for every K. A slot is
 //     (tuple hash, gid+1) in 16 bytes whatever K is — same Fibonacci
@@ -209,7 +236,7 @@
 //	scan u: 1/1 zones, 100/100 rows
 //	join order (greedy, from the measured builds):
 //	    stream: scan t
-//	    join 1: build u (100 rows), est 10000 rows -> actual 10000 rows, bitmap filter on t: 10000 -> 10000 rows
+//	    join 1: build u (100 rows), est 10000 rows -> actual 10000 rows of 2 columns, bitmap filter on t: 10000 -> 10000 rows
 //
 //	\plan SELECT a, b, sum(v) FROM t GROUP BY a, b
 //	vectorized pipeline (physical plan, morsel-parallel exchange):

@@ -1,29 +1,45 @@
 package engine
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/sqlfe"
+)
 
 // Execute instantiates a plan's operators on every execution, so what
 // one execution allocates is paid by every prepared aggregate on the
 // serving path. One worker keeps the counts deterministic: a single
 // exchange worker over the same morsels. The bounds are what each
-// statement allocated while global aggregates, groupings and grouped
-// sorts each had an executor of their own; the one walk must not cost
-// more.
+// statement allocates now; they only ever come down. The join is a
+// filtered 3-way star, grouped (398 allocations while its builds
+// appended a row at a time and its probes carried every column); its
+// bound is its count under -race, three above a plain build's 249,
+// because the instrumented build keeps a few appends the plain one
+// elides.
 func TestAggregateExecutionAllocs(t *testing.T) {
+	// Every table of the catalog costs each execution's snapshot, so the
+	// join runs in a database of its own.
 	db, _ := Open(WithWorkers(1))
 	defer db.Close()
 	loadGrouped(t, db, "g", 20000, 50, 7)
-	conn := db.Conn()
+	star, _ := Open(WithWorkers(1))
+	defer star.Close()
+	loadGrouped(t, star, "g", 20000, 50, 7)
+	loadDim(t, star, "d1", 0, 60)
+	loadDim(t, star, "d2", -500, 1000)
 	for _, tc := range []struct {
+		db        *DB
 		name, sql string
 		arg       any
 		max       float64
 	}{
-		{"global", "SELECT count(*), sum(v) FROM g WHERE k = ?", int64(3), 75},
-		{"grouped", "SELECT k, count(*), sum(v) FROM g WHERE v >= ? GROUP BY k", int64(-100), 121},
-		{"grouped-top", "SELECT k, sum(v) AS s FROM g WHERE v >= ? GROUP BY k ORDER BY s DESC LIMIT 5", int64(-100), 128},
+		{db, "global", "SELECT count(*), sum(v) FROM g WHERE k = ?", int64(3), 73},
+		{db, "grouped", "SELECT k, count(*), sum(v) FROM g WHERE v >= ? GROUP BY k", int64(-100), 120},
+		{db, "grouped-top", "SELECT k, sum(v) AS s FROM g WHERE v >= ? GROUP BY k ORDER BY s DESC LIMIT 5", int64(-100), 125},
+		{star, "join-grouped", "SELECT d1.a, count(*), sum(d2.b) FROM g JOIN d1 ON g.k = d1.k JOIN d2 ON g.v = d2.k WHERE d2.a < ? GROUP BY d1.a", int64(3), 252},
 	} {
-		st, err := conn.Prepare(tc.sql)
+		st, err := tc.db.Conn().Prepare(tc.sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,5 +61,22 @@ func TestAggregateExecutionAllocs(t *testing.T) {
 		if got > tc.max {
 			t.Errorf("%s: %.0f allocations per execution, want at most %.0f", tc.name, got, tc.max)
 		}
+	}
+}
+
+// loadDim loads a dimension table (k INT, a INT, b INT) of n rows whose
+// keys k run from lo: a cycles through 0..6, b is 3·k.
+func loadDim(t *testing.T, db *DB, name string, lo, n int) {
+	t.Helper()
+	if _, err := db.Exec(bg, fmt.Sprintf("CREATE TABLE %s (k INT, a INT, b INT)", name)); err != nil {
+		t.Fatal(err)
+	}
+	ins := &sqlfe.Insert{Table: name}
+	for i := 0; i < n; i++ {
+		k := int64(lo + i)
+		ins.Rows = append(ins.Rows, []sqlfe.Lit{{Kind: sqlfe.TInt, I: k}, {Kind: sqlfe.TInt, I: int64(i % 7)}, {Kind: sqlfe.TInt, I: 3 * k}})
+	}
+	if _, err := db.sdb.ExecStmt(ins); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -81,9 +81,10 @@ func describe(sb *strings.Builder, n Node) (crossed bool) {
 // largest in a sample of its scan) and per join step, in probe order,
 // the build side with its estimate (the stream's sampled rows past its
 // key filters times the measured multiplier of every step so far)
-// against the measured output cardinality, and the key filter the
-// build published: its kind, the leaf that applied it, and the rows it
-// saw and kept there.
+// against the measured output cardinality, the columns its output
+// carries (only those a later step or the nodes above read), and the
+// key filter the build published: its kind, the leaf that applied it,
+// and the rows it saw and kept there.
 func (s *ExecStats) Describe() string {
 	var sb strings.Builder
 	for _, sc := range s.Scans {
@@ -106,8 +107,8 @@ func (s *ExecStats) Describe() string {
 	sb.WriteString("join order (greedy, from the measured builds):\n")
 	fmt.Fprintf(&sb, "    stream: scan %s\n", s.Stream)
 	for i, j := range s.Joins {
-		fmt.Fprintf(&sb, "    join %d: build %s (%d rows), est %d rows -> actual %d rows",
-			i+1, j.Build, j.BuildRows, j.EstRows, atomic.LoadInt64(&j.Actual))
+		fmt.Fprintf(&sb, "    join %d: build %s (%d rows), est %d rows -> actual %d rows of %d columns",
+			i+1, j.Build, j.BuildRows, j.EstRows, atomic.LoadInt64(&j.Actual), j.Cols)
 		if j.Filter != "" {
 			fmt.Fprintf(&sb, ", %s filter on %s: %d -> %d rows",
 				j.Filter, j.FilterOn, atomic.LoadInt64(&j.FilterIn), atomic.LoadInt64(&j.FilterKept))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/bat"
@@ -29,7 +30,7 @@ type Result struct {
 // disqualifies a lowered plan since scans filter tombstones — and stays
 // in the signature for callers outside this module (bench/probes.go).
 func (p *Plan) Execute(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options) (*Result, *Fallback, error) {
-	pl, err := p.stage(ctx, snap, args, opts, p.Root)
+	pl, err := p.stage(ctx, snap, args, opts, p.Root, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -45,12 +46,14 @@ func (p *Plan) Execute(ctx context.Context, snap *sqlfe.Snapshot, args []any, op
 // plan's operators: a leaf (scan, filtered scan, join tree) yields a
 // morsel-parallel pipeline, a projection stacks on its child's stream,
 // and an aggregation or a sort ends the parallel part, leaving a serial
-// pipeline over its output.
-func (p *Plan) stage(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, n Node) (*pipeline, error) {
+// pipeline over its output. live marks the columns of n's output that
+// the nodes above read (nil: all of them); a join tree carries no
+// other column past the step that last needs it.
+func (p *Plan) stage(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, n Node, live colSet) (*pipeline, error) {
 	var child Node
 	switch x := n.(type) {
 	case *JoinTreeNode:
-		return p.joinPipeline(ctx, snap, args, opts, x)
+		return p.joinPipeline(ctx, snap, args, opts, x, live)
 	case *ScanNode, *FilterNode:
 		return leafPipeline(ctx, snap, args, opts, n)
 	case *ProjectNode:
@@ -62,7 +65,10 @@ func (p *Plan) stage(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts
 	default:
 		return nil, fmt.Errorf("physical: unexecutable plan node %T", n)
 	}
-	pl, err := p.stage(ctx, snap, args, opts, child)
+	if overJoin(child) { // a scan streams its columns zero-copy, live or not
+		live = reads(n, live)
+	}
+	pl, err := p.stage(ctx, snap, args, opts, child, live)
 	if err != nil {
 		return nil, err
 	}
@@ -77,6 +83,94 @@ func (p *Plan) stage(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts
 		}
 	}
 	return pl, nil
+}
+
+// overJoin reports whether the pipeline at the bottom of n is a join
+// tree.
+func overJoin(n Node) bool {
+	for {
+		switch x := n.(type) {
+		case *JoinTreeNode:
+			return true
+		case *ProjectNode:
+			n = x.Child
+		case *SortNode:
+			n = x.Child
+		case *GroupAggNode:
+			n = x.Child
+		default:
+			return false
+		}
+	}
+}
+
+// colSet marks the columns of a node's output that its consumers read;
+// the nil set reads every column.
+type colSet []bool
+
+func (s colSet) has(c int) bool { return s == nil || c < len(s) && s[c] }
+
+// with adds cols to s, in place when s has room (nil stays nil).
+func (s colSet) with(cols ...int) colSet {
+	if s == nil {
+		return nil
+	}
+	n := len(s)
+	for _, c := range cols {
+		n = max(n, c+1)
+	}
+	if n > len(s) {
+		s = append(s, make(colSet, n-len(s))...)
+	}
+	for _, c := range cols {
+		s[c] = true
+	}
+	return s
+}
+
+// reads is the set of its child's columns node n reads, of which the
+// nodes above it read live: a projection its outputs, a sort those and
+// its key and ties, an aggregation the column references of its Pre
+// projection, or its keys and its accumulators' arguments.
+func reads(n Node, live colSet) colSet {
+	switch x := n.(type) {
+	case *ProjectNode:
+		return colSet{}.with(x.Outs...)
+	case *SortNode:
+		return live.with(x.Key).with(x.Ties...)
+	case *GroupAggNode:
+		if x.Pre != nil {
+			var cols []int
+			for _, e := range x.Pre {
+				cols = exprCols(e, cols)
+			}
+			return colSet{}.with(cols...)
+		}
+		s := colSet{}.with(x.Keys...)
+		for _, a := range x.Accs {
+			if a.Col >= 0 {
+				s = s.with(a.Col)
+			}
+		}
+		return s
+	}
+	return nil
+}
+
+// exprCols appends the columns e's ColRef leaves read to cols.
+func exprCols(e vector.Expr, cols []int) []int {
+	switch x := e.(type) {
+	case vector.ColRef:
+		return append(cols, x.Idx)
+	case vector.Bin:
+		if x.L != nil {
+			cols = exprCols(x.L, cols)
+		}
+		if x.R != nil {
+			cols = exprCols(x.R, cols)
+		}
+	}
+	return cols
 }
 
 // DataFallback always returns nil: routing no longer depends on the
@@ -375,10 +469,11 @@ func (o *countOp) Close() error { return o.child.Close() }
 // difference.
 //
 // remap translates the plan's VIRTUAL column positions (FROM-order
-// concatenation of the leaves) to the chain's intermediate layout
-// (stream leaf's columns, then each build's payload in execution
-// order). nil is the identity: a single table, or the output of an
-// aggregation or a projection.
+// concatenation of the leaves) to the chain's intermediate layout (the
+// stream leaf's live columns, then each build's payload in execution
+// order), sending a column no node above reads to -1. nil is the
+// identity: a single table, or the output of an aggregation or a
+// projection.
 type pipeline struct {
 	ctx      context.Context
 	opts     Options
@@ -391,6 +486,28 @@ type pipeline struct {
 	// again; serial zeroes them, so \plan reports the run that produced
 	// the result.
 	recount []*int64
+	// tables are the in-memory join steps the stream probes; release
+	// hands them back.
+	tables []builtStep
+}
+
+// builtStep is one in-memory join step of a stream: its shared table,
+// the probe key and the probe columns it carries.
+type builtStep struct {
+	jb       *vector.JoinBuild
+	probeKey int
+	keep     []int
+	stat     *JoinStat
+}
+
+// release hands back the join tables the stream probes, once a
+// consumer has drained it for the last time: the stream must not run
+// again.
+func (pl *pipeline) release() {
+	for k := range pl.tables {
+		pl.tables[k].jb.ReleaseMem()
+		pl.tables[k].jb = nil
+	}
 }
 
 // run returns the stream frag computes over the whole pipeline, and
@@ -618,7 +735,13 @@ func rootJoinTree(jt *JoinTreeNode, stream int) []joinStep {
 // the tables they would hold leave the grace steps, and the operators
 // above the join, their staging. Grace steps run after every in-memory
 // probe, serially over disk partitions.
-func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, jt *JoinTreeNode) (*pipeline, error) {
+//
+// A column is live while the nodes above read it (live, over the
+// virtual columns) or a later step still probes on it. A build keeps
+// the live columns of its leaf as its payload, every step carries only
+// the probe columns live after it, and a grace step partitions just
+// what its join reads, so every path shares one compact layout.
+func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Options, jt *JoinTreeNode, live colSet) (*pipeline, error) {
 	n := len(jt.Leaves)
 	bss := make([]*boundScan, n)
 	vpreds := make([][]vector.Pred, n)
@@ -657,10 +780,29 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 	mkLeafOp := func(li int) vector.Operator {
 		return filtered(vector.NewScan(bss[li].src, opts.VectorSize), vpreds[li], vcounts[li])
 	}
+	voff := make([]int, n+1) // leaf li's columns are the virtual columns [voff[li], voff[li+1])
+	for li := range bss {
+		voff[li+1] = voff[li] + len(bss[li].src.Cols)
+	}
+	// lastProbe[v] is the position in the probe order of the last step
+	// probing on virtual column v, -1 for none; until the order is
+	// known, 0 marks a column some step probes on.
+	lastProbe := make([]int, voff[n])
+	for v := range lastProbe {
+		lastProbe[v] = -1
+	}
+	for k := range steps {
+		lastProbe[voff[steps[k].probe]+steps[k].probeKeyPos] = 0
+	}
+	// payloadOf lists the columns of leaf li a build carries: those the
+	// nodes above read and the probe keys of the steps joining its
+	// children.
 	payloadOf := func(li int) []int {
-		payload := make([]int, len(bss[li].src.Cols))
-		for i := range payload {
-			payload[i] = i
+		payload := make([]int, 0, voff[li+1]-voff[li])
+		for v := voff[li]; v < voff[li+1]; v++ {
+			if live.has(v) || lastProbe[v] >= 0 {
+				payload = append(payload, v-voff[li])
+			}
 		}
 		return payload
 	}
@@ -724,6 +866,7 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 			}
 		}
 		joined[next.build] = true
+		lastProbe[voff[next.probe]+next.probeKeyPos] = len(order)
 		order = append(order, next)
 	}
 	if opts.Stats != nil {
@@ -739,20 +882,19 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 		}
 	}
 
-	// Intermediate layout: the stream leaf's columns first, then each
-	// build's payload (all its pipeline columns) in probe order.
-	ipos := make([]int, n)
-	width := len(bss[stream].src.Cols)
-	type builtStep struct {
-		jb       *vector.JoinBuild
-		probeKey int
-		stat     *JoinStat
+	// Intermediate layout: cur lists the chain's columns as virtual
+	// columns. It starts as the stream leaf's columns; each step keeps
+	// those still live after it, in order, then appends its build's
+	// payload.
+	cur := make([]int, voff[stream+1]-voff[stream])
+	for j := range cur {
+		cur[j] = voff[stream] + j
 	}
 	// probe stacks the in-memory steps' hash-join probes on op, each
 	// counting its output rows into the step's observation.
 	probe := func(op vector.Operator, steps []builtStep) vector.Operator {
 		for _, c := range steps {
-			op = &vector.HashJoinOp{Probe: op, ProbeKey: c.probeKey, Shared: c.jb}
+			op = &vector.HashJoinOp{Probe: op, ProbeKey: c.probeKey, Shared: c.jb, Keep: c.keep}
 			if c.stat != nil {
 				op = &countOp{child: op, ctr: &c.stat.Actual}
 			}
@@ -762,15 +904,23 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 	var chain []builtStep
 	var mkSerial func() vector.Operator
 
-	for _, st := range order {
+	for s, st := range order {
 		st, stat := st, st.stat // per step: the grace closure keeps them
-		probeKey := ipos[st.probe] + st.probeKeyPos
+		probeKey := slices.Index(cur, voff[st.probe]+st.probeKeyPos)
+		keep := make([]int, 0, len(cur)) // the positions in cur live after this step; never nil, which keeps all
+		for pos, v := range cur {
+			if live.has(v) || lastProbe[v] > s {
+				keep = append(keep, pos)
+			}
+		}
+		payload := payloadOf(st.build)
 		if !st.grace {
-			chain = append(chain, builtStep{jb: st.jb, probeKey: probeKey, stat: stat})
+			chain = append(chain, builtStep{jb: st.jb, probeKey: probeKey, keep: keep, stat: stat})
 		} else {
 			// Grace-hash step: both sides partition to disk by key hash
-			// (each side's key filters applied first), partition pairs
-			// join one at a time, and the chain continues serially on top.
+			// (each side's key filters applied first), keeping the columns
+			// the join reads, partition pairs join one at a time, and the
+			// chain continues serially on top.
 			if stat != nil {
 				stat.Grace = true
 			}
@@ -781,30 +931,26 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 			for _, c := range counters(vcounts[st.build]) {
 				atomic.StoreInt64(c, 0)
 			}
-			ncolsB := len(bss[st.build].src.Cols)
-			stateBytes := int64(bss[st.build].src.ScanRows()) * int64(8+8*ncolsB+48)
+			bCols, bAt := columnsRead(append([]int{st.buildKeyPos}, payload...))
+			pCols, pAt := columnsRead(append([]int{probeKey}, keep...))
+			stateBytes := int64(bss[st.build].src.ScanRows()) * int64(8+8*len(payload)+48)
 			bits := graceBits(stateBytes, graceHeadroom(opts.Gov))
-			bParts, bRows, err := partitionOp(ctx, opts, mkLeafOp(st.build), ncolsB, []int{st.buildKeyPos}, bits, "jb")
+			bParts, bRows, err := partitionOp(ctx, opts, mkLeafOp(st.build), bCols, []int{st.buildKeyPos}, bits, "jb")
 			if err != nil {
 				return nil, err
 			}
-			pParts, _, err := partitionOp(ctx, opts, mkSerial(), width, []int{probeKey}, bits, "jp")
+			pParts, _, err := partitionOp(ctx, opts, mkSerial(), pCols, []int{probeKey}, bits, "jp")
 			if err != nil {
 				return nil, err
 			}
 			if stat != nil {
 				stat.BuildRows = bRows
 			}
-			exprs := make([]vector.Expr, width+ncolsB)
-			for i := range exprs {
-				exprs[i] = vector.ColRef{Idx: i}
-			}
-			payload := payloadOf(st.build)
 			mkSerial = func() vector.Operator {
 				var op vector.Operator = &graceJoinOp{
 					ctx: ctx, bParts: bParts, pParts: pParts,
-					buildKey: st.buildKeyPos, probeKey: probeKey,
-					payload: payload, exprs: exprs, res: opts.Gov,
+					buildKey: bAt[0], probeKey: pAt[0],
+					payload: bAt[1:], keep: pAt[1:], res: opts.Gov,
 				}
 				if stat != nil {
 					op = &countOp{child: op, ctr: &stat.Actual}
@@ -815,15 +961,22 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 				return nil, err
 			}
 		}
-		ipos[st.build] = width
-		width += len(bss[st.build].src.Cols)
+		next := make([]int, 0, len(keep)+len(payload))
+		for _, pos := range keep {
+			next = append(next, cur[pos])
+		}
+		for _, j := range payload {
+			next = append(next, voff[st.build]+j)
+		}
+		if stat != nil {
+			stat.Cols = len(next)
+		}
+		cur = next
 	}
 
-	remap := make([]int, 0, width)
-	for li := 0; li < n; li++ {
-		for j := 0; j < len(bss[li].src.Cols); j++ {
-			remap = append(remap, ipos[li]+j)
-		}
+	remap := make([]int, voff[n])
+	for v := range remap {
+		remap[v] = slices.Index(cur, v) // -1: no node above reads it
 	}
 	// A serial() replay counts again what the stream pipeline counted:
 	// every in-memory step and the stream's filters, or, after a degraded
@@ -845,9 +998,23 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 			return probe(filtered(scan, vpreds[stream], vcounts[stream]), chain)
 		},
 		mkSerial: mkSerial,
-		remap:    remap, width: width,
+		remap:    remap, width: len(cur),
 		recount: recount,
+		tables:  chain,
 	}, nil
+}
+
+// columnsRead sorts and dedups cols, the columns a consumer reads,
+// returning them and the position each of cols takes among them.
+func columnsRead(cols []int) (set, at []int) {
+	set = slices.Clone(cols)
+	slices.Sort(set)
+	set = slices.Compact(set)
+	at = make([]int, len(cols))
+	for i, c := range cols {
+		at[i] = slices.Index(set, c)
+	}
+	return set, at
 }
 
 // counters lists the row counters of a leaf's key filters.
@@ -1026,19 +1193,15 @@ func (pl *pipeline) group(g *GroupAggNode) error {
 		// The grouping table outgrew the grant mid-build: re-plan to
 		// grace-hash partitioning (the failed attempt already handed its
 		// memory back on the way out).
-		chainCols := pl.width
-		if g.Pre != nil {
-			chainCols = len(g.Pre)
-		}
 		mk := func() vector.Operator { return wrap(pl.serial()) }
-		out, err = graceGrouped(pl.ctx, opts, mk, chainCols, pl.src.ScanRows(), keyIdx, g, specs)
+		out, err = graceGrouped(pl.ctx, opts, mk, pl.release, pl.src.ScanRows(), keyIdx, g, specs)
 	case err == nil:
 		out = &batchOp{b: vector.Batch{N: merged.N, Cols: shapeGrouped(merged, g)}, size: opts.VectorSize}
 	}
 	if err != nil {
 		return err
 	}
-	pl.mkSerial, pl.remap, pl.width = func() vector.Operator { return out }, nil, len(g.Outs)
+	pl.mkSerial, pl.remap, pl.width, pl.tables = func() vector.Operator { return out }, nil, len(g.Outs), nil
 	return nil
 }
 

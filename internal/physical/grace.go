@@ -17,6 +17,7 @@ package physical
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/memgov"
 	"repro/internal/radix"
@@ -148,17 +149,18 @@ func appendRowCell(dst, src *vector.Col, i int32) {
 	}
 }
 
-// partitionOp runs op (any ncols-wide chain — a leaf pipeline, a join
-// chain's serial intermediate, a Pre expression projection) to
-// completion, scattering its rows into 1<<bits spill partitions by the
-// radix hash of the key column(s); the second result is the total rows
-// written. Partition files carry every chain column in chain order, so
-// downstream key/accumulator positions stay valid unchanged; a
+// partitionOp runs op (any chain — a leaf pipeline, a join chain's
+// serial intermediate, a Pre expression projection) to completion,
+// scattering its rows into 1<<bits spill partitions by the radix hash
+// of the key column(s); the second result is the total rows written.
+// Partition files carry the chain columns cols, in that order: the
+// ones the consumer reads, whose positions it takes from cols. A
 // partition that receives no rows stays nil (no file is ever created
 // for it). The bounded per-partition staging buffers are charged to the
 // reservation for the duration of the pass — a budget too small even
 // for those fails the query with the usual typed error.
-func partitionOp(ctx context.Context, opts Options, op vector.Operator, ncols int, keyCols []int, bits int, label string) ([]*spill.File, int64, error) {
+func partitionOp(ctx context.Context, opts Options, op vector.Operator, cols, keyCols []int, bits int, label string) ([]*spill.File, int64, error) {
+	ncols := len(cols)
 	nparts := 1 << bits
 	// Stage enough rows per partition to amortize the chunk header, but
 	// never let the staging total eat more than half the budget.
@@ -229,14 +231,14 @@ func partitionOp(ctx context.Context, opts Options, op vector.Operator, ncols in
 			}
 			pi := radix.PartitionOf(hashRow(b, keyCols, i), bits)
 			if bufs[pi] == nil {
-				cols := make([]vector.Col, ncols)
-				for c := range cols {
-					cols[c].Kind = b.Cols[c].Kind
+				buf := make([]vector.Col, ncols)
+				for c, bc := range cols {
+					buf[c].Kind = b.Cols[bc].Kind
 				}
-				bufs[pi] = cols
+				bufs[pi] = buf
 			}
-			for c := 0; c < ncols; c++ {
-				appendRowCell(&bufs[pi][c], &b.Cols[c], i)
+			for c, bc := range cols {
+				appendRowCell(&bufs[pi][c], &b.Cols[bc], i)
 			}
 			lens[pi]++
 			rows++
@@ -267,23 +269,40 @@ func partitionOp(ctx context.Context, opts Options, op vector.Operator, ncols in
 // --- grace-hash grouped aggregation ---
 
 // graceGrouped is the out-of-core re-plan of a grouping: run the
-// producing chain once (mk constructs it fresh), partition its output
-// by group-key hash, then aggregate each partition alone with the
-// ordinary in-memory Agg, appending its shaped groups to one spill
-// file. The partitions hold disjoint key sets, so the file is the whole
-// result, and the aggregation is over before anything above it runs: a
-// sort over the groups never shares the grant with a partition's
-// grouping table, and at most one such table is live (and charged) at
-// a time.
-func graceGrouped(ctx context.Context, opts Options, mk func() vector.Operator, ncols, estRows int, keyIdx []int, g *GroupAggNode, specs []vector.AggSpec) (vector.Operator, error) {
+// producing chain once (mk constructs it fresh), partition the columns
+// the aggregation reads by group-key hash, hand back what the chain
+// held (release), then aggregate each partition alone with the ordinary
+// in-memory Agg, appending its shaped groups to one spill file. The
+// partitions hold disjoint key sets, so the file is the whole result,
+// and the aggregation is over before anything above it runs: a sort
+// over the groups never shares the grant with a partition's grouping
+// table, and at most one such table is live (and charged) at a time.
+func graceGrouped(ctx context.Context, opts Options, mk func() vector.Operator, release func(), estRows int, keyIdx []int, g *GroupAggNode, specs []vector.AggSpec) (vector.Operator, error) {
+	// The partitions carry the accumulators' arguments and the keys;
+	// both index them from here on.
+	var read []int
+	for _, sp := range specs {
+		if sp.Col >= 0 {
+			read = append(read, sp.Col)
+		}
+	}
+	cols, at := columnsRead(append(read, keyIdx...))
+	pSpecs := slices.Clone(specs)
+	for i := range pSpecs {
+		if pSpecs[i].Col >= 0 {
+			pSpecs[i].Col, at = at[0], at[1:]
+		}
+	}
+	pKeys := at
 	// Worst-case grouping state scales with the input rows (every row
 	// its own group): 8 bytes a cell plus table overhead per row.
-	stateBytes := int64(estRows) * int64(8*ncols+16)
+	stateBytes := int64(estRows) * int64(8*len(cols)+16)
 	bits := graceBits(stateBytes, graceHeadroom(opts.Gov))
-	parts, _, err := partitionOp(ctx, opts, mk(), ncols, keyIdx, bits, "grp")
+	parts, _, err := partitionOp(ctx, opts, mk(), cols, keyIdx, bits, "grp")
 	if err != nil {
 		return nil, err
 	}
+	release() // the partitions hold the stream now: its join tables are dead
 	w, err := opts.Spill.Create("groups")
 	if err != nil {
 		return nil, err
@@ -295,7 +314,7 @@ func graceGrouped(ctx context.Context, opts Options, mk func() vector.Operator, 
 		if f == nil {
 			continue
 		}
-		merged, err := drainOne(&vector.Agg{Child: &spillScanOp{f: f}, Keys: keyIdx, Aggs: specs, Res: opts.Gov})
+		merged, err := drainOne(&vector.Agg{Child: &spillScanOp{f: f}, Keys: pKeys, Aggs: pSpecs, Res: opts.Gov})
 		if err != nil {
 			return nil, err
 		}
@@ -326,8 +345,7 @@ type graceJoinOp struct {
 	ctx                context.Context
 	bParts, pParts     []*spill.File
 	buildKey, probeKey int
-	payload            []int
-	exprs              []vector.Expr
+	payload, keep      []int // the build columns and the probe columns the join carries
 	res                *memgov.Reservation
 
 	pi  int
@@ -358,9 +376,7 @@ func (o *graceJoinOp) Next() (*vector.Batch, error) {
 			if err != nil {
 				return nil, err
 			}
-			var probe vector.Operator = &spillScanOp{f: pf}
-			probe = &vector.HashJoinOp{Probe: probe, ProbeKey: o.probeKey, Shared: jb}
-			probe = &vector.Project{Child: probe, Exprs: o.exprs}
+			probe := &vector.HashJoinOp{Probe: &spillScanOp{f: pf}, ProbeKey: o.probeKey, Shared: jb, Keep: o.keep}
 			if err := probe.Open(); err != nil {
 				jb.ReleaseMem()
 				return nil, err

@@ -132,6 +132,7 @@ type JoinStat struct {
 	BuildRows int64  // rows it hashed (post-filter)
 	EstRows   int64  // stream rows past its filters (sampled) × the multipliers so far
 	Actual    int64  // observed output rows (updated atomically during execution)
+	Cols      int    // columns the output carries: those still live past the step
 	Grace     bool   // step degraded to grace-hash partitioning
 
 	// The key filter the build published: "bitmap" (exact), "range"

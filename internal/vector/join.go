@@ -88,37 +88,28 @@ func BuildJoinTableGov(op Operator, key int, payload []int, res *memgov.Reservat
 			}
 			jb.charged += add
 		}
-		if key >= len(b.Cols) {
-			return nil, fmt.Errorf("vector: build key column %d out of range", key)
-		}
-		kcol := b.Cols[key].Ints
-		var innerErr error
-		b.ForEach(func(i int32) {
-			if innerErr != nil {
-				return
-			}
-			keys = append(keys, kcol[i])
-			for pi, pc := range payload {
-				if pc >= len(b.Cols) {
-					innerErr = fmt.Errorf("vector: build payload column %d out of range", pc)
-					return
-				}
-				c, col := &b.Cols[pc], &jb.cols[pi]
-				col.Kind = c.Kind
-				switch c.Kind {
-				case KindInt:
-					col.Ints = append(col.Ints, c.Ints[i])
-				case KindFloat:
-					col.Floats = append(col.Floats, c.Floats[i])
-				default:
-					innerErr = errors.New("vector: join payload must be int or float")
-					return
-				}
-			}
-		})
-		if innerErr != nil {
+		if key >= len(b.Cols) || b.Cols[key].Kind != KindInt {
 			jb.ReleaseMem()
-			return nil, innerErr
+			return nil, fmt.Errorf("vector: build key column %d out of range or not int", key)
+		}
+		// A column at a time: one gather over the batch's selection each.
+		keys = appendAt(keys, b.Cols[key].Ints, b.Sel, b.N)
+		for pi, pc := range payload {
+			if pc >= len(b.Cols) {
+				jb.ReleaseMem()
+				return nil, fmt.Errorf("vector: build payload column %d out of range", pc)
+			}
+			c, col := &b.Cols[pc], &jb.cols[pi]
+			col.Kind = c.Kind
+			switch c.Kind {
+			case KindInt:
+				col.Ints = appendAt(col.Ints, c.Ints, b.Sel, b.N)
+			case KindFloat:
+				col.Floats = appendAt(col.Floats, c.Floats, b.Sel, b.N)
+			default:
+				jb.ReleaseMem()
+				return nil, errors.New("vector: join payload must be int or float")
+			}
 		}
 	}
 	if res != nil {
@@ -192,14 +183,18 @@ func (jb *JoinBuild) ForEach(key int64, f func(row int32)) {
 
 // HashJoinOp is a vectorized equi-join on int64 keys: probe batches
 // stream through a pre-built, read-only build side, emitting joined
-// batches of probe columns ++ build payload columns. Sharing the build
-// is how morsel-parallel probe pipelines use one table (see
+// batches of the kept probe columns ++ build payload columns. Sharing
+// the build is how morsel-parallel probe pipelines use one table (see
 // parallel.go). The output columns are the operator's own buffers,
 // refilled by every Next: a batch is valid until the next call.
 type HashJoinOp struct {
 	Probe    Operator
 	ProbeKey int        // key column index in probe batches
 	Shared   *JoinBuild // the build side, from BuildJoinTable(Gov)
+	// Keep lists the probe columns carried into the output, in order;
+	// nil carries every one. A column nothing downstream reads is never
+	// copied.
+	Keep []int
 
 	probeRows, buildRows []int32 // the current batch's matches, pairwise
 	cols                 []Col
@@ -239,11 +234,18 @@ func (j *HashJoinOp) Next() (*Batch, error) {
 			continue
 		}
 		np := len(b.Cols)
+		if j.Keep != nil {
+			np = len(j.Keep)
+		}
 		if len(j.cols) != np+len(jb.cols) {
 			j.cols = make([]Col, np+len(jb.cols))
 		}
-		for c := range b.Cols {
-			gather(&j.cols[c], &b.Cols[c], pr)
+		for c := 0; c < np; c++ {
+			src := c
+			if j.Keep != nil {
+				src = j.Keep[c]
+			}
+			gather(&j.cols[c], &b.Cols[src], pr)
 		}
 		for c := range jb.cols {
 			gather(&j.cols[np+c], &jb.cols[c], br)
@@ -261,22 +263,28 @@ func gather(dst, src *Col, rows []int32) {
 	dst.Kind = src.Kind
 	switch src.Kind {
 	case KindInt:
-		out := dst.Ints[:0]
-		for _, i := range rows {
-			out = append(out, src.Ints[i])
-		}
-		dst.Ints = out
+		dst.Ints = appendAt(dst.Ints[:0], src.Ints, rows, 0)
 	case KindFloat:
-		out := dst.Floats[:0]
-		for _, i := range rows {
-			out = append(out, src.Floats[i])
-		}
-		dst.Floats = out
+		dst.Floats = appendAt(dst.Floats[:0], src.Floats, rows, 0)
 	case KindBool:
-		out := dst.Bools[:0]
-		for _, i := range rows {
-			out = append(out, src.Bools[i])
-		}
-		dst.Bools = out
+		dst.Bools = appendAt(dst.Bools[:0], src.Bools, rows, 0)
 	}
+}
+
+// appendAt appends src's cells at rows to dst, or its first n cells
+// when rows is nil, growing dst once and writing by index.
+func appendAt[T any](dst, src []T, rows []int32, n int) []T {
+	if rows == nil {
+		return append(dst, src[:n]...)
+	}
+	m := len(dst)
+	if cap(dst) < m+len(rows) {
+		dst = append(make([]T, 0, max(2*cap(dst), m+len(rows))), dst...)
+	}
+	dst = dst[:m+len(rows)]
+	out := dst[m:]
+	for k, i := range rows {
+		out[k] = src[i]
+	}
+	return dst
 }

@@ -12,7 +12,11 @@ import (
 
 // Filter evaluates a conjunction of simple predicates per batch, refining
 // the selection vector. Predicates are pre-compiled to primitive calls —
-// the per-vector (not per-tuple) interpretation X100 relies on.
+// the per-vector (not per-tuple) interpretation X100 relies on — and
+// each call picks the primitive's flavour, branching or branch-free,
+// from the pass rate that predicate had on this Filter's previous
+// vector (micro-adaptivity). A Filter belongs to one worker, so that
+// state needs no synchronisation.
 type Filter struct {
 	Child Operator
 	Preds []Pred
@@ -23,6 +27,9 @@ type Filter struct {
 	Counts []PredCount
 	sel    []int32
 	tmp    []int32
+	// branchy has bit i set while Preds[i] runs its branching flavour;
+	// predicates from the 64th on always run branch-free.
+	branchy uint64
 }
 
 // PredCount is one predicate's pair of row counters; either may be nil.
@@ -73,6 +80,23 @@ type Pred struct {
 // Open implements Operator.
 func (f *Filter) Open() error { return f.Child.Open() }
 
+// The branching flavour runs while the last vector's pass rate was
+// below branchyBelow or above 1 − branchyBelow; in between the
+// branch-free one does. On a 2-core x86-64 host, over 1024-row vectors
+// of random values, fresh for every call (no selection vector, or every
+// other row), the branch-free loop cost about 1 ns a candidate at any
+// pass rate, the branching one 0.6 ns at 0 %, 0.9 at 1–2 %, 1.4 at 5 %,
+// 2.2 at 10 % and 5–6 at 50 %, back to 1.4 at 95 % and about 1 above
+// 98 %: the crossovers sit 3–4 % from either end. The bitmap test
+// crosses at the same rates.
+const branchyBelow = 1.0 / 25
+
+// branchy reports whether a predicate that kept kept of in rows should
+// run its branching flavour on the next vector.
+func branchy(kept, in int) bool {
+	return float64(kept) < branchyBelow*float64(in) || float64(in-kept) < branchyBelow*float64(in)
+}
+
 // Next implements Operator.
 func (f *Filter) Next() (*Batch, error) {
 	for {
@@ -82,71 +106,34 @@ func (f *Filter) Next() (*Batch, error) {
 		}
 		sel := b.Sel
 		for pi := range f.Preds {
-			p := &f.Preds[pi]
+			in := len(sel)
+			if sel == nil {
+				in = b.N
+			}
 			var ct PredCount
 			if pi < len(f.Counts) {
 				ct = f.Counts[pi]
 			}
 			if ct.In != nil {
-				in := len(sel)
-				if sel == nil {
-					in = b.N
-				}
 				atomic.AddInt64(ct.In, int64(in))
 			}
+			// Both flavours write by index: out must hold every candidate.
+			// A non-nil empty slice, since nil means "all rows".
 			out := f.sel[:0]
-			if out == nil {
-				// nil means "all rows" to the primitives; an empty
-				// selection must stay a non-nil empty slice.
+			if cap(out) < in || out == nil {
 				out = make([]int32, 0, b.N)
 			}
-			c := &b.Cols[p.ColIdx]
-			switch p.Op {
-			case PredGe:
-				out = SelGeInt(c.Ints, sel, p.IntVal, out)
-			case PredLt:
-				out = SelLtInt(c.Ints, sel, p.IntVal, out)
-			case PredEq:
-				out = SelEqInt(c.Ints, sel, p.IntVal, out)
-			case PredLe:
-				out = SelLeInt(c.Ints, sel, p.IntVal, out)
-			case PredGt:
-				out = SelGtInt(c.Ints, sel, p.IntVal, out)
-			case PredNe:
-				out = SelNeInt(c.Ints, sel, p.IntVal, out)
-			case PredLeF:
-				out = SelLeFloat(c.Floats, sel, p.FltVal, out)
-			case PredGeF:
-				out = SelGeFloat(c.Floats, sel, p.FltVal, out)
-			case PredLtF:
-				out = SelLtFloat(c.Floats, sel, p.FltVal, out)
-			case PredGtF:
-				out = SelGtFloat(c.Floats, sel, p.FltVal, out)
-			case PredEqF:
-				out = SelEqFloat(c.Floats, sel, p.FltVal, out)
-			case PredNeF:
-				out = SelNeFloat(c.Floats, sel, p.FltVal, out)
-			case PredLtNil:
-				out = SelLtIntNil(c.Ints, sel, p.IntVal, out)
-			case PredLeNil:
-				out = SelLeIntNil(c.Ints, sel, p.IntVal, out)
-			case PredNeNil:
-				out = SelNeIntNil(c.Ints, sel, p.IntVal, out)
-			case PredIsNull:
-				out = SelNilInt(c.Ints, sel, out)
-			case PredIsNotNull:
-				out = SelNotNilInt(c.Ints, sel, out)
-			case PredIsNullF:
-				out = SelNilFloat(c.Floats, sel, out)
-			case PredIsNotNullF:
-				out = SelNotNilFloat(c.Floats, sel, out)
-			case PredInBits:
-				out = SelInBitsInt(c.Ints, sel, p.IntVal, p.Bits, out)
-			default:
-				return nil, fmt.Errorf("vector: bad predicate op %d", p.Op)
+			bit := uint64(1) << pi // 0 from the 64th predicate on
+			if out, err = f.Preds[pi].sel(&b.Cols[f.Preds[pi].ColIdx], sel, out, f.branchy&bit == 0); err != nil {
+				return nil, err
 			}
 			if ct.Kept != nil {
 				atomic.AddInt64(ct.Kept, int64(len(out)))
+			}
+			if in > 0 && branchy(len(out), in) {
+				f.branchy |= bit
+			} else if in > 0 {
+				f.branchy &^= bit
 			}
 			f.sel, f.tmp = f.tmp, out
 			sel = out
@@ -157,6 +144,55 @@ func (f *Filter) Next() (*Batch, error) {
 		b.Sel = sel
 		return b, nil
 	}
+}
+
+// sel runs p over c, the column it reads, appending the indexes of the
+// candidates in sel (or every row when sel is nil) that pass to out, in
+// the branch-free flavour when bf is set.
+func (p *Pred) sel(c *Col, sel, out []int32, bf bool) ([]int32, error) {
+	switch p.Op {
+	case PredGe:
+		return selGe(c.Ints, sel, p.IntVal, out, bf), nil
+	case PredGt:
+		return selGt(c.Ints, sel, p.IntVal, out, bf), nil
+	case PredLe:
+		return selLe(c.Ints, sel, p.IntVal, out, bf), nil
+	case PredLt:
+		return selLt(c.Ints, sel, p.IntVal, out, bf), nil
+	case PredEq:
+		return selEq(c.Ints, sel, p.IntVal, out, bf), nil
+	case PredNe:
+		return selNeInt(c.Ints, sel, p.IntVal, out, bf), nil
+	case PredGeF:
+		return selGe(c.Floats, sel, p.FltVal, out, bf), nil
+	case PredGtF:
+		return selGt(c.Floats, sel, p.FltVal, out, bf), nil
+	case PredLeF:
+		return selLe(c.Floats, sel, p.FltVal, out, bf), nil
+	case PredLtF:
+		return selLt(c.Floats, sel, p.FltVal, out, bf), nil
+	case PredEqF:
+		return selEq(c.Floats, sel, p.FltVal, out, bf), nil
+	case PredNeF:
+		return selNeFloat(c.Floats, sel, p.FltVal, out, bf), nil
+	case PredLtNil:
+		return selLtIntNil(c.Ints, sel, p.IntVal, out, bf), nil
+	case PredLeNil:
+		return selLeIntNil(c.Ints, sel, p.IntVal, out, bf), nil
+	case PredNeNil:
+		return selNeIntNil(c.Ints, sel, p.IntVal, out, bf), nil
+	case PredIsNull:
+		return selEq(c.Ints, sel, bat.NilInt, out, bf), nil
+	case PredIsNotNull:
+		return selNeIntNil(c.Ints, sel, bat.NilInt, out, bf), nil
+	case PredIsNullF:
+		return selNilFloat(c.Floats, sel, true, out, bf), nil
+	case PredIsNotNullF:
+		return selNilFloat(c.Floats, sel, false, out, bf), nil
+	case PredInBits:
+		return selInBits(c.Ints, sel, p.IntVal, p.Bits, out, bf), nil
+	}
+	return nil, fmt.Errorf("vector: bad predicate op %d", p.Op)
 }
 
 // Close implements Operator.

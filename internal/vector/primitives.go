@@ -11,362 +11,463 @@ import (
 	"repro/internal/bat"
 )
 
-// SelGeInt appends to out the indexes i (drawn from sel, or 0..n-1) with
-// col[i] >= v, returning the filled slice.
-func SelGeInt(col []int64, sel []int32, v int64, out []int32) []int32 {
-	if sel == nil {
+// --- selection primitives ---
+//
+// Every selection comes in two flavours of one loop, and both append
+// the qualifying indexes (drawn from sel, or 0..len(col)-1 when sel is
+// nil) to out by index, into out's spare capacity, which must hold
+// every candidate: the caller sizes it, and a short buffer panics at
+// the slicing before the loop, never inside it.
+//
+//   - The branching flavour (bf false) tests the predicate and writes
+//     the index only when it holds. It is the cheaper loop while the
+//     branch predictor guesses right: a pass rate near 0 or near 1.
+//   - The branch-free flavour (bf true) writes every candidate's index
+//     and advances the write position by the predicate's truth value,
+//     0 or 1 (b2i compiles to a SETcc), so no guess can miss. It costs
+//     the same at every pass rate and wins in between.
+//
+// Filter picks the flavour per predicate per vector from the pass rate
+// it saw on the previous one (branchy). The comparison is the same
+// generic loop for INT and FLOAT columns; the choice of flavour and of
+// comparison is made once per call, so no loop holds an indirect call
+// or a per-row switch.
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
+}
+
+// spare is the room out has for the candidates of col under sel.
+func spare[T int64 | float64](out []int32, col []T, sel []int32) []int32 {
+	n := len(col)
+	if sel != nil {
+		n = len(sel)
+	}
+	return out[len(out) : len(out)+n]
+}
+
+// selGe appends indexes with col[i] >= v.
+func selGe[T int64 | float64](col []T, sel []int32, v T, out []int32, bf bool) []int32 {
+	o, k := spare(out, col, sel), 0
+	switch {
+	case bf && sel == nil:
+		for i, x := range col {
+			o[k] = int32(i)
+			k += b2i(x >= v)
+		}
+	case bf:
+		for _, i := range sel {
+			o[k] = i
+			k += b2i(col[i] >= v)
+		}
+	case sel == nil:
 		for i, x := range col {
 			if x >= v {
-				out = append(out, int32(i))
+				o[k] = int32(i)
+				k++
 			}
 		}
-		return out
-	}
-	for _, i := range sel {
-		if col[i] >= v {
-			out = append(out, i)
+	default:
+		for _, i := range sel {
+			if col[i] >= v {
+				o[k] = i
+				k++
+			}
 		}
 	}
-	return out
+	return out[:len(out)+k]
 }
 
-// SelLtInt appends indexes with col[i] < v.
-func SelLtInt(col []int64, sel []int32, v int64, out []int32) []int32 {
-	if sel == nil {
+// selGt appends indexes with col[i] > v.
+func selGt[T int64 | float64](col []T, sel []int32, v T, out []int32, bf bool) []int32 {
+	o, k := spare(out, col, sel), 0
+	switch {
+	case bf && sel == nil:
 		for i, x := range col {
-			if x < v {
-				out = append(out, int32(i))
-			}
+			o[k] = int32(i)
+			k += b2i(x > v)
 		}
-		return out
-	}
-	for _, i := range sel {
-		if col[i] < v {
-			out = append(out, i)
+	case bf:
+		for _, i := range sel {
+			o[k] = i
+			k += b2i(col[i] > v)
 		}
-	}
-	return out
-}
-
-// SelEqInt appends indexes with col[i] == v.
-func SelEqInt(col []int64, sel []int32, v int64, out []int32) []int32 {
-	if sel == nil {
-		for i, x := range col {
-			if x == v {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if col[i] == v {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelLeFloat appends indexes with col[i] <= v.
-func SelLeFloat(col []float64, sel []int32, v float64, out []int32) []int32 {
-	if sel == nil {
-		for i, x := range col {
-			if x <= v {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if col[i] <= v {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelGeFloat appends indexes with col[i] >= v.
-func SelGeFloat(col []float64, sel []int32, v float64, out []int32) []int32 {
-	if sel == nil {
-		for i, x := range col {
-			if x >= v {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if col[i] >= v {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelLeInt appends indexes with col[i] <= v.
-func SelLeInt(col []int64, sel []int32, v int64, out []int32) []int32 {
-	if sel == nil {
-		for i, x := range col {
-			if x <= v {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if col[i] <= v {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelGtInt appends indexes with col[i] > v.
-func SelGtInt(col []int64, sel []int32, v int64, out []int32) []int32 {
-	if sel == nil {
+	case sel == nil:
 		for i, x := range col {
 			if x > v {
-				out = append(out, int32(i))
+				o[k] = int32(i)
+				k++
 			}
 		}
-		return out
-	}
-	for _, i := range sel {
-		if col[i] > v {
-			out = append(out, i)
+	default:
+		for _, i := range sel {
+			if col[i] > v {
+				o[k] = i
+				k++
+			}
 		}
 	}
-	return out
+	return out[:len(out)+k]
 }
 
-// SelNeInt appends indexes with col[i] != v.
-func SelNeInt(col []int64, sel []int32, v int64, out []int32) []int32 {
-	if sel == nil {
+// selLe appends indexes with col[i] <= v. Over an INT column that may
+// hold nils use selLeNil: bat.NilInt is the domain minimum.
+func selLe[T int64 | float64](col []T, sel []int32, v T, out []int32, bf bool) []int32 {
+	o, k := spare(out, col, sel), 0
+	switch {
+	case bf && sel == nil:
+		for i, x := range col {
+			o[k] = int32(i)
+			k += b2i(x <= v)
+		}
+	case bf:
+		for _, i := range sel {
+			o[k] = i
+			k += b2i(col[i] <= v)
+		}
+	case sel == nil:
+		for i, x := range col {
+			if x <= v {
+				o[k] = int32(i)
+				k++
+			}
+		}
+	default:
+		for _, i := range sel {
+			if col[i] <= v {
+				o[k] = i
+				k++
+			}
+		}
+	}
+	return out[:len(out)+k]
+}
+
+// selLt appends indexes with col[i] < v (selLtNil over nil-bearing INT).
+func selLt[T int64 | float64](col []T, sel []int32, v T, out []int32, bf bool) []int32 {
+	o, k := spare(out, col, sel), 0
+	switch {
+	case bf && sel == nil:
+		for i, x := range col {
+			o[k] = int32(i)
+			k += b2i(x < v)
+		}
+	case bf:
+		for _, i := range sel {
+			o[k] = i
+			k += b2i(col[i] < v)
+		}
+	case sel == nil:
+		for i, x := range col {
+			if x < v {
+				o[k] = int32(i)
+				k++
+			}
+		}
+	default:
+		for _, i := range sel {
+			if col[i] < v {
+				o[k] = i
+				k++
+			}
+		}
+	}
+	return out[:len(out)+k]
+}
+
+// selEq appends indexes with col[i] == v (never NaN, the float nil).
+func selEq[T int64 | float64](col []T, sel []int32, v T, out []int32, bf bool) []int32 {
+	o, k := spare(out, col, sel), 0
+	switch {
+	case bf && sel == nil:
+		for i, x := range col {
+			o[k] = int32(i)
+			k += b2i(x == v)
+		}
+	case bf:
+		for _, i := range sel {
+			o[k] = i
+			k += b2i(col[i] == v)
+		}
+	case sel == nil:
+		for i, x := range col {
+			if x == v {
+				o[k] = int32(i)
+				k++
+			}
+		}
+	default:
+		for _, i := range sel {
+			if col[i] == v {
+				o[k] = i
+				k++
+			}
+		}
+	}
+	return out[:len(out)+k]
+}
+
+// selNeInt appends indexes with col[i] != v. It lets the nil sentinel
+// through: over a column that may hold nils use selNeIntNil.
+func selNeInt(col []int64, sel []int32, v int64, out []int32, bf bool) []int32 {
+	o, k := spare(out, col, sel), 0
+	switch {
+	case bf && sel == nil:
+		for i, x := range col {
+			o[k] = int32(i)
+			k += b2i(x != v)
+		}
+	case bf:
+		for _, i := range sel {
+			o[k] = i
+			k += b2i(col[i] != v)
+		}
+	case sel == nil:
 		for i, x := range col {
 			if x != v {
-				out = append(out, int32(i))
+				o[k] = int32(i)
+				k++
 			}
 		}
-		return out
-	}
-	for _, i := range sel {
-		if col[i] != v {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelLtFloat appends indexes with col[i] < v.
-func SelLtFloat(col []float64, sel []int32, v float64, out []int32) []int32 {
-	if sel == nil {
-		for i, x := range col {
-			if x < v {
-				out = append(out, int32(i))
+	default:
+		for _, i := range sel {
+			if col[i] != v {
+				o[k] = i
+				k++
 			}
 		}
-		return out
 	}
-	for _, i := range sel {
-		if col[i] < v {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelGtFloat appends indexes with col[i] > v.
-func SelGtFloat(col []float64, sel []int32, v float64, out []int32) []int32 {
-	if sel == nil {
-		for i, x := range col {
-			if x > v {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if col[i] > v {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelEqFloat appends indexes with col[i] == v (never NaN, the float nil).
-func SelEqFloat(col []float64, sel []int32, v float64, out []int32) []int32 {
-	if sel == nil {
-		for i, x := range col {
-			if x == v {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if col[i] == v {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelNeFloat appends indexes with col[i] != v, excluding NaN (the float
-// nil: NULL <> v is unknown, not true).
-func SelNeFloat(col []float64, sel []int32, v float64, out []int32) []int32 {
-	if sel == nil {
-		for i, x := range col {
-			if x != v && !bat.IsNilFloat(x) {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		x := col[i]
-		if x != v && !bat.IsNilFloat(x) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return out[:len(out)+k]
 }
 
 // --- nil-aware selections ---
 //
 // bat.NilInt is the domain MINIMUM, so the plain <, <=, <> loops would
-// let stored NULLs qualify. These variants skip the sentinel first; the
-// remaining int comparisons (=, >, >=) and all float comparisons are
-// already nil-correct (NilInt can only satisfy them when compared
-// against the sentinel value itself, mirroring the BAT algebra's
-// ThetaSelect; NaN, the float nil, fails every float comparison). The
-// physical plan picks the nil-aware variant exactly when the column's
-// NoNil property is unset — the same property-driven dispatch §3.1
-// describes — so nil-free columns keep the tight three-instruction loop.
+// let stored NULLs qualify. These variants skip the sentinel as well;
+// the remaining int comparisons (=, >, >=) are already nil-correct
+// (NilInt can only satisfy them when compared against the sentinel
+// value itself, mirroring the BAT algebra's ThetaSelect), and so is
+// every float comparison but <> (NaN, the float nil, fails each of
+// them). The physical plan picks the nil-aware variant exactly when the
+// column's NoNil property is unset — the same property-driven dispatch
+// §3.1 describes — so a nil-free column tests one comparison per row,
+// not two.
 
-// SelLtIntNil appends indexes with col[i] < v, skipping nils.
-func SelLtIntNil(col []int64, sel []int32, v int64, out []int32) []int32 {
-	if sel == nil {
+// selLtIntNil appends indexes with col[i] < v, skipping nils.
+func selLtIntNil(col []int64, sel []int32, v int64, out []int32, bf bool) []int32 {
+	o, k := spare(out, col, sel), 0
+	switch {
+	case bf && sel == nil:
+		for i, x := range col {
+			o[k] = int32(i)
+			k += b2i(x < v) & b2i(x != bat.NilInt)
+		}
+	case bf:
+		for _, i := range sel {
+			x := col[i]
+			o[k] = i
+			k += b2i(x < v) & b2i(x != bat.NilInt)
+		}
+	case sel == nil:
 		for i, x := range col {
 			if x < v && x != bat.NilInt {
-				out = append(out, int32(i))
+				o[k] = int32(i)
+				k++
 			}
 		}
-		return out
-	}
-	for _, i := range sel {
-		if x := col[i]; x < v && x != bat.NilInt {
-			out = append(out, i)
+	default:
+		for _, i := range sel {
+			if x := col[i]; x < v && x != bat.NilInt {
+				o[k] = i
+				k++
+			}
 		}
 	}
-	return out
+	return out[:len(out)+k]
 }
 
-// SelLeIntNil appends indexes with col[i] <= v, skipping nils.
-func SelLeIntNil(col []int64, sel []int32, v int64, out []int32) []int32 {
-	if sel == nil {
+// selLeIntNil appends indexes with col[i] <= v, skipping nils.
+func selLeIntNil(col []int64, sel []int32, v int64, out []int32, bf bool) []int32 {
+	o, k := spare(out, col, sel), 0
+	switch {
+	case bf && sel == nil:
+		for i, x := range col {
+			o[k] = int32(i)
+			k += b2i(x <= v) & b2i(x != bat.NilInt)
+		}
+	case bf:
+		for _, i := range sel {
+			x := col[i]
+			o[k] = i
+			k += b2i(x <= v) & b2i(x != bat.NilInt)
+		}
+	case sel == nil:
 		for i, x := range col {
 			if x <= v && x != bat.NilInt {
-				out = append(out, int32(i))
+				o[k] = int32(i)
+				k++
 			}
 		}
-		return out
-	}
-	for _, i := range sel {
-		if x := col[i]; x <= v && x != bat.NilInt {
-			out = append(out, i)
+	default:
+		for _, i := range sel {
+			if x := col[i]; x <= v && x != bat.NilInt {
+				o[k] = i
+				k++
+			}
 		}
 	}
-	return out
+	return out[:len(out)+k]
 }
 
-// SelNeIntNil appends indexes with col[i] != v, skipping nils (NULL <> v
-// is unknown, not true).
-func SelNeIntNil(col []int64, sel []int32, v int64, out []int32) []int32 {
-	if sel == nil {
+// selNeIntNil appends indexes with col[i] != v, skipping nils (NULL <> v
+// is unknown, not true). With v the sentinel it is IS NOT NULL.
+func selNeIntNil(col []int64, sel []int32, v int64, out []int32, bf bool) []int32 {
+	o, k := spare(out, col, sel), 0
+	switch {
+	case bf && sel == nil:
+		for i, x := range col {
+			o[k] = int32(i)
+			k += b2i(x != v) & b2i(x != bat.NilInt)
+		}
+	case bf:
+		for _, i := range sel {
+			x := col[i]
+			o[k] = i
+			k += b2i(x != v) & b2i(x != bat.NilInt)
+		}
+	case sel == nil:
 		for i, x := range col {
 			if x != v && x != bat.NilInt {
-				out = append(out, int32(i))
+				o[k] = int32(i)
+				k++
 			}
 		}
-		return out
-	}
-	for _, i := range sel {
-		if x := col[i]; x != v && x != bat.NilInt {
-			out = append(out, i)
+	default:
+		for _, i := range sel {
+			if x := col[i]; x != v && x != bat.NilInt {
+				o[k] = i
+				k++
+			}
 		}
 	}
-	return out
+	return out[:len(out)+k]
 }
 
-// SelNilInt appends indexes whose int value IS the nil sentinel.
-func SelNilInt(col []int64, sel []int32, out []int32) []int32 {
-	if sel == nil {
+// selNeFloat appends indexes with col[i] != v, excluding NaN (the float
+// nil: NULL <> v is unknown, not true).
+func selNeFloat(col []float64, sel []int32, v float64, out []int32, bf bool) []int32 {
+	o, k := spare(out, col, sel), 0
+	switch {
+	case bf && sel == nil:
 		for i, x := range col {
-			if x == bat.NilInt {
-				out = append(out, int32(i))
+			o[k] = int32(i)
+			k += b2i(x != v) & b2i(!bat.IsNilFloat(x))
+		}
+	case bf:
+		for _, i := range sel {
+			x := col[i]
+			o[k] = i
+			k += b2i(x != v) & b2i(!bat.IsNilFloat(x))
+		}
+	case sel == nil:
+		for i, x := range col {
+			if x != v && !bat.IsNilFloat(x) {
+				o[k] = int32(i)
+				k++
 			}
 		}
-		return out
-	}
-	for _, i := range sel {
-		if col[i] == bat.NilInt {
-			out = append(out, i)
+	default:
+		for _, i := range sel {
+			if x := col[i]; x != v && !bat.IsNilFloat(x) {
+				o[k] = i
+				k++
+			}
 		}
 	}
-	return out
+	return out[:len(out)+k]
 }
 
-// SelNotNilInt appends indexes whose int value is NOT nil.
-func SelNotNilInt(col []int64, sel []int32, out []int32) []int32 {
-	if sel == nil {
+// selNilFloat appends indexes whose float value is NaN (the float nil)
+// when want is set, and those whose value is not when it is clear. The
+// INT nil tests are selEq and selNeIntNil against bat.NilInt.
+func selNilFloat(col []float64, sel []int32, want bool, out []int32, bf bool) []int32 {
+	o, k := spare(out, col, sel), 0
+	switch {
+	case bf && sel == nil:
 		for i, x := range col {
-			if x != bat.NilInt {
-				out = append(out, int32(i))
+			o[k] = int32(i)
+			k += b2i(bat.IsNilFloat(x) == want)
+		}
+	case bf:
+		for _, i := range sel {
+			o[k] = i
+			k += b2i(bat.IsNilFloat(col[i]) == want)
+		}
+	case sel == nil:
+		for i, x := range col {
+			if bat.IsNilFloat(x) == want {
+				o[k] = int32(i)
+				k++
 			}
 		}
-		return out
-	}
-	for _, i := range sel {
-		if col[i] != bat.NilInt {
-			out = append(out, i)
+	default:
+		for _, i := range sel {
+			if bat.IsNilFloat(col[i]) == want {
+				o[k] = i
+				k++
+			}
 		}
 	}
-	return out
+	return out[:len(out)+k]
 }
 
-// SelNilFloat appends indexes whose float value is NaN (the float nil).
-func SelNilFloat(col []float64, sel []int32, out []int32) []int32 {
-	if sel == nil {
+// selInBits appends indexes whose value x has bit x-base set in bits.
+// The offset is taken modulo 2^64, so a set bit always names the value
+// itself: values below base wrap far past the bitmap, and the nil
+// sentinel, never a key, never has its bit set. The branch-free flavour
+// reads word 0 for an offset past the bitmap and masks the bit off.
+func selInBits(col []int64, sel []int32, base int64, bits []uint64, out []int32, bf bool) []int32 {
+	if len(bits) == 0 {
+		return out // no key: nothing passes
+	}
+	n := uint64(len(bits)) * 64
+	o, k := spare(out, col, sel), 0
+	switch {
+	case bf && sel == nil:
 		for i, x := range col {
-			if bat.IsNilFloat(x) {
-				out = append(out, int32(i))
+			d := uint64(x - base)
+			in := b2i(d < n)
+			o[k] = int32(i)
+			k += int(bits[(d>>6)&-uint64(in)]>>(d&63)) & in
+		}
+	case bf:
+		for _, i := range sel {
+			d := uint64(col[i] - base)
+			in := b2i(d < n)
+			o[k] = i
+			k += int(bits[(d>>6)&-uint64(in)]>>(d&63)) & in
+		}
+	case sel == nil:
+		for i, x := range col {
+			if d := uint64(x - base); d < n && bits[d>>6]&(1<<(d&63)) != 0 {
+				o[k] = int32(i)
+				k++
 			}
 		}
-		return out
-	}
-	for _, i := range sel {
-		if x := col[i]; bat.IsNilFloat(x) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelNotNilFloat appends indexes whose float value is not NaN.
-func SelNotNilFloat(col []float64, sel []int32, out []int32) []int32 {
-	if sel == nil {
-		for i, x := range col {
-			if !bat.IsNilFloat(x) {
-				out = append(out, int32(i))
+	default:
+		for _, i := range sel {
+			if d := uint64(col[i] - base); d < n && bits[d>>6]&(1<<(d&63)) != 0 {
+				o[k] = i
+				k++
 			}
 		}
-		return out
 	}
-	for _, i := range sel {
-		if x := col[i]; !bat.IsNilFloat(x) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return out[:len(out)+k]
 }
 
 // MapAddInt computes out[i] = a[i] + b[i] for qualifying i.
@@ -700,26 +801,4 @@ func MaxFloatNilPerGroup(col []float64, sel []int32, gids []int32, accs []float6
 		fold(i)
 	}
 	return accs
-}
-
-// SelInBitsInt appends indexes whose value x has bit x-base set in bits.
-// The offset is taken modulo 2^64, so a set bit always names the value
-// itself: values below base wrap far past the bitmap, and the nil
-// sentinel, never a key, never has its bit set.
-func SelInBitsInt(col []int64, sel []int32, base int64, bits []uint64, out []int32) []int32 {
-	n := uint64(len(bits)) * 64
-	if sel == nil {
-		for i, x := range col {
-			if d := uint64(x - base); d < n && bits[d>>6]&(1<<(d&63)) != 0 {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if d := uint64(col[i] - base); d < n && bits[d>>6]&(1<<(d&63)) != 0 {
-			out = append(out, i)
-		}
-	}
-	return out
 }

@@ -564,6 +564,9 @@ func cmpCell(a, b *Col, ap, bp int32) int {
 // memory floor of the external sort's merge phase is k chunks. Ext is
 // read AFTER the child is fully drained; with an Exchange child that
 // barrier guarantees every worker has registered its spilled runs.
+//
+// The output columns are the merge's own buffers, refilled by every
+// Next, as HashJoinOp's are: a batch is valid until the next call.
 type MergeRuns struct {
 	Child Operator
 	Key   int
@@ -728,18 +731,24 @@ func (m *MergeRuns) Next() (*Batch, error) {
 		return nil, nil
 	}
 
-	tmpl := m.cur[0].Cols
-	cols := make([]Col, len(tmpl))
-	for i := range tmpl {
-		cols[i].Kind = tmpl[i].Kind
-		switch tmpl[i].Kind {
-		case KindInt:
-			cols[i].Ints = make([]int64, 0, want)
-		case KindFloat:
-			cols[i].Floats = make([]float64, 0, want)
-		case KindBool:
-			cols[i].Bools = make([]bool, 0, want)
+	cols := m.out.Cols
+	if cols == nil {
+		tmpl := m.cur[0].Cols
+		cols = make([]Col, len(tmpl))
+		for i := range tmpl {
+			cols[i].Kind = tmpl[i].Kind
+			switch tmpl[i].Kind {
+			case KindInt:
+				cols[i].Ints = make([]int64, 0, want)
+			case KindFloat:
+				cols[i].Floats = make([]float64, 0, want)
+			case KindBool:
+				cols[i].Bools = make([]bool, 0, want)
+			}
 		}
+	}
+	for i := range cols {
+		cols[i].Ints, cols[i].Floats, cols[i].Bools = cols[i].Ints[:0], cols[i].Floats[:0], cols[i].Bools[:0]
 	}
 	n := 0
 	for n < want && len(m.heap) > 0 {
