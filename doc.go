@@ -54,7 +54,16 @@
 //     rows bound cancellation: a context on the Exchange cancels at
 //     morsel boundaries. Experiment E15 measures the scaling. An
 //     Exchange never starts more workers than there are morsels to
-//     claim.
+//     claim, and when that leaves exactly one (one morsel after data
+//     skipping, or one worker) the plan does not start it at all:
+//     Exchange.Inline, the same rule Open sizes itself by, hands back
+//     the one fragment over its MorselScan, which physical's
+//     pipeline.run returns to run on the caller's goroutine — no
+//     goroutines, no channels, no batch copies, the Exchange's Ctx and
+//     RowIDs on the scan (a canceled cursor ends it with the context's
+//     error). Its batches, like a serial stream's, are valid until the
+//     next Next; every consumer copies or finishes a batch before it
+//     pulls the next. \plan marks such a scan ", inline".
 //
 //   - Scans skip what zone maps rule out. Every INT/FLOAT column has a
 //     sqlfe.ZoneMap — per 1024-row zone the min and max over the
@@ -86,6 +95,20 @@
 //     sorted tail is binary-searched by batalg.Select) carried to the
 //     vector path, and the min/max baseline of provenance-based data
 //     skipping (PAPERS.md).
+//
+//   - Sorted columns are binary-searched, the exact end of data
+//     skipping. bindLeaf reads each INT column's Sorted property off
+//     the BAT header the snapshot copied (so it holds for exactly the
+//     snapshot's positions, appended rows included, while appends
+//     extend the order), and turns an =, <, <=, > or >= against a
+//     non-nil constant on such a column into two sort.Search bounds:
+//     a row range [lo,hi) holding exactly the positions that satisfy
+//     it, past the nil prefix (bat.NilInt sorts first). The conjuncts'
+//     ranges intersect and cut the zone ranges; the predicate leaves
+//     the Filter and is not zone-pruned. Tombstones still drop through
+//     the scan's selection. The serving point lookup reads one row,
+//     and \plan names the range: "rows [lo,hi) by binary search on
+//     acct.id". The zone count stays the zones the range touches.
 //
 //   - Selections adapt to their data (micro-adaptivity, Răducanu,
 //     Boncz and Zukowski, SIGMOD 2013). Every selection primitive has

@@ -2,21 +2,23 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sqlfe"
 )
 
 // Execute instantiates a plan's operators on every execution, so what
-// one execution allocates is paid by every prepared aggregate on the
-// serving path. One worker keeps the counts deterministic: a single
-// exchange worker over the same morsels. The bounds are what each
-// statement allocates now; they only ever come down. The join is a
-// filtered 3-way star, grouped (398 allocations while its builds
-// appended a row at a time and its probes carried every column); its
-// bound is its count under -race, three above a plain build's 249,
-// because the instrumented build keeps a few appends the plain one
-// elides.
+// one execution allocates is paid by every prepared statement on the
+// serving path. One worker keeps the counts deterministic: the stream
+// runs inline on the caller's goroutine over the same morsels. The
+// bounds are what each statement allocates now; they only ever come
+// down. The point lookup binary-searches a sorted column to its one
+// row. The join is a filtered 3-way star, grouped (398 allocations
+// while its builds appended a row at a time and its probes carried
+// every column); its bound is its count under -race, three above a
+// plain build's 189, because the instrumented build keeps a few
+// appends the plain one elides.
 func TestAggregateExecutionAllocs(t *testing.T) {
 	// Every table of the catalog costs each execution's snapshot, so the
 	// join runs in a database of its own.
@@ -28,16 +30,28 @@ func TestAggregateExecutionAllocs(t *testing.T) {
 	loadGrouped(t, star, "g", 20000, 50, 7)
 	loadDim(t, star, "d1", 0, 60)
 	loadDim(t, star, "d2", -500, 1000)
+	point, _ := Open(WithWorkers(1))
+	defer point.Close()
+	loadAcct(t, point, 20000)
+	// The point lookup binary-searches the sorted id to its one row.
+	plan, err := point.Conn().Plan("SELECT id, grp, bal FROM acct WHERE id = 12345")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, rows, _ := scanLine(t, plan, "acct"); rows != 1 || !strings.Contains(plan, "by binary search on acct.id") {
+		t.Fatalf("point lookup visits %d rows, want 1 by binary search:\n%s", rows, plan)
+	}
 	for _, tc := range []struct {
 		db        *DB
 		name, sql string
 		arg       any
 		max       float64
 	}{
-		{db, "global", "SELECT count(*), sum(v) FROM g WHERE k = ?", int64(3), 73},
-		{db, "grouped", "SELECT k, count(*), sum(v) FROM g WHERE v >= ? GROUP BY k", int64(-100), 120},
-		{db, "grouped-top", "SELECT k, sum(v) AS s FROM g WHERE v >= ? GROUP BY k ORDER BY s DESC LIMIT 5", int64(-100), 125},
-		{star, "join-grouped", "SELECT d1.a, count(*), sum(d2.b) FROM g JOIN d1 ON g.k = d1.k JOIN d2 ON g.v = d2.k WHERE d2.a < ? GROUP BY d1.a", int64(3), 252},
+		{db, "global", "SELECT count(*), sum(v) FROM g WHERE k = ?", int64(3), 51},
+		{db, "grouped", "SELECT k, count(*), sum(v) FROM g WHERE v >= ? GROUP BY k", int64(-100), 74},
+		{db, "grouped-top", "SELECT k, sum(v) AS s FROM g WHERE v >= ? GROUP BY k ORDER BY s DESC LIMIT 5", int64(-100), 87},
+		{point, "point", "SELECT id, grp, bal FROM acct WHERE id = ?", int64(12345), 31},
+		{star, "join-grouped", "SELECT d1.a, count(*), sum(d2.b) FROM g JOIN d1 ON g.k = d1.k JOIN d2 ON g.v = d2.k WHERE d2.a < ? GROUP BY d1.a", int64(3), 192},
 	} {
 		st, err := tc.db.Conn().Prepare(tc.sql)
 		if err != nil {

@@ -75,20 +75,28 @@ func describe(sb *strings.Builder, n Node) (crossed bool) {
 }
 
 // Describe renders what one instrumented execution observed: per leaf,
-// what data skipping left of its scan; for an ORDER BY, how many rows
-// reached the sort, how many of them a LIMIT's cutoff let through, and
-// what came out; then, for a join, which leaf the orderer streamed (the
-// largest in a sample of its scan) and per join step, in probe order,
-// the build side with its estimate (the stream's sampled rows past its
-// key filters times the measured multiplier of every step so far)
-// against the measured output cardinality, the columns its output
-// carries (only those a later step or the nodes above read), and the
-// key filter the build published: its kind, the leaf that applied it,
-// and the rows it saw and kept there.
+// what data skipping left of its scan (the row range binary search on
+// sorted columns cut it to, if any, and whether it streamed inline on
+// the caller's goroutine rather than through an Exchange); for an ORDER
+// BY, how many rows reached the sort, how many of them a LIMIT's cutoff
+// let through, and what came out; then, for a join, which leaf the
+// orderer streamed (the largest in a sample of its scan) and per join
+// step, in probe order, the build side with its estimate (the stream's
+// sampled rows past its key filters times the measured multiplier of
+// every step so far) against the measured output cardinality, the
+// columns its output carries (only those a later step or the nodes
+// above read), and the key filter the build published: its kind, the
+// leaf that applied it, and the rows it saw and kept there.
 func (s *ExecStats) Describe() string {
 	var sb strings.Builder
 	for _, sc := range s.Scans {
 		fmt.Fprintf(&sb, "scan %s: %d/%d zones, %d/%d rows", sc.Table, sc.ZonesKept, sc.Zones, sc.Rows, sc.TableRows)
+		if sc.Search != "" {
+			fmt.Fprintf(&sb, ", rows [%d,%d) by binary search on %s", sc.Lo, sc.Hi, sc.Search)
+		}
+		if sc.Inline {
+			sb.WriteString(", inline")
+		}
 		if sc.Deleted > 0 {
 			fmt.Fprintf(&sb, ", %d tombstoned", sc.Deleted)
 		}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/bat"
@@ -194,13 +196,16 @@ func pipe(n Node) (*ScanNode, []Pred, error) {
 
 // boundScan is a ScanNode bound to one snapshot: zero-copy column
 // slices that filter the snapshot's tombstones plus, per pipeline
-// column, the NoNil property driving nil-aware primitive selection and
-// the zone map of its leading rows.
+// column, the NoNil property driving nil-aware primitive selection,
+// the Sorted property of an INT column turning its comparisons into
+// binary searches, and the zone map of its leading rows.
 type boundScan struct {
-	src   *vector.Source
-	noNil []bool
-	zones []*sqlfe.ZoneMap
-	zoned int // leading positions the zone maps cover
+	table  string
+	src    *vector.Source
+	noNil  []bool
+	sorted []bool
+	zones  []*sqlfe.ZoneMap
+	zoned  int // leading positions the zone maps cover
 }
 
 // bind resolves the scan's columns against the snapshot.
@@ -212,14 +217,18 @@ func bind(s *ScanNode, snap *sqlfe.Snapshot) (*boundScan, error) {
 	names := make([]string, len(s.Cols))
 	cols := make([]vector.Col, len(s.Cols))
 	noNil := make([]bool, len(s.Cols))
+	sorted := make([]bool, len(s.Cols))
 	zones := make([]*sqlfe.ZoneMap, len(s.Cols))
 	for i, ci := range s.Cols {
+		// The snapshot's own header: its properties hold for exactly the
+		// positions it covers, whatever the live column appended since.
 		b := t.ColumnBAT(ci)
 		noNil[i] = b.Props().NoNil
 		zones[i] = t.ZoneMap(ci)
 		names[i] = t.ColNames[ci]
 		switch s.Types[i] {
 		case sqlfe.TInt:
+			sorted[i] = b.Props().Sorted
 			cols[i] = vector.Col{Kind: vector.KindInt, Ints: b.Ints()}
 		case sqlfe.TFloat:
 			cols[i] = vector.Col{Kind: vector.KindFloat, Floats: b.Floats()}
@@ -234,7 +243,49 @@ func bind(s *ScanNode, snap *sqlfe.Snapshot) (*boundScan, error) {
 		return nil, err
 	}
 	src = src.WithDeleted(t.Deleted())
-	return &boundScan{src: src, noNil: noNil, zones: zones, zoned: t.ZonedRows()}, nil
+	return &boundScan{table: s.Table, src: src, noNil: noNil, sorted: sorted, zones: zones, zoned: t.ZonedRows()}, nil
+}
+
+// search returns the positions [lo,hi) of a sorted INT column whose
+// values satisfy `column op v`: two binary searches over the snapshot's
+// positions, tombstoned ones included (the scan still drops those).
+// The nil sentinel sorts first and satisfies no comparison, so a nil
+// prefix is skipped. ok is false for anything else — another operator,
+// an unsorted or FLOAT column, or a nil-sentinel constant, which the
+// scan's own primitives define the meaning of. (Only the first 64
+// columns of a scan search: sortedRange marks them in one word.)
+func (bs *boundScan) search(col int, op string, v int64) (lo, hi int, ok bool) {
+	if col >= 64 || !bs.sorted[col] || v == bat.NilInt {
+		return 0, 0, false
+	}
+	vals := bs.src.Cols[col].Ints
+	// first is the first position at or after from whose value exceeds x
+	// (or, with eq, reaches it).
+	first := func(from int, x int64, eq bool) int {
+		return from + sort.Search(len(vals)-from, func(i int) bool {
+			return vals[from+i] > x || eq && vals[from+i] == x
+		})
+	}
+	lo, hi = 0, len(vals)
+	if (op == "<" || op == "<=") && !bs.noNil[col] {
+		lo = first(0, bat.NilInt, false)
+	}
+	switch op {
+	case "=":
+		lo = first(0, v, true)
+		hi = first(lo, v, false)
+	case "<":
+		hi = first(lo, v, true)
+	case "<=":
+		hi = first(lo, v, false)
+	case ">":
+		lo = first(0, v, false)
+	case ">=":
+		lo = first(0, v, true)
+	default:
+		return 0, 0, false
+	}
+	return lo, hi, true
 }
 
 // predOp maps a SQL comparison to the vectorized primitive, picking the
@@ -301,14 +352,19 @@ func predOp(op string, ct sqlfe.ColType, noNil bool) (vector.PredOp, bool) {
 // predicate list; an IS NULL over one is always false, reported via
 // empty so the caller scans nothing at all.
 //
-// Every bound predicate is also tested against the zone map of its
+// A comparison on a sorted INT column becomes a row range instead
+// (boundScan.search): the conjuncts' ranges intersect into srt, and the
+// predicate leaves out and the zone maps alone, since the range holds
+// exactly the positions that satisfy it.
+//
+// Every other bound predicate is tested against the zone map of its
 // column: keep[z] ends up false for each zone of the table's main part
 // that some conjunct proves holds no qualifying row (nil when no
-// predicate had a zone map to consult). The predicates themselves all
-// stay in out — the Filter still evaluates them — so keep can only
-// remove work.
-func bindPreds(preds []Pred, bs *boundScan, args []any) (out []vector.Pred, keep []bool, empty bool, err error) {
+// predicate had a zone map to consult). Those predicates all stay in
+// out — the Filter still evaluates them — so keep can only remove work.
+func bindPreds(preds []Pred, bs *boundScan, args []any) (out []vector.Pred, keep []bool, srt sortedRange, empty bool, err error) {
 	out = make([]vector.Pred, 0, len(preds))
+	srt.hi = bs.src.Len()
 	for _, p := range preds {
 		if p.Op == "isnotnull" && bs.noNil[p.Col] {
 			continue
@@ -319,14 +375,14 @@ func bindPreds(preds []Pred, bs *boundScan, args []any) (out []vector.Pred, keep
 		}
 		op, ok := predOp(p.Op, p.Type, bs.noNil[p.Col])
 		if !ok {
-			return nil, nil, false, fmt.Errorf("physical: unsupported operator %q", p.Op)
+			return nil, nil, srt, false, fmt.Errorf("physical: unsupported operator %q", p.Op)
 		}
 		vp := vector.Pred{ColIdx: p.Col, Op: op}
 		if p.Op != "isnull" && p.Op != "isnotnull" {
 			lit := p.Lit
 			if p.Param > 0 {
 				if lit, err = sqlfe.CoerceArg(args[p.Param-1], p.Type, p.Param); err != nil {
-					return nil, nil, false, err
+					return nil, nil, srt, false, err
 				}
 			}
 			if p.Type == sqlfe.TInt {
@@ -334,6 +390,10 @@ func bindPreds(preds []Pred, bs *boundScan, args []any) (out []vector.Pred, keep
 			} else {
 				vp.FltVal = lit.F // the binder widened an INT literal already
 			}
+		}
+		if lo, hi, ok := bs.search(p.Col, p.Op, vp.IntVal); ok {
+			srt.lo, srt.hi, srt.on = max(srt.lo, lo), min(srt.hi, hi), srt.on|1<<p.Col
+			continue
 		}
 		out = append(out, vp)
 		if zm := bs.zones[p.Col]; zm != nil {
@@ -346,7 +406,26 @@ func bindPreds(preds []Pred, bs *boundScan, args []any) (out []vector.Pred, keep
 			zm.Prune(keep, p.Op, vp.IntVal, vp.FltVal)
 		}
 	}
-	return out, keep, empty, nil
+	return out, keep, srt, empty, nil
+}
+
+// sortedRange is the row range [lo,hi) binary search on sorted columns
+// left of a scan; on has bit i set for each column i it searched (0:
+// none did).
+type sortedRange struct {
+	lo, hi int
+	on     uint64
+}
+
+// names renders the searched columns as "t.a, t.b".
+func (r sortedRange) names(bs *boundScan) string {
+	var parts []string
+	for i, name := range bs.src.Names {
+		if i < 64 && r.on&(1<<i) != 0 {
+			parts = append(parts, bs.table+"."+name)
+		}
+	}
+	return strings.Join(parts, ", ")
 }
 
 // emptyLike returns a zero-row source with src's schema, for pipelines
@@ -395,38 +474,81 @@ func zoneRanges(keep []bool, mapped, total int) (out []vector.RowRange, kept int
 	return out, kept
 }
 
+// clip cuts sorted disjoint ranges to [lo,hi).
+func clip(ranges []vector.RowRange, lo, hi int) []vector.RowRange {
+	out := ranges[:0]
+	for _, r := range ranges {
+		if r.Lo, r.Hi = max(r.Lo, lo), min(r.Hi, hi); r.Lo < r.Hi {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// zonesIn counts the zones of the zone-mapped prefix [0,mapped) that
+// sorted disjoint ranges touch.
+func zonesIn(ranges []vector.RowRange, mapped int) int {
+	n, last := 0, -1 // last: the highest zone counted
+	for _, r := range ranges {
+		if r.Lo >= mapped {
+			break
+		}
+		lo, hi := r.Lo/sqlfe.ZoneRows, (min(r.Hi, mapped)-1)/sqlfe.ZoneRows
+		n += max(0, hi-max(lo, last+1)+1)
+		last = max(last, hi)
+	}
+	return n
+}
+
 // bindLeaf binds one scan+preds leaf and narrows its source to the row
-// ranges the zone maps cannot rule out. A predicate contradiction (IS
-// NULL over a provably nil-free column) or an empty survivor set swaps
-// in a zero-row source, so the pipeline emits its empty/identity result
-// without scanning. Every leaf — single-table or join input — binds
-// here, so this is the only place that decides what a scan skips.
+// ranges that binary search on sorted columns and the zone maps cannot
+// rule out. A predicate contradiction (IS NULL over a provably nil-free
+// column) or an empty survivor set swaps in a zero-row source, so the
+// pipeline emits its empty/identity result without scanning. Every leaf
+// — single-table or join input — binds here, so this is the only place
+// that decides what a scan skips.
 func bindLeaf(scan *ScanNode, preds []Pred, snap *sqlfe.Snapshot, args []any, stats *ExecStats) (*boundScan, []vector.Pred, error) {
 	bs, err := bind(scan, snap)
 	if err != nil {
 		return nil, nil, err
 	}
-	vpreds, keep, empty, err := bindPreds(preds, bs, args)
+	vpreds, keep, srt, empty, err := bindPreds(preds, bs, args)
 	if err != nil {
 		return nil, nil, err
 	}
 	total := bs.src.Len()
 	zones := (bs.zoned + sqlfe.ZoneRows - 1) / sqlfe.ZoneRows
-	st := ScanStat{Table: scan.Table, ZonesKept: zones, Zones: zones, TableRows: total, Deleted: bs.src.Deleted()}
+	st := ScanStat{Table: scan.Table, Zones: zones, TableRows: total, Deleted: bs.src.Deleted()}
+	if srt.on != 0 && stats != nil {
+		st.Search, st.Lo, st.Hi = srt.names(bs), srt.lo, max(srt.lo, srt.hi)
+	}
+	scanned := total
 	var ranges []vector.RowRange
-	if keep != nil {
-		ranges, st.ZonesKept = zoneRanges(keep, bs.zoned, total)
+	if keep != nil || srt.on != 0 {
+		switch {
+		case keep != nil:
+			ranges, _ = zoneRanges(keep, bs.zoned, total)
+			ranges = clip(ranges, srt.lo, srt.hi)
+		case srt.lo < srt.hi:
+			ranges = []vector.RowRange{{Lo: srt.lo, Hi: srt.hi}}
+		}
+		scanned = 0
+		for _, r := range ranges {
+			scanned += r.Hi - r.Lo
+		}
 	}
 	switch {
 	case empty:
-		bs.src, st.ZonesKept = emptyLike(bs.src), 0
-	case st.ZonesKept == zones: // nothing pruned, or nothing to consult
+		bs.src = emptyLike(bs.src)
+	case scanned == total: // nothing skipped
+		st.ZonesKept = zones
 	case len(ranges) == 0:
 		bs.src = emptyLike(bs.src)
 	default:
 		if bs.src, err = bs.src.Restrict(ranges); err != nil {
 			return nil, nil, err
 		}
+		st.ZonesKept = zonesIn(ranges, bs.zoned)
 	}
 	st.Rows = bs.src.ScanRows()
 	if stats != nil {
@@ -482,6 +604,13 @@ type pipeline struct {
 	mkSerial func() vector.Operator
 	remap    []int
 	width    int
+	// scan is the stream leaf's entry in opts.Stats.Scans.
+	scan int
+	// leaves are the bound scans whose columns the stream carries, the
+	// virtual columns of leaves[i] starting at voff[i] (nil: one leaf, at
+	// 0); nil once an aggregation or a projection reshaped the stream.
+	leaves []*boundScan
+	voff   []int
 	// recount lists the observation counters a serial() replay counts
 	// again; serial zeroes them, so \plan reports the run that produced
 	// the result.
@@ -514,16 +643,19 @@ func (pl *pipeline) release() {
 // whether that stream is the outputs of several fragments, which an
 // aggregate must still merge. Normally it is an Exchange running
 // frag∘par on up to workers workers, whose morsel scans append global
-// row positions when rowIDs is set. After a degraded join step, an
+// row positions when rowIDs is set; when that Exchange would start
+// exactly one worker, it is the one fragment over its morsel scan, run
+// inline on the caller's goroutine. After a degraded join step, an
 // aggregation or a sort it is frag over the one serial stream, whose
 // output is already whole (and carries no row ids: sorts over it break
-// ties by value).
+// ties by value). Neither a serial nor an inline stream copies its
+// batches: each is valid until the stream's next Next.
 func (pl *pipeline) run(workers int, rowIDs bool, frag func(vector.Operator) vector.Operator) (vector.Operator, bool) {
 	if pl.mkSerial != nil {
 		return frag(pl.mkSerial()), false
 	}
 	par := pl.par
-	return &vector.Exchange{
+	ex := &vector.Exchange{
 		Source:     pl.src,
 		Workers:    workers,
 		MorselSize: pl.opts.MorselSize,
@@ -531,7 +663,14 @@ func (pl *pipeline) run(workers int, rowIDs bool, frag func(vector.Operator) vec
 		Plan:       func(scan vector.Operator) vector.Operator { return frag(par(scan)) },
 		Ctx:        pl.ctx,
 		RowIDs:     rowIDs,
-	}, true
+	}
+	if op := ex.Inline(); op != nil {
+		if st := pl.opts.Stats; st != nil {
+			st.Scans[pl.scan].Inline = true
+		}
+		return op, false
+	}
+	return ex, true
 }
 
 // serial returns a fresh single-threaded chain over the whole input:
@@ -576,11 +715,16 @@ func leafPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []any, opts Op
 	if err != nil {
 		return nil, err
 	}
-	return &pipeline{
+	pl := &pipeline{
 		ctx: ctx, opts: opts, src: bs.src,
-		par:   func(scan vector.Operator) vector.Operator { return filtered(scan, vpreds, nil) },
-		width: len(bs.src.Cols),
-	}, nil
+		par:    func(scan vector.Operator) vector.Operator { return filtered(scan, vpreds, nil) },
+		width:  len(bs.src.Cols),
+		leaves: []*boundScan{bs},
+	}
+	if opts.Stats != nil {
+		pl.scan = len(opts.Stats.Scans) - 1
+	}
+	return pl, nil
 }
 
 // filtered puts a Filter over op when there are predicates; counts are
@@ -747,6 +891,10 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 	vpreds := make([][]vector.Pred, n)
 	vcounts := make([][]vector.PredCount, n) // the key filters' counters, by index into vpreds
 	anyEmpty := false
+	scan0 := 0 // the first leaf's entry in opts.Stats.Scans
+	if opts.Stats != nil {
+		scan0 = len(opts.Stats.Scans)
+	}
 	for i := range jt.Leaves {
 		bs, vp, err := bindLeaf(jt.Leaves[i].Scan, jt.Leaves[i].Preds, snap, args, opts.Stats)
 		if err != nil {
@@ -999,6 +1147,8 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 		},
 		mkSerial: mkSerial,
 		remap:    remap, width: len(cur),
+		scan:   scan0 + stream,
+		leaves: bss, voff: voff,
 		recount: recount,
 		tables:  chain,
 	}, nil
@@ -1067,7 +1217,7 @@ func (pl *pipeline) project(outs []int) {
 		}
 		pl.then(func(in vector.Operator) vector.Operator { return &vector.Project{Child: in, Exprs: exprs} })
 	}
-	pl.remap, pl.width = nil, len(outs)
+	pl.remap, pl.width, pl.leaves = nil, len(outs), nil
 }
 
 // sortInput names what a sort orders, for \plan's observation.
@@ -1177,14 +1327,18 @@ func (pl *pipeline) group(g *GroupAggNode) error {
 	if len(keyIdx) == 0 {
 		res = nil
 	}
+	groups := pl.groupsBound(g)
 	op, parts := pl.run(opts.workers(), false, func(in vector.Operator) vector.Operator {
-		return &vector.Agg{Child: wrap(in), Keys: keyIdx, Aggs: specs, Res: res}
+		return &vector.Agg{Child: wrap(in), Keys: keyIdx, Aggs: specs, Res: res, Groups: groups}
 	})
 	if parts {
 		// Merge the workers' partials by key (sums and counts add, min/max
 		// re-fold nil-aware). One serial pass needs no second table: its
-		// Agg already holds every group's totals.
-		op = vector.MergeGroups(op, len(keyIdx), specs, res)
+		// Agg already holds every group's totals. The workers' groups
+		// obey the same bound.
+		merge := vector.MergeGroups(op, len(keyIdx), specs, res)
+		merge.Groups = groups
+		op = merge
 	}
 	merged, err := drainOne(op)
 	var out vector.Operator
@@ -1201,8 +1355,55 @@ func (pl *pipeline) group(g *GroupAggNode) error {
 	if err != nil {
 		return err
 	}
-	pl.mkSerial, pl.remap, pl.width, pl.tables = func() vector.Operator { return out }, nil, len(g.Outs), nil
+	pl.mkSerial, pl.remap, pl.width, pl.tables, pl.leaves = func() vector.Operator { return out }, nil, len(g.Outs), nil, nil
 	return nil
+}
+
+// groupsBound bounds the groups g can form over the stream, so the
+// first grouping table is sized from the input rather than a constant:
+// the rows a single table's scan visits (a join may repeat a row), and,
+// when every key is a base column of a leaf with no rows past its zone
+// maps, the product of the keys' zone-map spans, each plus one for
+// NULL. 0 when neither is known; never above 1<<20, which no first
+// table reaches.
+func (pl *pipeline) groupsBound(g *GroupAggNode) int {
+	const ceiling = 1 << 20
+	if pl.leaves == nil || len(g.Keys) == 0 {
+		return 0
+	}
+	bound := ceiling
+	if pl.voff == nil {
+		bound = min(bound, max(1, pl.src.ScanRows()))
+	}
+	span := 1
+	for i, k := range g.Keys {
+		if g.Pre != nil {
+			ref, ok := g.Pre[i].(vector.ColRef) // keys lead the Pre projection
+			if !ok {
+				return bound
+			}
+			k = ref.Idx
+		}
+		leaf, col := 0, k
+		for pl.voff != nil && k >= pl.voff[leaf+1] {
+			leaf++
+		}
+		if pl.voff != nil {
+			col = k - pl.voff[leaf]
+		}
+		bs := pl.leaves[leaf]
+		zm := bs.zones[col]
+		if zm == nil || bs.src.Cols[col].Kind != vector.KindInt || bs.zoned != bs.src.Len() {
+			return bound
+		}
+		lo, hi, ok := zm.IntBounds()
+		n := 1 // NULL
+		if ok {
+			n += 1 + int(min(uint64(hi)-uint64(lo), ceiling))
+		}
+		span = min(span*n, ceiling)
+	}
+	return min(bound, span)
 }
 
 // shapeGrouped shapes a merged [keys..., accs...] aggregate batch into

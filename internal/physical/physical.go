@@ -115,15 +115,23 @@ type SortStat struct {
 }
 
 // ScanStat is what data skipping left of one leaf's scan: the zones
-// the predicates could not rule out, and the positions handed to the
-// pipeline (surviving zones plus the rows appended since the zone maps
-// were built, which no zone covers) out of the table's, with how many
-// of the table's positions are tombstoned (the scan filters them).
+// the scan still visits, and the positions handed to the pipeline
+// (surviving zones plus the rows appended since the zone maps were
+// built, which no zone covers, cut to the sorted range) out of the
+// table's, with how many of the table's positions are tombstoned (the
+// scan filters them).
 type ScanStat struct {
 	Table            string
 	ZonesKept, Zones int
 	Rows, TableRows  int
 	Deleted          int
+	// Search names the sorted columns ("t.a, t.b") whose comparisons
+	// binary search turned into the row range [Lo, Hi); "" for none.
+	Search string
+	Lo, Hi int
+	// Inline: the leaf streamed on the caller's goroutine, without an
+	// Exchange (one morsel, or one worker).
+	Inline bool
 }
 
 // JoinStat is one executed join step of an N-way tree.

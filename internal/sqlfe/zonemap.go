@@ -21,6 +21,10 @@ type ZoneMap struct {
 	imin, imax []int64   // INT column
 	fmin, fmax []float64 // FLOAT column
 	flags      []uint8
+	// lo and hi bound every zone of an INT column (ok: some zone holds a
+	// non-nil value).
+	lo, hi int64
+	ok     bool
 }
 
 // buildZoneMap summarizes a column; nil for TEXT.
@@ -29,6 +33,14 @@ func buildZoneMap(b *bat.BAT) *ZoneMap {
 	switch b.TailType() {
 	case bat.TypeInt:
 		z.imin, z.imax, z.flags = zoneStats(b.Ints(), func(v int64) bool { return v == bat.NilInt })
+		for i, f := range z.flags {
+			if f&zoneAllNil == 0 {
+				if !z.ok {
+					z.lo, z.hi, z.ok = z.imin[i], z.imax[i], true
+				}
+				z.lo, z.hi = min(z.lo, z.imin[i]), max(z.hi, z.imax[i])
+			}
+		}
 	case bat.TypeFloat:
 		z.fmin, z.fmax, z.flags = zoneStats(b.Floats(), bat.IsNilFloat)
 	default:
@@ -64,6 +76,11 @@ func zoneStats[T int64 | float64](vals []T, isNil func(T) bool) (lo, hi []T, fla
 
 // Zones is the number of zones.
 func (z *ZoneMap) Zones() int { return len(z.flags) }
+
+// IntBounds returns the smallest and largest non-nil value of an INT
+// column's zoned rows; ok is false for a FLOAT column, or when those
+// rows hold nothing but nils.
+func (z *ZoneMap) IntBounds() (lo, hi int64, ok bool) { return z.lo, z.hi, z.ok }
 
 // Prune clears keep[i] for every zone i that provably holds no row
 // satisfying `column op value` (op as in Pred.Op; an INT column compares

@@ -215,22 +215,43 @@ func (j *HashJoinOp) Next() (*Batch, error) {
 			return nil, err
 		}
 		keys := b.Cols[j.ProbeKey].Ints
-		pr, br := j.probeRows[:0], j.buildRows[:0]
+		// The match lists hold one pair per candidate when build keys are
+		// unique: size them for that, write by index, and grow only for a
+		// batch whose duplicates overflow them.
+		if n := b.Rows(); len(j.probeRows) < n {
+			j.probeRows, j.buildRows = make([]int32, n), make([]int32, n)
+		}
+		m := 0
 		if ht := jb.table.Flat(); ht != nil {
 			// Flat build: iterate First/Next inline instead of paying a
-			// nested closure call per match in the hottest probe loop.
-			b.ForEach(func(i int32) {
-				for bid := ht.First(keys[i]); bid >= 0; bid = ht.Next(bid) {
-					pr, br = append(pr, i), append(br, bid)
+			// nested closure call per candidate in the hottest probe loop.
+			pr, br := j.probeRows, j.buildRows
+			for k, n := 0, b.Rows(); k < n; k++ {
+				i := int32(k)
+				if b.Sel != nil {
+					i = b.Sel[k]
 				}
-			})
+				for bid := ht.First(keys[i]); bid >= 0; bid = ht.Next(bid) {
+					if m == len(pr) {
+						pr, br = j.grow()
+					}
+					pr[m], br[m] = i, bid
+					m++
+				}
+			}
 		} else {
 			b.ForEach(func(i int32) {
-				jb.table.ForEach(keys[i], func(bid int32) { pr, br = append(pr, i), append(br, bid) })
+				jb.table.ForEach(keys[i], func(bid int32) {
+					if m == len(j.probeRows) {
+						j.grow()
+					}
+					j.probeRows[m], j.buildRows[m] = i, bid
+					m++
+				})
 			})
 		}
-		j.probeRows, j.buildRows = pr, br
-		if len(pr) == 0 {
+		pr, br := j.probeRows[:m], j.buildRows[:m]
+		if m == 0 {
 			continue
 		}
 		np := len(b.Cols)
@@ -253,6 +274,13 @@ func (j *HashJoinOp) Next() (*Batch, error) {
 		j.out = Batch{N: len(pr), Cols: j.cols}
 		return &j.out, nil
 	}
+}
+
+// grow doubles the match lists, keeping the pairs already written.
+func (j *HashJoinOp) grow() (pr, br []int32) {
+	j.probeRows = append(j.probeRows, make([]int32, len(j.probeRows)+1)...)
+	j.buildRows = append(j.buildRows, make([]int32, len(j.buildRows)+1)...)
+	return j.probeRows, j.buildRows
 }
 
 // Close implements Operator.

@@ -557,6 +557,10 @@ type Agg struct {
 	// layer may answer by re-planning to grace-hash partitioning.
 	Res *memgov.Reservation
 
+	// Groups, when positive, bounds the groups the input can form: the
+	// first grouping table is sized for at most that many, not 1024.
+	Groups int
+
 	// merge marks the final Agg over workers' grouped partials: each
 	// batch holds distinct keys, usually most of the result's groups.
 	merge bool
@@ -577,7 +581,11 @@ func (a *Agg) Next() (*Batch, error) {
 
 	var gt *radix.GroupTable
 	if len(a.Keys) > 0 {
-		gt = radix.NewGroupTable(len(a.Keys), 1024)
+		size := 1024
+		if a.Groups > 0 {
+			size = min(size, a.Groups)
+		}
+		gt = radix.NewGroupTable(len(a.Keys), size)
 	}
 	var gids []int32
 	keyCols := make([][]int64, len(a.Keys))

@@ -96,6 +96,15 @@ func (m *MorselCursor) claim() (lo, hi int, ok bool) {
 	}
 }
 
+// err is why the cursor stopped handing out morsels: its context's
+// error once canceled, nil at the end of input.
+func (m *MorselCursor) err() error {
+	if m.ctx != nil {
+		return m.ctx.Err()
+	}
+	return nil
+}
+
 // morsels is the number of claims a fresh cursor hands out.
 func (m *MorselCursor) morsels() int {
 	n := 0
@@ -113,7 +122,9 @@ func (m *MorselCursor) morsels() int {
 // batch holds none), and a batch they fill entirely is skipped. With
 // RowIDs set, each batch carries one extra trailing KindInt column of
 // GLOBAL source row positions — the stable tiebreak the parallel Sort
-// needs to reproduce a serial stable sort's order.
+// needs to reproduce a serial stable sort's order. A canceled cursor
+// ends the scan with its context's error, so a consumer on the
+// caller's goroutine never mistakes a cut-short stream for a whole one.
 type MorselScan struct {
 	Cur    *MorselCursor
 	Size   int // vector size (DefaultSize if <= 0)
@@ -144,7 +155,7 @@ func (s *MorselScan) Next() (*Batch, error) {
 		if s.pos >= s.hi {
 			lo, hi, ok := s.Cur.claim()
 			if !ok {
-				return nil, nil
+				return nil, s.Cur.err()
 			}
 			s.pos, s.hi = lo, hi
 		}
@@ -245,8 +256,13 @@ type Exchange struct {
 	wg      sync.WaitGroup
 }
 
-// Open implements Operator: spawns the workers.
-func (e *Exchange) Open() error {
+// shape is the one rule that sizes an exchange: the morsel cursor its
+// workers claim from and how many workers it starts. A worker without a
+// morsel to claim would open a pipeline for nothing, so there are never
+// more workers than morsels; one always runs, so an empty input still
+// yields the fragment's end-of-stream output (an aggregate's identity
+// row).
+func (e *Exchange) shape() (*MorselCursor, int) {
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -257,10 +273,27 @@ func (e *Exchange) Open() error {
 	}
 	cursor := NewMorselCursor(e.Source, size)
 	cursor.ctx = e.Ctx
-	// A worker without a morsel to claim would open a pipeline for
-	// nothing; one always runs, so an empty input still yields the
-	// fragment's end-of-stream output (an aggregate's identity row).
-	workers = max(1, min(workers, cursor.morsels()))
+	return cursor, max(1, min(workers, cursor.morsels()))
+}
+
+// Inline returns the exchange's fragment over one MorselScan, to run on
+// the caller's goroutine, when the exchange would start exactly one
+// worker (one morsel to claim, or Workers 1); otherwise nil. It is the
+// exchange minus its goroutines, channels and batch copies: the scan
+// carries the exchange's Ctx and RowIDs, and the fragment's batches are
+// its own, valid until its next Next, as any operator's are. The
+// fragment runs once: opening it again scans nothing.
+func (e *Exchange) Inline() Operator {
+	cursor, workers := e.shape()
+	if workers != 1 {
+		return nil
+	}
+	return e.Plan(&MorselScan{Cur: cursor, Size: e.VectorSize, RowIDs: e.RowIDs})
+}
+
+// Open implements Operator: spawns the workers.
+func (e *Exchange) Open() error {
+	cursor, workers := e.shape()
 	e.ch = make(chan *Batch, workers)
 	e.errs = make(chan error, workers)
 	e.stop = make(chan struct{})
@@ -291,12 +324,8 @@ func (e *Exchange) worker(cursor *MorselCursor) {
 			return
 		}
 		if b == nil {
-			// End of stream — or a canceled cursor that stopped handing
-			// out morsels. Report the cancellation so the consumer can
-			// distinguish a complete result from an aborted one.
-			if e.Ctx != nil && e.Ctx.Err() != nil {
-				e.errs <- e.Ctx.Err()
-			}
+			// End of stream: a canceled cursor ended the scan with an
+			// error instead, which the branch above reported.
 			return
 		}
 		select {

@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -168,4 +169,67 @@ func TestExchangeErrorPropagation(t *testing.T) {
 		t.Fatalf("err = %v, want boom", got)
 	}
 	ex.Close() // may re-report another worker's buffered error
+}
+
+// TestExchangeInlineExactlyOneWorker: an exchange runs inline exactly
+// when it would start one worker — one morsel to claim (an empty input
+// included) or Workers 1 — and the inline fragment sees every row, with
+// row ids when asked, and ends with its context's error once canceled.
+func TestExchangeInlineExactlyOneWorker(t *testing.T) {
+	vals := make([]int64, 10000)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	src, err := NewSource([]string{"v"}, []Col{{Kind: KindInt, Ints: vals}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := src.Restrict([]RowRange{{Lo: 100, Hi: 4000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := src.Restrict(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name          string
+		src           *Source
+		workers, size int
+		inline        bool
+		rows          int
+	}{
+		{"one derived morsel", small, 4, 0, true, 3900},
+		{"many morsels, many workers", src, 4, 1024, false, 10000},
+		{"many morsels, one worker", src, 1, 1024, true, 10000},
+		{"nothing to claim", empty, 4, 0, true, 0},
+	} {
+		ex := &Exchange{Source: c.src, Workers: c.workers, MorselSize: c.size, RowIDs: true,
+			Plan: func(scan Operator) Operator { return scan }, Ctx: context.Background()}
+		op := ex.Inline()
+		if (op != nil) != c.inline {
+			t.Fatalf("%s: inline %v, want %v", c.name, op != nil, c.inline)
+		}
+		if op == nil {
+			continue
+		}
+		rows, err := Drain(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != c.rows {
+			t.Fatalf("%s: %d rows, want %d", c.name, len(rows), c.rows)
+		}
+		for _, r := range rows {
+			if r[0] != r[1] {
+				t.Fatalf("%s: row id %v beside value %v", c.name, r[1], r[0])
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ex := &Exchange{Source: src, Workers: 1, Plan: func(scan Operator) Operator { return scan }, Ctx: ctx}
+	if _, err := Drain(ex.Inline()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled inline scan: %v, want context.Canceled", err)
+	}
 }
