@@ -25,22 +25,26 @@
 // pull-based pipelines over columnar batches. Three layers make it
 // cache-conscious and multi-core:
 //
-//   - Every equi-join path — batalg.Join's hash/semi/anti joins, the
-//     radix partitioned join, vector.JoinBuild, and the MAL
+//   - Every INT equi-join path — batalg.Join's hash join, each cluster
+//     of the radix partitioned join, vector.JoinBuild, and the MAL
 //     `join` op behind compiled SQL — builds into ONE open-addressing
 //     table, radix.Table: Fibonacci hashing on the high hash bits,
 //     power-of-two 16-byte key+head slots, duplicate chains in one flat
-//     []int32, no Go map, no per-key allocations. Builds larger than
-//     the cache are radix-partitioned (radix.PartitionedTable) with the
-//     multi-pass Radix-Cluster, so every probe stays inside one
-//     cache-sized cluster (paper §4.2). bat.NilInt keys never match —
-//     SQL NULL semantics enforced once, inherited by every front-end.
+//     []int32, no Go map, no per-key allocations, and one size formula
+//     (radix.TableBytes) that the cost model prices and a governed
+//     build charges. The table never partitions itself. bat.NilInt keys
+//     never match — SQL NULL semantics enforced once, inherited by
+//     every front-end.
 //
-//   - Whether a MAL join radix-clusters BOTH sides (Figure 2) or stays
-//     flat is decided by the §4.4 cost model (radix.ShouldCluster on a
-//     calibrated hierarchy with an LLC level), not a fixed threshold;
-//     the band rows of experiment E3 sweep the A/B the calibration
-//     reproduces.
+//   - Two decisions partition a join, and nothing else does. In memory,
+//     whether a MAL join radix-clusters BOTH sides with the multi-pass
+//     Radix-Cluster (Figure 2, paper §4.2) or stays flat is decided by
+//     the §4.4 cost model (radix.ShouldCluster on a calibrated
+//     hierarchy with an LLC level), not a fixed threshold; the band
+//     rows of experiment E3 sweep the A/B the calibration reproduces.
+//     Out of core, a vectorized join build that its memory budget
+//     denies is re-planned, where the query may spill, to a grace-hash
+//     join over partitions spilled to disk.
 //
 //   - Pipelines parallelize morsel-driven: vector.Exchange splits a
 //     Source into morsels handed out by an atomic cursor, runs one

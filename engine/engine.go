@@ -32,11 +32,11 @@
 //
 //   - Query streams. Rows is a cursor pulling vector-sized batches, not
 //     a materialized [][]any: the physical-plan layer lowers
-//     scan/filter/project, aggregates, GROUP BY (one or two INT keys),
-//     ORDER BY, and two-table INT equi-joins onto the morsel-parallel
-//     vectorized pipeline, and peak result-side allocation stays
-//     proportional to one vector, not to the result. Queries the
-//     planner cannot lower fall back to the MAL interpreter
+//     scan/filter/project, aggregates, GROUP BY (any number of INT
+//     keys), ORDER BY, and INT equi-joins of any number of tables onto
+//     the morsel-parallel vectorized pipeline, and peak result-side
+//     allocation stays proportional to one vector, not to the result.
+//     Queries the planner cannot lower fall back to the MAL interpreter
 //     transparently, each with a machine-readable reason in Conn.Plan.
 //
 //   - Cancellation is bounded. The context passed to Query/Exec is

@@ -9,8 +9,9 @@ import (
 // values. It returns two aligned candidate BATs (left head OIDs, right head
 // OIDs) — the join index of §4.3. The implementation picks merge join when
 // both inputs are sorted, otherwise a hash join on the smaller input
-// through the shared open-addressing core (radix.Table), which
-// auto-partitions builds past radix.PartitionRows rows.
+// through the shared open-addressing core (radix.Table). It never
+// radix-clusters: the MAL join op makes that call through the §4.4
+// cost model (radix.ShouldCluster) before it gets here.
 //
 // Nil tail values (bat.NilInt) never match on either side, in any path —
 // the SQL NULL rule, enforced once inside radix.Table.
@@ -63,28 +64,17 @@ func mergeJoin(l, r *bat.BAT) (*bat.BAT, *bat.BAT) {
 }
 
 // hashJoin builds the shared open-addressing table (radix.Table) on build
-// (the smaller side) and probes with probe. Small builds stay flat and
-// cache-resident; past radix.PartitionRows rows the build is
-// radix-partitioned (§4.2) so each probe touches one cache-sized cluster.
+// (the smaller side) and probes it with probe, walking each key's chain
+// inline.
 func hashJoin(build, probe *bat.BAT) (*bat.BAT, *bat.BAT) {
 	bt, pt := build.Ints(), probe.Ints()
 	bh, ph := build.HSeq(), probe.HSeq()
-	jt := radix.NewJoinTable(bt)
+	ht := radix.BuildTable(bt)
 	var bout, pout []bat.OID
-	if ht := jt.Flat(); ht != nil {
-		// Flat build: probe First/Next inline, no per-match closure.
-		for j, v := range pt {
-			for e := ht.First(v); e >= 0; e = ht.Next(e) {
-				bout = append(bout, bh+bat.OID(e))
-				pout = append(pout, ph+bat.OID(j))
-			}
-		}
-	} else {
-		for j, v := range pt {
-			jt.ForEach(v, func(i int32) {
-				bout = append(bout, bh+bat.OID(i))
-				pout = append(pout, ph+bat.OID(j))
-			})
+	for j, v := range pt {
+		for e := ht.First(v); e >= 0; e = ht.Next(e) {
+			bout = append(bout, bh+bat.OID(e))
+			pout = append(pout, ph+bat.OID(j))
 		}
 	}
 	return bat.FromOIDs(bout), bat.FromOIDs(pout)

@@ -1081,7 +1081,10 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 			}
 			bCols, bAt := columnsRead(append([]int{st.buildKeyPos}, payload...))
 			pCols, pAt := columnsRead(append([]int{probeKey}, keep...))
-			stateBytes := int64(bss[st.build].src.ScanRows()) * int64(8+8*len(payload)+48)
+			// What the whole in-memory build would charge: key and payload
+			// cells plus the key table.
+			rows := bss[st.build].src.ScanRows()
+			stateBytes := int64(rows*(8+8*len(payload)) + radix.TableBytes(rows))
 			bits := graceBits(stateBytes, graceHeadroom(opts.Gov))
 			bParts, bRows, err := partitionOp(ctx, opts, mkLeafOp(st.build), bCols, []int{st.buildKeyPos}, bits, "jb")
 			if err != nil {

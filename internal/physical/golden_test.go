@@ -45,7 +45,9 @@ var regenerated = []string{
 	// names the sort stage; the entries above that order groups were
 	// rewritten again for this). The ORDER BY over a global aggregate
 	// lowers instead of falling back. The MAL programs, names and params
-	// are unchanged.
+	// are unchanged. Later, the entries with arithmetic were rewritten
+	// once more when the nil-blind INT kernels went: every vector.ExprOp
+	// code in their pre fields moved down by two, and nothing else.
 	"SELECT count(*) FROM t",
 	"SELECT count(*) FROM t WHERE a = 7",
 	"SELECT count(*), count(f) FROM t",

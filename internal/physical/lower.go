@@ -247,7 +247,7 @@ var vecOps = [...][2]vector.ExprOp{
 	sqlfe.ExprMul:      {vector.EMulIntNil, vector.EMulFloat},
 	sqlfe.ExprAddConst: {vector.EAddIntConstNil, vector.EAddFloatConst},
 	sqlfe.ExprMulConst: {vector.EMulIntConstNil, vector.EMulFloatConst},
-	sqlfe.ExprConstSub: {0, vector.ESubConstFloat},
+	sqlfe.ExprConstSub: {0, vector.ESubConstFloat}, // FLOAT only
 }
 
 // vexpr materializes a bound expression over the final column layout.

@@ -35,9 +35,11 @@ func joinHierarchy() simhw.Hierarchy {
 	return h
 }
 
-// tableBytes is the memory footprint of a flat Table over n keys: the
-// power-of-two 16-byte slot array at load <= 1/2 plus the int32 chains.
-func tableBytes(n int) int {
+// TableBytes is what BuildTable allocates over n keys: the power-of-two
+// 16-byte slot array at load <= 1/2 plus the int32 chains. The cost
+// model prices the flat join with it, and a governed join build charges
+// it.
+func TableBytes(n int) int {
 	slots := 8
 	for slots < 2*n {
 		slots <<= 1
@@ -53,7 +55,7 @@ func tableBytes(n int) int {
 // misses twice, once for the build's writes and again for the probe's
 // reads of the lines the build just filled.
 func flatJoinPattern(nl, nr int) costmodel.Pattern {
-	tb := tableBytes(nl)
+	tb := TableBytes(nl)
 	return costmodel.Concurrent{
 		costmodel.SeqTraverse{Bytes: (nl + nr) * 8, N: nl + nr},
 		costmodel.RandTraverse{Bytes: tb, N: nl + nr},
@@ -65,7 +67,7 @@ func flatJoinPattern(nl, nr int) costmodel.Pattern {
 // cache-resident build+probe per cluster pair.
 func clusteredJoinPattern(nl, nr, bits int) costmodel.Pattern {
 	passes := SplitBits(bits, 2)
-	perCluster := tableBytes(nl >> uint(bits))
+	perCluster := TableBytes(nl >> uint(bits))
 	if perCluster < 1 {
 		perCluster = 1
 	}

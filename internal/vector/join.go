@@ -13,12 +13,12 @@ import (
 // JoinBuild is a fully-built, read-only build side of a hash join: the
 // key table plus the payload columns, safe to share across concurrent
 // probe pipelines (it is never mutated after BuildJoinTable returns).
-// The key table is the shared open-addressing core (radix.JoinTable):
-// flat for small builds, radix-partitioned past radix.PartitionRows rows so
-// each probe stays inside one cache-sized cluster (§4.2), and nil keys
-// (bat.NilInt) never matching.
+// The key table is the shared open-addressing core (radix.Table), one
+// flat layout at every build size, with nil keys (bat.NilInt) never
+// matching. A build too large for the query's memory is partitioned
+// above it, by the physical layer's grace-hash re-plan.
 type JoinBuild struct {
-	table *radix.JoinTable
+	table *radix.Table
 	keys  []int64 // the build keys by row id, nils included
 
 	// Payload storage (DSM): one column per payload column.
@@ -43,11 +43,6 @@ func (jb *JoinBuild) ReleaseMem() {
 	}
 }
 
-// joinTableBytesPerRow approximates radix.NewJoinTable's per-row
-// footprint (slot array at load <= ½ plus the next-chain), charged
-// BEFORE the table is built.
-const joinTableBytesPerRow = 48
-
 // BuildJoinTable drains op (opening and closing it) into a JoinBuild:
 // key column key, payload columns carried into join output. The last
 // argument is ignored: payloads are always kept columnar (the paper's
@@ -58,7 +53,8 @@ func BuildJoinTable(op Operator, key int, payload []int, _ bool) (*JoinBuild, er
 }
 
 // BuildJoinTableGov is BuildJoinTable charging the materialized build
-// side (keys, payload cells, then the hash table itself) against res.
+// side (keys, payload cells, then the hash table itself, exactly
+// radix.TableBytes before it is built) against res.
 // A denied charge returns the query's memgov.ErrExceeded with the
 // partial build's memory already handed back; the physical layer may
 // answer by re-planning to a grace-hash join.
@@ -113,7 +109,7 @@ func BuildJoinTableGov(op Operator, key int, payload []int, res *memgov.Reservat
 		}
 	}
 	if res != nil {
-		add := int64(len(keys)) * joinTableBytesPerRow
+		add := int64(radix.TableBytes(len(keys)))
 		if err := res.Acquire(add); err != nil {
 			jb.ReleaseMem()
 			return nil, err
@@ -122,7 +118,7 @@ func BuildJoinTableGov(op Operator, key int, payload []int, res *memgov.Reservat
 	}
 	jb.nrows = len(keys)
 	jb.keys = keys
-	jb.table = radix.NewJoinTable(keys)
+	jb.table = radix.BuildTable(keys)
 	return jb, nil
 }
 
@@ -176,11 +172,6 @@ func (jb *JoinBuild) KeyFilter(col int, res *memgov.Reservation) ([]Pred, bool, 
 	return []Pred{{ColIdx: col, Op: PredGe, IntVal: lo}, {ColIdx: col, Op: PredLeNil, IntVal: hi}}, false, float64(jb.nrows) / float64(span)
 }
 
-// ForEach calls f with each build row id matching key.
-func (jb *JoinBuild) ForEach(key int64, f func(row int32)) {
-	jb.table.ForEach(key, f)
-}
-
 // HashJoinOp is a vectorized equi-join on int64 keys: probe batches
 // stream through a pre-built, read-only build side, emitting joined
 // batches of the kept probe columns ++ build payload columns. Sharing
@@ -221,36 +212,24 @@ func (j *HashJoinOp) Next() (*Batch, error) {
 		if n := b.Rows(); len(j.probeRows) < n {
 			j.probeRows, j.buildRows = make([]int32, n), make([]int32, n)
 		}
-		m := 0
-		if ht := jb.table.Flat(); ht != nil {
-			// Flat build: iterate First/Next inline instead of paying a
-			// nested closure call per candidate in the hottest probe loop.
-			pr, br := j.probeRows, j.buildRows
-			for k, n := 0, b.Rows(); k < n; k++ {
-				i := int32(k)
-				if b.Sel != nil {
-					i = b.Sel[k]
-				}
-				for bid := ht.First(keys[i]); bid >= 0; bid = ht.Next(bid) {
-					if m == len(pr) {
-						pr, br = j.grow()
-					}
-					pr[m], br[m] = i, bid
-					m++
-				}
+		// Walk each key's chain inline: no closure call per candidate in
+		// the hottest probe loop.
+		m, ht := 0, jb.table
+		pr, br := j.probeRows, j.buildRows
+		for k, n := 0, b.Rows(); k < n; k++ {
+			i := int32(k)
+			if b.Sel != nil {
+				i = b.Sel[k]
 			}
-		} else {
-			b.ForEach(func(i int32) {
-				jb.table.ForEach(keys[i], func(bid int32) {
-					if m == len(j.probeRows) {
-						j.grow()
-					}
-					j.probeRows[m], j.buildRows[m] = i, bid
-					m++
-				})
-			})
+			for bid := ht.First(keys[i]); bid >= 0; bid = ht.Next(bid) {
+				if m == len(pr) {
+					pr, br = j.grow()
+				}
+				pr[m], br[m] = i, bid
+				m++
+			}
 		}
-		pr, br := j.probeRows[:m], j.buildRows[:m]
+		pr, br = pr[:m], br[:m]
 		if m == 0 {
 			continue
 		}

@@ -185,13 +185,13 @@ func TestQuickJoinMatchesSimpleHashJoin(t *testing.T) {
 	}
 }
 
-// The partitioned build path only triggers past radix.PartitionRows rows; cover
-// it once with a deterministic large-ish join checked against the oracle.
-func TestJoinPartitionedBuildPath(t *testing.T) {
+// A build past 2^18 rows, whose table leaves the L2 cache, keeps the one
+// flat layout; check one deterministic large join against the oracle.
+func TestJoinLargeBuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large build in -short mode")
 	}
-	n := radix.PartitionRows + 1000
+	n := 1<<18 + 1000
 	r := rand.New(rand.NewSource(99))
 	bk := make([]int64, n)
 	for i := range bk {
@@ -213,7 +213,34 @@ func TestJoinPartitionedBuildPath(t *testing.T) {
 	sortPairs(got)
 	sortPairs(want)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("partitioned join: %d pairs, want %d", len(got), len(want))
+		t.Fatalf("large join: %d pairs, want %d", len(got), len(want))
+	}
+}
+
+// A governed build charges exactly what it holds: 8 bytes of key and 8
+// per payload cell for every row, plus the key table radix.BuildTable
+// allocates. Sizes on both sides of a power of two, where the slot array
+// doubles, included.
+func TestJoinBuildCharge(t *testing.T) {
+	for _, n := range []int{0, 1, 5, 1023, 1024, 1025, 4097} {
+		for _, payload := range [][]int{nil, {1}, {0, 1}} {
+			ks, vs := make([]int64, n), make([]float64, n)
+			for i := range ks {
+				ks[i], vs[i] = int64(i%300), float64(i)
+			}
+			src, err := NewSource([]string{"k", "v"}, []Col{{Kind: KindInt, Ints: ks}, {Kind: KindFloat, Floats: vs}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := memgov.New(1<<30, memgov.Reject)
+			if _, err := BuildJoinTableGov(NewScan(src, 256), 0, payload, res); err != nil {
+				t.Fatal(err)
+			}
+			want := int64(n*(8+8*len(payload)) + radix.TableBytes(n))
+			if got := res.Used(); got != want {
+				t.Errorf("n=%d, %d payload columns: charged %d B, want %d", n, len(payload), got, want)
+			}
+		}
 	}
 }
 

@@ -251,12 +251,9 @@ func (c ColRef) kind(cols []Col) Kind { return cols[c.Idx].Kind }
 // ExprOp enumerates vectorized expression operators.
 type ExprOp uint8
 
-// Expression operator codes.
+// Expression operator codes. The zero ExprOp names no operator.
 const (
-	EAddInt ExprOp = iota
-	EMulInt
-	EAddIntConst
-	EMulFloat
+	EMulFloat ExprOp = iota + 1
 	EAddFloat
 	ESubConstFloat // const - expr
 	// Nil-aware variants mirroring the MAL calc kernels bit for bit
@@ -292,14 +289,6 @@ func (e Bin) kind(cols []Col) Kind {
 
 func (e Bin) eval(b *Batch, s *scratch) (Col, error) {
 	switch e.Op {
-	case EAddIntConst:
-		l, err := e.L.eval(b, s)
-		if err != nil {
-			return Col{}, err
-		}
-		out := s.intBuf(b.N)
-		MapAddIntConst(l.Ints, e.IntConst, b.Sel, out)
-		return Col{Kind: KindInt, Ints: out}, nil
 	case ESubConstFloat:
 		l, err := e.L.eval(b, s)
 		if err != nil {
@@ -358,14 +347,6 @@ func (e Bin) eval(b *Batch, s *scratch) (Col, error) {
 		return Col{}, err
 	}
 	switch e.Op {
-	case EAddInt:
-		out := s.intBuf(b.N)
-		MapAddInt(l.Ints, r.Ints, b.Sel, out)
-		return Col{Kind: KindInt, Ints: out}, nil
-	case EMulInt:
-		out := s.intBuf(b.N)
-		MapMulInt(l.Ints, r.Ints, b.Sel, out)
-		return Col{Kind: KindInt, Ints: out}, nil
 	case EMulFloat:
 		out := s.fltBuf(b.N)
 		MapMulFloat(l.Floats, r.Floats, b.Sel, out)

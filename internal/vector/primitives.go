@@ -470,45 +470,6 @@ func selInBits(col []int64, sel []int32, base int64, bits []uint64, out []int32,
 	return out[:len(out)+k]
 }
 
-// MapAddInt computes out[i] = a[i] + b[i] for qualifying i.
-func MapAddInt(a, b []int64, sel []int32, out []int64) {
-	if sel == nil {
-		for i := range a {
-			out[i] = a[i] + b[i]
-		}
-		return
-	}
-	for _, i := range sel {
-		out[i] = a[i] + b[i]
-	}
-}
-
-// MapMulInt computes out[i] = a[i] * b[i].
-func MapMulInt(a, b []int64, sel []int32, out []int64) {
-	if sel == nil {
-		for i := range a {
-			out[i] = a[i] * b[i]
-		}
-		return
-	}
-	for _, i := range sel {
-		out[i] = a[i] * b[i]
-	}
-}
-
-// MapAddIntConst computes out[i] = a[i] + v.
-func MapAddIntConst(a []int64, v int64, sel []int32, out []int64) {
-	if sel == nil {
-		for i := range a {
-			out[i] = a[i] + v
-		}
-		return
-	}
-	for _, i := range sel {
-		out[i] = a[i] + v
-	}
-}
-
 // MapMulFloat computes out[i] = a[i] * b[i].
 func MapMulFloat(a, b []float64, sel []int32, out []float64) {
 	if sel == nil {

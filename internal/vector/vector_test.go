@@ -120,9 +120,9 @@ func TestProjectExpressions(t *testing.T) {
 	p := &Project{
 		Child: NewScan(src, 8),
 		Exprs: []Expr{
-			Bin{Op: EAddInt, L: ColRef{0}, R: ColRef{1}},
-			Bin{Op: EMulInt, L: ColRef{0}, R: ColRef{1}},
-			Bin{Op: EAddIntConst, L: ColRef{0}, IntConst: 100},
+			Bin{Op: EAddIntNil, L: ColRef{0}, R: ColRef{1}},
+			Bin{Op: EMulIntNil, L: ColRef{0}, R: ColRef{1}},
+			Bin{Op: EAddIntConstNil, L: ColRef{0}, IntConst: 100},
 		},
 	}
 	rows, err := Drain(p)
@@ -218,7 +218,7 @@ func TestFullPipelineFilterProjectAgg(t *testing.T) {
 					Child: NewScan(src, size),
 					Preds: []Pred{{ColIdx: 0, Op: PredGe, IntVal: 2}},
 				},
-				Exprs: []Expr{Bin{Op: EMulInt, L: ColRef{0}, R: ColRef{1}}},
+				Exprs: []Expr{Bin{Op: EMulIntNil, L: ColRef{0}, R: ColRef{1}}},
 			},
 			Aggs: []AggSpec{{Kind: AggSumInt, Col: 0}},
 		}
