@@ -233,6 +233,15 @@
 // of the steps free to go, the one with the smallest multiplier first,
 // the rows one probe row past its filter yields: build rows ÷ distinct
 // keys behind a bitmap, build rows ÷ (max − min + 1) behind a range.
+// A build that carries no column (nothing above the join reads its
+// leaf, and no probing step hangs off it) measures its filter before
+// it is hashed. When that filter is a bitmap over unique non-nil keys,
+// it passes each stream row with a match exactly once: the step is a
+// semi-join the filter has already computed — the BAT algebra's
+// semijoin as a selection on the probe side. Such a semi step builds
+// no hash table, adds no probe, and keeps no column alive; \plan
+// marks it "[semi: answered by its bitmap filter]". A build over
+// unique keys that must be probed probes without walking chains.
 // An over-budget build degrades its step, its descendants' and every
 // later build's to grace hash, run after the in-memory probes; the
 // filters of the builds that fit still prune both sides before they

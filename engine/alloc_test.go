@@ -19,7 +19,9 @@ import (
 // every column, 192 while each build also allocated a partitioning
 // front over its key table); its bound is its count under -race, three
 // above a plain build's 187, because the instrumented build keeps a few
-// appends the plain one elides.
+// appends the plain one elides. The same star read for no dimension
+// column is two semi steps, answered by their bitmap filters without a
+// table or a probe: bounded at its count under -race, 135 (133 plain).
 func TestAggregateExecutionAllocs(t *testing.T) {
 	// Every table of the catalog costs each execution's snapshot, so the
 	// join runs in a database of its own.
@@ -42,6 +44,12 @@ func TestAggregateExecutionAllocs(t *testing.T) {
 	if _, _, rows, _ := scanLine(t, plan, "acct"); rows != 1 || !strings.Contains(plan, "by binary search on acct.id") {
 		t.Fatalf("point lookup visits %d rows, want 1 by binary search:\n%s", rows, plan)
 	}
+	if plan, err = star.Conn().Plan("SELECT count(*), sum(g.v) FROM g JOIN d1 ON g.k = d1.k JOIN d2 ON g.v = d2.k WHERE d2.a < 3"); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(plan, "[semi: answered by its bitmap filter]"); n != 2 {
+		t.Fatalf("the payload-free star runs %d semi steps, want 2:\n%s", n, plan)
+	}
 	for _, tc := range []struct {
 		db        *DB
 		name, sql string
@@ -53,6 +61,7 @@ func TestAggregateExecutionAllocs(t *testing.T) {
 		{db, "grouped-top", "SELECT k, sum(v) AS s FROM g WHERE v >= ? GROUP BY k ORDER BY s DESC LIMIT 5", int64(-100), 87},
 		{point, "point", "SELECT id, grp, bal FROM acct WHERE id = ?", int64(12345), 31},
 		{star, "join-grouped", "SELECT d1.a, count(*), sum(d2.b) FROM g JOIN d1 ON g.k = d1.k JOIN d2 ON g.v = d2.k WHERE d2.a < ? GROUP BY d1.a", int64(3), 190},
+		{star, "join-semi", "SELECT count(*), sum(g.v) FROM g JOIN d1 ON g.k = d1.k JOIN d2 ON g.v = d2.k WHERE d2.a < ?", int64(3), 135},
 	} {
 		st, err := tc.db.Conn().Prepare(tc.sql)
 		if err != nil {

@@ -977,6 +977,7 @@ type driver struct {
 	accepted map[string]int
 	graced   map[byte]int // by shape, statements whose \plan showed a join step degraded to grace hash
 	filtered int          // key filters held to the semi-join reduction
+	semi     int          // statements whose \plan showed a semi step
 	refs     map[*dQuery][][]any
 	mals     map[*dQuery][][]any // MAL's, per statement of a stage
 }
@@ -1081,7 +1082,10 @@ func (d *driver) check(q *dQuery, x target) string {
 // range keeping [min, max] of them. Without a budget, which
 // could deny a bitmap, each filter's kind must follow the density rule:
 // a bitmap while the keys span at most 64 values per non-nil key. A
-// join the vector path lowers must run there.
+// semi step must have a bitmap over unique non-nil keys; without a
+// budget, so must every such step whose build no item, GROUP BY or
+// ORDER BY reads and whose children are semi steps too. A join the
+// vector path lowers must run there.
 func (d *driver) filters(q *dQuery, c *cell) string {
 	text, _ := q.sql(false)
 	plan, err := c.db.Conn().Plan(text)
@@ -1097,6 +1101,7 @@ func (d *driver) filters(q *dQuery, c *cell) string {
 	type step struct {
 		build, kind, on string
 		in, kept        int
+		semi            bool
 	}
 	var steps []step
 	stream, graced := "", false
@@ -1108,7 +1113,7 @@ func (d *driver) filters(q *dQuery, c *cell) string {
 		if len(f) < 4 || f[0] != "join" || f[2] != "build" {
 			continue
 		}
-		s := step{build: f[3]}
+		s := step{build: f[3], semi: strings.Contains(line, "[semi: answered by its bitmap filter]")}
 		if i := strings.Index(line, " filter on "); i >= 0 {
 			s.kind = line[strings.LastIndexByte(line[:i], ' ')+1 : i]
 			fmt.Sscanf(strings.Replace(line[i:], ":", " ", 1), " filter on %s %d -> %d", &s.on, &s.in, &s.kept)
@@ -1118,6 +1123,23 @@ func (d *driver) filters(q *dQuery, c *cell) string {
 	}
 	if graced {
 		d.graced[q.shape()]++
+	}
+	if slices.ContainsFunc(steps, func(s step) bool { return s.semi }) {
+		d.semi++
+	}
+	// read marks the tables the nodes above the join read a column of.
+	read := map[string]bool{q.by.t: true}
+	for _, it := range q.items {
+		if it.star && it.agg == "" {
+			for _, name := range q.leaves() {
+				read[name] = true
+			}
+		} else if !it.star {
+			read[it.e.l.t], read[it.e.r.t] = true, true
+		}
+	}
+	for _, r := range q.group {
+		read[r.t] = true
 	}
 	// col is the column of table a that joins table b.
 	col := func(a, b string) int {
@@ -1162,6 +1184,11 @@ func (d *driver) filters(q *dQuery, c *cell) string {
 			empty = empty || n == 0
 			if want := map[bool]string{true: "bitmap", false: "range"}[n == 0 || uint64(hi-lo)+1 <= 64*uint64(n)]; c.budget == 0 && s.kind != want {
 				why = append(why, fmt.Sprintf("join %d (%s on %s) published a %s filter, want %s", k+1, s.build, name, s.kind, want))
+			}
+			answered := s.kind == "bitmap" && len(set) == n
+			feeds := slices.ContainsFunc(steps, func(o step) bool { return o.on == s.build && !o.semi }) // a probed step reads its keys
+			if want := answered && !read[s.build] && !feeds; s.semi && !answered || c.budget == 0 && s.semi != want {
+				why = append(why, fmt.Sprintf("join %d (%s) ran semi %v over %d keys, %d distinct, want %v", k+1, s.build, s.semi, n, len(set), want))
 			}
 			var kept [][]any
 			for _, r := range rows {
@@ -1328,6 +1355,7 @@ func (d *driver) run() {
 	for what, n := range d.accepted {
 		t.Logf("accepted %d times: %s", n, what)
 	}
+	t.Logf("%d statements ran a semi step", d.semi)
 }
 
 // minimise drops conjuncts, items, joined leaves, GROUP BY keys, ORDER
@@ -1455,6 +1483,9 @@ func TestDifferential(t *testing.T) {
 	d.run()
 	if d.filtered == 0 {
 		t.Fatal("no key filter was held to the semi-join reduction")
+	}
+	if d.semi == 0 {
+		t.Fatal("no statement ran a semi step")
 	}
 }
 

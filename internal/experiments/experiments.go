@@ -190,8 +190,10 @@ func E2() Table {
 }
 
 // e3BandSizes are the build sizes of E3's flat-join band sweep: from an
-// L2-resident table to one past the LLC.
-var e3BandSizes = []int{32_000, 64_000, 128_000, 256_000, 512_000, 1 << 20}
+// L2-resident table to 4M rows, where the flat join's random accesses
+// span far more than a core's share of the LLC, so the sweep brackets
+// the flat/radix crossover.
+var e3BandSizes = []int{32_000, 64_000, 128_000, 256_000, 512_000, 1 << 20, 1 << 21, 1 << 22}
 
 // E3 sweeps radix bits and passes: simulated misses for the clustering
 // phase, plus wall-clock simple vs partitioned hash join (Figure 2). Its

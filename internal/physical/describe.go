@@ -86,7 +86,8 @@ func describe(sb *strings.Builder, n Node) (crossed bool) {
 // every step so far) against the measured output cardinality, the
 // columns its output carries (only those a later step or the nodes
 // above read), and the key filter the build published: its kind, the
-// leaf that applied it, and the rows it saw and kept there.
+// leaf that applied it, and the rows it saw and kept there. A step that
+// filter answered alone, with no table and no probe, is marked semi.
 func (s *ExecStats) Describe() string {
 	var sb strings.Builder
 	for _, sc := range s.Scans {
@@ -123,6 +124,9 @@ func (s *ExecStats) Describe() string {
 		}
 		if j.Grace {
 			sb.WriteString(" [grace: partitioned to disk]")
+		}
+		if j.Semi {
+			sb.WriteString(" [semi: answered by its bitmap filter]")
 		}
 		sb.WriteString("\n")
 	}

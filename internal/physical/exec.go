@@ -621,9 +621,10 @@ type pipeline struct {
 }
 
 // builtStep is one in-memory join step of a stream: its shared table,
-// the probe key and the probe columns it carries.
+// the probe key and the probe columns it carries. A semi step has no
+// table: the stream passes it unchanged.
 type builtStep struct {
-	jb       *vector.JoinBuild
+	jb       *vector.JoinBuild // nil for a semi step
 	probeKey int
 	keep     []int
 	stat     *JoinStat
@@ -634,8 +635,10 @@ type builtStep struct {
 // again.
 func (pl *pipeline) release() {
 	for k := range pl.tables {
-		pl.tables[k].jb.ReleaseMem()
-		pl.tables[k].jb = nil
+		if jb := pl.tables[k].jb; jb != nil {
+			jb.ReleaseMem()
+			pl.tables[k].jb = nil
+		}
 	}
 }
 
@@ -806,8 +809,12 @@ type joinStep struct {
 	buildKeyPos, probeKeyPos int // key positions within each leaf's columns
 	subtree                  int // the steps of build's descendants are steps[subtree:] up to this one
 
-	jb    *vector.JoinBuild // nil once degraded or handed back
+	jb    *vector.JoinBuild // nil once degraded or handed back, and for a semi step
 	grace bool              // joins by grace hash, after every in-memory probe
+	// semi: the step's key filter is exact over unique keys and the
+	// build carries no column, so the filter has answered it. It builds
+	// no table and the stream passes it unprobed.
+	semi bool
 	// mult is the output rows one probe row that passed the step's key
 	// filter yields (JoinBuild.KeyFilter); 1 for a degraded build, which
 	// measured nothing.
@@ -871,13 +878,20 @@ func rootJoinTree(jt *JoinTreeNode, stream int) []joinStep {
 //   - The probes run after the builds, each after the step joining its
 //     probe leaf; of the steps that can go next, the one with the
 //     smallest multiplier first.
+//   - A build that carries no column measures its filter before it is
+//     indexed. When that filter is an exact bitmap over unique keys, it
+//     passes each probe row that has a match, once: the step is a
+//     semi-join it has already computed. Such a semi step builds no
+//     table, the stream passes it unprobed (its output still counted),
+//     and its probe key keeps no column live.
 //
-// Builds charge the governor. An over-grant build degrades its step to
+// Builds charge the governor: keys and payload, then a probed step's
+// table before its filter. An over-grant build degrades its step to
 // grace-hash partitioning, and so do its descendants, whose probe keys
-// live in its columns: their tables are handed back at once, their
-// filters kept. The builds after it degrade without trying memory, so
-// the tables they would hold leave the grace steps, and the operators
-// above the join, their staging. Grace steps run after every in-memory
+// live in its columns, semi steps among them: their tables are handed
+// back at once, their filters kept. The builds after it degrade
+// without trying memory, so the tables they would hold leave the grace
+// steps, and the operators above the join, their staging. Grace steps run after every in-memory
 // probe, serially over disk partitions.
 //
 // A column is live while the nodes above read it (live, over the
@@ -934,14 +948,20 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 	}
 	// lastProbe[v] is the position in the probe order of the last step
 	// probing on virtual column v, -1 for none; until the order is
-	// known, 0 marks a column some step probes on.
+	// known, 0 marks a column some step other than a semi one probes on,
+	// which markProbes sets.
 	lastProbe := make([]int, voff[n])
-	for v := range lastProbe {
-		lastProbe[v] = -1
+	markProbes := func() {
+		for v := range lastProbe {
+			lastProbe[v] = -1
+		}
+		for k := range steps {
+			if !steps[k].semi {
+				lastProbe[voff[steps[k].probe]+steps[k].probeKeyPos] = 0
+			}
+		}
 	}
-	for k := range steps {
-		lastProbe[voff[steps[k].probe]+steps[k].probeKeyPos] = 0
-	}
+	markProbes()
 	// payloadOf lists the columns of leaf li a build carries: those the
 	// nodes above read and the probe keys of the steps joining its
 	// children.
@@ -961,15 +981,30 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 		if opts.Stats != nil {
 			st.stat = &JoinStat{Build: jt.Leaves[st.build].Scan.Table}
 		}
+		payload := payloadOf(st.build)
 		var jb *vector.JoinBuild
+		var preds []vector.Pred
+		var bitmap, unique bool
 		err := memgov.ErrExceeded
 		if !degraded {
-			jb, err = vector.BuildJoinTableGov(mkLeafOp(st.build), st.buildKeyPos, payloadOf(st.build), opts.Gov)
+			jb, err = vector.BuildJoinTableGov(mkLeafOp(st.build), st.buildKeyPos, payload, opts.Gov)
+		}
+		switch {
+		case err != nil:
+		case len(payload) > 0:
+			if err = jb.Index(); err == nil {
+				preds, bitmap, st.mult, _ = jb.KeyFilter(st.probeKeyPos, opts.Gov)
+			}
+		default:
+			preds, bitmap, st.mult, unique = jb.KeyFilter(st.probeKeyPos, opts.Gov)
+			if st.semi = bitmap && unique; !st.semi {
+				if err = jb.Index(); err != nil && bitmap {
+					opts.Gov.Release(int64(8 * len(preds[0].Bits))) // a denied step holds no filter
+				}
+			}
 		}
 		switch {
 		case err == nil:
-			preds, bitmap, mult := jb.KeyFilter(st.probeKeyPos, opts.Gov)
-			st.jb, st.mult = jb, mult
 			if stat := st.stat; stat != nil {
 				stat.BuildRows = int64(jb.Rows())
 				stat.FilterOn, stat.Filter = jt.Leaves[st.probe].Scan.Table, "range"
@@ -983,6 +1018,12 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 				vcounts[st.probe] = cs
 			}
 			vpreds[st.probe] = append(vpreds[st.probe], preds...)
+			if st.semi {
+				jb.ReleaseMem() // the key copy: the filter holds all the step needs
+				markProbes()
+			} else {
+				st.jb = jb
+			}
 		case errors.Is(err, memgov.ErrExceeded) && opts.canSpill():
 			// The build outgrew the grant (its partial charge is already
 			// handed back), or followed one that did.
@@ -991,9 +1032,10 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 					d.jb.ReleaseMem()
 					d.jb = nil
 				}
-				steps[j].grace = true
+				steps[j].grace, steps[j].semi = true, false
 			}
 			st.grace, st.mult, degraded = true, 1, true
+			markProbes()
 		default:
 			return nil, err
 		}
@@ -1014,7 +1056,9 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 			}
 		}
 		joined[next.build] = true
-		lastProbe[voff[next.probe]+next.probeKeyPos] = len(order)
+		if !next.semi {
+			lastProbe[voff[next.probe]+next.probeKeyPos] = len(order)
+		}
 		order = append(order, next)
 	}
 	if opts.Stats != nil {
@@ -1039,10 +1083,13 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 		cur[j] = voff[stream] + j
 	}
 	// probe stacks the in-memory steps' hash-join probes on op, each
-	// counting its output rows into the step's observation.
+	// counting its output rows into the step's observation; a semi step
+	// only counts.
 	probe := func(op vector.Operator, steps []builtStep) vector.Operator {
 		for _, c := range steps {
-			op = &vector.HashJoinOp{Probe: op, ProbeKey: c.probeKey, Shared: c.jb, Keep: c.keep}
+			if c.jb != nil {
+				op = &vector.HashJoinOp{Probe: op, ProbeKey: c.probeKey, Shared: c.jb, Keep: c.keep}
+			}
 			if c.stat != nil {
 				op = &countOp{child: op, ctr: &c.stat.Actual}
 			}
@@ -1060,6 +1107,14 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 			if live.has(v) || lastProbe[v] > s {
 				keep = append(keep, pos)
 			}
+		}
+		if st.semi {
+			// The stream passes unchanged, carrying what it carried.
+			chain = append(chain, builtStep{stat: stat})
+			if stat != nil {
+				stat.Semi, stat.Cols = true, len(keep)
+			}
+			continue
 		}
 		payload := payloadOf(st.build)
 		if !st.grace {

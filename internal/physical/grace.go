@@ -373,6 +373,9 @@ func (o *graceJoinOp) Next() (*vector.Batch, error) {
 			// fails with the typed over-budget error — the fan-out was
 			// sized for the estimate, not a guarantee against skew.
 			jb, err := vector.BuildJoinTableGov(&spillScanOp{f: bf}, o.buildKey, o.payload, o.res)
+			if err == nil {
+				err = jb.Index()
+			}
 			if err != nil {
 				return nil, err
 			}

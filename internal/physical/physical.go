@@ -142,6 +142,7 @@ type JoinStat struct {
 	Actual    int64  // observed output rows (updated atomically during execution)
 	Cols      int    // columns the output carries: those still live past the step
 	Grace     bool   // step degraded to grace-hash partitioning
+	Semi      bool   // its bitmap filter answered the step: no table, no probe
 
 	// The key filter the build published: "bitmap" (exact), "range"
 	// (min/max), or "" when the build degraded before it had keys to

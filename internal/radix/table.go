@@ -22,7 +22,9 @@ import (
 // next[row] links to the previous row with the same key (0 ends the
 // chain), so iteration is LIFO in insertion order. A probe for a unique
 // key resolves within one or two adjacent cache lines, and absent keys
-// terminate at the first empty slot. Load factor stays <= ½.
+// terminate at the first empty slot. Load factor stays <= ½. A table
+// records whether any key repeated: where none did (Unique), every
+// chain is one row long and a probe need not walk it.
 //
 // NULL semantics: a bat.NilInt key marks a missing value and never
 // matches anything, not even another nil (SQL three-valued logic).
@@ -33,6 +35,7 @@ type Table struct {
 	next  []int32 // row id -> previous row with same key, +1; 0 = end
 	shift uint    // 64 - log2(len(slots)); Fibonacci slot = hash >> shift
 	n     int     // rows inserted (nil keys excluded)
+	dup   bool    // some non-nil key was inserted twice
 }
 
 type tslot struct {
@@ -109,6 +112,7 @@ func (t *Table) insert(i int32, k int64, mask uint64) {
 			t.next[i] = h
 			t.slots[s].head = i + 1
 			t.n++
+			t.dup = true
 			return
 		}
 		s = (s + 1) & mask
@@ -118,6 +122,10 @@ func (t *Table) insert(i int32, k int64, mask uint64) {
 // Len returns the number of rows inserted (nil keys are dropped and do
 // not count).
 func (t *Table) Len() int { return t.n }
+
+// Unique reports whether no non-nil key repeated: each First is then
+// the key's only row, and Next of it ends the chain.
+func (t *Table) Unique() bool { return !t.dup }
 
 // First returns the head row id of key's chain, or -1 if absent. A nil
 // key is never present.

@@ -108,3 +108,34 @@ func TestTableBytesCharge(t *testing.T) {
 		}
 	}
 }
+
+// A table is Unique exactly when no non-nil key repeats: nils never
+// count, and a unique table's chains all end after their first row.
+func TestTableUnique(t *testing.T) {
+	for _, tc := range []struct {
+		keys   []int64
+		unique bool
+	}{
+		{nil, true},
+		{[]int64{3, 1, 2}, true},
+		{[]int64{nilKey, 5, nilKey, 6}, true},
+		{[]int64{5, 6, 5}, false},
+		{[]int64{nilKey, 7, 7}, false},
+	} {
+		tab := BuildTable(tc.keys)
+		if tab.Unique() != tc.unique {
+			t.Errorf("%v: Unique = %v, want %v", tc.keys, tab.Unique(), tc.unique)
+		}
+		if !tab.Unique() {
+			continue
+		}
+		for i, k := range tc.keys {
+			if k == nilKey {
+				continue
+			}
+			if r := tab.First(k); r != int32(i) || tab.Next(r) != -1 {
+				t.Errorf("%v: key %d resolves to row %d then %d, want %d alone", tc.keys, k, r, tab.Next(r), i)
+			}
+		}
+	}
+}

@@ -10,16 +10,16 @@ import (
 	"repro/internal/radix"
 )
 
-// JoinBuild is a fully-built, read-only build side of a hash join: the
-// key table plus the payload columns, safe to share across concurrent
-// probe pipelines (it is never mutated after BuildJoinTable returns).
-// The key table is the shared open-addressing core (radix.Table), one
-// flat layout at every build size, with nil keys (bat.NilInt) never
-// matching. A build too large for the query's memory is partitioned
-// above it, by the physical layer's grace-hash re-plan.
+// JoinBuild is the build side of a hash join: the build keys and the
+// payload columns, and once Index has run, the key table over them.
+// Indexed, it is read-only and safe to share across concurrent probe
+// pipelines. The key table is the shared open-addressing core
+// (radix.Table), one flat layout at every build size, with nil keys
+// (bat.NilInt) never matching. A build too large for the query's memory
+// is partitioned above it, by the physical layer's grace-hash re-plan.
 type JoinBuild struct {
-	table *radix.Table
-	keys  []int64 // the build keys by row id, nils included
+	table *radix.Table // nil until Index
+	keys  []int64      // the build keys by row id, nils included
 
 	// Payload storage (DSM): one column per payload column.
 	cols  []Col
@@ -43,21 +43,25 @@ func (jb *JoinBuild) ReleaseMem() {
 	}
 }
 
-// BuildJoinTable drains op (opening and closing it) into a JoinBuild:
-// key column key, payload columns carried into join output. The last
-// argument is ignored: payloads are always kept columnar (the paper's
-// §5 NSM/DSM trade-off is reproduced on internal/layout by experiment
-// E12); it stays so existing callers compile.
+// BuildJoinTable drains op (opening and closing it) into an indexed
+// JoinBuild: key column key, payload columns carried into join output.
+// The last argument is ignored: payloads are always kept columnar (the
+// paper's §5 NSM/DSM trade-off is reproduced on internal/layout by
+// experiment E12); it stays so existing callers compile.
 func BuildJoinTable(op Operator, key int, payload []int, _ bool) (*JoinBuild, error) {
-	return BuildJoinTableGov(op, key, payload, nil)
+	jb, err := BuildJoinTableGov(op, key, payload, nil)
+	if err != nil {
+		return nil, err
+	}
+	return jb, jb.Index()
 }
 
-// BuildJoinTableGov is BuildJoinTable charging the materialized build
-// side (keys, payload cells, then the hash table itself, exactly
-// radix.TableBytes before it is built) against res.
-// A denied charge returns the query's memgov.ErrExceeded with the
-// partial build's memory already handed back; the physical layer may
-// answer by re-planning to a grace-hash join.
+// BuildJoinTableGov drains op like BuildJoinTable but builds no key
+// table: it materializes the keys and the payload cells, charging them
+// against res, and Index adds the table. A denied charge returns the
+// query's memgov.ErrExceeded with the partial build's memory already
+// handed back; the physical layer may answer by re-planning to a
+// grace-hash join.
 func BuildJoinTableGov(op Operator, key int, payload []int, res *memgov.Reservation) (*JoinBuild, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
@@ -108,18 +112,23 @@ func BuildJoinTableGov(op Operator, key int, payload []int, res *memgov.Reservat
 			}
 		}
 	}
-	if res != nil {
-		add := int64(radix.TableBytes(len(keys)))
-		if err := res.Acquire(add); err != nil {
-			jb.ReleaseMem()
-			return nil, err
-		}
-		jb.charged += add
-	}
 	jb.nrows = len(keys)
 	jb.keys = keys
-	jb.table = radix.BuildTable(keys)
 	return jb, nil
+}
+
+// Index builds the key table over the build's keys, charging exactly
+// radix.TableBytes to the build's reservation first. A denied charge
+// hands back everything the build holds and returns the error.
+func (jb *JoinBuild) Index() error {
+	add := int64(radix.TableBytes(len(jb.keys)))
+	if err := jb.res.Acquire(add); err != nil {
+		jb.ReleaseMem()
+		return err
+	}
+	jb.charged += add
+	jb.table = radix.BuildTable(jb.keys)
+	return nil
 }
 
 // bitmapSpanPerKey bounds the exact key filter: a build publishes a
@@ -129,8 +138,9 @@ const bitmapSpanPerKey = 64
 
 // KeyFilter returns the predicates over a probe leaf's key column col
 // that drop rows no build key can match, whether they are an exact
-// bitmap, and the step's multiplier: the output rows one probe row
-// that passes them yields, on average. Dense keys get one PredInBits
+// bitmap, the step's multiplier: the output rows one probe row that
+// passes them yields, on average, and whether the bitmap found every
+// non-nil build key distinct. Dense keys get one PredInBits
 // over [min, max], its bytes charged to res; sparse keys, or a bitmap
 // res denies, get the range [min, max] as PredGe and the nil-skipping
 // PredLeNil. Neither lets a nil key through, and a build without keys
@@ -140,8 +150,9 @@ const bitmapSpanPerKey = 64
 // fan-out, Rows ÷ distinct non-nil keys (the bitmap's population). A
 // range passes distinct ÷ (max − min + 1) of its rows, taking probe
 // keys as spread evenly over it, so its multiplier is Rows ÷ (max −
-// min + 1): the distinct count cancels and is never taken.
-func (jb *JoinBuild) KeyFilter(col int, res *memgov.Reservation) ([]Pred, bool, float64) {
+// min + 1): the distinct count cancels and is never taken, so a range
+// never reports its keys unique. Nil keys neither count nor repeat.
+func (jb *JoinBuild) KeyFilter(col int, res *memgov.Reservation) (preds []Pred, bitmap bool, mult float64, unique bool) {
 	lo, hi, n := int64(math.MaxInt64), bat.NilInt, uint64(0) // nil sorts below every key
 	for _, k := range jb.keys {
 		if k != bat.NilInt {
@@ -149,7 +160,7 @@ func (jb *JoinBuild) KeyFilter(col int, res *memgov.Reservation) ([]Pred, bool, 
 		}
 	}
 	if n == 0 {
-		return []Pred{{ColIdx: col, Op: PredInBits}}, true, 0
+		return []Pred{{ColIdx: col, Op: PredInBits}}, true, 0, true
 	}
 	span := uint64(hi-lo) + 1
 	if span <= bitmapSpanPerKey*n {
@@ -166,10 +177,10 @@ func (jb *JoinBuild) KeyFilter(col int, res *memgov.Reservation) ([]Pred, bool, 
 					}
 				}
 			}
-			return []Pred{{ColIdx: col, Op: PredInBits, IntVal: lo, Bits: bits}}, true, float64(jb.nrows) / float64(distinct)
+			return []Pred{{ColIdx: col, Op: PredInBits, IntVal: lo, Bits: bits}}, true, float64(jb.nrows) / float64(distinct), uint64(distinct) == n
 		}
 	}
-	return []Pred{{ColIdx: col, Op: PredGe, IntVal: lo}, {ColIdx: col, Op: PredLeNil, IntVal: hi}}, false, float64(jb.nrows) / float64(span)
+	return []Pred{{ColIdx: col, Op: PredGe, IntVal: lo}, {ColIdx: col, Op: PredLeNil, IntVal: hi}}, false, float64(jb.nrows) / float64(span), false
 }
 
 // HashJoinOp is a vectorized equi-join on int64 keys: probe batches
@@ -181,7 +192,7 @@ func (jb *JoinBuild) KeyFilter(col int, res *memgov.Reservation) ([]Pred, bool, 
 type HashJoinOp struct {
 	Probe    Operator
 	ProbeKey int        // key column index in probe batches
-	Shared   *JoinBuild // the build side, from BuildJoinTable(Gov)
+	Shared   *JoinBuild // the build side, indexed (JoinBuild.Index)
 	// Keep lists the probe columns carried into the output, in order;
 	// nil carries every one. A column nothing downstream reads is never
 	// copied.
@@ -213,20 +224,34 @@ func (j *HashJoinOp) Next() (*Batch, error) {
 			j.probeRows, j.buildRows = make([]int32, n), make([]int32, n)
 		}
 		// Walk each key's chain inline: no closure call per candidate in
-		// the hottest probe loop.
+		// the hottest probe loop. Over unique keys a chain is one row, so
+		// that loop neither walks nor grows.
 		m, ht := 0, jb.table
 		pr, br := j.probeRows, j.buildRows
-		for k, n := 0, b.Rows(); k < n; k++ {
-			i := int32(k)
-			if b.Sel != nil {
-				i = b.Sel[k]
-			}
-			for bid := ht.First(keys[i]); bid >= 0; bid = ht.Next(bid) {
-				if m == len(pr) {
-					pr, br = j.grow()
+		if ht.Unique() {
+			for k, n := 0, b.Rows(); k < n; k++ {
+				i := int32(k)
+				if b.Sel != nil {
+					i = b.Sel[k]
 				}
-				pr[m], br[m] = i, bid
-				m++
+				if bid := ht.First(keys[i]); bid >= 0 {
+					pr[m], br[m] = i, bid
+					m++
+				}
+			}
+		} else {
+			for k, n := 0, b.Rows(); k < n; k++ {
+				i := int32(k)
+				if b.Sel != nil {
+					i = b.Sel[k]
+				}
+				for bid := ht.First(keys[i]); bid >= 0; bid = ht.Next(bid) {
+					if m == len(pr) {
+						pr, br = j.grow()
+					}
+					pr[m], br[m] = i, bid
+					m++
+				}
 			}
 		}
 		pr, br = pr[:m], br[:m]

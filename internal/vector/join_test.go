@@ -218,9 +218,9 @@ func TestJoinLargeBuild(t *testing.T) {
 }
 
 // A governed build charges exactly what it holds: 8 bytes of key and 8
-// per payload cell for every row, plus the key table radix.BuildTable
-// allocates. Sizes on both sides of a power of two, where the slot array
-// doubles, included.
+// per payload cell for every row, and Index then exactly the key table
+// radix.BuildTable allocates. Sizes on both sides of a power of two,
+// where the slot array doubles, included.
 func TestJoinBuildCharge(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 1023, 1024, 1025, 4097} {
 		for _, payload := range [][]int{nil, {1}, {0, 1}} {
@@ -233,12 +233,23 @@ func TestJoinBuildCharge(t *testing.T) {
 				t.Fatal(err)
 			}
 			res := memgov.New(1<<30, memgov.Reject)
-			if _, err := BuildJoinTableGov(NewScan(src, 256), 0, payload, res); err != nil {
+			jb, err := BuildJoinTableGov(NewScan(src, 256), 0, payload, res)
+			if err != nil {
 				t.Fatal(err)
 			}
-			want := int64(n*(8+8*len(payload)) + radix.TableBytes(n))
-			if got := res.Used(); got != want {
-				t.Errorf("n=%d, %d payload columns: charged %d B, want %d", n, len(payload), got, want)
+			built := int64(n * (8 + 8*len(payload)))
+			if got := res.Used(); got != built {
+				t.Errorf("n=%d, %d payload columns: build charged %d B, want %d", n, len(payload), got, built)
+			}
+			if err := jb.Index(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res.Used()-built, int64(radix.TableBytes(n)); got != want {
+				t.Errorf("n=%d, %d payload columns: Index charged %d B, want %d", n, len(payload), got, want)
+			}
+			jb.ReleaseMem()
+			if got := res.Used(); got != 0 {
+				t.Errorf("n=%d, %d payload columns: %d B still charged after ReleaseMem", n, len(payload), got)
 			}
 		}
 	}
@@ -247,8 +258,9 @@ func TestJoinBuildCharge(t *testing.T) {
 // A build's key filter keeps exactly the probe rows that can match: with
 // a bitmap, the non-nil keys the build holds; with the range fallback
 // (sparse keys, or a bitmap the reservation denies), the non-nil keys in
-// [min, max]. Keys at both ends of the int64 domain and nils on both
-// sides included.
+// [min, max]. A bitmap reports the keys unique exactly when no non-nil
+// key repeats; a range never does. Keys at both ends of the int64
+// domain and nils on both sides included.
 func TestJoinKeyFilterKeepsMatchableRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	edge := []int64{math.MaxInt64, math.MaxInt64 - 1, bat.NilInt + 1, bat.NilInt + 2, 0, -1}
@@ -261,7 +273,7 @@ func TestJoinKeyFilterKeepsMatchableRows(t *testing.T) {
 		}
 		return rng.Int63n(span) - span/4
 	}
-	kinds := map[bool]int{}
+	kinds, uniques := map[bool]int{}, map[bool]int{}
 	for trial := 0; trial < 200; trial++ {
 		span := []int64{8, 300, 1 << 40}[trial%3]
 		base := []int64{0, math.MaxInt64 - 500, bat.NilInt + 1}[trial/3%3]
@@ -290,13 +302,19 @@ func TestJoinKeyFilterKeepsMatchableRows(t *testing.T) {
 		if trial%5 == 0 {
 			res = memgov.New(1, memgov.Reject) // no room for a bitmap
 		}
-		preds, bitmap, mult := jb.KeyFilter(0, res)
+		preds, bitmap, mult, unique := jb.KeyFilter(0, res)
 		kinds[bitmap]++
-		keys, lo, hi := map[int64]bool{}, int64(math.MaxInt64), bat.NilInt
+		keys, lo, hi, nonNil := map[int64]bool{}, int64(math.MaxInt64), bat.NilInt, 0
 		for _, k := range build {
 			if k != bat.NilInt {
-				keys[k], lo, hi = true, min(lo, k), max(hi, k)
+				keys[k], lo, hi, nonNil = true, min(lo, k), max(hi, k), nonNil+1
 			}
+		}
+		if want := bitmap && len(keys) == nonNil; unique != want {
+			t.Fatalf("trial %d (bitmap=%v, build %v): unique %v, want %v", trial, bitmap, build, unique, want)
+		}
+		if bitmap {
+			uniques[unique]++
 		}
 		if res != nil && bitmap && len(keys) > 0 {
 			t.Fatalf("trial %d: a bitmap the reservation cannot hold", trial)
@@ -335,7 +353,7 @@ func TestJoinKeyFilterKeepsMatchableRows(t *testing.T) {
 			t.Fatalf("trial %d (bitmap=%v, build %v): kept %v, want %v", trial, bitmap, build, got, want)
 		}
 	}
-	if kinds[true] < 20 || kinds[false] < 20 {
-		t.Fatalf("filter kinds drawn: %v", kinds)
+	if kinds[true] < 20 || kinds[false] < 20 || uniques[true] < 10 || uniques[false] < 10 {
+		t.Fatalf("filter kinds drawn: %v, bitmaps over unique keys: %v", kinds, uniques)
 	}
 }
