@@ -164,7 +164,28 @@
 //     the grace-hash partitioner's row routing. Every parallel GROUP BY
 //     runs one plan: per-worker partial tables merged by key
 //     (vector.MergeGroups), re-planned to grace hash when a table
-//     outgrows the query's memory grant.
+//     outgrows the query's memory grant, each grace partition's table
+//     sized from the rows it holds.
+//
+//   - The grouping table has two layouts of one contract. A single INT
+//     key whose values are known to lie in [lo, hi] is its own group
+//     id's address (radix.NewDenseGroupTable): an int32 slot array
+//     indexed by key − lo holds gid+1, one more slot holds NULL's, and
+//     a row costs a subtract, an unsigned compare and a load — no
+//     hash, no probe, no regrowth (MonetDB's positional lookup on a
+//     dense key, X100's direct aggregation). Keys, gids and their
+//     first-seen order are the hash layout's, so both emit the same
+//     batch for the same input; a key outside [lo, hi] converts the
+//     table in place to hashing, gids kept. The physical layer picks
+//     the layout per execution from the snapshot (physical.keyDomain):
+//     the key is a base column, directly or as a column reference of
+//     the aggregate's expression projection, on a single table or a
+//     join leaf, whose zone maps cover every row of its leaf, and its
+//     zone-map range plus NULL takes at most 1<<16 slots and no more
+//     than the rows the stream scans. Workers and their merge share
+//     the domain; accumulators over a column the snapshot proves
+//     nil-free take the nil-blind kernels, and alike accumulators fold
+//     once. \plan's group line names the layout taken.
 //
 // # Physical plans
 //
@@ -253,7 +274,8 @@
 // unspecified.
 // \plan renders the pipeline and, from one instrumented execution of a
 // statement without placeholders, what data skipping left of each scan
-// (decided at bind) and for joins the observed order:
+// (decided at bind), for a GROUP BY the layout its tables took, and for
+// joins the observed order:
 //
 //	\plan SELECT x FROM t WHERE y > 1 ORDER BY x DESC LIMIT 3
 //	vectorized pipeline (physical plan, morsel-parallel exchange):
@@ -266,8 +288,11 @@
 //
 //	\plan SELECT t.x, u.w FROM t JOIN u ON t.k = u.k
 //	vectorized pipeline (physical plan, morsel-parallel exchange):
-//	    build: scan u -> join-table[key col0]
-//	    probe: scan t -> hash-join[key col1, shared table] -> project -> exchange
+//	    build: scan u -> join-table[key col0] or semi
+//	    probe: scan t -> hash-join[key col1, shared table] or semi
+//	    (stream leaf and join order chosen per execution by the sampled greedy orderer;
+//	    a semi step, a payload-free build over unique keys, is answered by its bitmap filter: no table, no probe)
+//	    -> project -> exchange
 //	scan t: 10/10 zones, 10000/10000 rows
 //	scan u: 1/1 zones, 100/100 rows
 //	join order (greedy, from the measured builds):
@@ -278,6 +303,11 @@
 //	vectorized pipeline (physical plan, morsel-parallel exchange):
 //	    scan t -> group-by[col0,col1] partial-agg -> exchange -> merge by key
 //	scan t: 10/10 zones, 10000/10000 rows
+//	group: 10000 rows in, 2400 groups, hash, 2 partials merged
+//
+// (GROUP BY a alone, a's zone-map range [0,99] covering every row,
+// reads "group: 10000 rows in, 100 groups, dense [0,99], 2 partials
+// merged")
 //
 // # Result contract
 //

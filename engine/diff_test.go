@@ -40,10 +40,9 @@ const diffBudget, graceBudget = 64 << 10, 256 << 10
 
 // knownFailures are the shapes of statement for which the driver
 // accepts ErrOverBudget, at diffBudget only; every acceptance is
-// counted and logged. Fixing one means deleting its entry. All three
-// are ROADMAP item 7: a grace re-plan keeps what its neighbours hold,
-// so at diffBudget the operator it degrades can get less than its
-// staging.
+// counted and logged. Fixing one means deleting its entry. Both are
+// ROADMAP item 7: a grace re-plan keeps what its neighbours hold, so at
+// diffBudget the operator it degrades can get less than its staging.
 var knownFailures = []struct {
 	what  string
 	shape func(q *dQuery) bool
@@ -51,9 +50,6 @@ var knownFailures = []struct {
 	{"GROUP BY over an in-memory join", func(q *dQuery) bool { return len(q.joins) > 0 && len(q.group) > 0 }},
 	{"a later join step building dh after in-memory builds", func(q *dQuery) bool {
 		return len(q.joins) > 1 && slices.Contains(q.leaves(), "dh")
-	}},
-	{"a grace GROUP BY on both keys of dh", func(q *dQuery) bool {
-		return slices.Contains(q.group, dRef{"dh", "k"}) && slices.Contains(q.group, dRef{"dh", "p"})
 	}},
 }
 

@@ -139,3 +139,29 @@ func TestSemiJoinStepsMatchMAL(t *testing.T) {
 	check(budgeted, "SELECT f.v, du.p FROM f JOIN du ON f.a = du.k", nil, map[string]string{"du": "range"})
 	check(budgeted, "SELECT f.v FROM f JOIN du ON f.a = du.k", []string{"du"}, nil)
 }
+
+// A NULL build key matches nothing, so it adds nothing to a step's
+// multiplier: joining 16 fact rows to keys 1, 2, 3 and six NULLs, the
+// estimate is the 9 rows the bitmap lets through, once each, probed or
+// semi.
+func TestKeyFilterEstimateSkipsNullBuildKeys(t *testing.T) {
+	db, err := openSized(512, 64, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, "CREATE TABLE f (k INT, v INT)")
+	mustExec(t, db, "CREATE TABLE d (k INT, p INT)")
+	mustExec(t, db, "INSERT INTO f VALUES (1, 1), (2, 2), (3, 3), (1, 4), (2, 5), (3, 6), (1, 7), (2, 8), (3, 9), "+
+		"(10, 1), (11, 1), (12, 1), (13, 1), (14, 1), (15, 1), (16, 1)")
+	mustExec(t, db, "INSERT INTO d VALUES (1, 1), (2, 2), (3, 3), (NULL, 4), (NULL, 5), (NULL, 6), (NULL, 7), (NULL, 8), (NULL, 9)")
+	for _, q := range []string{"SELECT f.v, d.p FROM f JOIN d ON f.k = d.k", "SELECT count(*) FROM f JOIN d ON f.k = d.k"} {
+		plan, err := db.Conn().Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "join 1: build d (9 rows), est 9 rows -> actual 9 rows") {
+			t.Fatalf("%s: want est 9 rows -> actual 9 rows\n%s", q, plan)
+		}
+	}
+}

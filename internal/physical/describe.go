@@ -77,7 +77,10 @@ func describe(sb *strings.Builder, n Node) (crossed bool) {
 // Describe renders what one instrumented execution observed: per leaf,
 // what data skipping left of its scan (the row range binary search on
 // sorted columns cut it to, if any, and whether it streamed inline on
-// the caller's goroutine rather than through an Exchange); for an ORDER
+// the caller's goroutine rather than through an Exchange); for a GROUP
+// BY, the rows its tables folded, the groups out, the layout the tables
+// took (direct-address over the key's zone-map domain, or hashed) and
+// the partials the merge folded, or the grace partitions; for an ORDER
 // BY, how many rows reached the sort, how many of them a LIMIT's cutoff
 // let through, and what came out; then, for a join, which leaf the
 // orderer streamed (the largest in a sample of its scan) and per join
@@ -102,6 +105,17 @@ func (s *ExecStats) Describe() string {
 			fmt.Fprintf(&sb, ", %d tombstoned", sc.Deleted)
 		}
 		sb.WriteString("\n")
+	}
+	if g := s.Group; g != nil {
+		fmt.Fprintf(&sb, "group: %d rows in, %d groups, %s", g.RowsIn.Load(), g.Groups, g.Layout)
+		if c := g.Converted.Load(); c > 0 {
+			fmt.Fprintf(&sb, " (%d tables converted to hash)", c)
+		}
+		if g.Partitions > 0 {
+			fmt.Fprintf(&sb, ", %d grace partitions\n", g.Partitions)
+		} else {
+			fmt.Fprintf(&sb, ", %d partials merged\n", g.Partials.Load())
+		}
 	}
 	if st := s.Sort; st != nil {
 		fmt.Fprintf(&sb, "sort %s: %d rows in, ", st.Input, st.RowsIn.Load())
@@ -134,20 +148,24 @@ func (s *ExecStats) Describe() string {
 }
 
 // describeJoinTree renders an N-way join tree: one build line per edge
-// in textual order, then the probe chain. Ends mid-line so the caller
-// appends the post-stage.
+// in textual order, then the probe chain. Whether a step builds a table
+// and probes it, or is a semi step its build's bitmap filter answers
+// alone, is decided per execution from the measured build, so each
+// step reads as either. Ends mid-line so the caller appends the
+// post-stage.
 func describeJoinTree(sb *strings.Builder, jt *JoinTreeNode) {
 	for _, e := range jt.Edges {
 		sb.WriteString("    build: ")
 		describeLeaf(sb, &jt.Leaves[e.B])
-		fmt.Fprintf(sb, " -> join-table[key col%d]\n", e.BKey)
+		fmt.Fprintf(sb, " -> join-table[key col%d] or semi\n", e.BKey)
 	}
 	sb.WriteString("    probe: ")
 	describeLeaf(sb, &jt.Leaves[0])
 	for _, e := range jt.Edges {
-		fmt.Fprintf(sb, " -> hash-join[key col%d, shared table]", e.AKey)
+		fmt.Fprintf(sb, " -> hash-join[key col%d, shared table] or semi", e.AKey)
 	}
-	sb.WriteString("\n    (stream leaf and join order chosen per execution by the sampled greedy orderer)")
+	sb.WriteString("\n    (stream leaf and join order chosen per execution by the sampled greedy orderer;")
+	sb.WriteString("\n    a semi step, a payload-free build over unique keys, is answered by its bitmap filter: no table, no probe)")
 	sb.WriteString("\n   ")
 }
 

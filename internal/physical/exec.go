@@ -1150,7 +1150,9 @@ func (p *Plan) joinPipeline(ctx context.Context, snap *sqlfe.Snapshot, args []an
 				return nil, err
 			}
 			if stat != nil {
-				stat.BuildRows = bRows
+				for _, r := range bRows {
+					stat.BuildRows += r
+				}
 			}
 			mkSerial = func() vector.Operator {
 				var op vector.Operator = &graceJoinOp{
@@ -1335,9 +1337,34 @@ func (pl *pipeline) sort(sn *SortNode, input string) {
 	pl.mkSerial = func() vector.Operator { return merge }
 }
 
+// aggExec is a GroupAggNode resolved against one execution's pipeline:
+// the accumulators its Aggs fold, the key positions, and the optional
+// Pre expression projection every fragment wraps its input in.
+type aggExec struct {
+	g *GroupAggNode
+	// specs fold each (kind, column) once: node accumulator i is
+	// specs[at[i]].
+	specs  []vector.AggSpec
+	at     []int
+	keyIdx []int
+	pre    []vector.Expr // Pre, remapped to the stream's layout
+}
+
+// wrap puts the Pre projection, if any, over a fragment's input.
+func (ax *aggExec) wrap(op vector.Operator) vector.Operator {
+	if ax.pre != nil {
+		return &vector.Project{Child: op, Exprs: ax.pre}
+	}
+	return op
+}
+
 // aggSetup resolves a GroupAggNode's accumulators and optional Pre
 // expression projection against the pipeline's intermediate layout.
-func aggSetup(g *GroupAggNode, pl *pipeline) (specs []vector.AggSpec, wrap func(vector.Operator) vector.Operator, keyIdx []int) {
+// An accumulator over a column this snapshot proves nil-free takes the
+// nil-blind kernel, as predOp does for predicates: a nil-skipping sum
+// becomes a plain sum, and a non-nil count becomes count(*), which
+// reads no column. Accumulators that end up alike fold once.
+func aggSetup(g *GroupAggNode, pl *pipeline) *aggExec {
 	pre := g.Pre
 	if pre != nil && pl.remap != nil {
 		pre = make([]vector.Expr, len(g.Pre))
@@ -1345,29 +1372,82 @@ func aggSetup(g *GroupAggNode, pl *pipeline) (specs []vector.AggSpec, wrap func(
 			pre[i] = remapExpr(e, pl.remap)
 		}
 	}
-	specs = make([]vector.AggSpec, len(g.Accs))
+	idx := make([]int, len(g.Accs)+len(g.Keys))
+	ax := &aggExec{g: g, specs: make([]vector.AggSpec, 0, len(g.Accs)), at: idx[:len(g.Accs)], keyIdx: idx[len(g.Accs):], pre: pre}
 	for i, a := range g.Accs {
-		col := a.Col
-		if col >= 0 && pre == nil {
-			col = pl.pos(col)
+		kind, col := a.Kind, a.Col
+		if col >= 0 {
+			if bs, c, ok := pl.baseCol(g, col); ok && bs.noNil[c] {
+				kind = nilBlind(kind)
+			}
+			if kind == vector.AggCount {
+				col = -1
+			} else if pre == nil {
+				col = pl.pos(col)
+			}
 		}
-		specs[i] = vector.AggSpec{Kind: a.Kind, Col: col}
+		spec := vector.AggSpec{Kind: kind, Col: col}
+		if ax.at[i] = slices.Index(ax.specs, spec); ax.at[i] < 0 {
+			ax.at[i] = len(ax.specs)
+			ax.specs = append(ax.specs, spec)
+		}
 	}
-	keyIdx = make([]int, len(g.Keys))
 	for i, k := range g.Keys {
 		if pre != nil {
-			keyIdx[i] = k // keys lead the Pre projection already
+			ax.keyIdx[i] = k // keys lead the Pre projection already
 		} else {
-			keyIdx[i] = pl.pos(k)
+			ax.keyIdx[i] = pl.pos(k)
 		}
 	}
-	wrap = func(op vector.Operator) vector.Operator {
-		if pre != nil {
-			return &vector.Project{Child: op, Exprs: pre}
-		}
-		return op
+	return ax
+}
+
+// nilBlind is the kind an accumulator takes over a nil-free column.
+func nilBlind(k vector.AggKind) vector.AggKind {
+	switch k {
+	case vector.AggSumIntNil:
+		return vector.AggSumInt
+	case vector.AggSumFloatNil:
+		return vector.AggSumFloat
+	case vector.AggCountNNInt, vector.AggCountNNFloat:
+		return vector.AggCount
 	}
-	return specs, wrap, keyIdx
+	return k
+}
+
+// baseCol resolves column c of g's input — a Pre output when g has a
+// Pre projection, else a virtual position of the stream — to the leaf
+// and leaf column it carries unchanged. ok is false for an expression,
+// and for a stream an aggregation or a projection already reshaped.
+func (pl *pipeline) baseCol(g *GroupAggNode, c int) (bs *boundScan, col int, ok bool) {
+	if pl.leaves == nil {
+		return nil, 0, false
+	}
+	if g.Pre != nil {
+		ref, isRef := g.Pre[c].(vector.ColRef)
+		if !isRef {
+			return nil, 0, false
+		}
+		c = ref.Idx
+	}
+	leaf := 0
+	for pl.voff != nil && c >= pl.voff[leaf+1] {
+		leaf++
+	}
+	if pl.voff != nil {
+		c -= pl.voff[leaf]
+	}
+	return pl.leaves[leaf], c, true
+}
+
+// intZones is the zone map of INT leaf column col when it covers every
+// row of the leaf, so its bounds hold for every value the scan reads;
+// nil otherwise.
+func (bs *boundScan) intZones(col int) *sqlfe.ZoneMap {
+	if bs.src.Cols[col].Kind != vector.KindInt || bs.zoned != bs.src.Len() {
+		return nil
+	}
+	return bs.zones[col]
 }
 
 // group aggregates the stream per group of its keys — a partial
@@ -1378,24 +1458,37 @@ func aggSetup(g *GroupAggNode, pl *pipeline) (specs []vector.AggSpec, wrap func(
 // re-plans to grace hash before any row is returned.
 func (pl *pipeline) group(g *GroupAggNode) error {
 	opts := pl.opts
-	specs, wrap, keyIdx := aggSetup(g, pl)
+	ax := aggSetup(g, pl)
 	// A global aggregate's state is one row: it charges nothing, so it
 	// never re-plans.
 	res := opts.Gov
-	if len(keyIdx) == 0 {
+	if len(ax.keyIdx) == 0 {
 		res = nil
 	}
 	groups := pl.groupsBound(g)
+	dom := pl.keyDomain(g)
+	var stat *GroupStat
+	if opts.Stats != nil && len(g.Keys) > 0 {
+		stat = &GroupStat{Layout: "hash"}
+		if dom != nil {
+			stat.Layout = fmt.Sprintf("dense [%d,%d]", dom.Lo, dom.Hi)
+		}
+		opts.Stats.Group = stat
+	}
+	var agst *vector.AggStats
+	if stat != nil {
+		agst = &stat.AggStats
+	}
 	op, parts := pl.run(opts.workers(), false, func(in vector.Operator) vector.Operator {
-		return &vector.Agg{Child: wrap(in), Keys: keyIdx, Aggs: specs, Res: res, Groups: groups}
+		return &vector.Agg{Child: ax.wrap(in), Keys: ax.keyIdx, Aggs: ax.specs, Res: res, Groups: groups, Domain: dom, Stats: agst}
 	})
 	if parts {
 		// Merge the workers' partials by key (sums and counts add, min/max
 		// re-fold nil-aware). One serial pass needs no second table: its
 		// Agg already holds every group's totals. The workers' groups
-		// obey the same bound.
-		merge := vector.MergeGroups(op, len(keyIdx), specs, res)
-		merge.Groups = groups
+		// obey the same bound, and their keys the same domain.
+		merge := vector.MergeGroups(op, len(ax.keyIdx), ax.specs, res)
+		merge.Groups, merge.Domain, merge.Stats = groups, dom, agst
 		op = merge
 	}
 	merged, err := drainOne(op)
@@ -1405,16 +1498,53 @@ func (pl *pipeline) group(g *GroupAggNode) error {
 		// The grouping table outgrew the grant mid-build: re-plan to
 		// grace-hash partitioning (the failed attempt already handed its
 		// memory back on the way out).
-		mk := func() vector.Operator { return wrap(pl.serial()) }
-		out, err = graceGrouped(pl.ctx, opts, mk, pl.release, pl.src.ScanRows(), keyIdx, g, specs)
+		mk := func() vector.Operator { return ax.wrap(pl.serial()) }
+		out, err = graceGrouped(pl.ctx, opts, mk, pl.release, pl.src.ScanRows(), ax, stat)
 	case err == nil:
-		out = &batchOp{b: vector.Batch{N: merged.N, Cols: shapeGrouped(merged, g)}, size: opts.VectorSize}
+		if stat != nil {
+			stat.Groups = merged.N
+		}
+		out = &batchOp{b: vector.Batch{N: merged.N, Cols: ax.shape(merged)}, size: opts.VectorSize}
 	}
 	if err != nil {
 		return err
 	}
 	pl.mkSerial, pl.remap, pl.width, pl.tables, pl.leaves = func() vector.Operator { return out }, nil, len(g.Outs), nil, nil
 	return nil
+}
+
+// denseSlots caps the direct-address layout: 1<<16 slots are 256 KiB of
+// int32 per table, a worker's and the merge's alike.
+const denseSlots = 1 << 16
+
+// keyDomain is the direct-address domain of g's key, or nil when the
+// key is hashed. It takes one INT key that is a base column (directly
+// or as a Pre column reference, on a single table or a join leaf) of a
+// leaf with no rows past its zone maps, whose zone-map range plus the
+// NULL slot takes at most denseSlots slots and no more than the rows
+// the stream scans (a join's stream leaf's): a table no bigger than its
+// input, filled with positions rather than hashes.
+func (pl *pipeline) keyDomain(g *GroupAggNode) *radix.Domain {
+	if len(g.Keys) != 1 {
+		return nil
+	}
+	bs, col, ok := pl.baseCol(g, g.Keys[0])
+	if !ok {
+		return nil
+	}
+	zm := bs.intZones(col)
+	if zm == nil {
+		return nil
+	}
+	lo, hi, ok := zm.IntBounds()
+	if !ok {
+		return nil
+	}
+	d := radix.Domain{Lo: lo, Hi: hi}
+	if n := d.Slots(); n > denseSlots || n > uint64(pl.src.ScanRows()) {
+		return nil
+	}
+	return &d
 }
 
 // groupsBound bounds the groups g can form over the stream, so the
@@ -1434,24 +1564,13 @@ func (pl *pipeline) groupsBound(g *GroupAggNode) int {
 		bound = min(bound, max(1, pl.src.ScanRows()))
 	}
 	span := 1
-	for i, k := range g.Keys {
-		if g.Pre != nil {
-			ref, ok := g.Pre[i].(vector.ColRef) // keys lead the Pre projection
-			if !ok {
-				return bound
-			}
-			k = ref.Idx
+	for _, k := range g.Keys {
+		bs, col, ok := pl.baseCol(g, k)
+		if !ok {
+			return bound
 		}
-		leaf, col := 0, k
-		for pl.voff != nil && k >= pl.voff[leaf+1] {
-			leaf++
-		}
-		if pl.voff != nil {
-			col = k - pl.voff[leaf]
-		}
-		bs := pl.leaves[leaf]
-		zm := bs.zones[col]
-		if zm == nil || bs.src.Cols[col].Kind != vector.KindInt || bs.zoned != bs.src.Len() {
+		zm := bs.intZones(col)
+		if zm == nil {
 			return bound
 		}
 		lo, hi, ok := zm.IntBounds()
@@ -1464,14 +1583,15 @@ func (pl *pipeline) groupsBound(g *GroupAggNode) int {
 	return min(bound, span)
 }
 
-// shapeGrouped shapes a merged [keys..., accs...] aggregate batch into
+// shape shapes a merged [keys..., specs...] aggregate batch into
 // the node's output columns with SQL NULL semantics (nil sentinels
 // render as NULL): sum/avg over zero non-nil inputs is NULL, as is
 // min/max over none.
-func shapeGrouped(merged *vector.Batch, g *GroupAggNode) []vector.Col {
+func (ax *aggExec) shape(merged *vector.Batch) []vector.Col {
+	g := ax.g
 	nk := len(g.Keys)
 	n := merged.N
-	accCol := func(i int) *vector.Col { return &merged.Cols[i+nk] }
+	accCol := func(i int) *vector.Col { return &merged.Cols[nk+ax.at[i]] }
 	out := make([]vector.Col, len(g.Outs))
 	for i, o := range g.Outs {
 		switch {

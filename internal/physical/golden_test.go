@@ -73,6 +73,19 @@ var regenerated = []string{
 	"SELECT sum(t.b) FROM t JOIN u ON t.a = u.a",
 	"SELECT t.a, sum(u.w + t.b), avg(u.g * 2) FROM t JOIN u ON t.a = u.a GROUP BY t.a",
 	"SELECT t.b, z.y, avg(u.g) FROM t JOIN u ON t.a = u.a JOIN z ON u.a = z.a GROUP BY t.b, z.y",
+	// Every join's build and probe steps read "or semi", and the note
+	// under them says what a semi step is: whether a step builds a
+	// table is decided per execution. Nothing else changed (the five
+	// join statements above were rewritten once more for this).
+	"SELECT t.b, u.w FROM t JOIN u ON t.a = u.a WHERE b > 0",
+	"SELECT t.b, u.w FROM t JOIN u ON u.a = t.a",
+	"SELECT b, w FROM t JOIN u ON a = a",
+	"SELECT t.b, u.w, z.y FROM t JOIN u ON t.a = u.a JOIN z ON u.a = z.a",
+	"SELECT t.b, u.w, z.y FROM t JOIN u ON t.a = u.a JOIN z ON t.b = z.y WHERE y > 0 AND u.w < 100",
+	"SELECT t.b, u.w FROM t JOIN u ON t.a = u.a ORDER BY w",
+	"SELECT t.b, u.w FROM t JOIN u ON t.a = u.a ORDER BY w DESC LIMIT 5",
+	"SELECT t.b FROM t JOIN u ON t.a = u.a ORDER BY g LIMIT 30",
+	"SELECT t.b AS p, u.w AS q FROM t JOIN u ON t.a = u.a JOIN z ON u.a = z.a ORDER BY p LIMIT 100",
 }
 
 // golden renders what both back-ends make of one statement: the bind

@@ -152,14 +152,15 @@ func appendRowCell(dst, src *vector.Col, i int32) {
 // partitionOp runs op (any chain — a leaf pipeline, a join chain's
 // serial intermediate, a Pre expression projection) to completion,
 // scattering its rows into 1<<bits spill partitions by the radix hash
-// of the key column(s); the second result is the total rows written.
+// of the key column(s); the second result is the rows written to each
+// partition.
 // Partition files carry the chain columns cols, in that order: the
 // ones the consumer reads, whose positions it takes from cols. A
 // partition that receives no rows stays nil (no file is ever created
 // for it). The bounded per-partition staging buffers are charged to the
 // reservation for the duration of the pass — a budget too small even
 // for those fails the query with the usual typed error.
-func partitionOp(ctx context.Context, opts Options, op vector.Operator, cols, keyCols []int, bits int, label string) ([]*spill.File, int64, error) {
+func partitionOp(ctx context.Context, opts Options, op vector.Operator, cols, keyCols []int, bits int, label string) ([]*spill.File, []int64, error) {
 	ncols := len(cols)
 	nparts := 1 << bits
 	// Stage enough rows per partition to amortize the chunk header, but
@@ -175,7 +176,7 @@ func partitionOp(ctx context.Context, opts Options, op vector.Operator, cols, ke
 	}
 	charge := int64(nparts) * int64(stageRows) * int64(8*ncols)
 	if err := opts.Gov.Acquire(charge); err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	defer opts.Gov.Release(charge)
 
@@ -183,10 +184,10 @@ func partitionOp(ctx context.Context, opts Options, op vector.Operator, cols, ke
 	files := make([]*spill.File, nparts)
 	bufs := make([][]vector.Col, nparts)
 	lens := make([]int, nparts)
-	var rows int64
+	rows := make([]int64, nparts)
 
 	if err := op.Open(); err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	defer op.Close()
 
@@ -215,11 +216,11 @@ func partitionOp(ctx context.Context, opts Options, op vector.Operator, cols, ke
 
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 		b, err := op.Next()
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 		if b == nil {
 			break
@@ -241,25 +242,25 @@ func partitionOp(ctx context.Context, opts Options, op vector.Operator, cols, ke
 				appendRowCell(&bufs[pi][c], &b.Cols[bc], i)
 			}
 			lens[pi]++
-			rows++
+			rows[pi]++
 			if lens[pi] >= stageRows {
 				innerErr = flush(pi)
 			}
 		})
 		if innerErr != nil {
-			return nil, 0, innerErr
+			return nil, nil, innerErr
 		}
 	}
 	for pi := range writers {
 		if err := flush(pi); err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 		if writers[pi] == nil {
 			continue
 		}
 		f, err := writers[pi].Finish()
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 		files[pi] = f
 	}
@@ -272,22 +273,24 @@ func partitionOp(ctx context.Context, opts Options, op vector.Operator, cols, ke
 // producing chain once (mk constructs it fresh), partition the columns
 // the aggregation reads by group-key hash, hand back what the chain
 // held (release), then aggregate each partition alone with the ordinary
-// in-memory Agg, appending its shaped groups to one spill file. The
-// partitions hold disjoint key sets, so the file is the whole result,
-// and the aggregation is over before anything above it runs: a sort
-// over the groups never shares the grant with a partition's grouping
-// table, and at most one such table is live (and charged) at a time.
-func graceGrouped(ctx context.Context, opts Options, mk func() vector.Operator, release func(), estRows int, keyIdx []int, g *GroupAggNode, specs []vector.AggSpec) (vector.Operator, error) {
+// in-memory Agg, its first table sized from the partition's rows, and
+// append its shaped groups to one spill file. The partitions hold
+// disjoint key sets, so the file is the whole result, and the
+// aggregation is over before anything above it runs: a sort over the
+// groups never shares the grant with a partition's grouping table, and
+// at most one such table is live (and charged) at a time. stat, when
+// set, restarts its counts for this run.
+func graceGrouped(ctx context.Context, opts Options, mk func() vector.Operator, release func(), estRows int, ax *aggExec, stat *GroupStat) (vector.Operator, error) {
 	// The partitions carry the accumulators' arguments and the keys;
 	// both index them from here on.
 	var read []int
-	for _, sp := range specs {
+	for _, sp := range ax.specs {
 		if sp.Col >= 0 {
 			read = append(read, sp.Col)
 		}
 	}
-	cols, at := columnsRead(append(read, keyIdx...))
-	pSpecs := slices.Clone(specs)
+	cols, at := columnsRead(append(read, ax.keyIdx...))
+	pSpecs := slices.Clone(ax.specs)
 	for i := range pSpecs {
 		if pSpecs[i].Col >= 0 {
 			pSpecs[i].Col, at = at[0], at[1:]
@@ -298,28 +301,40 @@ func graceGrouped(ctx context.Context, opts Options, mk func() vector.Operator, 
 	// its own group): 8 bytes a cell plus table overhead per row.
 	stateBytes := int64(estRows) * int64(8*len(cols)+16)
 	bits := graceBits(stateBytes, graceHeadroom(opts.Gov))
-	parts, _, err := partitionOp(ctx, opts, mk(), cols, keyIdx, bits, "grp")
+	parts, rows, err := partitionOp(ctx, opts, mk(), cols, ax.keyIdx, bits, "grp")
 	if err != nil {
 		return nil, err
 	}
 	release() // the partitions hold the stream now: its join tables are dead
+	var agst *vector.AggStats
+	if stat != nil {
+		stat.Layout, stat.Groups = "hash", 0
+		stat.RowsIn.Store(0)
+		stat.Partials.Store(0)
+		stat.Converted.Store(0)
+		agst = &stat.AggStats
+	}
 	w, err := opts.Spill.Create("groups")
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range parts {
+	for pi, f := range parts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if f == nil {
 			continue
 		}
-		merged, err := drainOne(&vector.Agg{Child: &spillScanOp{f: f}, Keys: pKeys, Aggs: pSpecs, Res: opts.Gov})
+		merged, err := drainOne(&vector.Agg{Child: &spillScanOp{f: f}, Keys: pKeys, Aggs: pSpecs, Res: opts.Gov, Groups: int(rows[pi]), Stats: agst})
 		if err != nil {
 			return nil, err
 		}
+		if stat != nil {
+			stat.Groups += merged.N
+			stat.Partitions++
+		}
 		if merged.N > 0 {
-			if err := w.WriteBatch(&vector.Batch{N: merged.N, Cols: shapeGrouped(merged, g)}); err != nil {
+			if err := w.WriteBatch(&vector.Batch{N: merged.N, Cols: ax.shape(merged)}); err != nil {
 				return nil, err
 			}
 		}

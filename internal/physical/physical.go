@@ -104,6 +104,17 @@ type ExecStats struct {
 	Stream string      // name of the streamed (probe) leaf table
 	Joins  []*JoinStat // one per executed join step, in execution order
 	Sort   *SortStat   // what the ORDER BY did; nil when nothing was sorted
+	Group  *GroupStat  // what the GROUP BY did; nil without grouping keys
+}
+
+// GroupStat is one executed GROUP BY: the layout its grouping tables
+// took and what their Aggs counted (complete once the groups are
+// drained, which grouping does before anything above it runs).
+type GroupStat struct {
+	Layout     string // "dense [lo,hi]" (direct-address, the key's zone-map domain) or "hash"
+	Groups     int    // groups out
+	Partitions int    // grace-hash partitions aggregated; 0 in memory
+	vector.AggStats
 }
 
 // SortStat is one executed ORDER BY: what it ordered and the live

@@ -1,6 +1,11 @@
 package radix
 
-import "unsafe"
+import (
+	"math/bits"
+	"unsafe"
+
+	"repro/internal/bat"
+)
 
 // GroupTable is the one grouping table of the engine: it maps K-wide
 // int64 key tuples to DENSE group ids (0,1,2,... in first-seen order)
@@ -29,11 +34,33 @@ import "unsafe"
 // every position: SQL GROUP BY collects all NULLs into one group
 // (grouping is "is not distinct from", not "="). The dense ids double
 // as indexes into whatever per-group accumulators the caller folds.
+//
+// A single key whose values are known to lie in a Domain [lo, hi] takes
+// the table's second layout (NewDenseGroupTable): the key is its own
+// slot, dense[key-lo] holding gid+1, with one more slot for NULL — a
+// subtract, an unsigned compare and a load per row, no hash, no probe,
+// no regrowth. Keys, ids and their order are the hash layout's, so both
+// layouts emit the same groups in the same order for the same input. A
+// key outside the domain, which the caller's bound rules out, converts
+// the table in place to the hash layout, keeping every gid.
 type GroupTable struct {
 	slots []gslot
 	shift uint      // 64 - log2(len(slots)); slot = hash >> shift
 	keys  [][]int64 // keys[c][gid]: key column c, first-seen order
+
+	// dense is the direct-address layout (nil: the hash layout):
+	// dense[k-lo] is key k's gid+1, 0 while unseen; the last slot is
+	// NULL's.
+	dense []int32
+	lo    int64
 }
+
+// Domain is the value range [Lo, Hi] of a single INT key, NULL aside.
+type Domain struct{ Lo, Hi int64 }
+
+// Slots is the direct-address slots the domain takes: one per value
+// and one for NULL.
+func (d Domain) Slots() uint64 { return uint64(d.Hi-d.Lo) + 2 }
 
 type gslot struct {
 	hash uint64
@@ -60,23 +87,43 @@ func PartitionOf(h uint64, bits int) int { return int(Hash(int64(h)) >> (64 - ui
 // distinct groups at load factor <= ½. The table grows by rehashing
 // past the hint, so the hint is a performance knob, not a cap.
 func NewGroupTable(k, hint int) *GroupTable {
-	if hint < 4 {
-		hint = 4
-	}
-	nslots := 8
-	for nslots < 2*hint {
-		nslots <<= 1
-	}
-	shift := uint(64)
-	for s := nslots; s > 1; s >>= 1 {
-		shift--
-	}
+	hint = max(hint, 4)
 	keys := make([][]int64, k)
 	for c := range keys {
 		keys[c] = make([]int64, 0, hint)
 	}
-	return &GroupTable{slots: make([]gslot, nslots), shift: shift, keys: keys}
+	t := &GroupTable{keys: keys}
+	t.sizeSlots(hint)
+	return t
 }
+
+// sizeSlots gives t an empty hash slot array for hint groups at load
+// factor <= ½.
+func (t *GroupTable) sizeSlots(hint int) {
+	nslots := 8
+	for nslots < 2*hint {
+		nslots <<= 1
+	}
+	t.slots = make([]gslot, nslots)
+	t.shift = 64 - uint(bits.TrailingZeros(uint(nslots)))
+}
+
+// NewDenseGroupTable returns a single-key table in the direct-address
+// layout over domain d, its key column pre-sized for hint groups (at
+// most d.Slots()). A domain that is empty or reaches the nil sentinel
+// gets the hash layout: a NULL key must never alias a value's slot. So
+// does one spanning every other int64, whose slot count wraps to 0.
+func NewDenseGroupTable(d Domain, hint int) *GroupTable {
+	n := d.Slots()
+	if d.Hi < d.Lo || d.Lo == bat.NilInt || n == 0 {
+		return NewGroupTable(1, hint)
+	}
+	hint = int(min(uint64(max(hint, 1)), n))
+	return &GroupTable{keys: [][]int64{make([]int64, 0, hint)}, dense: make([]int32, n), lo: d.Lo}
+}
+
+// Dense reports whether the table is in the direct-address layout.
+func (t *GroupTable) Dense() bool { return t.dense != nil }
 
 // Len returns the number of distinct groups seen.
 func (t *GroupTable) Len() int { return len(t.keys[0]) }
@@ -87,9 +134,10 @@ func (t *GroupTable) Len() int { return len(t.keys[0]) }
 func (t *GroupTable) Key(c int) []int64 { return t.keys[c] }
 
 // MemBytes returns the table's live heap footprint — the slot array
-// plus every dense key column — for the query memory governor's ledger.
+// (hash slots, or direct-address slots) plus every dense key column —
+// for the query memory governor's ledger.
 func (t *GroupTable) MemBytes() int64 {
-	n := int64(len(t.slots)) * int64(unsafe.Sizeof(gslot{}))
+	n := int64(len(t.slots))*int64(unsafe.Sizeof(gslot{})) + int64(len(t.dense))*4
 	for _, ks := range t.keys {
 		n += int64(cap(ks)) * 8
 	}
@@ -107,7 +155,11 @@ func (t *GroupTable) MemBytes() int64 {
 // shift instead of guarding against counts >= 64.
 func (t *GroupTable) Assign(cols [][]int64, sel []int32, gids []int32) int32 {
 	if len(cols) == 1 {
-		t.assign1(cols[0], sel, gids)
+		if t.dense != nil {
+			t.assignDense(cols[0], sel, gids)
+		} else {
+			t.assign1(cols[0], sel, gids)
+		}
 		return int32(t.Len())
 	}
 	k0, rest := cols[0], cols[1:]
@@ -199,6 +251,79 @@ func (t *GroupTable) assign1(keys []int64, sel []int32, gids []int32) {
 			slots, mask, shift = t.slots, uint64(len(t.slots)-1), t.shift
 			break
 		}
+	}
+}
+
+// assignDense is Assign in the direct-address layout. A key k takes
+// slot k-lo, which in uint64 arithmetic is below the value slots' count
+// exactly when lo <= k <= hi; NULL (below every lo the constructor
+// accepts) and an out-of-domain key both fail that one compare, and
+// only then is the key told apart. An out-of-domain key converts the
+// table to the hash layout, which assigns the rest of the batch.
+func (t *GroupTable) assignDense(keys []int64, sel []int32, gids []int32) {
+	dense, lo := t.dense, uint64(t.lo)
+	span := uint64(len(dense) - 1) // the value slots; NULL's is dense[span]
+	if sel != nil {
+		for j, i := range sel {
+			k := keys[i]
+			d := uint64(k) - lo
+			if d >= span {
+				if k != bat.NilInt {
+					t.toHash()
+					t.assign1(keys, sel[j:], gids)
+					return
+				}
+				d = span
+			}
+			g := dense[d]
+			if g == 0 {
+				g = t.insertDense(d, k)
+			}
+			gids[i] = g - 1
+		}
+		return
+	}
+	for i, k := range keys {
+		d := uint64(k) - lo
+		if d >= span {
+			if k != bat.NilInt {
+				t.toHash()
+				t.assign1(keys[i:], nil, gids[i:])
+				return
+			}
+			d = span
+		}
+		g := dense[d]
+		if g == 0 {
+			g = t.insertDense(d, k)
+		}
+		gids[i] = g - 1
+	}
+}
+
+// insertDense gives key k, unseen at direct-address slot d, the next
+// gid and returns gid+1.
+func (t *GroupTable) insertDense(d uint64, k int64) int32 {
+	g := int32(t.Len()) + 1
+	t.dense[d] = g
+	t.keys[0] = append(t.keys[0], k)
+	return g
+}
+
+// toHash converts a direct-address table in place to the hash layout:
+// the keys are re-inserted in gid order, so every gid handed out stays
+// valid, and the key column is kept as it is.
+func (t *GroupTable) toHash() {
+	t.sizeSlots(max(t.Len(), 4))
+	t.dense = nil
+	mask := uint64(len(t.slots) - 1)
+	for gid, k := range t.keys[0] {
+		hk := Hash(k)
+		s := hk >> t.shift
+		for t.slots[s].gid != 0 {
+			s = (s + 1) & mask
+		}
+		t.slots[s] = gslot{hash: hk, gid: int32(gid) + 1}
 	}
 }
 

@@ -147,11 +147,12 @@ const bitmapSpanPerKey = 64
 // passes nothing.
 //
 // A bitmap passes only rows that match, each meeting the build's
-// fan-out, Rows ÷ distinct non-nil keys (the bitmap's population). A
-// range passes distinct ÷ (max − min + 1) of its rows, taking probe
-// keys as spread evenly over it, so its multiplier is Rows ÷ (max −
-// min + 1): the distinct count cancels and is never taken, so a range
-// never reports its keys unique. Nil keys neither count nor repeat.
+// fan-out, non-nil keys ÷ distinct non-nil keys (the bitmap's
+// population). A range passes distinct ÷ (max − min + 1) of its rows,
+// taking probe keys as spread evenly over it, so its multiplier is
+// non-nil keys ÷ (max − min + 1): the distinct count cancels and is
+// never taken, so a range never reports its keys unique. Nil keys
+// match nothing, so they neither count, nor repeat, nor add output.
 func (jb *JoinBuild) KeyFilter(col int, res *memgov.Reservation) (preds []Pred, bitmap bool, mult float64, unique bool) {
 	lo, hi, n := int64(math.MaxInt64), bat.NilInt, uint64(0) // nil sorts below every key
 	for _, k := range jb.keys {
@@ -177,10 +178,10 @@ func (jb *JoinBuild) KeyFilter(col int, res *memgov.Reservation) (preds []Pred, 
 					}
 				}
 			}
-			return []Pred{{ColIdx: col, Op: PredInBits, IntVal: lo, Bits: bits}}, true, float64(jb.nrows) / float64(distinct), uint64(distinct) == n
+			return []Pred{{ColIdx: col, Op: PredInBits, IntVal: lo, Bits: bits}}, true, float64(n) / float64(distinct), uint64(distinct) == n
 		}
 	}
-	return []Pred{{ColIdx: col, Op: PredGe, IntVal: lo}, {ColIdx: col, Op: PredLeNil, IntVal: hi}}, false, float64(jb.nrows) / float64(span), false
+	return []Pred{{ColIdx: col, Op: PredGe, IntVal: lo}, {ColIdx: col, Op: PredLeNil, IntVal: hi}}, false, float64(n) / float64(span), false
 }
 
 // HashJoinOp is a vectorized equi-join on int64 keys: probe batches

@@ -319,14 +319,15 @@ func TestJoinKeyFilterKeepsMatchableRows(t *testing.T) {
 		if res != nil && bitmap && len(keys) > 0 {
 			t.Fatalf("trial %d: a bitmap the reservation cannot hold", trial)
 		}
-		// A bitmap passes matches only (fan-out rows ÷ distinct keys), a
-		// range distinct ÷ span of its rows: rows ÷ span.
+		// A bitmap passes matches only (fan-out non-nil keys ÷ distinct
+		// keys), a range distinct ÷ span of its rows: non-nil keys ÷ span.
+		// A nil build key matches nothing, so it adds no output.
 		wantMult := 0.0
 		switch {
 		case bitmap && len(keys) > 0:
-			wantMult = float64(len(build)) / float64(len(keys))
+			wantMult = float64(nonNil) / float64(len(keys))
 		case !bitmap:
-			wantMult = float64(len(build)) / float64(uint64(hi-lo)+1)
+			wantMult = float64(nonNil) / float64(uint64(hi-lo)+1)
 		}
 		if math.Abs(mult-wantMult) > 1e-9*wantMult {
 			t.Fatalf("trial %d (bitmap=%v, build %v): multiplier %v, want %v", trial, bitmap, build, mult, wantMult)

@@ -485,45 +485,46 @@ type AggSpec struct {
 
 // fold accumulates the qualifying rows of one batch (its columns cols,
 // n rows, selection sel) into the aggregate's per-group accumulator —
-// ints or flts, whichever the kind uses — growing it to ngroups first.
-// gids maps each row to its group.
-func (spec AggSpec) fold(cols []Col, sel []int32, n int, gids []int32, ints []int64, flts []float64, ngroups int32) ([]int64, []float64, error) {
+// ints or flts, whichever the kind uses, already sized to the groups
+// gids reaches. gids maps each row to its group.
+func (spec AggSpec) fold(cols []Col, sel []int32, n int, gids []int32, ints []int64, flts []float64) error {
 	switch spec.Kind {
 	case AggSumInt:
-		ints = SumIntPerGroup(cols[spec.Col].Ints, sel, gids, ints, ngroups)
+		SumIntPerGroup(cols[spec.Col].Ints, sel, gids, ints)
 	case AggSumFloat:
-		flts = SumFloatPerGroup(cols[spec.Col].Floats, sel, gids, flts, ngroups)
+		SumFloatPerGroup(cols[spec.Col].Floats, sel, gids, flts)
 	case AggCount:
-		ints = CountPerGroup(sel, n, gids, ints, ngroups)
+		CountPerGroup(sel, n, gids, ints)
 	case AggSumIntNil:
-		ints = SumIntNilPerGroup(cols[spec.Col].Ints, sel, gids, ints, ngroups)
+		SumIntNilPerGroup(cols[spec.Col].Ints, sel, gids, ints)
 	case AggSumFloatNil:
-		flts = SumFloatNilPerGroup(cols[spec.Col].Floats, sel, gids, flts, ngroups)
+		SumFloatNilPerGroup(cols[spec.Col].Floats, sel, gids, flts)
 	case AggCountNNInt:
-		ints = CountNNIntPerGroup(cols[spec.Col].Ints, sel, gids, ints, ngroups)
+		CountNNIntPerGroup(cols[spec.Col].Ints, sel, gids, ints)
 	case AggCountNNFloat:
-		ints = CountNNFloatPerGroup(cols[spec.Col].Floats, sel, gids, ints, ngroups)
+		CountNNFloatPerGroup(cols[spec.Col].Floats, sel, gids, ints)
 	case AggMinInt:
-		ints = MinIntNilPerGroup(cols[spec.Col].Ints, sel, gids, ints, ngroups)
+		MinIntNilPerGroup(cols[spec.Col].Ints, sel, gids, ints)
 	case AggMaxInt:
-		ints = MaxIntNilPerGroup(cols[spec.Col].Ints, sel, gids, ints, ngroups)
+		MaxIntNilPerGroup(cols[spec.Col].Ints, sel, gids, ints)
 	case AggMinFloat:
-		flts = MinFloatNilPerGroup(cols[spec.Col].Floats, sel, gids, flts, ngroups)
+		MinFloatNilPerGroup(cols[spec.Col].Floats, sel, gids, flts)
 	case AggMaxFloat:
-		flts = MaxFloatNilPerGroup(cols[spec.Col].Floats, sel, gids, flts, ngroups)
+		MaxFloatNilPerGroup(cols[spec.Col].Floats, sel, gids, flts)
 	default:
-		return nil, nil, fmt.Errorf("vector: bad aggregate kind %d", spec.Kind)
+		return fmt.Errorf("vector: bad aggregate kind %d", spec.Kind)
 	}
-	return ints, flts, nil
+	return nil
 }
 
 // Agg drains its child, aggregating per group of the int key columns
 // Keys — any number of them; none means a single global group. Group
-// ids at every key width are assigned by the one open-addressing
-// radix.GroupTable (Fibonacci hashing, flat power-of-two slots, no
-// per-key allocations) in first-seen order, the same order the final
-// batch emits. It emits one final batch with columns: the key(s) —
-// the table's own column-major key arrays, handed off without a copy —
+// ids at every key width are assigned by the one radix.GroupTable in
+// first-seen order, the same order the final batch emits: hashed
+// (Fibonacci hashing, flat power-of-two slots, no per-key allocations),
+// or, for one key with a known Domain, direct-addressed by the key
+// itself. It emits one final batch with columns: the key(s) — the
+// table's own column-major key arrays, handed off without a copy —
 // then one column per aggregate. A keyed aggregation over empty input
 // emits an empty batch (zero groups); the global form emits its
 // identity row.
@@ -539,8 +540,17 @@ type Agg struct {
 	Res *memgov.Reservation
 
 	// Groups, when positive, bounds the groups the input can form: the
-	// first grouping table is sized for at most that many, not 1024.
+	// first grouping table is sized for at most that many, not 1024 —
+	// for a Domain, its key column and accumulators hold that many.
 	Groups int
+
+	// Domain, when set, is the value range of the one key: the table
+	// takes the direct-address layout (radix.NewDenseGroupTable).
+	Domain *radix.Domain
+
+	// Stats, when set, counts what the Agg saw; the Aggs of one
+	// grouping share it.
+	Stats *AggStats
 
 	// merge marks the final Agg over workers' grouped partials: each
 	// batch holds distinct keys, usually most of the result's groups.
@@ -548,6 +558,14 @@ type Agg struct {
 
 	done    bool
 	charged int64
+}
+
+// AggStats is what a grouping's Aggs observed, for \plan. The workers'
+// Aggs and their merge share one, hence atomics.
+type AggStats struct {
+	RowsIn    atomic.Int64 // rows the partial (non-merge) Aggs folded
+	Partials  atomic.Int64 // partial batches the merge folded
+	Converted atomic.Int64 // direct-address tables an out-of-domain key turned to hash
 }
 
 // Open implements Operator.
@@ -561,7 +579,10 @@ func (a *Agg) Next() (*Batch, error) {
 	a.done = true
 
 	var gt *radix.GroupTable
-	if len(a.Keys) > 0 {
+	switch {
+	case a.Domain != nil && len(a.Keys) == 1:
+		gt = radix.NewDenseGroupTable(*a.Domain, a.Groups)
+	case len(a.Keys) > 0:
 		size := 1024
 		if a.Groups > 0 {
 			size = min(size, a.Groups)
@@ -570,9 +591,12 @@ func (a *Agg) Next() (*Batch, error) {
 	}
 	var gids []int32
 	keyCols := make([][]int64, len(a.Keys))
-	intAccs := make([][]int64, len(a.Aggs))
-	fltAccs := make([][]float64, len(a.Aggs))
+	// The output batch's columns: the keys, filled in last, then the
+	// accumulators, folded in place.
+	cols := make([]Col, len(a.Keys)+len(a.Aggs))
+	accs := cols[len(a.Keys):]
 	ngroups := int32(1)
+	var rows, batches int64
 
 	for {
 		b, err := a.Child.Next()
@@ -582,7 +606,9 @@ func (a *Agg) Next() (*Batch, error) {
 		if b == nil {
 			break
 		}
-		if a.merge && gt != nil && gt.Len() == 0 && b.N > 1024 {
+		rows += int64(b.Rows())
+		batches++
+		if a.merge && gt != nil && !gt.Dense() && gt.Len() == 0 && b.N > 1024 {
 			// Size the table for the first partial at once rather than
 			// rehashing it through every doubling on the way.
 			gt = radix.NewGroupTable(len(a.Keys), b.N)
@@ -597,13 +623,21 @@ func (a *Agg) Next() (*Batch, error) {
 			}
 			ngroups = gt.Assign(keyCols, b.Sel, gids)
 		}
+		// The accumulators grow with the key columns, to their capacity:
+		// once for a direct-address table, by doubling for a hash one.
+		size := int(ngroups)
+		if gt != nil {
+			size = cap(gt.Key(0))
+		}
 		for ai, spec := range a.Aggs {
-			if intAccs[ai], fltAccs[ai], err = spec.fold(b.Cols, b.Sel, b.N, gids, intAccs[ai], fltAccs[ai], ngroups); err != nil {
+			acc := &accs[ai]
+			acc.grow(spec.Kind, ngroups, size)
+			if err := spec.fold(b.Cols, b.Sel, b.N, gids, acc.Ints, acc.Floats); err != nil {
 				return nil, err
 			}
 		}
 		if a.Res != nil {
-			foot := aggFootprint(gt, intAccs, fltAccs)
+			foot := aggFootprint(gt, accs)
 			if d := foot - a.charged; d > 0 {
 				if err := a.Res.Acquire(d); err != nil {
 					return nil, err
@@ -612,25 +646,59 @@ func (a *Agg) Next() (*Batch, error) {
 			}
 		}
 	}
+	if st := a.Stats; st != nil {
+		if a.merge {
+			st.Partials.Add(batches)
+		} else {
+			st.RowsIn.Add(rows)
+		}
+		if a.Domain != nil && gt != nil && !gt.Dense() {
+			st.Converted.Add(1)
+		}
+	}
 
 	n := 1
-	var cols []Col
 	if gt != nil {
 		n = gt.Len()
 		// Key(c) aliases the table, which dies with this call — safe to
 		// hand off directly.
 		for c := range a.Keys {
-			cols = append(cols, Col{Kind: KindInt, Ints: gt.Key(c)})
+			cols[c] = Col{Kind: KindInt, Ints: gt.Key(c)}
 		}
 	}
 	for ai, spec := range a.Aggs {
-		if spec.Kind.Float() {
-			cols = append(cols, Col{Kind: KindFloat, Floats: growFloats(fltAccs[ai], int32(n), spec.Kind.initFloat())})
-		} else {
-			cols = append(cols, Col{Kind: KindInt, Ints: growInts(intAccs[ai], int32(n), spec.Kind.initInt())})
-		}
+		accs[ai].grow(spec.Kind, int32(n), n)
 	}
 	return &Batch{N: n, Cols: cols}, nil
+}
+
+// grow pads accumulator column c of aggregate kind k to n groups of the
+// kind's identity, taking capacity for size groups when it must
+// reallocate.
+func (c *Col) grow(k AggKind, n int32, size int) {
+	if k.Float() {
+		c.Kind, c.Floats = KindFloat, growAccs(c.Floats, n, size, k.initFloat())
+	} else {
+		c.Kind, c.Ints = KindInt, growAccs(c.Ints, n, size, k.initInt())
+	}
+}
+
+// growAccs pads an accumulator to n groups of init, taking capacity
+// for size groups (at least n, and at least double what it had) when
+// it must reallocate.
+func growAccs[T int64 | float64](accs []T, n int32, size int, init T) []T {
+	if int32(len(accs)) >= n {
+		return accs
+	}
+	if int(n) > cap(accs) {
+		grown := make([]T, len(accs), max(int(n), size, 2*cap(accs)))
+		copy(grown, accs)
+		accs = grown
+	}
+	for int32(len(accs)) < n {
+		accs = append(accs, init)
+	}
+	return accs
 }
 
 // Close implements Operator: the grouping state dies with the
@@ -645,17 +713,15 @@ func (a *Agg) Close() error {
 	return a.Child.Close()
 }
 
-// aggFootprint is the live heap held by one Agg's grouping state.
-func aggFootprint(gt *radix.GroupTable, intAccs [][]int64, fltAccs [][]float64) int64 {
+// aggFootprint is the live heap held by one Agg's grouping state: the
+// table's slots and key columns, and every accumulator's capacity.
+func aggFootprint(gt *radix.GroupTable, accs []Col) int64 {
 	var f int64
 	if gt != nil {
 		f = gt.MemBytes()
 	}
-	for _, s := range intAccs {
-		f += int64(cap(s)) * 8
-	}
-	for _, s := range fltAccs {
-		f += int64(cap(s)) * 8
+	for _, c := range accs {
+		f += int64(cap(c.Ints)+cap(c.Floats)) * 8
 	}
 	return f
 }

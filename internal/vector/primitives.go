@@ -5,11 +5,7 @@ package vector
 // algebra's bulk operators; all per-tuple interpretation decisions are
 // hoisted out of these loops.
 
-import (
-	"math"
-
-	"repro/internal/bat"
-)
+import "repro/internal/bat"
 
 // --- selection primitives ---
 //
@@ -509,56 +505,46 @@ func MapAddFloat(a, b []float64, sel []int32, out []float64) {
 	}
 }
 
-// SumIntPerGroup folds col values into accs[gids[i]] for qualifying rows,
-// growing accs to ngroups first. It returns accs.
-func SumIntPerGroup(col []int64, sel []int32, gids []int32, accs []int64, ngroups int32) []int64 {
-	for int32(len(accs)) < ngroups {
-		accs = append(accs, 0)
-	}
+// The per-group folds below fold the qualifying rows of one batch into
+// accs[gids[i]]; the caller has sized accs to every group gids names.
+
+// SumIntPerGroup folds col values into accs[gids[i]] for qualifying rows.
+func SumIntPerGroup(col []int64, sel []int32, gids []int32, accs []int64) {
 	if sel == nil {
 		for i := range col {
 			accs[gids[i]] += col[i]
 		}
-		return accs
+		return
 	}
 	for _, i := range sel {
 		accs[gids[i]] += col[i]
 	}
-	return accs
 }
 
 // SumFloatPerGroup folds float col values per group.
-func SumFloatPerGroup(col []float64, sel []int32, gids []int32, accs []float64, ngroups int32) []float64 {
-	for int32(len(accs)) < ngroups {
-		accs = append(accs, 0)
-	}
+func SumFloatPerGroup(col []float64, sel []int32, gids []int32, accs []float64) {
 	if sel == nil {
 		for i := range col {
 			accs[gids[i]] += col[i]
 		}
-		return accs
+		return
 	}
 	for _, i := range sel {
 		accs[gids[i]] += col[i]
 	}
-	return accs
 }
 
 // CountPerGroup increments counts[gids[i]] for qualifying rows.
-func CountPerGroup(sel []int32, n int, gids []int32, counts []int64, ngroups int32) []int64 {
-	for int32(len(counts)) < ngroups {
-		counts = append(counts, 0)
-	}
+func CountPerGroup(sel []int32, n int, gids []int32, counts []int64) {
 	if sel == nil {
 		for i := 0; i < n; i++ {
 			counts[gids[i]]++
 		}
-		return counts
+		return
 	}
 	for _, i := range sel {
 		counts[gids[i]]++
 	}
-	return counts
 }
 
 // --- nil-aware per-group folds ---
@@ -570,102 +556,77 @@ func CountPerGroup(sel []int32, n int, gids []int32, counts []int64, ngroups int
 // property that makes per-worker partials mergeable: a worker's nil
 // partial is skipped by the merge fold like any other nil input.
 
-// growInts pads accs to n entries initialized to init.
-func growInts(accs []int64, n int32, init int64) []int64 {
-	for int32(len(accs)) < n {
-		accs = append(accs, init)
-	}
-	return accs
-}
-
-// growFloats pads accs to n entries initialized to init.
-func growFloats(accs []float64, n int32, init float64) []float64 {
-	for int32(len(accs)) < n {
-		accs = append(accs, init)
-	}
-	return accs
-}
-
 // SumIntNilPerGroup folds col into accs[gids[i]], skipping nil values.
-func SumIntNilPerGroup(col []int64, sel []int32, gids []int32, accs []int64, ngroups int32) []int64 {
-	accs = growInts(accs, ngroups, 0)
+func SumIntNilPerGroup(col []int64, sel []int32, gids []int32, accs []int64) {
 	if sel == nil {
 		for i, v := range col {
 			if v != bat.NilInt {
 				accs[gids[i]] += v
 			}
 		}
-		return accs
+		return
 	}
 	for _, i := range sel {
 		if v := col[i]; v != bat.NilInt {
 			accs[gids[i]] += v
 		}
 	}
-	return accs
 }
 
 // SumFloatNilPerGroup folds col per group, skipping NaN (the float nil).
-func SumFloatNilPerGroup(col []float64, sel []int32, gids []int32, accs []float64, ngroups int32) []float64 {
-	accs = growFloats(accs, ngroups, 0)
+func SumFloatNilPerGroup(col []float64, sel []int32, gids []int32, accs []float64) {
 	if sel == nil {
 		for i, v := range col {
 			if !bat.IsNilFloat(v) {
 				accs[gids[i]] += v
 			}
 		}
-		return accs
+		return
 	}
 	for _, i := range sel {
 		if v := col[i]; !bat.IsNilFloat(v) {
 			accs[gids[i]] += v
 		}
 	}
-	return accs
 }
 
 // CountNNIntPerGroup counts non-nil int values per group.
-func CountNNIntPerGroup(col []int64, sel []int32, gids []int32, accs []int64, ngroups int32) []int64 {
-	accs = growInts(accs, ngroups, 0)
+func CountNNIntPerGroup(col []int64, sel []int32, gids []int32, accs []int64) {
 	if sel == nil {
 		for i, v := range col {
 			if v != bat.NilInt {
 				accs[gids[i]]++
 			}
 		}
-		return accs
+		return
 	}
 	for _, i := range sel {
 		if col[i] != bat.NilInt {
 			accs[gids[i]]++
 		}
 	}
-	return accs
 }
 
 // CountNNFloatPerGroup counts non-NaN float values per group.
-func CountNNFloatPerGroup(col []float64, sel []int32, gids []int32, accs []int64, ngroups int32) []int64 {
-	accs = growInts(accs, ngroups, 0)
+func CountNNFloatPerGroup(col []float64, sel []int32, gids []int32, accs []int64) {
 	if sel == nil {
 		for i, v := range col {
 			if !bat.IsNilFloat(v) {
 				accs[gids[i]]++
 			}
 		}
-		return accs
+		return
 	}
 	for _, i := range sel {
 		if v := col[i]; !bat.IsNilFloat(v) {
 			accs[gids[i]]++
 		}
 	}
-	return accs
 }
 
 // MinIntNilPerGroup folds the minimum per group; nil inputs are skipped
 // and an untouched group stays at the nil sentinel.
-func MinIntNilPerGroup(col []int64, sel []int32, gids []int32, accs []int64, ngroups int32) []int64 {
-	accs = growInts(accs, ngroups, bat.NilInt)
+func MinIntNilPerGroup(col []int64, sel []int32, gids []int32, accs []int64) {
 	fold := func(i int32) {
 		v := col[i]
 		if v == bat.NilInt {
@@ -680,17 +641,15 @@ func MinIntNilPerGroup(col []int64, sel []int32, gids []int32, accs []int64, ngr
 		for i := range col {
 			fold(int32(i))
 		}
-		return accs
+		return
 	}
 	for _, i := range sel {
 		fold(i)
 	}
-	return accs
 }
 
 // MaxIntNilPerGroup folds the maximum per group (nil-aware).
-func MaxIntNilPerGroup(col []int64, sel []int32, gids []int32, accs []int64, ngroups int32) []int64 {
-	accs = growInts(accs, ngroups, bat.NilInt)
+func MaxIntNilPerGroup(col []int64, sel []int32, gids []int32, accs []int64) {
 	fold := func(i int32) {
 		v := col[i]
 		if v == bat.NilInt {
@@ -705,18 +664,16 @@ func MaxIntNilPerGroup(col []int64, sel []int32, gids []int32, accs []int64, ngr
 		for i := range col {
 			fold(int32(i))
 		}
-		return accs
+		return
 	}
 	for _, i := range sel {
 		fold(i)
 	}
-	return accs
 }
 
 // MinFloatNilPerGroup folds the float minimum per group, skipping NaN;
 // an untouched group stays NaN.
-func MinFloatNilPerGroup(col []float64, sel []int32, gids []int32, accs []float64, ngroups int32) []float64 {
-	accs = growFloats(accs, ngroups, math.NaN())
+func MinFloatNilPerGroup(col []float64, sel []int32, gids []int32, accs []float64) {
 	fold := func(i int32) {
 		v := col[i]
 		if bat.IsNilFloat(v) {
@@ -731,17 +688,15 @@ func MinFloatNilPerGroup(col []float64, sel []int32, gids []int32, accs []float6
 		for i := range col {
 			fold(int32(i))
 		}
-		return accs
+		return
 	}
 	for _, i := range sel {
 		fold(i)
 	}
-	return accs
 }
 
 // MaxFloatNilPerGroup folds the float maximum per group (NaN-aware).
-func MaxFloatNilPerGroup(col []float64, sel []int32, gids []int32, accs []float64, ngroups int32) []float64 {
-	accs = growFloats(accs, ngroups, math.NaN())
+func MaxFloatNilPerGroup(col []float64, sel []int32, gids []int32, accs []float64) {
 	fold := func(i int32) {
 		v := col[i]
 		if bat.IsNilFloat(v) {
@@ -756,10 +711,9 @@ func MaxFloatNilPerGroup(col []float64, sel []int32, gids []int32, accs []float6
 		for i := range col {
 			fold(int32(i))
 		}
-		return accs
+		return
 	}
 	for _, i := range sel {
 		fold(i)
 	}
-	return accs
 }
